@@ -20,11 +20,8 @@
 #include "bench/bench_common.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/realization_join.h"
-#include "relational/join_hash_table.h"
-#include "relational/morsel.h"
 #include "relational/ops.h"
 #include "relational/reference_join.h"
 #include "relational/table.h"
@@ -37,10 +34,6 @@ namespace rel = ::wiclean::relational;
 constexpr size_t kNumVars = 3;
 constexpr int64_t kHorizon = 100000;
 constexpr int kReps = 7;
-// Thread counts for the morsel lanes (fig. 4d-shaped scaling column).
-constexpr size_t kMorselThreads[] = {1, 2, 4};
-constexpr size_t kNumMorselLanes =
-    sizeof(kMorselThreads) / sizeof(kMorselThreads[0]);
 
 rel::Schema VarSchema(size_t num_vars) {
   rel::Schema schema;
@@ -105,26 +98,6 @@ std::vector<std::string> SortedRowList(const rel::Table& t) {
   return rows;
 }
 
-// Order-sensitive streaming digest for byte-identity checks (the morsel and
-// vectorized lanes promise positional equality). A digest instead of a
-// materialized row list keeps tens of MB of strings from sitting on the heap
-// while later lanes are being timed.
-uint64_t TableDigest(const rel::Table& t) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= '|';
-    h *= 1099511628211ULL;
-  };
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    for (const rel::Value& v : t.RowValues(r)) mix(v.ToString());
-  }
-  return h;
-}
-
 // Candidate order differs between the two join engines, so dedup tie-breaks
 // (same span width, different [tmin, tmax]) can keep different
 // representatives. The order-invariant signature is (variables, span width).
@@ -169,19 +142,6 @@ struct SizeResult {
   double unfused_seconds = 0;
   double dedup_flat_seconds = 0;
   double dedup_reference_seconds = 0;
-  // Probe lanes: batch width 1 (the pre-vectorization scalar loop) vs
-  // kProbeBatchWidth (prefetched two-pass resolution) — both serial.
-  double probe_scalar_seconds = 0;
-  double probe_vectorized_seconds = 0;
-  // Morsel lanes at kMorselThreads[i] threads (default morsel size, batch 8).
-  double join_morsel_seconds[kNumMorselLanes] = {0};
-  double fused_morsel_seconds[kNumMorselLanes] = {0};
-  // Serial baselines re-measured in strict alternation with the 1-thread
-  // morsel lane, so the overhead ratio compares timings taken back to back
-  // (host frequency drift between bench sections would otherwise dominate
-  // the few-percent effect being measured).
-  double join_overhead_base_seconds = 0;
-  double fused_overhead_base_seconds = 0;
 };
 
 // The unfused pipeline exactly as the miner ran it before the fused operator:
@@ -267,120 +227,6 @@ SizeResult RunSize(size_t rows) {
         UnfusedPipeline(left, right, spec, rspec, /*reference_kernels=*/true);
   });
 
-  // Probe lanes: the probe phase of the equi-join (bucket resolution + chain
-  // walk + predicate + match collection) at batch width 1 — the
-  // pre-vectorization scalar loop — vs the default prefetched batch width.
-  // Phase times come from the kernel's own KernelProfile hook; inside a
-  // whole-join time the probe delta is amortized against hashing, build, and
-  // output assembly. Reps are interleaved so clock drift between measurement
-  // blocks cancels, and both lanes are checked byte-identical to the default
-  // join output before timing.
-  const uint64_t join_digest = TableDigest(columnar_join);
-  {
-    rel::KernelProfile prof;
-    rel::MorselPolicy scalar_policy;
-    scalar_policy.probe_batch = 1;
-    scalar_policy.profile = &prof;
-    rel::MorselPolicy vector_policy;  // defaults: serial, probe_batch = 8
-    vector_policy.profile = &prof;
-    Require(TableDigest(MustTable(rel::HashJoin(left, right, spec,
-                                                scalar_policy),
-                                  "scalar join")) == join_digest,
-            "scalar probe lane identity");
-    double sb = std::numeric_limits<double>::max(), vb = sb;
-    for (int rep = 0; rep < kReps; ++rep) {
-      {
-        rel::Table x =
-            MustTable(rel::HashJoin(left, right, spec, scalar_policy),
-                      "scalar");
-        sb = std::min(sb, prof.probe_seconds);
-      }
-      {
-        rel::Table x = MustTable(
-            rel::HashJoin(left, right, spec, vector_policy), "vector");
-        vb = std::min(vb, prof.probe_seconds);
-      }
-    }
-    out.probe_scalar_seconds = sb;
-    out.probe_vectorized_seconds = vb;
-  }
-
-  // Morsel lanes: the full join kernels under a thread pool, checked
-  // byte-identical to the serial output at every thread count before timing.
-  const uint64_t fused_digest = TableDigest(fused);
-
-  // Single-thread overhead, measured as interleaved pairs: a 1-thread pool
-  // dispatches to the same serial code path, so any steady-state ratio above
-  // 1.0 is morsel-machinery cost (scheduler claims in the hash pass), and
-  // alternating the two lanes rep by rep cancels clock drift.
-  {
-    ThreadPool pool(1);
-    rel::MorselPolicy mp;
-    mp.pool = &pool;
-    Require(TableDigest(MustTable(rel::HashJoin(left, right, spec, mp),
-                                  "join t1")) == join_digest,
-            "morsel join identity at 1 thread");
-    Require(TableDigest(MustTable(
-                JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec,
-                                 mp),
-                "fused t1")) == fused_digest,
-            "morsel fused identity at 1 thread");
-    double jb = std::numeric_limits<double>::max(), jt = jb, fb = jb, ft = jb;
-    for (int rep = 0; rep < kReps; ++rep) {
-      {
-        Timer t;
-        rel::Table x = MustTable(rel::HashJoin(left, right, spec), "join");
-        jb = std::min(jb, t.ElapsedSeconds());
-      }
-      {
-        Timer t;
-        rel::Table x =
-            MustTable(rel::HashJoin(left, right, spec, mp), "join t1");
-        jt = std::min(jt, t.ElapsedSeconds());
-      }
-      {
-        Timer t;
-        rel::Table x = MustTable(
-            JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec),
-            "fused");
-        fb = std::min(fb, t.ElapsedSeconds());
-      }
-      {
-        Timer t;
-        rel::Table x = MustTable(
-            JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec, mp),
-            "fused t1");
-        ft = std::min(ft, t.ElapsedSeconds());
-      }
-    }
-    out.join_overhead_base_seconds = jb;
-    out.fused_overhead_base_seconds = fb;
-    out.join_morsel_seconds[0] = jt;
-    out.fused_morsel_seconds[0] = ft;
-  }
-
-  for (size_t ti = 1; ti < kNumMorselLanes; ++ti) {
-    ThreadPool pool(kMorselThreads[ti]);
-    rel::MorselPolicy mp;
-    mp.pool = &pool;
-    rel::Table mjoin =
-        MustTable(rel::HashJoin(left, right, spec, mp), "morsel join");
-    Require(TableDigest(mjoin) == join_digest, "morsel join identity");
-    out.join_morsel_seconds[ti] = MeasureBest([&] {
-      rel::Table t =
-          MustTable(rel::HashJoin(left, right, spec, mp), "morsel join");
-    });
-    rel::Table mfused = MustTable(
-        JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec, mp),
-        "morsel fused");
-    Require(TableDigest(mfused) == fused_digest, "morsel fused identity");
-    out.fused_morsel_seconds[ti] = MeasureBest([&] {
-      rel::Table t = MustTable(
-          JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec, mp),
-          "morsel fused");
-    });
-  }
-
   // Dedup kernel in isolation, on a duplicate-heavy realization table.
   rel::Table dups = RandomRealizationTable(
       &rng, rows, std::max<int64_t>(4, static_cast<int64_t>(rows) / 64));
@@ -409,12 +255,6 @@ void WriteJson(const std::vector<SizeResult>& results, const char* path) {
   w.Int(static_cast<int64_t>(kNumVars));
   w.Key("reps");
   w.Int(kReps);
-  w.Key("probe_batch_width");
-  w.Int(static_cast<int64_t>(rel::kProbeBatchWidth));
-  w.Key("morsel_threads");
-  w.BeginArray();
-  for (size_t t : kMorselThreads) w.Int(static_cast<int64_t>(t));
-  w.EndArray();
   w.Key("sizes");
   w.BeginArray();
   for (const SizeResult& r : results) {
@@ -443,36 +283,6 @@ void WriteJson(const std::vector<SizeResult>& results, const char* path) {
     w.Number(r.dedup_reference_seconds);
     w.Key("dedup_speedup");
     w.Number(Speedup(r.dedup_reference_seconds, r.dedup_flat_seconds));
-    w.Key("probe_scalar_seconds");
-    w.Number(r.probe_scalar_seconds);
-    w.Key("probe_vectorized_seconds");
-    w.Number(r.probe_vectorized_seconds);
-    w.Key("probe_vectorized_speedup");
-    w.Number(Speedup(r.probe_scalar_seconds, r.probe_vectorized_seconds));
-    w.Key("morsel_lanes");
-    w.BeginArray();
-    for (size_t ti = 0; ti < kNumMorselLanes; ++ti) {
-      w.BeginObject();
-      w.Key("threads");
-      w.Int(static_cast<int64_t>(kMorselThreads[ti]));
-      w.Key("join_seconds");
-      w.Number(r.join_morsel_seconds[ti]);
-      w.Key("fused_seconds");
-      w.Number(r.fused_morsel_seconds[ti]);
-      w.EndObject();
-    }
-    w.EndArray();
-    // Morsel machinery cost at one thread relative to the serial lane
-    // measured in alternation with it (the <= 5% acceptance bar); > 1 means
-    // overhead.
-    w.Key("join_morsel_t1_overhead");
-    w.Number(r.join_overhead_base_seconds > 0
-                 ? r.join_morsel_seconds[0] / r.join_overhead_base_seconds
-                 : 0);
-    w.Key("fused_morsel_t1_overhead");
-    w.Number(r.fused_overhead_base_seconds > 0
-                 ? r.fused_morsel_seconds[0] / r.fused_overhead_base_seconds
-                 : 0);
     w.EndObject();
   }
   w.EndArray();
@@ -497,19 +307,6 @@ int Main(int argc, char** argv) {
         Speedup(r.unfused_seconds, r.fused_seconds), r.dedup_flat_seconds,
         r.dedup_reference_seconds,
         Speedup(r.dedup_reference_seconds, r.dedup_flat_seconds));
-    std::printf(
-        "         probe: scalar %.4fs vs vectorized %.4fs (%.2fx) | "
-        "morsel join t1/t2/t4 %.4f/%.4f/%.4fs (t1 overhead %.2fx) | "
-        "morsel fused %.4f/%.4f/%.4fs\n",
-        r.probe_scalar_seconds, r.probe_vectorized_seconds,
-        Speedup(r.probe_scalar_seconds, r.probe_vectorized_seconds),
-        r.join_morsel_seconds[0], r.join_morsel_seconds[1],
-        r.join_morsel_seconds[2],
-        r.join_overhead_base_seconds > 0
-            ? r.join_morsel_seconds[0] / r.join_overhead_base_seconds
-            : 0,
-        r.fused_morsel_seconds[0], r.fused_morsel_seconds[1],
-        r.fused_morsel_seconds[2]);
     results.push_back(r);
   }
   WriteJson(results, out_path);

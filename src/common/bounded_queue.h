@@ -93,27 +93,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Pop with a deadline. Waits at most `timeout` for an item; returns false
-  /// if the queue stayed empty for the whole window, was cancelled, or was
-  /// closed and drained. Same fixed-deadline predicate loop as TryPushFor.
-  bool TryPopFor(T* out, std::chrono::milliseconds timeout)
-      WC_EXCLUDES(mu_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    {
-      MutexLock lock(&mu_);
-      while (!(cancelled_ || closed_ || !items_.empty())) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) return false;
-        not_empty_.WaitFor(&mu_, deadline - now);
-      }
-      if (cancelled_ || items_.empty()) return false;  // closed and drained
-      *out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.NotifyOne();
-    return true;
-  }
-
   /// Ends the stream: queued items remain poppable, new pushes fail.
   void Close() WC_EXCLUDES(mu_) {
     {

@@ -102,9 +102,11 @@ class PatternMiner::Impl {
         seed_type_(seed_type),
         seed_count_(registry->CountEntitiesOfType(seed_type)) {
     // The evaluation pool is miner-owned and never shared with window-level
-    // parallelism (WindowSearchOptions::num_threads): candidate tasks call
-    // the relational kernels serially, so no task ever Waits on a pool that
-    // could be running its caller (see relational/morsel.h).
+    // parallelism (WindowSearchOptions::num_threads). It is the only
+    // parallelism in mining: candidates run concurrently, and each calls the
+    // serial relational kernels, which never touch a pool — so no task ever
+    // Waits on a pool that could be running its caller (ThreadPool::Wait
+    // covers every outstanding task).
     if (options.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options.num_threads);
     }

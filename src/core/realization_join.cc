@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "relational/join_hash_table.h"
 
 namespace wiclean {
@@ -53,35 +52,10 @@ Status ValidateRealizationInputs(const rel::Table& left,
 
 }  // namespace
 
-namespace {
-
-// Per-range output of the fused join: representative (left row, right row)
-// per output row, its current best span, and — with dedup enabled — the
-// assignment hash of each output row plus the local keep-tightest table.
-// Dedup replaces spans in place, never the representative rows (the variable
-// assignment is identical by definition).
-struct JoinAccumulator {
-  std::vector<uint32_t> lrows, rrows;
-  std::vector<int64_t> tmins, tmaxs;
-  std::vector<uint64_t> ahash;
-  rel::JoinHashTable dedup;
-};
-
-}  // namespace
-
 Result<rel::Table> JoinRealizations(const rel::Table& left,
                                     const rel::Table& right,
                                     rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
-  return JoinRealizations(left, right, std::move(schema), spec,
-                          rel::MorselPolicy{});
-}
-
-Result<rel::Table> JoinRealizations(const rel::Table& left,
-                                    const rel::Table& right,
-                                    rel::Schema schema,
-                                    const RealizationJoinSpec& spec,
-                                    const rel::MorselPolicy& policy) {
   WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
@@ -94,8 +68,7 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   WICLEAN_CHECK(left.num_rows() < rel::kNoRow &&
                 right.num_rows() < rel::kNoRow);
 
-  // One combined key hash per row on each side (columnar, contiguous,
-  // morsel-parallel over disjoint ranges).
+  // One combined key hash per row on each side (columnar, contiguous).
   std::vector<size_t> lkeys = {spec.glue_source_col};
   std::vector<size_t> rkeys = {0};
   if (!fresh) {
@@ -103,8 +76,8 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
     rkeys.push_back(1);
   }
   std::vector<uint64_t> lhash, rhash;
-  rel::HashRowsForKeysMorsel(policy, left, lkeys, &lhash, nullptr);
-  rel::HashRowsForKeysMorsel(policy, right, rkeys, &rhash, nullptr);
+  rel::HashRowsForKeys(left, lkeys, &lhash, nullptr);
+  rel::HashRowsForKeys(right, rkeys, &rhash, nullptr);
   rel::JoinHashTable build;
   build.Build(rhash.data(), nullptr, right.num_rows());
 
@@ -120,9 +93,17 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   const int64_t* lglue_tgt =
       fresh ? nullptr : lvar[static_cast<size_t>(spec.glue_target_col)];
 
+  // Representative (left row, right row) per output row and its current best
+  // span. Dedup replaces spans in place, never the representative rows (the
+  // variable assignment is identical by definition).
+  std::vector<uint32_t> lrows, rrows;
+  std::vector<int64_t> tmins, tmaxs;
+  rel::JoinHashTable dedup;
+  if (dedup_on) dedup.ResetForInsert(left.num_rows());
+
   // One probe candidate: verify the equi-join keys (64-bit hashes can
-  // collide), recompute the span, prune, and locally dedup-keep-tightest.
-  auto process = [&](size_t l, uint32_t r, JoinAccumulator* acc) {
+  // collide), recompute the span, prune, and dedup-keep-tightest.
+  auto process = [&](size_t l, uint32_t r) {
     if (ru[r] != lglue_src[l]) return;
     if (!fresh && rv[r] != lglue_tgt[l]) return;
     if (fresh) {
@@ -142,9 +123,8 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
         h = HashCombine(h, rel::MixInt64(lvar[c][l]));
       }
       if (fresh) h = HashCombine(h, rel::MixInt64(rv[r]));
-      for (uint32_t o = acc->dedup.Probe(h); o != rel::kNoRow;
-           o = acc->dedup.Next(o)) {
-        const uint32_t ol = acc->lrows[o];
+      for (uint32_t o = dedup.Probe(h); o != rel::kNoRow; o = dedup.Next(o)) {
+        const uint32_t ol = lrows[o];
         bool same = true;
         for (size_t c = 0; c < n; ++c) {
           if (lvar[c][ol] != lvar[c][l]) {
@@ -152,130 +132,36 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
             break;
           }
         }
-        if (same && fresh && rv[acc->rrows[o]] != rv[r]) same = false;
+        if (same && fresh && rv[rrows[o]] != rv[r]) same = false;
         if (same) {
           // Keep the tightest witness; ties keep the earlier candidate.
-          if (tmax - tmin < acc->tmaxs[o] - acc->tmins[o]) {
-            acc->tmins[o] = tmin;
-            acc->tmaxs[o] = tmax;
+          if (tmax - tmin < tmaxs[o] - tmins[o]) {
+            tmins[o] = tmin;
+            tmaxs[o] = tmax;
           }
           return;
         }
       }
-      WICLEAN_CHECK(acc->lrows.size() < rel::kNoRow);
-      acc->dedup.Insert(h, static_cast<uint32_t>(acc->lrows.size()));
-      acc->ahash.push_back(h);
+      WICLEAN_CHECK(lrows.size() < rel::kNoRow);
+      dedup.Insert(h, static_cast<uint32_t>(lrows.size()));
     }
-    acc->lrows.push_back(static_cast<uint32_t>(l));
-    acc->rrows.push_back(r);
-    acc->tmins.push_back(tmin);
-    acc->tmaxs.push_back(tmax);
+    lrows.push_back(static_cast<uint32_t>(l));
+    rrows.push_back(r);
+    tmins.push_back(tmin);
+    tmaxs.push_back(tmax);
   };
 
-  // Probes left rows [begin, end). Candidates arrive in (ascending left row,
-  // ascending right row) order in both lanes: batching changes only when
-  // bucket loads are issued, never the candidate order.
-  auto probe_range = [&](size_t begin, size_t end, JoinAccumulator* acc) {
-    if (policy.probe_batch <= 1) {
-      for (size_t l = begin; l < end; ++l) {
-        for (uint32_t r = build.Probe(lhash[l]); r != rel::kNoRow;
-             r = build.Next(r)) {
-          process(l, r, acc);
-        }
-      }
-      return;
-    }
-    const size_t width = std::min(policy.probe_batch, rel::kProbeBatchWidth);
-    uint32_t heads[rel::kProbeBatchWidth];
-    for (size_t l = begin; l < end; l += width) {
-      const size_t batch = std::min(width, end - l);
-      build.ProbeBatch(&lhash[l], batch, heads);
-      for (size_t i = 0; i < batch; ++i) {
-        for (uint32_t r = heads[i]; r != rel::kNoRow; r = build.Next(r)) {
-          process(l + i, r, acc);
-        }
-      }
-    }
-  };
-
-  JoinAccumulator total;
-  const size_t pool_width =
-      policy.pool == nullptr ? 1 : policy.pool->num_threads();
-  if (pool_width <= 1) {
-    // Serial fast path: one logical morsel deduped directly into the global
-    // accumulator — identical output, no merge pass.
-    if (dedup_on) total.dedup.ResetForInsert(left.num_rows());
-    probe_range(0, left.num_rows(), &total);
-  } else {
-    rel::MorselScheduler layout(left.num_rows(), policy.morsel_rows);
-    std::vector<JoinAccumulator> locals(layout.num_morsels());
-    rel::RunMorsels(policy, left.num_rows(), [&](const rel::Morsel& m) {
-      JoinAccumulator& acc = locals[m.index];
-      if (dedup_on) acc.dedup.ResetForInsert(m.rows());
-      probe_range(m.begin, m.end, &acc);
-    });
-    size_t total_rows = 0;
-    for (const JoinAccumulator& acc : locals) total_rows += acc.lrows.size();
-    total.lrows.reserve(total_rows);
-    total.rrows.reserve(total_rows);
-    total.tmins.reserve(total_rows);
-    total.tmaxs.reserve(total_rows);
-    if (!dedup_on) {
-      // Plain concatenation in morsel order = the serial candidate order.
-      for (const JoinAccumulator& acc : locals) {
-        total.lrows.insert(total.lrows.end(), acc.lrows.begin(),
-                           acc.lrows.end());
-        total.rrows.insert(total.rrows.end(), acc.rrows.begin(),
-                           acc.rrows.end());
-        total.tmins.insert(total.tmins.end(), acc.tmins.begin(),
-                           acc.tmins.end());
-        total.tmaxs.insert(total.tmaxs.end(), acc.tmaxs.begin(),
-                           acc.tmaxs.end());
-      }
-    } else {
-      // Ordered merge under the same keep-tightest rule. An assignment's
-      // global representative is its local representative in the earliest
-      // morsel that saw it (= the serial first occurrence); spans fold with
-      // the strictly-less rule, so the earliest candidate achieving the
-      // minimal span wins exactly as in the serial scan.
-      total.dedup.ResetForInsert(total_rows);
-      for (const JoinAccumulator& acc : locals) {
-        for (size_t k = 0; k < acc.lrows.size(); ++k) {
-          const uint64_t h = acc.ahash[k];
-          const uint32_t kl = acc.lrows[k];
-          uint32_t found = rel::kNoRow;
-          for (uint32_t o = total.dedup.Probe(h); o != rel::kNoRow;
-               o = total.dedup.Next(o)) {
-            const uint32_t ol = total.lrows[o];
-            bool same = true;
-            for (size_t c = 0; c < n; ++c) {
-              if (lvar[c][ol] != lvar[c][kl]) {
-                same = false;
-                break;
-              }
-            }
-            if (same && fresh && rv[total.rrows[o]] != rv[acc.rrows[k]]) {
-              same = false;
-            }
-            if (same) {
-              found = o;
-              break;
-            }
-          }
-          if (found != rel::kNoRow) {
-            if (acc.tmaxs[k] - acc.tmins[k] <
-                total.tmaxs[found] - total.tmins[found]) {
-              total.tmins[found] = acc.tmins[k];
-              total.tmaxs[found] = acc.tmaxs[k];
-            }
-            continue;
-          }
-          total.dedup.Insert(h, static_cast<uint32_t>(total.lrows.size()));
-          total.lrows.push_back(kl);
-          total.rrows.push_back(acc.rrows[k]);
-          total.tmins.push_back(acc.tmins[k]);
-          total.tmaxs.push_back(acc.tmaxs[k]);
-        }
+  // Probe kProbeBatchWidth left rows at a time with prefetched bucket
+  // resolution. Candidates still arrive in (ascending left row, ascending
+  // right row) order: batching changes only when bucket loads are issued.
+  const size_t nleft = left.num_rows();
+  uint32_t heads[rel::kProbeBatchWidth];
+  for (size_t l = 0; l < nleft; l += rel::kProbeBatchWidth) {
+    const size_t batch = std::min(rel::kProbeBatchWidth, nleft - l);
+    build.ProbeBatch(&lhash[l], batch, heads);
+    for (size_t i = 0; i < batch; ++i) {
+      for (uint32_t r = heads[i]; r != rel::kNoRow; r = build.Next(r)) {
+        process(l + i, r);
       }
     }
   }
@@ -286,29 +172,24 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   cols.reserve(out_vars + 2);
   for (size_t c = 0; c < n; ++c) {
     rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(left.column(c), total.lrows);
+    col.AppendGather(left.column(c), lrows);
     cols.push_back(std::move(col));
   }
   if (fresh) {
     rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(right.column(1), total.rrows);
+    col.AppendGather(right.column(1), rrows);
     cols.push_back(std::move(col));
   }
   rel::Column tmin_col(rel::DataType::kInt64);
-  tmin_col.AppendInt64Bulk(total.tmins);
+  tmin_col.AppendInt64Bulk(tmins);
   cols.push_back(std::move(tmin_col));
   rel::Column tmax_col(rel::DataType::kInt64);
-  tmax_col.AppendInt64Bulk(total.tmaxs);
+  tmax_col.AppendInt64Bulk(tmaxs);
   cols.push_back(std::move(tmax_col));
   return rel::Table::FromColumns(std::move(schema), std::move(cols));
 }
 
 rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {
-  return DedupKeepTightest(input, num_vars, rel::MorselPolicy{});
-}
-
-rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars,
-                             const rel::MorselPolicy& policy) {
   WICLEAN_CHECK(input.num_columns() == num_vars + 2);
   WICLEAN_CHECK(input.num_rows() < rel::kNoRow);
   const size_t nrows = input.num_rows();
@@ -323,24 +204,23 @@ rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars,
   const int64_t* in_tmax = input.column(num_vars + 1).int64_data().data();
 
   std::vector<uint64_t> hashes;
-  rel::HashRowsForKeysMorsel(policy, input, var_cols, &hashes, nullptr);
+  rel::HashRowsForKeys(input, var_cols, &hashes, nullptr);
 
   // rep[o] = input row whose variable assignment output row o represents;
-  // spans track the tightest witness seen for that assignment.
-  struct Groups {
-    std::vector<uint32_t> rep;
-    std::vector<int64_t> tmins, tmaxs;
-    rel::JoinHashTable table;
-  };
-
-  // Folds input row `r` (span [lo, hi]) into `g` — first occurrence becomes
-  // the representative, later ones only tighten the span (strictly-less;
-  // ties keep the earlier witness).
-  auto fold = [&](size_t r, int64_t lo, int64_t hi, Groups* g) {
+  // spans track the tightest witness seen for that assignment. The first
+  // occurrence becomes the representative, later ones only tighten the span
+  // (strictly-less; ties keep the earlier witness).
+  std::vector<uint32_t> rep;
+  std::vector<int64_t> tmins, tmaxs;
+  rel::JoinHashTable groups;
+  groups.ResetForInsert(nrows);
+  for (size_t r = 0; r < nrows; ++r) {
     const uint64_t h = hashes[r];
-    for (uint32_t o = g->table.Probe(h); o != rel::kNoRow;
-         o = g->table.Next(o)) {
-      const uint32_t pr = g->rep[o];
+    const int64_t lo = in_tmin[r];
+    const int64_t hi = in_tmax[r];
+    bool found = false;
+    for (uint32_t o = groups.Probe(h); o != rel::kNoRow; o = groups.Next(o)) {
+      const uint32_t pr = rep[o];
       bool same = true;
       for (size_t c = 0; c < num_vars; ++c) {
         if (vcol[c][pr] != vcol[c][r]) {
@@ -349,56 +229,20 @@ rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars,
         }
       }
       if (same) {
-        if (hi - lo < g->tmaxs[o] - g->tmins[o]) {
-          g->tmins[o] = lo;
-          g->tmaxs[o] = hi;
+        if (hi - lo < tmaxs[o] - tmins[o]) {
+          tmins[o] = lo;
+          tmaxs[o] = hi;
         }
-        return;
+        found = true;
+        break;
       }
     }
-    g->table.Insert(h, static_cast<uint32_t>(g->rep.size()));
-    g->rep.push_back(static_cast<uint32_t>(r));
-    g->tmins.push_back(lo);
-    g->tmaxs.push_back(hi);
-  };
-
-  Groups total;
-  const size_t pool_width =
-      policy.pool == nullptr ? 1 : policy.pool->num_threads();
-  if (pool_width <= 1) {
-    // Serial fast path: one global scan, no merge pass.
-    total.table.ResetForInsert(nrows);
-    for (size_t r = 0; r < nrows; ++r) fold(r, in_tmin[r], in_tmax[r], &total);
-  } else {
-    // Morsel-parallel local dedup, then a serial merge in morsel order under
-    // the same rule: the first global occurrence of an assignment is the
-    // earliest morsel's local representative, and the strictly-less span
-    // comparison keeps the earliest witness of the minimal span — exactly
-    // the serial scan's result.
-    rel::MorselScheduler layout(nrows, policy.morsel_rows);
-    std::vector<Groups> locals(layout.num_morsels());
-    rel::RunMorsels(policy, nrows, [&](const rel::Morsel& m) {
-      Groups& g = locals[m.index];
-      g.table.ResetForInsert(m.rows());
-      for (size_t r = m.begin; r < m.end; ++r) {
-        fold(r, in_tmin[r], in_tmax[r], &g);
-      }
-    });
-    size_t group_sum = 0;
-    for (const Groups& g : locals) group_sum += g.rep.size();
-    total.table.ResetForInsert(group_sum);
-    total.rep.reserve(group_sum);
-    total.tmins.reserve(group_sum);
-    total.tmaxs.reserve(group_sum);
-    for (const Groups& g : locals) {
-      for (size_t k = 0; k < g.rep.size(); ++k) {
-        fold(g.rep[k], g.tmins[k], g.tmaxs[k], &total);
-      }
-    }
+    if (found) continue;
+    groups.Insert(h, static_cast<uint32_t>(rep.size()));
+    rep.push_back(static_cast<uint32_t>(r));
+    tmins.push_back(lo);
+    tmaxs.push_back(hi);
   }
-  std::vector<uint32_t>& rep = total.rep;
-  std::vector<int64_t>& tmins = total.tmins;
-  std::vector<int64_t>& tmaxs = total.tmaxs;
 
   std::vector<rel::Column> cols;
   cols.reserve(num_vars + 2);

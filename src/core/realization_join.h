@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "relational/morsel.h"
 #include "relational/table.h"
 
 namespace wiclean {
@@ -51,35 +50,12 @@ struct RealizationJoinSpec {
     const relational::Table& left, const relational::Table& right,
     relational::Schema schema, const RealizationJoinSpec& spec);
 
-/// JoinRealizations under an explicit execution policy. Probe morsels run on
-/// `policy.pool` (serially when null) with `policy.probe_batch`-wide
-/// prefetched bucket resolution; with dedup enabled, each morsel dedups
-/// locally and the per-morsel outputs are merged in morsel order under the
-/// same keep-tightest rule, which reproduces the serial result exactly: the
-/// first global occurrence of an assignment is the first local occurrence in
-/// the earliest morsel containing it, and the strictly-less span comparison
-/// keeps the earliest candidate achieving the minimal span across both
-/// levels. Output is byte-identical to the single-argument-policy form at
-/// any thread count, batch width, or morsel size.
-[[nodiscard]] Result<relational::Table> JoinRealizations(
-    const relational::Table& left, const relational::Table& right,
-    relational::Schema schema, const RealizationJoinSpec& spec,
-    const relational::MorselPolicy& policy);
-
 /// Deduplicates an all-int64 realization table (num_vars variable columns +
 /// tmin + tmax) by variable assignment, keeping the tightest span per
 /// assignment in first-occurrence order. Flat-hash-table implementation on
 /// columnar data; output is identical to ReferenceDedupKeepTightest.
 [[nodiscard]] relational::Table DedupKeepTightest(
     const relational::Table& input, size_t num_vars);
-
-/// DedupKeepTightest under an explicit execution policy: input morsels dedup
-/// locally in parallel, then the local group tables are merged serially in
-/// morsel order with the same first-occurrence/strictly-tighter rule —
-/// byte-identical to the serial dedup at any thread count or morsel size.
-[[nodiscard]] relational::Table DedupKeepTightest(
-    const relational::Table& input, size_t num_vars,
-    const relational::MorselPolicy& policy);
 
 /// The pre-columnar dedup (row materialization into vector<vector<int64_t>>
 /// with an unordered_map chain index), preserved verbatim as the differential

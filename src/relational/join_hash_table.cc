@@ -24,51 +24,25 @@ void HashRowsForKeys(const Table& t, const std::vector<size_t>& cols,
   const size_t n = t.num_rows();
   hashes->assign(n, kHashSeed);
   if (valid != nullptr) valid->assign(n, 1);
-  HashRowsForKeysRange(t, cols, 0, n, hashes, valid);
-}
-
-void HashRowsForKeysRange(const Table& t, const std::vector<size_t>& cols,
-                          size_t begin, size_t end,
-                          std::vector<uint64_t>* hashes,
-                          std::vector<uint8_t>* valid) {
-  for (size_t r = begin; r < end; ++r) (*hashes)[r] = kHashSeed;
-  if (valid != nullptr) {
-    for (size_t r = begin; r < end; ++r) (*valid)[r] = 1;
-  }
   for (size_t c : cols) {
     const Column& col = t.column(c);
+    const uint8_t* ok = col.validity().data();
     if (col.type() == DataType::kInt64) {
       const int64_t* data = col.int64_data().data();
-      const uint8_t* ok = col.validity().data();
-      for (size_t r = begin; r < end; ++r) {
+      for (size_t r = 0; r < n; ++r) {
         uint64_t cell = ok[r] ? MixInt64(data[r]) : kNullCellHash;
         (*hashes)[r] = HashCombine((*hashes)[r], cell);
       }
-      if (valid != nullptr) {
-        for (size_t r = begin; r < end; ++r) (*valid)[r] &= ok[r];
-      }
     } else {
-      const uint8_t* ok = col.validity().data();
-      for (size_t r = begin; r < end; ++r) {
+      for (size_t r = 0; r < n; ++r) {
         uint64_t cell = ok[r] ? Fnv1a64(col.StringAt(r)) : kNullCellHash;
         (*hashes)[r] = HashCombine((*hashes)[r], cell);
       }
-      if (valid != nullptr) {
-        for (size_t r = begin; r < end; ++r) (*valid)[r] &= ok[r];
-      }
+    }
+    if (valid != nullptr) {
+      for (size_t r = 0; r < n; ++r) (*valid)[r] &= ok[r];
     }
   }
-}
-
-void HashRowsForKeysMorsel(const MorselPolicy& policy, const Table& t,
-                           const std::vector<size_t>& cols,
-                           std::vector<uint64_t>* hashes,
-                           std::vector<uint8_t>* valid) {
-  hashes->resize(t.num_rows());
-  if (valid != nullptr) valid->resize(t.num_rows());
-  RunMorsels(policy, t.num_rows(), [&](const Morsel& m) {
-    HashRowsForKeysRange(t, cols, m.begin, m.end, hashes, valid);
-  });
 }
 
 void JoinHashTable::Build(const uint64_t* hashes, const uint8_t* valid,

@@ -1,11 +1,11 @@
 #ifndef WICLEAN_RELATIONAL_JOIN_HASH_TABLE_H_
 #define WICLEAN_RELATIONAL_JOIN_HASH_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "relational/morsel.h"
 #include "relational/table.h"
 
 namespace wiclean::relational {
@@ -18,6 +18,12 @@ namespace wiclean::relational {
 #else
 #define WC_PREFETCH_READ(addr) ((void)0)
 #endif
+
+/// Number of keys probed per batch by the join kernels: positions are
+/// computed and prefetched for the whole batch before any bucket is resolved,
+/// so the memory latency of up to 8 independent cache misses overlaps instead
+/// of serializing.
+inline constexpr size_t kProbeBatchWidth = 8;
 
 /// Sentinel row index ("no row") used by the columnar join kernels.
 inline constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
@@ -49,25 +55,6 @@ inline constexpr uint64_t kNullCellHash = 0x9ae16a3b2f90404fULL;
 void HashRowsForKeys(const Table& t, const std::vector<size_t>& cols,
                      std::vector<uint64_t>* hashes,
                      std::vector<uint8_t>* valid);
-
-/// Range-restricted HashRowsForKeys: fills (*hashes)[r] (and (*valid)[r])
-/// only for r in [begin, end). The output vectors must already be sized to
-/// t.num_rows(). Rows are independent, so morsel-parallel callers can hash
-/// disjoint ranges concurrently into one shared output — the result is
-/// bit-identical to a full-range call regardless of partitioning.
-void HashRowsForKeysRange(const Table& t, const std::vector<size_t>& cols,
-                          size_t begin, size_t end,
-                          std::vector<uint64_t>* hashes,
-                          std::vector<uint8_t>* valid);
-
-/// Morsel-parallel HashRowsForKeys: resizes the outputs to t.num_rows() and
-/// fills them by disjoint row ranges scheduled under `policy`. Ranges are
-/// row-independent writes, so the result is bit-identical to HashRowsForKeys
-/// at any thread count or morsel size.
-void HashRowsForKeysMorsel(const MorselPolicy& policy, const Table& t,
-                           const std::vector<size_t>& cols,
-                           std::vector<uint64_t>* hashes,
-                           std::vector<uint8_t>* valid);
 
 /// Flat open-addressing hash table over precomputed 64-bit row hashes:
 /// power-of-two capacity, linear probing, no per-entry allocation (the

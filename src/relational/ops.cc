@@ -3,8 +3,6 @@
 #include <unordered_set>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
 #include "relational/join_hash_table.h"
 
 namespace wiclean::relational {
@@ -187,38 +185,24 @@ struct HashJoinResult {
   std::vector<uint8_t> right_matched;
 };
 
-// Probes left rows [begin, end) against `build` and appends matches in
-// (ascending left row, ascending right row) order. probe_batch == 1 is the
-// scalar PR-3 loop; wider batches gather valid keys, resolve their buckets
-// with a prefetched two-pass ProbeBatch, then walk chains — candidate order
-// is unchanged, so both lanes emit identical match lists.
-void ProbeRange(const JoinHashTable& build, const std::vector<uint64_t>& lhash,
-                const std::vector<uint8_t>& lvalid,
-                const PairPredicate& matches, size_t begin, size_t end,
-                size_t probe_batch, std::vector<uint32_t>* lrows,
-                std::vector<uint32_t>* rrows) {
-  if (probe_batch <= 1) {
-    for (size_t l = begin; l < end; ++l) {
-      if (!lvalid[l]) continue;
-      for (uint32_t r = build.Probe(lhash[l]); r != kNoRow;
-           r = build.Next(r)) {
-        if (!matches(l, r)) continue;
-        lrows->push_back(static_cast<uint32_t>(l));
-        rrows->push_back(r);
-      }
-    }
-    return;
-  }
-  const size_t width = std::min(probe_batch, kProbeBatchWidth);
+// Probes every left row against `build` and appends matches in (ascending
+// left row, ascending right row) order. Valid keys are gathered
+// kProbeBatchWidth at a time and their buckets resolved with a prefetched
+// two-pass ProbeBatch before the chains are walked, so the random bucket
+// loads of a whole batch overlap.
+void ProbeAll(const JoinHashTable& build, const std::vector<uint64_t>& lhash,
+              const std::vector<uint8_t>& lvalid, const PairPredicate& matches,
+              std::vector<uint32_t>* lrows, std::vector<uint32_t>* rrows) {
+  const size_t end = lhash.size();
   uint32_t batch_rows[kProbeBatchWidth];
   uint64_t batch_hash[kProbeBatchWidth];
   uint32_t batch_head[kProbeBatchWidth];
-  size_t l = begin;
+  size_t l = 0;
   while (l < end) {
-    // Gather the next `width` valid probe keys (null-keyed rows never
+    // Gather the next batch of valid probe keys (null-keyed rows never
     // match), preserving ascending left-row order.
     size_t n = 0;
-    while (l < end && n < width) {
+    while (l < end && n < kProbeBatchWidth) {
       if (lvalid[l]) {
         batch_rows[n] = static_cast<uint32_t>(l);
         batch_hash[n] = lhash[l];
@@ -256,8 +240,7 @@ void ProbeRange(const JoinHashTable& build, const std::vector<uint64_t>& lhash,
 }
 
 Result<HashJoinResult> HashJoinCore(const Table& left, const Table& right,
-                                    const JoinSpec& spec, bool track_matches,
-                                    const MorselPolicy& policy) {
+                                    const JoinSpec& spec, bool track_matches) {
   WICLEAN_RETURN_IF_ERROR(ValidateSpec(left, right, spec));
   if (spec.equal_cols.empty()) {
     return Status::InvalidArgument(
@@ -270,70 +253,24 @@ Result<HashJoinResult> HashJoinCore(const Table& left, const Table& right,
     rkeys.push_back(rc);
   }
 
-  // Build on the right input: one combined hash per row, computed columnar
-  // (morsel-parallel over disjoint ranges), then a flat table mapping
-  // hash -> ascending row chain. Rows with a null key can never match and
-  // are skipped at build/probe time.
-  Timer phase_timer;
+  // Build on the right input: one combined hash per row, computed columnar,
+  // then a flat table mapping hash -> ascending row chain. Rows with a null
+  // key can never match and are skipped at build/probe time.
   std::vector<uint64_t> rhash, lhash;
   std::vector<uint8_t> rvalid, lvalid;
-  HashRowsForKeysMorsel(policy, right, rkeys, &rhash, &rvalid);
-  HashRowsForKeysMorsel(policy, left, lkeys, &lhash, &lvalid);
-  if (policy.profile != nullptr) {
-    policy.profile->hash_seconds = phase_timer.ElapsedSeconds();
-    phase_timer = Timer();
-  }
+  HashRowsForKeys(right, rkeys, &rhash, &rvalid);
+  HashRowsForKeys(left, lkeys, &lhash, &lvalid);
   JoinHashTable build;
   build.Build(rhash.data(), rvalid.data(), right.num_rows());
-  if (policy.profile != nullptr) {
-    policy.profile->build_seconds = phase_timer.ElapsedSeconds();
-    phase_timer = Timer();
-  }
 
-  // Morsel-parallel probe over the shared immutable build side: each morsel
-  // emits its own match lists, which are concatenated in morsel order below —
-  // byte-identical to the serial probe at any thread count.
   PairPredicate matches(left, right, spec);
   std::vector<uint32_t> lrows, rrows;
-  const size_t pool_width =
-      policy.pool == nullptr ? 1 : policy.pool->num_threads();
-  if (pool_width <= 1) {
-    // Serial fast path: one logical morsel, matches written straight into
-    // the output lists (no per-morsel slots to concatenate).
-    ProbeRange(build, lhash, lvalid, matches, 0, left.num_rows(),
-               policy.probe_batch, &lrows, &rrows);
-  } else {
-    MorselScheduler layout(left.num_rows(), policy.morsel_rows);
-    std::vector<std::vector<uint32_t>> morsel_lrows(layout.num_morsels());
-    std::vector<std::vector<uint32_t>> morsel_rrows(layout.num_morsels());
-    RunMorsels(policy, left.num_rows(), [&](const Morsel& m) {
-      ProbeRange(build, lhash, lvalid, matches, m.begin, m.end,
-                 policy.probe_batch, &morsel_lrows[m.index],
-                 &morsel_rrows[m.index]);
-    });
-    size_t total_matches = 0;
-    for (const auto& v : morsel_lrows) total_matches += v.size();
-    lrows.reserve(total_matches);
-    rrows.reserve(total_matches);
-    for (size_t i = 0; i < morsel_lrows.size(); ++i) {
-      lrows.insert(lrows.end(), morsel_lrows[i].begin(),
-                   morsel_lrows[i].end());
-      rrows.insert(rrows.end(), morsel_rrows[i].begin(),
-                   morsel_rrows[i].end());
-    }
-  }
+  ProbeAll(build, lhash, lvalid, matches, &lrows, &rrows);
 
-  if (policy.profile != nullptr) {
-    policy.profile->probe_seconds = phase_timer.ElapsedSeconds();
-    phase_timer = Timer();
-  }
   HashJoinResult result{Table(ConcatSchemas(left.schema(), right.schema())),
                         {},
                         {}};
   result.output.AppendConcatGather(left, lrows, right, rrows);
-  if (policy.profile != nullptr) {
-    policy.profile->assemble_seconds = phase_timer.ElapsedSeconds();
-  }
   if (track_matches) {
     result.left_matched.assign(left.num_rows(), 0);
     result.right_matched.assign(right.num_rows(), 0);
@@ -356,13 +293,8 @@ std::vector<uint32_t> UnmatchedRows(const std::vector<uint8_t>& matched) {
 
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec) {
-  return HashJoin(left, right, spec, MorselPolicy{});
-}
-
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const JoinSpec& spec, const MorselPolicy& policy) {
   WICLEAN_ASSIGN_OR_RETURN(HashJoinResult core,
-                           HashJoinCore(left, right, spec, false, policy));
+                           HashJoinCore(left, right, spec, false));
   return std::move(core.output);
 }
 
@@ -390,8 +322,7 @@ Result<Table> FullOuterJoin(const Table& left, const Table& right,
 
   if (!spec.equal_cols.empty() && !spec.prefer_nested_loop) {
     WICLEAN_ASSIGN_OR_RETURN(HashJoinResult core,
-                             HashJoinCore(left, right, spec, true,
-                                          MorselPolicy{}));
+                             HashJoinCore(left, right, spec, true));
     out = std::move(core.output);
     left_matched = std::move(core.left_matched);
     right_matched = std::move(core.right_matched);

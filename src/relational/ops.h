@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "relational/morsel.h"
 #include "relational/table.h"
 
 namespace wiclean::relational {
@@ -53,15 +52,6 @@ struct JoinSpec {
 /// joins) and that all equality columns have matching types.
 [[nodiscard]] Result<Table> HashJoin(const Table& left, const Table& right,
                        const JoinSpec& spec);
-
-/// HashJoin under an explicit execution policy: the probe side is split into
-/// morsels scheduled on `policy.pool` (serial when the pool is null) and keys
-/// are probed `policy.probe_batch` at a time with software prefetch
-/// (1 = scalar). Per-morsel match lists are concatenated in morsel order, so
-/// the output is byte-identical to the default HashJoin at any thread count,
-/// batch width, or morsel size.
-[[nodiscard]] Result<Table> HashJoin(const Table& left, const Table& right,
-                       const JoinSpec& spec, const MorselPolicy& policy);
 
 /// Inner join by exhaustive pairwise comparison — the PM−join baseline from
 /// §6 ("conventional main memory nested loop"). Accepts any JoinSpec,

@@ -103,6 +103,19 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "mine with bad inputs should fail")
 endif()
 execute_process(
+  COMMAND ${WICLEAN} mine
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --seed-type soccer_player --threshold 0.8 --mine-threads -1
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "mine --mine-threads -1 should fail")
+endif()
+if(NOT err MATCHES "--mine-threads must be >= 1")
+  message(FATAL_ERROR "mine --mine-threads -1: unexpected error: ${err}")
+endif()
+execute_process(
   COMMAND ${WICLEAN} bogus-subcommand
   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
 if(rc EQUAL 0)

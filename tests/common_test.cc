@@ -456,39 +456,6 @@ TEST(BoundedQueueTest, TryPushForFailsFastOnClosedOrCancelled) {
   EXPECT_FALSE(cancelled.TryPushFor(1, std::chrono::milliseconds(10000)));
 }
 
-TEST(BoundedQueueTest, TryPopForTimesOutOnEmptyQueue) {
-  BoundedQueue<int> q(2);
-  int v = 0;
-  Timer timer;
-  EXPECT_FALSE(q.TryPopFor(&v, std::chrono::milliseconds(20)));
-  EXPECT_GE(timer.ElapsedSeconds(), 0.015);
-  EXPECT_LT(timer.ElapsedSeconds(), 5.0);
-}
-
-TEST(BoundedQueueTest, TryPopForSucceedsWhenProducerArrives) {
-  BoundedQueue<int> q(2);
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(q.Push(42));
-  });
-  int v = 0;
-  EXPECT_TRUE(q.TryPopFor(&v, std::chrono::milliseconds(10000)));
-  EXPECT_EQ(v, 42);
-  producer.join();
-}
-
-TEST(BoundedQueueTest, TryPopForDrainsCloseThenFailsFast) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.Push(1));
-  q.Close();
-  int v = 0;
-  EXPECT_TRUE(q.TryPopFor(&v, std::chrono::milliseconds(10000)));
-  EXPECT_EQ(v, 1);
-  Timer timer;
-  EXPECT_FALSE(q.TryPopFor(&v, std::chrono::milliseconds(10000)));
-  EXPECT_LT(timer.ElapsedSeconds(), 5.0);  // closed-and-drained: immediate
-}
-
 TEST(BoundedQueueTest, ManyProducersManyConsumers) {
   BoundedQueue<int> q(4);
   constexpr int kProducers = 4;

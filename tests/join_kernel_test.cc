@@ -13,12 +13,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/miner.h"
 #include "core/realization_join.h"
 #include "relational/join_hash_table.h"
-#include "relational/morsel.h"
 #include "relational/ops.h"
 #include "relational/reference_join.h"
 #include "relational/table.h"
@@ -367,11 +365,9 @@ INSTANTIATE_TEST_SUITE_P(
                       RealizationCase{17, 150, 150, 2, 3}));
 
 // ---------------------------------------------------------------------------
-// Vectorized probing and morsel-parallel execution. ProbeBatch must be
-// pointwise Probe for any batch, and every kernel run under an explicit
-// MorselPolicy must be byte-identical to its serial default at every thread
-// count × morsel size × batch width — the determinism contract the parallel
-// miner builds on.
+// Vectorized probing. ProbeBatch must be pointwise Probe for any batch: the
+// kernels above resolve every bucket through it, and their differential tests
+// use odd row counts so partial final batches are exercised too.
 
 TEST(ProbeBatchTest, MatchesScalarProbePointwise) {
   Rng rng(4242);
@@ -406,114 +402,6 @@ TEST(ProbeBatchTest, MatchesScalarProbePointwise) {
               << "build_rows " << build_rows << " n " << n << " i " << i;
         }
       }
-    }
-  }
-}
-
-TEST_P(JoinKernelTest, MorselPolicyJoinIsByteIdenticalToDefault) {
-  const KernelCase& c = GetParam();
-  Rng rng(c.seed ^ 0x5151);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
-  rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
-
-  std::vector<std::vector<std::string>> expected;
-  for (const rel::JoinSpec& spec : SpecZoo()) {
-    Result<rel::Table> serial = rel::HashJoin(left, right, spec);
-    ASSERT_TRUE(serial.ok());
-    expected.push_back(RowList(*serial));
-  }
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    ThreadPool pool(threads);
-    // morsel_rows 7 splits even the small tables into many odd-sized morsels;
-    // probe_batch 1 exercises the scalar lane under the morsel scheduler.
-    for (size_t morsel_rows : {size_t{7}, size_t{64}}) {
-      for (size_t batch : {size_t{1}, size_t{8}}) {
-        rel::MorselPolicy policy;
-        policy.pool = &pool;
-        policy.morsel_rows = morsel_rows;
-        policy.probe_batch = batch;
-        size_t si = 0;
-        for (const rel::JoinSpec& spec : SpecZoo()) {
-          Result<rel::Table> m = rel::HashJoin(left, right, spec, policy);
-          ASSERT_TRUE(m.ok());
-          EXPECT_EQ(RowList(*m), expected[si])
-              << "seed " << c.seed << " threads " << threads << " morsel "
-              << morsel_rows << " batch " << batch << " spec " << si;
-          ++si;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(RealizationJoinTest, MorselPolicyFusedJoinMatchesDefault) {
-  const RealizationCase& c = GetParam();
-  constexpr int64_t kHorizon = 1000;
-  Rng rng(c.seed ^ 0x2727);
-  rel::Table left =
-      RandomRealizationTable(&rng, c.left_rows, c.num_vars, c.domain,
-                             kHorizon);
-  rel::Table right =
-      RandomActionTable(&rng, c.right_rows, c.domain, kHorizon);
-
-  RealizationJoinSpec rs;
-  rs.num_left_vars = c.num_vars;
-  rs.glue_source_col = 0;
-  rs.glue_target_col = -1;
-  for (size_t k = 0; k < c.num_vars; ++k) rs.distinct_from_target.push_back(k);
-  rs.max_span = 800;
-
-  for (bool dedup : {false, true}) {
-    rs.dedup_keep_tightest = dedup;
-    const size_t out_vars = c.num_vars + 1;
-    Result<rel::Table> serial =
-        JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
-    ASSERT_TRUE(serial.ok());
-    const std::vector<std::string> expect = RowList(*serial);
-
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      ThreadPool pool(threads);
-      for (size_t morsel_rows : {size_t{16}, size_t{64}}) {
-        for (size_t batch : {size_t{1}, size_t{8}}) {
-          rel::MorselPolicy policy;
-          policy.pool = &pool;
-          policy.morsel_rows = morsel_rows;
-          policy.probe_batch = batch;
-          Result<rel::Table> m = JoinRealizations(
-              left, right, VarSchema(out_vars, "v"), rs, policy);
-          ASSERT_TRUE(m.ok());
-          EXPECT_EQ(RowList(*m), expect)
-              << "seed " << c.seed << " dedup " << dedup << " threads "
-              << threads << " morsel " << morsel_rows << " batch " << batch;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(RealizationJoinTest, MorselPolicyDedupMatchesDefault) {
-  const RealizationCase& c = GetParam();
-  Rng rng(c.seed ^ 0x9b9b);
-  // Small domain forces duplicate assignments split across morsel boundaries,
-  // so the merge must reconcile representatives found in different morsels.
-  rel::Table input =
-      RandomRealizationTable(&rng, c.left_rows * 4, c.num_vars, c.domain,
-                             200);
-  rel::Table serial = DedupKeepTightest(input, c.num_vars);
-  const std::vector<std::string> expect = RowList(serial);
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    ThreadPool pool(threads);
-    for (size_t morsel_rows : {size_t{16}, size_t{64}}) {
-      rel::MorselPolicy policy;
-      policy.pool = &pool;
-      policy.morsel_rows = morsel_rows;
-      rel::Table m = DedupKeepTightest(input, c.num_vars, policy);
-      EXPECT_EQ(RowList(m), expect)
-          << "seed " << c.seed << " threads " << threads << " morsel "
-          << morsel_rows;
     }
   }
 }

@@ -202,8 +202,7 @@ TEST(Index, DeterministicAcrossFileOrderings) {
       "lock_bad_cycle_b.cc",   "lock_bad_self.cc",   "lock_bad_unguarded.cc",
       "lock_good.cc",          "view_bad_member.cc", "view_bad_return.cc",
       "view_bad_capture.cc",   "view_good.cc",       "suppress_ok.cc",
-      "suppress_bad.cc",       "lock_bad_morsel_counter.cc",
-      "lock_bad_epoch_refcount.cc",
+      "suppress_bad.cc",       "lock_bad_epoch_refcount.cc",
   };
   std::string forward = DebugSummary(IndexFixtures(names));
   std::vector<std::string> reversed(names.rbegin(), names.rend());
@@ -276,16 +275,6 @@ TEST(LockPass, FlagsDirectAndThroughCalleeRelock) {
 TEST(LockPass, FlagsUnguardedAccess) {
   auto f = RunAllPasses(IndexFixtures({"lock_bad_unguarded.cc"}));
   EXPECT_EQ(CountRule(f, "unguarded-access"), 2u) << Render(f);
-}
-
-TEST(LockPass, FlagsUnguardedMorselClaimCursor) {
-  // Seeded-defect twin of relational::MorselScheduler (see
-  // src/relational/morsel.h): the WC_GUARDED_BY claim cursor is read and
-  // bumped with no lock in Next(), and read after the MutexLock scope closed
-  // in Remaining(). The guarded access inside the MutexLock scope must stay
-  // clean.
-  auto f = RunAllPasses(IndexFixtures({"lock_bad_morsel_counter.cc"}));
-  EXPECT_EQ(CountRule(f, "unguarded-access"), 3u) << Render(f);
 }
 
 TEST(LockPass, FlagsUnguardedEpochRefcount) {

@@ -307,8 +307,11 @@ Result<WindowSearchResult> RunSearch(const LoadedCorpus& corpus,
       static_cast<size_t>(args.GetInt("max-actions", 6));
   // Mining-internal parallelism (candidate evaluation); output is invariant
   // under this knob. Distinct from --threads, which parallelizes ingest.
-  options.miner.num_threads =
-      static_cast<size_t>(args.GetInt("mine-threads", 1));
+  int64_t mine_threads = args.GetInt("mine-threads", 1);
+  if (mine_threads < 1) {
+    return Status::InvalidArgument("--mine-threads must be >= 1");
+  }
+  options.miner.num_threads = static_cast<size_t>(mine_threads);
   options.miner.profile_workingset =
       args.Get("profile-workingset", "") == "1" ||
       args.Get("profile-workingset", "") == "true";
