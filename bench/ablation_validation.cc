@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
 #include "bench/bench_common.h"
 #include "common/timer.h"

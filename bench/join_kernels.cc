@@ -23,8 +23,9 @@
 #include "common/timer.h"
 #include "core/realization_join.h"
 #include "relational/ops.h"
-#include "relational/reference_join.h"
 #include "relational/table.h"
+#include "tests/support/reference_dedup.h"
+#include "tests/support/reference_join.h"
 
 namespace wiclean {
 namespace {

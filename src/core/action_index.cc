@@ -52,6 +52,11 @@ size_t ActionIndex::AddEntities(const std::vector<EntityId>& entities) {
   return ingested;
 }
 
+size_t ActionIndex::AddEntitiesOfType(TypeId type) {
+  if (!ingested_types_.insert(type).second) return 0;
+  return AddEntities(registry_->EntitiesOfType(type));
+}
+
 rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
                                         EntityId u_binding,
                                         EntityId v_binding) {

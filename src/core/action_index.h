@@ -53,6 +53,21 @@ struct AbstractActionEntry {
 /// abstraction of each action up to `max_abstraction_lift` taxonomy levels
 /// above the endpoint entities' most-specific types. This incrementality is
 /// exactly what distinguishes PM from the PM−inc full-graph baseline.
+///
+/// Superset invariant. Once AddEntitiesOfType(T) has run, the entry of every
+/// key whose source type is T holds rows from exactly the entities whose type
+/// lifts to T within the lift budget — no more and no fewer, whatever else the
+/// index has ingested:
+///   - entities(T) includes T's descendants, so every entity that can produce
+///     a row under source type T has been ingested;
+///   - any other ingested entity either does not lift to T (its rows land
+///     under other keys only) or is itself in entities(T).
+/// An index that ingested more types than a probe needs therefore answers
+/// that probe with the same row multiset as a fresh index; only the row
+/// *order* can differ (rows follow ingestion order). This is what lets one
+/// index per window serve every fixed-pattern probe of that window
+/// (PatternMiner::EvaluateRealizations), whose callers count distinct seeds
+/// or span containment and never depend on row order.
 class ActionIndex {
  public:
   /// `registry` and `store` must outlive the index.
@@ -63,12 +78,18 @@ class ActionIndex {
   /// `entities`. Returns the number of entities actually ingested.
   size_t AddEntities(const std::vector<EntityId>& entities);
 
+  /// Ingests entities(type) — `type` and all of its descendants — unless
+  /// `type` was ingested through this call before, in which case it costs
+  /// nothing. Returns the number of entities actually ingested.
+  size_t AddEntitiesOfType(TypeId type);
+
   /// True once `entity` has been ingested.
   bool HasEntity(EntityId entity) const {
     return ingested_.count(entity) > 0;
   }
 
   const TimeWindow& window() const { return window_; }
+  int max_abstraction_lift() const { return max_abstraction_lift_; }
 
   /// All abstract-action entries, keyed by AbstractActionKey::Encode().
   const std::map<std::string, AbstractActionEntry>& entries() const {
@@ -88,6 +109,8 @@ class ActionIndex {
   int max_abstraction_lift_;
 
   std::unordered_set<EntityId> ingested_;
+  /// Types ingested through AddEntitiesOfType.
+  std::unordered_set<TypeId> ingested_types_;
   size_t num_actions_ = 0;
   std::map<std::string, AbstractActionEntry> entries_;
 };

@@ -142,9 +142,8 @@ class PatternMiner::Impl {
       ctx_->index.AddEntities(all);
       full_graph_ = true;
     } else {
-      ctx_->index.AddEntities(registry_->EntitiesOfType(seed_type_));
+      ctx_->index.AddEntitiesOfType(seed_type_);
     }
-    ctx_->ingested_types.insert(seed_type_);
     ctx_->stats.ingest_seconds += ingest_timer.ElapsedSeconds();
 
     // mine_seconds and ingest_seconds are disjoint sub-intervals of the wall
@@ -612,8 +611,7 @@ class PatternMiner::Impl {
     for (const std::string& key : frequent_keys_) {
       const Pattern& p = ctx_->evaluated.at(key).pattern;
       for (TypeId t : p.DistinctVarTypes()) {
-        if (!ctx_->ingested_types.insert(t).second) continue;
-        size_t added = ctx_->index.AddEntities(registry_->EntitiesOfType(t));
+        size_t added = ctx_->index.AddEntitiesOfType(t);
         grew = grew || added > 0;
       }
     }
@@ -697,6 +695,29 @@ Result<MineWindowResult> PatternMiner::MineWindow(
 Result<std::vector<PatternMiner::RealizationSpan>>
 PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
                                    const TimeWindow& window) const {
+  ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
+  return EvaluateRealizations(seed_type, pattern, window, &index);
+}
+
+Result<std::vector<PatternMiner::RealizationSpan>>
+PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
+                                   const TimeWindow& window,
+                                   ActionIndex* index) const {
+  if (index == nullptr) {
+    return Status::InvalidArgument("fixed-pattern probe needs an action index");
+  }
+  if (!(index->window() == window)) {
+    return Status::InvalidArgument("action index belongs to window " +
+                                   index->window().ToString() + ", not " +
+                                   window.ToString());
+  }
+  if (index->max_abstraction_lift() != options_.max_abstraction_lift) {
+    return Status::InvalidArgument(
+        "action index abstraction lift " +
+        std::to_string(index->max_abstraction_lift()) +
+        " differs from the miner's " +
+        std::to_string(options_.max_abstraction_lift));
+  }
   if (pattern.num_actions() == 0) {
     return Status::InvalidArgument("cannot evaluate an empty pattern");
   }
@@ -706,10 +727,9 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   WICLEAN_ASSIGN_OR_RETURN(std::vector<size_t> order,
                            PatternTraversalOrder(pattern));
 
-  ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
-  for (TypeId t : pattern.DistinctVarTypes()) {
-    index.AddEntities(registry_->EntitiesOfType(t));
-  }
+  // Superset invariant (action_index.h): whatever else the index already
+  // holds, every entry looked up below has the same rows as a fresh index.
+  for (TypeId t : pattern.DistinctVarTypes()) index->AddEntitiesOfType(t);
   const TypeTaxonomy& taxonomy = registry_->taxonomy();
 
   // Per-action realization tables, with §7 value bindings applied. The
@@ -721,8 +741,8 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
     const AbstractAction& a = pattern.actions()[ai];
     AbstractActionKey key{a.op, pattern.var_type(a.source_var), a.relation,
                           pattern.var_type(a.target_var)};
-    auto it = index.entries().find(key.Encode());
-    if (it == index.entries().end()) return nullptr;
+    auto it = index->entries().find(key.Encode());
+    if (it == index->entries().end()) return nullptr;
     if (!pattern.HasBindings()) return &it->second.realizations;
     bound_tables.push_back(FilterRealizationsByBindings(
         it->second.realizations, pattern.var_binding(a.source_var),
@@ -855,8 +875,17 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
 Result<double> PatternMiner::EvaluateFrequency(TypeId seed_type,
                                                const Pattern& pattern,
                                                const TimeWindow& window) const {
-  WICLEAN_ASSIGN_OR_RETURN(std::vector<RealizationSpan> spans,
-                           EvaluateRealizations(seed_type, pattern, window));
+  ActionIndex index(registry_, store_, window, options_.max_abstraction_lift);
+  return EvaluateFrequency(seed_type, pattern, window, &index);
+}
+
+Result<double> PatternMiner::EvaluateFrequency(TypeId seed_type,
+                                               const Pattern& pattern,
+                                               const TimeWindow& window,
+                                               ActionIndex* index) const {
+  WICLEAN_ASSIGN_OR_RETURN(
+      std::vector<RealizationSpan> spans,
+      EvaluateRealizations(seed_type, pattern, window, index));
   std::unordered_set<int64_t> seeds;
   for (const RealizationSpan& s : spans) seeds.insert(s.seed);
   size_t seed_count = registry_->CountEntitiesOfType(seed_type);

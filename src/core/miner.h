@@ -2,7 +2,6 @@
 #define WICLEAN_CORE_MINER_H_
 
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <string>
@@ -196,8 +195,6 @@ class MiningContext {
   /// Hashes of (pattern key, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
   std::unordered_set<uint64_t> tested;
-  /// Types whose entities(t) has been ingested.
-  std::set<TypeId> ingested_types;
   MineWindowStats stats;
 };
 
@@ -247,13 +244,32 @@ class PatternMiner {
   /// returning one span per realization (rows are not deduplicated; count
   /// distinct seeds for support). The spans let the window search localize a
   /// pattern's true window with arithmetic instead of repeated re-mining.
+  /// Span order is unspecified.
+  ///
+  /// Reads (and grows) the caller-owned `index`, which must belong to
+  /// `window` and carry this miner's max_abstraction_lift (InvalidArgument
+  /// otherwise): only the pattern's variable types not yet ingested are
+  /// read, so many probes of one window share one index. By the index's
+  /// superset invariant the spans are the same multiset as with a fresh
+  /// index. Not thread-safe on a shared index.
+  [[nodiscard]] Result<std::vector<RealizationSpan>> EvaluateRealizations(
+      TypeId seed_type, const Pattern& pattern, const TimeWindow& window,
+      ActionIndex* index) const;
+
+  /// One-shot form: evaluates through a fresh index of its own.
   [[nodiscard]] Result<std::vector<RealizationSpan>> EvaluateRealizations(
       TypeId seed_type, const Pattern& pattern,
       const TimeWindow& window) const;
 
   /// Frequency (Definition 3.2) of one fixed pattern in one window; a
-  /// convenience over EvaluateRealizations. Cheaper than a full MineWindow
-  /// when only one pattern matters.
+  /// convenience over EvaluateRealizations, with the same index contract.
+  /// Cheaper than a full MineWindow when only one pattern matters.
+  [[nodiscard]] Result<double> EvaluateFrequency(TypeId seed_type,
+                                                 const Pattern& pattern,
+                                                 const TimeWindow& window,
+                                                 ActionIndex* index) const;
+
+  /// One-shot form: evaluates through a fresh index of its own.
   [[nodiscard]] Result<double> EvaluateFrequency(TypeId seed_type, const Pattern& pattern,
                                    const TimeWindow& window) const;
 

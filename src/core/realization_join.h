@@ -53,15 +53,9 @@ struct RealizationJoinSpec {
 /// Deduplicates an all-int64 realization table (num_vars variable columns +
 /// tmin + tmax) by variable assignment, keeping the tightest span per
 /// assignment in first-occurrence order. Flat-hash-table implementation on
-/// columnar data; output is identical to ReferenceDedupKeepTightest.
+/// columnar data; output is identical to the test oracle
+/// ReferenceDedupKeepTightest (tests/support/reference_dedup.h).
 [[nodiscard]] relational::Table DedupKeepTightest(
-    const relational::Table& input, size_t num_vars);
-
-/// The pre-columnar dedup (row materialization into vector<vector<int64_t>>
-/// with an unordered_map chain index), preserved verbatim as the differential
-/// oracle for DedupKeepTightest and JoinRealizations tests. Not used by the
-/// mining pipeline.
-[[nodiscard]] relational::Table ReferenceDedupKeepTightest(
     const relational::Table& input, size_t num_vars);
 
 }  // namespace wiclean

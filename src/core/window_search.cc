@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include <cmath>
+#include <map>
 #include <mutex>
 #include <set>
 #include <unordered_set>
@@ -12,15 +13,22 @@
 namespace wiclean {
 namespace {
 
-/// Memoizing wrapper around PatternMiner::EvaluateFrequency. Validation
-/// (window tightening + leverage partitions) probes many overlapping
-/// (sub-pattern, window) pairs — e.g. every league-extended transfer variant
-/// shares most of its sub-patterns — so the cache cuts the validation cost
-/// by an order of magnitude.
+/// Validation probes of one WindowSearch::Run (window tightening + leverage
+/// partitions). Each probed window gets one ActionIndex, shared by every
+/// probe in it: a probe ingests only the pattern variable types no earlier
+/// probe of that window needed, instead of re-reading, reducing and
+/// abstracting every entity of every variable type again. The index's
+/// superset invariant (action_index.h) keeps each probe's realizations
+/// exactly those of a fresh index. Frequencies are additionally memoized per
+/// (pattern, window): every league-extended transfer variant shares most of
+/// its sub-patterns, so most leverage probes are repeats. Validation runs
+/// serially, so neither map needs a lock.
 class FreqEvaluator {
  public:
-  FreqEvaluator(const PatternMiner* miner, TypeId seed_type)
-      : miner_(miner), seed_type_(seed_type) {}
+  FreqEvaluator(const EntityRegistry* registry, const RevisionStore* store,
+                const PatternMiner* miner, TypeId seed_type)
+      : registry_(registry), store_(store), miner_(miner),
+        seed_type_(seed_type) {}
 
   Result<double> operator()(const Pattern& pattern, const TimeWindow& window) {
     std::string key = pattern.CanonicalKey();
@@ -30,17 +38,34 @@ class FreqEvaluator {
     key += std::to_string(window.end);
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
-    WICLEAN_ASSIGN_OR_RETURN(double f,
-                             miner_->EvaluateFrequency(seed_type_, pattern,
-                                                       window));
+    WICLEAN_ASSIGN_OR_RETURN(
+        double f, miner_->EvaluateFrequency(seed_type_, pattern, window,
+                                            IndexFor(window)));
     memo_.emplace(std::move(key), f);
     return f;
   }
 
+  Result<std::vector<PatternMiner::RealizationSpan>> Realizations(
+      const Pattern& pattern, const TimeWindow& window) {
+    return miner_->EvaluateRealizations(seed_type_, pattern, window,
+                                        IndexFor(window));
+  }
+
  private:
+  ActionIndex* IndexFor(const TimeWindow& window) {
+    auto it = indexes_
+                  .try_emplace({window.begin, window.end}, registry_, store_,
+                               window, miner_->options().max_abstraction_lift)
+                  .first;
+    return &it->second;
+  }
+
+  const EntityRegistry* registry_;
+  const RevisionStore* store_;
   const PatternMiner* miner_;
   TypeId seed_type_;
   std::map<std::string, double> memo_;
+  std::map<std::pair<Timestamp, Timestamp>, ActionIndex> indexes_;
 };
 
 /// Re-localizes a discovered pattern to its tightest window (see
@@ -50,14 +75,12 @@ class FreqEvaluator {
 /// span fits inside. On success, updates mp->window and mp->frequency in
 /// place and returns true; returns false when the pattern is a window
 /// artifact.
-Result<bool> TightenWindow(const PatternMiner& miner, TypeId seed_type,
-                           size_t seed_count, Timestamp min_width,
-                           double support_fraction,
+Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
+                           Timestamp min_width, double support_fraction,
                            Timestamp max_pattern_window, double threshold,
                            MinedPattern* mp) {
-  WICLEAN_ASSIGN_OR_RETURN(
-      std::vector<PatternMiner::RealizationSpan> spans,
-      miner.EvaluateRealizations(seed_type, mp->pattern, mp->window));
+  WICLEAN_ASSIGN_OR_RETURN(std::vector<PatternMiner::RealizationSpan> spans,
+                           probes.Realizations(mp->pattern, mp->window));
   auto freq_in = [&](const TimeWindow& w) {
     std::unordered_set<int64_t> seeds;
     for (const PatternMiner::RealizationSpan& s : spans) {
@@ -179,9 +202,10 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   size_t quiet_rounds = 0;
 
   // Validation probes (tightening spans, leverage sub-pattern frequencies)
-  // are threshold-independent, so one memoizing evaluator serves all rounds.
+  // are threshold-independent, so one evaluator — its per-window indexes and
+  // frequency memo — serves all rounds.
   PatternMiner probe_miner(registry_, store_, options_.miner);
-  FreqEvaluator freq_of(&probe_miner, seed_type);
+  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type);
   const size_t seed_count = registry_->CountEntitiesOfType(seed_type);
 
   // Context cache: re-examining the same window at a lower threshold reuses
@@ -303,8 +327,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
             mp.window.width() > options_.min_window_width) {
           WICLEAN_ASSIGN_OR_RETURN(
               genuine,
-              TightenWindow(probe_miner, seed_type, seed_count,
-                            options_.min_window_width,
+              TightenWindow(freq_of, seed_count, options_.min_window_width,
                             options_.subwindow_support_fraction,
                             options_.max_pattern_window, threshold, &mp));
         }

@@ -42,6 +42,21 @@ TEST_F(ActionIndexTest, KeyEncodingIsInjective) {
   EXPECT_EQ(a.Encode(), (AbstractActionKey{EditOp::kAdd, 1, "r", 2}.Encode()));
 }
 
+TEST_F(ActionIndexTest, AddEntitiesOfTypeIngestsEachTypeOnce) {
+  Add(p0_, "current_club", c0_, 10);
+  Add(c0_, "squad", p0_, 11);
+  ActionIndex index(registry_.get(), &store_, TimeWindow{0, 100}, 1);
+  EXPECT_EQ(index.AddEntitiesOfType(player_), 2u);
+  EXPECT_EQ(index.AddEntitiesOfType(player_), 0u);
+  EXPECT_EQ(index.num_actions_ingested(), 1u);
+  // thing = every entity; only the club is new. person adds nothing.
+  EXPECT_EQ(index.AddEntitiesOfType(thing_), 1u);
+  EXPECT_EQ(index.AddEntitiesOfType(person_), 0u);
+  EXPECT_EQ(index.num_entities_ingested(), 3u);
+  EXPECT_EQ(index.num_actions_ingested(), 2u);
+  EXPECT_EQ(index.max_abstraction_lift(), 1);
+}
+
 TEST_F(ActionIndexTest, AbstractionLevelsRespectLift) {
   Add(p0_, "current_club", c0_, 10);
   // player has ancestors player < athlete < person < thing; club < thing.

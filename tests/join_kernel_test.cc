@@ -18,9 +18,10 @@
 #include "core/realization_join.h"
 #include "relational/join_hash_table.h"
 #include "relational/ops.h"
-#include "relational/reference_join.h"
 #include "relational/table.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_dedup.h"
+#include "tests/support/reference_join.h"
 
 namespace wiclean {
 namespace {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "core/miner.h"
+#include "synth/synthesizer.h"
 
 namespace wiclean {
 namespace {
@@ -300,6 +303,33 @@ TEST_F(MinerTest, EvaluateRealizationsSpansCoverActionTimes) {
   EXPECT_FALSE(miner.EvaluateRealizations(player_, empty, window_).ok());
 }
 
+TEST_F(MinerTest, SharedIndexMustMatchWindowAndLift) {
+  PatternMiner miner(registry_.get(), &store_, Options(0.7));  // lift 1
+  ActionIndex matching(registry_.get(), &store_, window_, 1);
+  Result<double> f =
+      miner.EvaluateFrequency(player_, JoinPair(), window_, &matching);
+  ASSERT_TRUE(f.ok());
+  EXPECT_DOUBLE_EQ(*f, 0.8);
+
+  ActionIndex other_window(registry_.get(), &store_, TimeWindow{0, 50}, 1);
+  ActionIndex other_lift(registry_.get(), &store_, window_, 0);
+  for (ActionIndex* wrong : {&other_window, &other_lift,
+                             static_cast<ActionIndex*>(nullptr)}) {
+    EXPECT_EQ(miner.EvaluateRealizations(player_, JoinPair(), window_, wrong)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        miner.EvaluateFrequency(player_, JoinPair(), window_, wrong)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+  }
+  // A rejected probe must not have ingested anything.
+  EXPECT_EQ(other_window.num_entities_ingested(), 0u);
+  EXPECT_EQ(other_lift.num_entities_ingested(), 0u);
+}
+
 TEST_F(MinerTest, ContextReuseAcrossThresholds) {
   // Mine at tau=0.9, then resume the same context at tau=0.7: the pair
   // pattern (freq 0.8) must appear, and cached singletons must not be
@@ -387,6 +417,163 @@ TEST_F(MinerTest, CandidateCountingIsPositive) {
   EXPECT_GT(result->stats.abstract_actions, 0u);
   EXPECT_GT(result->stats.entities_ingested, 0u);
 }
+
+/// Shared-index probes on a synthesized soccer world, over every
+/// (abstraction lift, join engine) pair.
+class SharedActionIndexTest
+    : public ::testing::TestWithParam<std::tuple<int, JoinEngineKind>> {
+ protected:
+  void SetUp() override {
+    SynthOptions o;
+    o.seed_entities = 60;
+    o.years = 1;
+    o.rng_seed = 11;
+    Result<SynthWorld> world = Synthesize(o);
+    ASSERT_TRUE(world.ok());
+    world_ = std::make_unique<SynthWorld>(std::move(world).value());
+  }
+
+  MinerOptions Options() const {
+    MinerOptions o;
+    o.frequency_threshold = 0.4;
+    o.max_abstraction_lift = std::get<0>(GetParam());
+    o.join_engine = std::get<1>(GetParam());
+    o.max_pattern_actions = 4;
+    return o;
+  }
+
+  using SpanKey = std::tuple<EntityId, Timestamp, Timestamp>;
+  static std::vector<SpanKey> Sorted(
+      const std::vector<PatternMiner::RealizationSpan>& spans) {
+    std::vector<SpanKey> out;
+    for (const PatternMiner::RealizationSpan& s : spans) {
+      out.emplace_back(s.seed, s.tmin, s.tmax);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::unique_ptr<SynthWorld> world_;
+  const TimeWindow window_{224 * kSecondsPerDay, 238 * kSecondsPerDay};
+};
+
+TEST_P(SharedActionIndexTest, SharedIndexMatchesFreshIndex) {
+  const TypeId seed = world_->types.soccer_player;
+  PatternMiner miner(world_->registry.get(), &world_->store, Options());
+  Result<MineWindowResult> mined = miner.MineWindow(seed, window_);
+  ASSERT_TRUE(mined.ok());
+
+  // Probes: every most specific pattern, each of its connected
+  // one-action-smaller sub-patterns, and its §7 value-bound specializations;
+  // plus every frequent pattern of at most two actions, which covers the
+  // lifted (abstract-typed) variants that lifts 1 and 2 add.
+  std::vector<Pattern> probes;
+  size_t bound_probes = 0;
+  for (const MinedPattern& mp : mined->all_frequent) {
+    if (mp.pattern.num_actions() <= 2) probes.push_back(mp.pattern);
+  }
+  for (const MinedPattern& mp : mined->most_specific) {
+    probes.push_back(mp.pattern);
+    const size_t n = mp.pattern.num_actions();
+    for (size_t drop = 0; n > 1 && drop < n; ++drop) {
+      std::vector<size_t> kept;
+      for (size_t i = 0; i < n; ++i) {
+        if (i != drop) kept.push_back(i);
+      }
+      Result<Pattern> sub = SubPattern(mp.pattern, kept);
+      if (sub.ok() && sub->IsConnected()) probes.push_back(*sub);
+    }
+    Result<std::vector<PatternMiner::ValueSpecificPattern>> bound =
+        miner.MineValueSpecific(*mined->context, seed, mp, 0.2);
+    ASSERT_TRUE(bound.ok());
+    for (const auto& vs : *bound) probes.push_back(vs.pattern);
+    bound_probes += bound->size();
+  }
+  ASSERT_GT(mined->most_specific.size(), 1u);
+  EXPECT_GT(bound_probes, 0u);
+
+  // An entity type no probe needs, to seed one shared index with rows
+  // that belong to none of the probes' keys.
+  std::set<TypeId> probe_types;
+  for (const Pattern& p : probes) {
+    for (TypeId t : p.DistinctVarTypes()) probe_types.insert(t);
+  }
+  const TypeTaxonomy& taxonomy = *world_->taxonomy;
+  TypeId unrelated = kInvalidTypeId;
+  for (size_t t = 0; t < taxonomy.num_types(); ++t) {
+    TypeId type = static_cast<TypeId>(t);
+    if (probe_types.count(type) == 0 &&
+        world_->registry->CountEntitiesOfType(type) > 0) {
+      unrelated = type;
+      break;
+    }
+  }
+  ASSERT_NE(unrelated, kInvalidTypeId);
+
+  // A strict descendant D of the seed type (goalkeepers) holding only part
+  // of entities(seed): an index that ingested D first must still read the
+  // rest of entities(seed) when a probe asks for the seed type.
+  const size_t seed_entities = world_->registry->CountEntitiesOfType(seed);
+  TypeId descendant = kInvalidTypeId;
+  for (size_t d = 0; d < taxonomy.num_types(); ++d) {
+    TypeId type = static_cast<TypeId>(d);
+    const size_t of_d = world_->registry->CountEntitiesOfType(type);
+    if (type != seed && taxonomy.IsA(type, seed) && of_d > 0 &&
+        of_d < seed_entities) {
+      descendant = type;
+      break;
+    }
+  }
+  ASSERT_NE(descendant, kInvalidTypeId);
+
+  // Shared indexes, each reused across all probes, twice over in opposite
+  // orders: one first holding an unrelated type, one a partial descendant,
+  // one every entity (the taxonomy root).
+  const int lift = Options().max_abstraction_lift;
+  ActionIndex with_unrelated(world_->registry.get(), &world_->store, window_,
+                             lift);
+  ASSERT_GT(with_unrelated.AddEntitiesOfType(unrelated), 0u);
+  ActionIndex with_descendant(world_->registry.get(), &world_->store, window_,
+                              lift);
+  ASSERT_GT(with_descendant.AddEntitiesOfType(descendant), 0u);
+  ActionIndex with_everything(world_->registry.get(), &world_->store, window_,
+                              lift);
+  ASSERT_GT(with_everything.AddEntitiesOfType(world_->types.thing), 0u);
+
+  size_t nonempty = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t k = 0; k < probes.size(); ++k) {
+      const Pattern& p = probes[pass == 0 ? k : probes.size() - 1 - k];
+      Result<std::vector<PatternMiner::RealizationSpan>> fresh =
+          miner.EvaluateRealizations(seed, p, window_);
+      ASSERT_TRUE(fresh.ok());
+      nonempty += fresh->empty() ? 0 : 1;
+      std::set<EntityId> seeds;
+      for (const PatternMiner::RealizationSpan& sp : *fresh) {
+        seeds.insert(sp.seed);
+      }
+      for (ActionIndex* shared :
+           {&with_unrelated, &with_descendant, &with_everything}) {
+        Result<std::vector<PatternMiner::RealizationSpan>> got =
+            miner.EvaluateRealizations(seed, p, window_, shared);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(Sorted(*got), Sorted(*fresh)) << p.ToString(taxonomy);
+        Result<double> f = miner.EvaluateFrequency(seed, p, window_, shared);
+        ASSERT_TRUE(f.ok());
+        EXPECT_EQ(*f, static_cast<double>(seeds.size()) /
+                          static_cast<double>(seed_entities))
+            << p.ToString(taxonomy);
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LiftsAndEngines, SharedActionIndexTest,
+    ::testing::Combine(::testing::Values(0, 1, 2),
+                       ::testing::Values(JoinEngineKind::kHashJoin,
+                                         JoinEngineKind::kNestedLoop)));
 
 }  // namespace
 }  // namespace wiclean

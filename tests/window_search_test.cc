@@ -131,6 +131,39 @@ TEST_F(WindowSearchTest, ThresholdOnlyPolicySkipsWindowStep) {
   }
 }
 
+/// Field-by-field equality of two search results (wall times excluded).
+void ExpectSameResult(const WindowSearchResult& a,
+                      const WindowSearchResult& b) {
+  ASSERT_EQ(a.patterns.size(), b.patterns.size());
+  for (size_t i = 0; i < a.patterns.size(); ++i) {
+    const DiscoveredPattern& pa = a.patterns[i];
+    const DiscoveredPattern& pb = b.patterns[i];
+    SCOPED_TRACE("pattern #" + std::to_string(i));
+    EXPECT_EQ(pa.mined.pattern.CanonicalKey(), pb.mined.pattern.CanonicalKey());
+    EXPECT_EQ(pa.mined.window, pb.mined.window);
+    EXPECT_EQ(pa.mined.frequency, pb.mined.frequency);
+    EXPECT_EQ(pa.mined.support, pb.mined.support);
+    EXPECT_EQ(pa.threshold, pb.threshold);
+    EXPECT_EQ(pa.window_width, pb.window_width);
+    ASSERT_EQ(pa.relatives.size(), pb.relatives.size());
+    for (size_t r = 0; r < pa.relatives.size(); ++r) {
+      const RelativePattern& ra = pa.relatives[r];
+      const RelativePattern& rb = pb.relatives[r];
+      EXPECT_EQ(ra.pattern.CanonicalKey(), rb.pattern.CanonicalKey());
+      EXPECT_EQ(ra.relative_frequency, rb.relative_frequency);
+      EXPECT_EQ(ra.frequency, rb.frequency);
+      EXPECT_EQ(ra.support, rb.support);
+    }
+  }
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].window_width, b.rounds[i].window_width);
+    EXPECT_EQ(a.rounds[i].threshold, b.rounds[i].threshold);
+    EXPECT_EQ(a.rounds[i].new_patterns, b.rounds[i].new_patterns);
+  }
+  EXPECT_EQ(a.total_stats.ToString(), b.total_stats.ToString());
+}
+
 TEST_F(WindowSearchTest, ParallelAndSerialAgree) {
   WindowSearchOptions serial = Options();
   serial.num_threads = 1;
@@ -145,15 +178,22 @@ TEST_F(WindowSearchTest, ParallelAndSerialAgree) {
       s2.Run(world_->types.soccer_player, 0, kSecondsPerYear);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  ASSERT_FALSE(a->patterns.empty());
+  ExpectSameResult(*a, *b);
+}
 
-  std::set<std::string> ka, kb;
-  for (const DiscoveredPattern& dp : a->patterns) {
-    ka.insert(dp.mined.pattern.CanonicalKey());
-  }
-  for (const DiscoveredPattern& dp : b->patterns) {
-    kb.insert(dp.mined.pattern.CanonicalKey());
-  }
-  EXPECT_EQ(ka, kb);
+TEST_F(WindowSearchTest, RepeatedRunsAgree) {
+  // Validation state (per-window probe indexes, frequency memo) lives for
+  // one Run only: a second Run on the same object must repeat the first.
+  WindowSearch search(world_->registry.get(), &world_->store, Options());
+  Result<WindowSearchResult> first =
+      search.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  Result<WindowSearchResult> second =
+      search.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_FALSE(first->patterns.empty());
+  ExpectSameResult(*first, *second);
 }
 
 TEST_F(WindowSearchTest, TighteningLocalizesWindows) {
