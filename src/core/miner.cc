@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -200,12 +202,26 @@ class PatternMiner::Impl {
 
  private:
   /// One concrete extension to evaluate: base pattern state (stable pointer —
-  /// unordered_map nodes never move), the glued action, and the gluing.
+  /// unordered_map nodes never move), the glued action, the gluing, and its
+  /// left-side join keys among the generation's prepared inputs.
   struct ExtensionCandidate {
     const MiningContext::PatternState* base = nullptr;
-    const AbstractActionEntry* entry = nullptr;
+    size_t action = 0;  // index into ExpandAll's action snapshot
     int glue_source = 0;
     int glue_target = -1;  // -1 = fresh target variable
+    size_t left_keys = 0;  // index into the generation's left key hashes
+  };
+
+  /// One abstract action of the index snapshot an ExpandAll call works on,
+  /// with the action sides of the joins that glue it: keyed on u for a fresh
+  /// target, on (u, v) for a glued one. Each is built serially the first time
+  /// a generation has a candidate that needs it and then only read, so every
+  /// candidate of that shape shares one hash table.
+  struct ActionSlot {
+    const AbstractActionEntry* entry = nullptr;
+    uint64_t key_hash = 0;  // Fnv1a64 of the entry's encoded key
+    std::optional<PreparedActionSide> fresh_side;
+    std::optional<PreparedActionSide> glued_side;
   };
 
   /// Output of one pure candidate evaluation. `computed` is false when the
@@ -228,16 +244,19 @@ class PatternMiner::Impl {
   ///
   /// Parallel structure: the worklist is processed in generations — all
   /// untested pairs of the patterns admitted so far are enumerated into a
-  /// candidate list (marking them tested), every candidate is evaluated as a
-  /// pure task against a snapshot of the evaluation cache (per-task result
-  /// slots, no shared writes), and the results commit serially in
-  /// enumeration order. A candidate's base pattern is always from an earlier
-  /// generation, so evaluations never depend on same-generation commits;
-  /// duplicate canonical keys within a generation recompute the same pure
-  /// result and the commit step keeps the first (= the one the serial code
-  /// would have cached) and drops the rest without counting them. The
-  /// admitted worklist, cache contents, and every stats counter are therefore
-  /// identical at any MinerOptions::num_threads.
+  /// candidate list (marking them tested), the generation's shared join
+  /// inputs are prepared serially (one left key-hash vector per base pattern
+  /// and glue columns, one action side per action and key shape), every
+  /// candidate is evaluated as a pure task against a snapshot of the
+  /// evaluation cache and those read-only inputs (per-task result slots, no
+  /// shared writes), and the results commit serially in enumeration order. A
+  /// candidate's base pattern is always from an earlier generation, so
+  /// evaluations never depend on same-generation commits; duplicate canonical
+  /// keys within a generation recompute the same pure result and the commit
+  /// step keeps the first (= the one the serial code would have cached) and
+  /// drops the rest without counting them. The admitted worklist, cache
+  /// contents, and every stats counter are therefore identical at any
+  /// MinerOptions::num_threads.
   Status ExpandAll(double admission, std::vector<std::string>* admitted_keys,
                    std::vector<uint64_t>* admitted_hashes,
                    std::unordered_set<uint64_t>* tested, bool mark_frequent) {
@@ -250,34 +269,70 @@ class PatternMiner::Impl {
     // pair-tested check below runs for every (pattern, action) combination,
     // and re-hashing both strings each time dominated this loop. Pattern-key
     // hashes ride along in admitted_hashes. The index cannot grow during
-    // expansion (ingest happens between ExpandAll rounds), so the snapshot
-    // stays valid.
-    std::vector<std::pair<const AbstractActionEntry*, uint64_t>> actions;
-    actions.reserve(ctx_->index.entries().size());
-    for (const auto& [action_key, entry] : ctx_->index.entries()) {
-      actions.emplace_back(&entry, Fnv1a64(action_key));
+    // expansion (ingest happens between ExpandAll rounds), so the snapshot —
+    // and the action sides prepared from it — stay valid for this call only.
+    std::vector<ActionSlot> actions(ctx_->index.entries().size());
+    std::unordered_map<TypeId, std::vector<size_t>> actions_by_source;
+    {
+      size_t ai = 0;
+      for (const auto& [action_key, entry] : ctx_->index.entries()) {
+        actions[ai].entry = &entry;
+        actions[ai].key_hash = Fnv1a64(action_key);
+        actions_by_source[entry.key.source_type].push_back(ai++);
+      }
     }
+    const bool hash_join = options_.join_engine == JoinEngineKind::kHashJoin;
     std::unordered_set<std::string> admitted_set(admitted_keys->begin(),
                                                  admitted_keys->end());
+    std::vector<size_t> pattern_actions;
     size_t pi = 0;
     while (pi < admitted_keys->size()) {
       const size_t gen_end = admitted_keys->size();
       std::vector<ExtensionCandidate> candidates;
+      std::vector<std::vector<uint64_t>> left_keys;
       for (; pi < gen_end; ++pi) {
-        const std::string& pattern_key = (*admitted_keys)[pi];
+        const MiningContext::PatternState& base =
+            ctx_->evaluated.at((*admitted_keys)[pi]);
+        const Pattern& p = base.pattern;
+        // A pattern at the action cap has no extension, whatever the action.
+        if (p.num_actions() >= options_.max_pattern_actions) continue;
+        // Only actions whose source type is some variable's type can glue
+        // on; any other pair yields no candidate now or on a later visit, so
+        // it is neither visited nor marked tested. The rest keep snapshot
+        // order, which fixes the enumeration order.
+        pattern_actions.clear();
+        for (TypeId t : p.DistinctVarTypes()) {
+          auto it = actions_by_source.find(t);
+          if (it == actions_by_source.end()) continue;
+          pattern_actions.insert(pattern_actions.end(), it->second.begin(),
+                                 it->second.end());
+        }
+        std::sort(pattern_actions.begin(), pattern_actions.end());
+        const bool has_seed_var = HasSeedVar(p);
+        const size_t first = candidates.size();
         const uint64_t pattern_hash = (*admitted_hashes)[pi];
-        for (const auto& [entry, action_hash] : actions) {
-          uint64_t pair_key = HashCombine(pattern_hash, action_hash);
+        for (size_t ai : pattern_actions) {
+          uint64_t pair_key = HashCombine(pattern_hash, actions[ai].key_hash);
           if (!tested->insert(pair_key).second) continue;
-          CollectPair(pattern_key, *entry, &candidates);
+          CollectPair(base, has_seed_var, ai, *actions[ai].entry,
+                      &candidates);
+        }
+        if (hash_join) {
+          WICLEAN_RETURN_IF_ERROR(
+              PrepareLeftKeys(base, first, &candidates, &left_keys));
+          RealizationSchemaOf(p.num_vars() + 1);
         }
       }
       if (candidates.empty()) continue;
+      if (hash_join) {
+        WICLEAN_RETURN_IF_ERROR(PrepareActionSides(candidates, &actions));
+      }
 
       std::vector<CandidateResult> results(candidates.size());
       std::vector<Status> statuses(candidates.size(), Status::OK());
       auto evaluate = [&](size_t k) {
-        statuses[k] = EvaluateCandidate(candidates[k], &results[k]);
+        statuses[k] =
+            EvaluateCandidate(candidates[k], actions, left_keys, &results[k]);
       };
       if (pool_ != nullptr && candidates.size() > 1) {
         pool_->ParallelFor(candidates.size(), evaluate);
@@ -289,6 +344,52 @@ class PatternMiner::Impl {
         CommitCandidate(&res, admission, admitted_keys, admitted_hashes,
                         &admitted_set, mark_frequent);
       }
+    }
+    return Status::OK();
+  }
+
+  /// Gives candidates[first..] — all from one base pattern — their left key
+  /// hashes: one vector per distinct (glue source, glue target) of the base.
+  Status PrepareLeftKeys(const MiningContext::PatternState& base,
+                         size_t first,
+                         std::vector<ExtensionCandidate>* candidates,
+                         std::vector<std::vector<uint64_t>>* left_keys) const {
+    // (glue source, glue target or -1) -> index into left_keys.
+    std::vector<std::pair<std::pair<int, int>, size_t>> shapes;
+    for (size_t k = first; k < candidates->size(); ++k) {
+      ExtensionCandidate& c = (*candidates)[k];
+      const std::pair<int, int> shape = {c.glue_source, c.glue_target};
+      auto it = std::find_if(shapes.begin(), shapes.end(),
+                             [&](const auto& e) { return e.first == shape; });
+      if (it == shapes.end()) {
+        WICLEAN_ASSIGN_OR_RETURN(
+            std::vector<uint64_t> hashes,
+            HashRealizationKeys(base.realizations,
+                                static_cast<size_t>(c.glue_source),
+                                c.glue_target));
+        left_keys->push_back(std::move(hashes));
+        it = shapes.insert(shapes.end(), {shape, left_keys->size() - 1});
+      }
+      c.left_keys = it->second;
+    }
+    return Status::OK();
+  }
+
+  /// Builds the action side of every candidate's join that no earlier
+  /// generation of this call has built.
+  static Status PrepareActionSides(
+      const std::vector<ExtensionCandidate>& candidates,
+      std::vector<ActionSlot>* actions) {
+    for (const ExtensionCandidate& c : candidates) {
+      ActionSlot& slot = (*actions)[c.action];
+      const bool glued = c.glue_target >= 0;
+      std::optional<PreparedActionSide>& side =
+          glued ? slot.glued_side : slot.fresh_side;
+      if (side.has_value()) continue;
+      WICLEAN_ASSIGN_OR_RETURN(
+          PreparedActionSide built,
+          PreparedActionSide::Build(slot.entry->realizations, glued));
+      side.emplace(std::move(built));
     }
     return Status::OK();
   }
@@ -326,7 +427,7 @@ class PatternMiner::Impl {
       if (cached == ctx_->evaluated.end()) {
         // Distinct variables bind distinct entities: drop self-link rows.
         // Rows carry the action timestamp as a [t, t] span.
-        rel::Table realization(RealizationSchema(2));
+        rel::Table realization(RealizationSchemaOf(2));
         const rel::Table& src = entry.realizations;
         for (size_t r = 0; r < src.num_rows(); ++r) {
           int64_t su = src.column(0).Int64At(r);
@@ -348,29 +449,27 @@ class PatternMiner::Impl {
     return Status::OK();
   }
 
-  /// Enumerates the concrete extensions of one (pattern, abstract action)
-  /// pair: every way of gluing the action's source to a same-typed pattern
-  /// variable, with the target either a fresh variable or glued to a
-  /// same-typed existing variable (§4.2). Candidates are appended in exactly
-  /// the order the serial code evaluated them — the commit step replays this
-  /// order, which is what keeps parallel runs byte-identical.
-  void CollectPair(const std::string& pattern_key,
-                   const AbstractActionEntry& entry,
-                   std::vector<ExtensionCandidate>* out) {
-    const MiningContext::PatternState& base = ctx_->evaluated.at(pattern_key);
-    const Pattern& p = base.pattern;
-    if (p.num_actions() >= options_.max_pattern_actions) return;
-
-    // Seed-focus constraint: does the pattern already use its one allowed
-    // seed-comparable variable?
-    bool has_seed_var = false;
-    if (!options_.allow_multiple_seed_vars) {
-      for (size_t k = 0; k < p.num_vars(); ++k) {
-        has_seed_var |= taxonomy_->Comparable(
-            p.var_type(static_cast<int>(k)), seed_type_);
-      }
+  /// Seed-focus constraint: does the pattern already use its one allowed
+  /// seed-comparable variable? (Always false when several are allowed.)
+  bool HasSeedVar(const Pattern& p) const {
+    if (options_.allow_multiple_seed_vars) return false;
+    for (TypeId t : p.var_types()) {
+      if (taxonomy_->Comparable(t, seed_type_)) return true;
     }
+    return false;
+  }
 
+  /// Enumerates the concrete extensions of one (pattern, abstract action)
+  /// pair, for a pattern below the action cap: every way of gluing the
+  /// action's source to a same-typed pattern variable, with the target either
+  /// a fresh variable or glued to a same-typed existing variable (§4.2).
+  /// Candidates are appended in exactly the order the serial code evaluated
+  /// them — the commit step replays this order, which is what keeps parallel
+  /// runs byte-identical.
+  void CollectPair(const MiningContext::PatternState& base, bool has_seed_var,
+                   size_t action, const AbstractActionEntry& entry,
+                   std::vector<ExtensionCandidate>* out) const {
+    const Pattern& p = base.pattern;
     for (int i = 0; i < static_cast<int>(p.num_vars()); ++i) {
       if (p.var_type(i) != entry.key.source_type) continue;
 
@@ -394,7 +493,7 @@ class PatternMiner::Impl {
           taxonomy_->Comparable(entry.key.target_type, seed_type_);
       if (p.num_vars() < options_.max_pattern_vars &&
           !fresh_seed_var_blocked) {
-        out->push_back(ExtensionCandidate{&base, &entry, i, -1});
+        out->push_back(ExtensionCandidate{&base, action, i, -1});
       }
       // Option B: glue the target onto each compatible existing variable.
       for (int k = 0; k < static_cast<int>(p.num_vars()); ++k) {
@@ -408,7 +507,7 @@ class PatternMiner::Impl {
           }
         }
         if (duplicate_action) continue;
-        out->push_back(ExtensionCandidate{&base, &entry, i, k});
+        out->push_back(ExtensionCandidate{&base, action, i, k});
       }
     }
   }
@@ -421,10 +520,13 @@ class PatternMiner::Impl {
   /// path runs the fused JoinRealizations operator (join + span recompute +
   /// prune + dedup in one pass, no wide join materialized); PM−join keeps
   /// the unfused nested-loop pipeline as the §6 ablation baseline.
-  Status EvaluateCandidate(const ExtensionCandidate& c,
-                           CandidateResult* out) const {
+  Status EvaluateCandidate(
+      const ExtensionCandidate& c, const std::vector<ActionSlot>& actions,
+      const std::vector<std::vector<uint64_t>>& left_keys,
+      CandidateResult* out) const {
     const MiningContext::PatternState& base = *c.base;
-    const AbstractActionEntry& entry = *c.entry;
+    const ActionSlot& slot = actions[c.action];
+    const AbstractActionEntry& entry = *slot.entry;
     const int glue_source = c.glue_source;
     const int glue_target = c.glue_target;
     Pattern extended = base.pattern;
@@ -463,10 +565,13 @@ class PatternMiner::Impl {
         out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
                                            entry.realizations.ApproxBytes();
       }
+      const std::optional<PreparedActionSide>& side =
+          glue_target < 0 ? slot.fresh_side : slot.glued_side;
+      WICLEAN_CHECK(side.has_value() && new_vars < schemas_.size());
       WICLEAN_ASSIGN_OR_RETURN(
           realization,
-          JoinRealizations(base.realizations, entry.realizations,
-                           RealizationSchema(new_vars), rspec));
+          JoinRealizations(base.realizations, left_keys[c.left_keys], *side,
+                           schemas_[new_vars], rspec));
     } else {
       rel::JoinSpec spec;
       spec.equal_cols.push_back(
@@ -590,17 +695,35 @@ class PatternMiner::Impl {
     }
   }
 
-  /// COUNT(DISTINCT source) restricted to entities(seed_type) (§4.2).
+  /// COUNT(DISTINCT source) restricted to entities(seed_type) (§4.2): sort
+  /// and unique the non-null sources, then type-check each distinct one.
   size_t CountDistinctSeedSources(const rel::Table& realization,
                                   size_t source_col) const {
-    std::unordered_set<int64_t> seen;
     const rel::Column& col = realization.column(source_col);
+    const std::vector<int64_t>& data = col.int64_data();
+    const std::vector<uint8_t>& valid = col.validity();
+    std::vector<int64_t> sources;
+    sources.reserve(realization.num_rows());
     for (size_t r = 0; r < realization.num_rows(); ++r) {
-      if (col.IsNull(r)) continue;
-      int64_t e = col.Int64At(r);
-      if (taxonomy_->IsA(registry_->TypeOf(e), seed_type_)) seen.insert(e);
+      if (valid[r]) sources.push_back(data[r]);
     }
-    return seen.size();
+    std::sort(sources.begin(), sources.end());
+    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+    size_t count = 0;
+    for (int64_t e : sources) {
+      if (taxonomy_->IsA(registry_->TypeOf(e), seed_type_)) ++count;
+    }
+    return count;
+  }
+
+  /// The realization schema of `width` variables, built once per width.
+  /// Serial callers only: it may grow schemas_, which candidate evaluations
+  /// read concurrently.
+  const rel::Schema& RealizationSchemaOf(size_t width) {
+    while (schemas_.size() <= width) {
+      schemas_.push_back(RealizationSchema(schemas_.size()));
+    }
+    return schemas_[width];
   }
 
   /// Algorithm 1 lines 4-8: ingest revision histories of any new entity type
@@ -629,6 +752,8 @@ class PatternMiner::Impl {
 
   std::vector<std::string> frequent_keys_;
   std::vector<uint64_t> frequent_hashes_;  // Fnv1a64 of frequent_keys_[i]
+  /// schemas_[w] = RealizationSchema(w); see RealizationSchemaOf.
+  std::vector<rel::Schema> schemas_;
   /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
   /// here so it is never shared with window-level pools.
   std::unique_ptr<ThreadPool> pool_;
@@ -669,23 +794,17 @@ Result<MineWindowResult> PatternMiner::MineWindow(
 
   // Collect every frequent pattern, then filter to the most specific ones
   // (Definition 3.3) among them.
-  std::vector<const MiningContext::PatternState*> frequent;
+  std::vector<const Pattern*> frequent;
   for (const std::string& key : impl.frequent_keys()) {
-    frequent.push_back(&result.context->evaluated.at(key));
+    const MiningContext::PatternState& state =
+        result.context->evaluated.at(key);
+    frequent.push_back(&state.pattern);
+    result.all_frequent.push_back(
+        MinedPattern{state.pattern, window, state.frequency, state.support});
   }
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
-  for (const MiningContext::PatternState* state : frequent) {
-    MinedPattern mp{state->pattern, window, state->frequency, state->support};
-    result.all_frequent.push_back(mp);
-    bool dominated = false;
-    for (const MiningContext::PatternState* other : frequent) {
-      if (other == state) continue;
-      if (IsStrictSpecializationOf(other->pattern, state->pattern, taxonomy)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) result.most_specific.push_back(std::move(mp));
+  const SpecializationOrder order(std::move(frequent), registry_->taxonomy());
+  for (size_t i : order.MostSpecific()) {
+    result.most_specific.push_back(result.all_frequent[i]);
   }
   result.stats = result.context->stats;
   result.stats.Subtract(baseline);
@@ -974,20 +1093,16 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   const double base_frequency = context->evaluated.at(base_key).frequency;
 
   // Most specific relatively-frequent refinements.
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
-  std::vector<RelativePattern> out;
+  std::vector<const MiningContext::PatternState*> states;
+  std::vector<const Pattern*> patterns;
   for (const std::string& key : admitted) {
-    const auto& state = context->evaluated.at(key);
-    bool dominated = false;
-    for (const std::string& other_key : admitted) {
-      if (other_key == key) continue;
-      if (IsStrictSpecializationOf(context->evaluated.at(other_key).pattern,
-                                   state.pattern, taxonomy)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) continue;
+    states.push_back(&context->evaluated.at(key));
+    patterns.push_back(&states.back()->pattern);
+  }
+  const SpecializationOrder order(std::move(patterns), registry_->taxonomy());
+  std::vector<RelativePattern> out;
+  for (size_t i : order.MostSpecific()) {
+    const MiningContext::PatternState& state = *states[i];
     RelativePattern rp;
     rp.pattern = state.pattern;
     rp.frequency = state.frequency;

@@ -194,6 +194,8 @@ class MiningContext {
   EvaluatedMap evaluated;
   /// Hashes of (pattern key, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
+  /// Pairs that can yield no candidate (no variable of the action's source
+  /// type, or a pattern at max_pattern_actions) are never entered.
   std::unordered_set<uint64_t> tested;
   MineWindowStats stats;
 };

@@ -1,9 +1,11 @@
 #include "core/pattern.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
+#include <charconv>
 #include <numeric>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 namespace wiclean {
 
@@ -75,99 +77,125 @@ bool Pattern::IsConnected() const { return ConnectedFrom(source_var_); }
 
 namespace {
 
-/// Encodes the pattern under the variable renaming `perm` (perm[old] = new).
-/// The action list is sorted so the encoding is order-insensitive.
-std::string EncodeUnder(const Pattern& p, const std::vector<int>& perm) {
-  auto var_token = [&](int v) {
-    std::string t = std::to_string(perm[v]);
-    t += ':';
-    t += std::to_string(p.var_type(v));
-    if (p.var_binding(v) != kInvalidEntityId) {
-      t += '=';
-      t += std::to_string(p.var_binding(v));
-    }
-    return t;
-  };
-  std::vector<std::string> parts;
-  parts.reserve(p.num_actions());
-  for (const AbstractAction& a : p.actions()) {
-    std::string s;
-    s += a.op == EditOp::kAdd ? '+' : '-';
-    s += ' ';
-    s += var_token(a.source_var);
-    s += ' ';
-    s += a.relation;
-    s += ' ';
-    s += var_token(a.target_var);
-    parts.push_back(std::move(s));
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out;
-  if (p.source_var() >= 0) {
-    out += "src=";
-    out += var_token(p.source_var());
-  }
-  for (const std::string& s : parts) {
-    out += '|';
-    out += s;
-  }
-  return out;
+/// Appends `v` in decimal, exactly as std::to_string writes it.
+void AppendDecimal(int64_t v, std::string* out) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
 }
+
+/// Per-thread working buffers of CanonicalKey. Every buffer is cleared, never
+/// freed, so once they have grown an encoding allocates nothing but the key
+/// it returns.
+struct CanonicalScratch {
+  std::vector<int> by_type;        // variables sorted by (type, index)
+  std::vector<size_t> group_end;   // end of each same-type run of by_type
+  std::vector<int> ids;            // ids[k] = new id of variable by_type[k]
+  std::vector<int> perm;           // perm[variable] = new id
+  std::string suffixes;            // ":type[=binding]" of every variable
+  std::vector<size_t> suffix_end;  // end of variable v's suffix
+  std::string actions;             // one permutation's action encodings
+  std::vector<std::pair<size_t, size_t>> spans;  // (begin, size) per action
+  std::vector<uint32_t> order;     // actions sorted by their encoding
+  std::string enc;                 // one permutation's full encoding
+};
 
 }  // namespace
 
 std::string Pattern::CanonicalKey() const {
+  // The key is the lexicographically smallest encoding over every
+  // type-preserving renaming of the variables. A variable's token is
+  // "<new id>:<type>[=<binding>]"; an action encodes as
+  // "<op> <source token> <relation> <target token>"; the pattern as
+  // "src=<source token>" followed by "|<action>" for each action in sorted
+  // order. New ids are dense in (type, index) order, so only permutations
+  // within a same-type group can change them.
+  thread_local CanonicalScratch s;
   const size_t n = var_types_.size();
-  // Group variable indices by type; only same-type permutations are
-  // isomorphisms. Enumerate permutations independently per type group.
-  std::map<TypeId, std::vector<int>> groups;
-  for (size_t i = 0; i < n; ++i) {
-    groups[var_types_[i]].push_back(static_cast<int>(i));
-  }
 
-  // perm[old_var] = new_var id. Start with the identity within each group
-  // (new ids assigned densely by (type, group position)).
-  std::vector<int> base(n);
-  {
-    int next = 0;
-    for (auto& [type, vars] : groups) {
-      for (int v : vars) base[v] = next++;
+  s.by_type.resize(n);
+  std::iota(s.by_type.begin(), s.by_type.end(), 0);
+  std::stable_sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
+    return var_types_[a] < var_types_[b];
+  });
+  s.group_end.clear();
+  for (size_t k = 0; k < n; ++k) {
+    if (k + 1 == n ||
+        var_types_[s.by_type[k + 1]] != var_types_[s.by_type[k]]) {
+      s.group_end.push_back(k + 1);
     }
   }
+  s.ids.resize(n);
+  std::iota(s.ids.begin(), s.ids.end(), 0);
+  s.perm.resize(n);
 
-  std::string best;
-  // Iterate the cartesian product of per-group permutations via recursion.
-  std::vector<std::pair<TypeId, std::vector<int>>> group_list(groups.begin(),
-                                                              groups.end());
-  std::vector<int> perm = base;
-
-  // new-id block start per group.
-  std::vector<int> block_start(group_list.size());
-  {
-    int next = 0;
-    for (size_t g = 0; g < group_list.size(); ++g) {
-      block_start[g] = next;
-      next += static_cast<int>(group_list[g].second.size());
+  s.suffixes.clear();
+  s.suffix_end.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    s.suffixes += ':';
+    AppendDecimal(var_types_[v], &s.suffixes);
+    if (var_bindings_[v] != kInvalidEntityId) {
+      s.suffixes += '=';
+      AppendDecimal(var_bindings_[v], &s.suffixes);
     }
+    s.suffix_end[v] = s.suffixes.size();
   }
-
-  std::function<void(size_t)> recurse = [&](size_t g) {
-    if (g == group_list.size()) {
-      std::string enc = EncodeUnder(*this, perm);
-      if (best.empty() || enc < best) best = std::move(enc);
-      return;
-    }
-    std::vector<int>& vars = group_list[g].second;
-    std::vector<int> order(vars.size());
-    std::iota(order.begin(), order.end(), 0);
-    do {
-      for (size_t i = 0; i < vars.size(); ++i) {
-        perm[vars[i]] = block_start[g] + order[i];
-      }
-      recurse(g + 1);
-    } while (std::next_permutation(order.begin(), order.end()));
+  auto append_token = [&](int v, std::string* out) {
+    AppendDecimal(s.perm[v], out);
+    const size_t begin = v == 0 ? 0 : s.suffix_end[v - 1];
+    out->append(s.suffixes, begin, s.suffix_end[v] - begin);
   };
-  recurse(0);
+  auto part = [&](uint32_t i) {
+    return std::string_view(s.actions).substr(s.spans[i].first,
+                                              s.spans[i].second);
+  };
+
+  const size_t m = actions_.size();
+  s.order.resize(m);
+  std::string best;
+  bool first = true;
+  for (;;) {
+    for (size_t k = 0; k < n; ++k) s.perm[s.by_type[k]] = s.ids[k];
+
+    s.actions.clear();
+    s.spans.clear();
+    for (const AbstractAction& a : actions_) {
+      const size_t begin = s.actions.size();
+      s.actions += a.op == EditOp::kAdd ? '+' : '-';
+      s.actions += ' ';
+      append_token(a.source_var, &s.actions);
+      s.actions += ' ';
+      s.actions += a.relation;
+      s.actions += ' ';
+      append_token(a.target_var, &s.actions);
+      s.spans.emplace_back(begin, s.actions.size() - begin);
+    }
+    std::iota(s.order.begin(), s.order.end(), 0u);
+    std::sort(s.order.begin(), s.order.end(),
+              [&](uint32_t a, uint32_t b) { return part(a) < part(b); });
+    s.enc.clear();
+    if (source_var_ >= 0) {
+      s.enc += "src=";
+      append_token(source_var_, &s.enc);
+    }
+    for (uint32_t i : s.order) {
+      s.enc += '|';
+      s.enc += part(i);
+    }
+    if (first || s.enc < best) best.assign(s.enc);
+    first = false;
+
+    // Next renaming: an odometer over the per-group permutations, last group
+    // fastest. next_permutation restores a finished group to its sorted
+    // (identity) order and the carry moves on to the group before it.
+    bool advanced = false;
+    for (size_t g = s.group_end.size(); g-- > 0 && !advanced;) {
+      const size_t begin = g == 0 ? 0 : s.group_end[g - 1];
+      advanced = std::next_permutation(s.ids.begin() + begin,
+                                       s.ids.begin() + s.group_end[g]);
+    }
+    if (!advanced) break;
+  }
   return best;
 }
 
@@ -333,20 +361,67 @@ Result<std::vector<size_t>> PatternTraversalOrder(const Pattern& pattern) {
   return order;
 }
 
+SpecializationOrder::SpecializationOrder(std::vector<const Pattern*> patterns,
+                                         const TypeTaxonomy& taxonomy)
+    : patterns_(std::move(patterns)),
+      taxonomy_(&taxonomy),
+      masks_(patterns_.size(), 0),
+      labels_(patterns_.size()) {
+  // Interns every (op, relation) pair as a small label, so signatures compare
+  // as sorted integer sets.
+  std::unordered_map<std::string_view, uint32_t> relation_ids;
+  for (size_t i = 0; i < patterns_.size(); ++i) {
+    std::vector<uint32_t>& labels = labels_[i];
+    for (const AbstractAction& a : patterns_[i]->actions()) {
+      const uint32_t next = static_cast<uint32_t>(relation_ids.size());
+      const uint32_t rel = relation_ids.emplace(a.relation, next).first->second;
+      const uint32_t label = 2 * rel + (a.op == EditOp::kAdd ? 0 : 1);
+      labels.push_back(label);
+      masks_[i] |= uint64_t{1} << (label % 64);
+    }
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  }
+}
+
+bool SpecializationOrder::MayEmbed(size_t specific, size_t general) const {
+  if (patterns_[general]->num_actions() > patterns_[specific]->num_actions()) {
+    return false;
+  }
+  if ((masks_[general] & ~masks_[specific]) != 0) return false;
+  return std::includes(labels_[specific].begin(), labels_[specific].end(),
+                       labels_[general].begin(), labels_[general].end());
+}
+
+bool SpecializationOrder::StrictlySpecializes(size_t j, size_t i) const {
+  if (!MayEmbed(j, i) ||
+      !IsSpecializationOf(*patterns_[j], *patterns_[i], *taxonomy_)) {
+    return false;
+  }
+  return !MayEmbed(i, j) ||
+         !IsSpecializationOf(*patterns_[i], *patterns_[j], *taxonomy_);
+}
+
+std::vector<size_t> SpecializationOrder::MostSpecific() const {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < patterns_.size(); ++i) {
+    bool dominated = false;
+    for (size_t j = 0; j < patterns_.size() && !dominated; ++j) {
+      dominated = j != i && StrictlySpecializes(j, i);
+    }
+    if (!dominated) out.push_back(i);
+  }
+  return out;
+}
+
 std::vector<Pattern> MostSpecificPatterns(const std::vector<Pattern>& patterns,
                                           const TypeTaxonomy& taxonomy) {
+  std::vector<const Pattern*> ptrs;
+  ptrs.reserve(patterns.size());
+  for (const Pattern& p : patterns) ptrs.push_back(&p);
   std::vector<Pattern> out;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    bool dominated = false;
-    for (size_t j = 0; j < patterns.size(); ++j) {
-      if (i == j) continue;
-      if (IsStrictSpecializationOf(patterns[j], patterns[i], taxonomy)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(patterns[i]);
-  }
+  const SpecializationOrder order(std::move(ptrs), taxonomy);
+  for (size_t i : order.MostSpecific()) out.push_back(patterns[i]);
   return out;
 }
 

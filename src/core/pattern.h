@@ -1,6 +1,7 @@
 #ifndef WICLEAN_CORE_PATTERN_H_
 #define WICLEAN_CORE_PATTERN_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,9 @@ class Pattern {
   /// variables, respecting types and the source designation). Computed by
   /// trying every type-preserving variable permutation and keeping the
   /// lexicographically smallest encoding; patterns are small (≤ ~8 vars) so
-  /// this is cheap and exact.
+  /// this is cheap and exact. The exact bytes are part of the contract: keys
+  /// are also sort keys (a reused mining context orders its worklist by
+  /// them), so any rewrite must keep them byte-identical.
   std::string CanonicalKey() const;
 
   /// Human-readable rendering using taxonomy type names, e.g.
@@ -113,6 +116,38 @@ bool IsSpecializationOf(const Pattern& specific, const Pattern& general,
 /// Strict version: specific ≺ general (specialization but not isomorphic).
 bool IsStrictSpecializationOf(const Pattern& specific, const Pattern& general,
                               const TypeTaxonomy& taxonomy);
+
+/// The strict specialization order (IsStrictSpecializationOf) over a fixed
+/// list of patterns — the one domination check behind every most-specific
+/// filter (Definition 3.3). An exact prefilter skips most embedding searches:
+/// an embedding maps every action of the general pattern onto an action of
+/// the specific one with the same op and relation, so the general pattern's
+/// set of (op, relation) pairs must be a subset of the specific one's, and it
+/// cannot have more actions. The patterns must outlive this object.
+class SpecializationOrder {
+ public:
+  SpecializationOrder(std::vector<const Pattern*> patterns,
+                      const TypeTaxonomy& taxonomy);
+
+  /// True iff patterns[j] ≺ patterns[i]: IsStrictSpecializationOf(
+  /// *patterns[j], *patterns[i]).
+  bool StrictlySpecializes(size_t j, size_t i) const;
+
+  /// Ascending indices of the patterns that no other element strictly
+  /// specializes.
+  std::vector<size_t> MostSpecific() const;
+
+ private:
+  /// False only when `specific` cannot embed `general` (the prefilter).
+  bool MayEmbed(size_t specific, size_t general) const;
+
+  std::vector<const Pattern*> patterns_;
+  const TypeTaxonomy* taxonomy_;
+  /// One bit per (op, relation) label, modulo 64: a cheap subset test first.
+  std::vector<uint64_t> masks_;
+  /// Sorted distinct (op, relation) labels per pattern.
+  std::vector<std::vector<uint32_t>> labels_;
+};
 
 /// Filters `patterns` down to the most specific ones (Definition 3.3): keeps
 /// p iff no other element is a strict specialization of p. Preserves order.

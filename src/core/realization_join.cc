@@ -14,6 +14,19 @@ namespace {
 
 constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV-1a offset basis
 
+Status ValidateActionTable(const rel::Table& right) {
+  if (right.num_columns() != 3) {
+    return Status::InvalidArgument(
+        "action realization table must be (u, v, t)");
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    if (right.column(c).type() != rel::DataType::kInt64) {
+      return Status::InvalidArgument("realization tables must be all-int64");
+    }
+  }
+  return Status::OK();
+}
+
 Status ValidateRealizationInputs(const rel::Table& left,
                                  const rel::Table& right,
                                  const RealizationJoinSpec& spec) {
@@ -21,17 +34,9 @@ Status ValidateRealizationInputs(const rel::Table& left,
     return Status::InvalidArgument(
         "left realization table width != num_left_vars + 2");
   }
-  if (right.num_columns() != 3) {
-    return Status::InvalidArgument(
-        "action realization table must be (u, v, t)");
-  }
+  WICLEAN_RETURN_IF_ERROR(ValidateActionTable(right));
   for (size_t c = 0; c < left.num_columns(); ++c) {
     if (left.column(c).type() != rel::DataType::kInt64) {
-      return Status::InvalidArgument("realization tables must be all-int64");
-    }
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    if (right.column(c).type() != rel::DataType::kInt64) {
       return Status::InvalidArgument("realization tables must be all-int64");
     }
   }
@@ -51,10 +56,43 @@ Status ValidateRealizationInputs(const rel::Table& left,
 
 }  // namespace
 
+Result<PreparedActionSide> PreparedActionSide::Build(const rel::Table& actions,
+                                                     bool glued_target) {
+  WICLEAN_RETURN_IF_ERROR(ValidateActionTable(actions));
+  PreparedActionSide side(&actions, glued_target);
+  std::vector<size_t> keys = {0};
+  if (glued_target) keys.push_back(1);
+  std::vector<uint64_t> hashes;
+  rel::HashRowsForKeys(actions, keys, &hashes, nullptr);
+  side.hash_table_.Build(hashes.data(), nullptr, actions.num_rows());
+  return side;
+}
+
+Result<std::vector<uint64_t>> HashRealizationKeys(const rel::Table& left,
+                                                  size_t glue_source_col,
+                                                  int glue_target_col) {
+  std::vector<size_t> keys = {glue_source_col};
+  if (glue_target_col >= 0) {
+    keys.push_back(static_cast<size_t>(glue_target_col));
+  }
+  for (size_t c : keys) {
+    if (c >= left.num_columns() ||
+        left.column(c).type() != rel::DataType::kInt64) {
+      return Status::InvalidArgument(
+          "realization join key column out of range or not int64");
+    }
+  }
+  std::vector<uint64_t> hashes;
+  rel::HashRowsForKeys(left, keys, &hashes, nullptr);
+  return hashes;
+}
+
 Result<rel::Table> JoinRealizations(const rel::Table& left,
-                                    const rel::Table& right,
+                                    const std::vector<uint64_t>& left_hashes,
+                                    const PreparedActionSide& prepared,
                                     rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
+  const rel::Table& right = prepared.table();
   WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
@@ -64,21 +102,16 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
     return Status::InvalidArgument(
         "output schema width != output vars + tmin + tmax");
   }
+  if (prepared.glued_target() == fresh) {
+    return Status::InvalidArgument(
+        "prepared action side does not match the spec's target gluing");
+  }
+  if (left_hashes.size() != left.num_rows()) {
+    return Status::InvalidArgument("left key hashes != left rows");
+  }
   WICLEAN_CHECK(left.num_rows() < rel::kNoRow &&
                 right.num_rows() < rel::kNoRow);
-
-  // One combined key hash per row on each side (columnar, contiguous).
-  std::vector<size_t> lkeys = {spec.glue_source_col};
-  std::vector<size_t> rkeys = {0};
-  if (!fresh) {
-    lkeys.push_back(static_cast<size_t>(spec.glue_target_col));
-    rkeys.push_back(1);
-  }
-  std::vector<uint64_t> lhash, rhash;
-  rel::HashRowsForKeys(left, lkeys, &lhash, nullptr);
-  rel::HashRowsForKeys(right, rkeys, &rhash, nullptr);
-  rel::JoinHashTable build;
-  build.Build(rhash.data(), nullptr, right.num_rows());
+  const rel::JoinHashTable& build = prepared.hash_table();
 
   // Raw column pointers: every per-candidate test below is array indexing.
   std::vector<const int64_t*> lvar(n);
@@ -97,8 +130,10 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   // variable assignment is identical by definition).
   std::vector<uint32_t> lrows, rrows;
   std::vector<int64_t> tmins, tmaxs;
+  // Sized on the first surviving row, so a join that emits nothing never
+  // allocates it.
   rel::JoinHashTable dedup;
-  if (dedup_on) dedup.ResetForInsert(left.num_rows());
+  bool dedup_ready = false;
 
   // One probe candidate: verify the equi-join keys (64-bit hashes can
   // collide), recompute the span, prune, and dedup-keep-tightest.
@@ -117,6 +152,10 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
     if (tmax - tmin > spec.max_span) return;
 
     if (dedup_on) {
+      if (!dedup_ready) {
+        dedup.ResetForInsert(left.num_rows());
+        dedup_ready = true;
+      }
       uint64_t h = kHashSeed;
       for (size_t c = 0; c < n; ++c) {
         h = HashCombine(h, rel::MixInt64(lvar[c][l]));
@@ -157,7 +196,7 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   uint32_t heads[rel::kProbeBatchWidth];
   for (size_t l = 0; l < nleft; l += rel::kProbeBatchWidth) {
     const size_t batch = std::min(rel::kProbeBatchWidth, nleft - l);
-    build.ProbeBatch(&lhash[l], batch, heads);
+    build.ProbeBatch(&left_hashes[l], batch, heads);
     for (size_t i = 0; i < batch; ++i) {
       for (uint32_t r = heads[i]; r != rel::kNoRow; r = build.Next(r)) {
         process(l + i, r);
@@ -186,6 +225,21 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   tmax_col.AppendInt64Bulk(tmaxs);
   cols.push_back(std::move(tmax_col));
   return rel::Table::FromColumns(std::move(schema), std::move(cols));
+}
+
+Result<rel::Table> JoinRealizations(const rel::Table& left,
+                                    const rel::Table& right,
+                                    rel::Schema schema,
+                                    const RealizationJoinSpec& spec) {
+  WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
+  WICLEAN_ASSIGN_OR_RETURN(
+      PreparedActionSide prepared,
+      PreparedActionSide::Build(right, spec.glue_target_col >= 0));
+  WICLEAN_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> left_hashes,
+      HashRealizationKeys(left, spec.glue_source_col, spec.glue_target_col));
+  return JoinRealizations(left, left_hashes, prepared, std::move(schema),
+                          spec);
 }
 
 rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "relational/join_hash_table.h"
 #include "relational/table.h"
 
 namespace wiclean {
@@ -39,13 +40,57 @@ struct RealizationJoinSpec {
   bool dedup_keep_tightest = false;
 };
 
+/// The action side of JoinRealizations, prepared once and probed by any
+/// number of joins: a JoinHashTable over the (u, v, t) table's u column, or
+/// over (u, v) for joins that glue the action target onto an existing
+/// variable. Holds a pointer to the table, which must outlive this object and
+/// stay unmodified. Read-only once built, so concurrent joins may share it.
+class PreparedActionSide {
+ public:
+  /// Checks that `actions` is an all-int64 (u, v, t) table and builds the
+  /// hash table on its key columns.
+  [[nodiscard]] static Result<PreparedActionSide> Build(
+      const relational::Table& actions, bool glued_target);
+
+  const relational::Table& table() const { return *table_; }
+  bool glued_target() const { return glued_target_; }
+  const relational::JoinHashTable& hash_table() const { return hash_table_; }
+
+ private:
+  PreparedActionSide(const relational::Table* table, bool glued_target)
+      : table_(table), glued_target_(glued_target) {}
+
+  const relational::Table* table_;
+  bool glued_target_;
+  relational::JoinHashTable hash_table_;
+};
+
+/// The left side's join key hashes: one per row of `left`, over column
+/// `glue_source_col`, plus `glue_target_col` when it is >= 0 — the probe keys
+/// of every JoinRealizations call with those glue columns, so joins that share
+/// a left table and its glue columns can share one vector.
+[[nodiscard]] Result<std::vector<uint64_t>> HashRealizationKeys(
+    const relational::Table& left, size_t glue_source_col,
+    int glue_target_col);
+
 /// The fused join → span recompute → prune → dedup operator (the PM fast
-/// path). Output layout: left variable columns in order, then — with a fresh
-/// target — the bound v column, then "tmin", "tmax"; `schema` must describe
-/// exactly that shape. Candidate rows are produced in left-major order with
-/// ascending right rows per left row (identical to NestedLoopJoin order), so
-/// the result is deterministic and byte-identical to the unfused
-/// join + filter + DedupKeepTightest composition.
+/// path), over prepared inputs: `left_hashes` must be
+/// HashRealizationKeys(left, spec.glue_source_col, spec.glue_target_col) and
+/// `right` must be prepared for the spec's target shape (glued iff
+/// spec.glue_target_col >= 0). Output layout: left variable columns in
+/// order, then — with a fresh target — the bound v column, then "tmin",
+/// "tmax"; `schema` must describe exactly that shape. Candidate rows are
+/// produced in left-major order with ascending right rows per left row
+/// (identical to NestedLoopJoin order), so the result is deterministic and
+/// byte-identical to the unfused join + filter + DedupKeepTightest
+/// composition.
+[[nodiscard]] Result<relational::Table> JoinRealizations(
+    const relational::Table& left, const std::vector<uint64_t>& left_hashes,
+    const PreparedActionSide& right, relational::Schema schema,
+    const RealizationJoinSpec& spec);
+
+/// One-shot form: prepares both sides of this one join, then runs the
+/// prepared-input kernel above.
 [[nodiscard]] Result<relational::Table> JoinRealizations(
     const relational::Table& left, const relational::Table& right,
     relational::Schema schema, const RealizationJoinSpec& spec);

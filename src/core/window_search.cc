@@ -276,31 +276,17 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       // Domination graph, built once per window: dominated_by[i] counts the
       // strictly-more-specific pool members shadowing i; dominates[j] lists
       // what j shadows, so a rejection releases its generalizations without
-      // an O(n^2) rescan. A cheap (op, relation) multiset prefilter skips
-      // most of the quadratic embedding checks.
+      // an O(n^2) rescan.
       const size_t n = pool.size();
-      auto signature = [](const Pattern& p) {
-        std::vector<std::string> sig;
-        for (const AbstractAction& a : p.actions()) {
-          sig.push_back((a.op == EditOp::kAdd ? "+" : "-") + a.relation);
-        }
-        std::sort(sig.begin(), sig.end());
-        return sig;
-      };
-      std::vector<std::vector<std::string>> sigs(n);
-      for (size_t i = 0; i < n; ++i) sigs[i] = signature(pool[i].pattern);
+      std::vector<const Pattern*> pool_patterns;
+      pool_patterns.reserve(n);
+      for (const MinedPattern& mp : pool) pool_patterns.push_back(&mp.pattern);
+      const SpecializationOrder order(std::move(pool_patterns), taxonomy);
       std::vector<size_t> dominated_by(n, 0);
       std::vector<std::vector<size_t>> dominates(n);
       for (size_t j = 0; j < n; ++j) {
         for (size_t i = 0; i < n; ++i) {
-          if (i == j) continue;
-          if (sigs[j].size() < sigs[i].size()) continue;
-          if (!std::includes(sigs[j].begin(), sigs[j].end(), sigs[i].begin(),
-                             sigs[i].end())) {
-            continue;
-          }
-          if (IsStrictSpecializationOf(pool[j].pattern, pool[i].pattern,
-                                       taxonomy)) {
+          if (i != j && order.StrictlySpecializes(j, i)) {
             ++dominated_by[i];
             dominates[j].push_back(i);
           }

@@ -85,23 +85,35 @@ Status WriteTaxonomy(const TypeTaxonomy& taxonomy, std::ostream* out) {
 Result<std::unique_ptr<EntityRegistry>> LoadAlignment(
     std::istream* in, const TypeTaxonomy* taxonomy) {
   auto registry = std::make_unique<EntityRegistry>(taxonomy);
+  // Alignment files list entities grouped by type, so most lines repeat the
+  // previous line's type: keep its lookup.
+  std::string last_type_name;
+  TypeId last_type = kInvalidTypeId;
   Status status = ForEachLine(in, [&](std::string_view line,
                                       size_t line_number) -> Status {
-    std::vector<std::string> parts = SplitString(line, '\t');
-    if (parts.size() < 2) {
+    // Fields: title, type, then anything (ignored), tab-separated.
+    const size_t tab = line.find('\t');
+    if (tab == std::string_view::npos) {
       return Status::Corruption("alignment line " +
                                 std::to_string(line_number) +
                                 ": expected 'title<TAB>type'");
     }
-    std::string title(StripWhitespace(parts[0]));
-    std::string type_name(StripWhitespace(parts[1]));
-    Result<TypeId> type = taxonomy->Find(type_name);
-    if (!type.ok()) {
-      return Status::Corruption("alignment line " +
-                                std::to_string(line_number) +
-                                ": unknown type '" + type_name + "'");
+    const std::string_view rest = line.substr(tab + 1);
+    const std::string_view type_name =
+        StripWhitespace(rest.substr(0, rest.find('\t')));
+    if (last_type == kInvalidTypeId || type_name != last_type_name) {
+      Result<TypeId> type = taxonomy->Find(type_name);
+      if (!type.ok()) {
+        return Status::Corruption("alignment line " +
+                                  std::to_string(line_number) +
+                                  ": unknown type '" + std::string(type_name) +
+                                  "'");
+      }
+      last_type_name.assign(type_name);
+      last_type = *type;
     }
-    Result<EntityId> added = registry->Register(title, *type);
+    Result<EntityId> added = registry->Register(
+        std::string(StripWhitespace(line.substr(0, tab))), last_type);
     if (!added.ok()) {
       return Status::Corruption("alignment line " +
                                 std::to_string(line_number) + ": " +

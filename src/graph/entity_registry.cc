@@ -7,13 +7,12 @@ Result<EntityId> EntityRegistry::Register(std::string name, TypeId type) {
     return Status::InvalidArgument("unknown type id for entity '" + name +
                                    "'");
   }
-  if (by_name_.count(name) > 0) {
+  const EntityId id = static_cast<EntityId>(entities_.size());
+  if (!by_name_.try_emplace(name, id).second) {
     return Status::AlreadyExists("entity '" + name + "' already registered");
   }
-  EntityId id = static_cast<EntityId>(entities_.size());
-  entities_.push_back(Entity{id, name, type});
   by_exact_type_[type].push_back(id);
-  by_name_.emplace(std::move(name), id);
+  entities_.push_back(Entity{id, std::move(name), type});
   return id;
 }
 

@@ -296,6 +296,36 @@ struct RealizationCase {
 class RealizationJoinTest : public ::testing::TestWithParam<RealizationCase> {
 };
 
+// The realization join specs exercised against every random table pair:
+// fresh targets with and without distinctness constraints, and glued targets,
+// from the first and the last variable column.
+std::vector<RealizationJoinSpec> RealizationSpecZoo(size_t num_vars) {
+  std::vector<RealizationJoinSpec> rspecs;
+  RealizationJoinSpec rspec;
+  rspec.num_left_vars = num_vars;
+  rspec.glue_source_col = 0;
+  // Fresh target with a distinctness constraint on every variable.
+  rspec.glue_target_col = -1;
+  for (size_t k = 0; k < num_vars; ++k) {
+    rspec.distinct_from_target.push_back(k);
+  }
+  rspecs.push_back(rspec);
+  // Fresh target, unconstrained.
+  rspec.distinct_from_target.clear();
+  rspecs.push_back(rspec);
+  // Glued target.
+  rspec.glue_target_col = static_cast<int>(num_vars - 1);
+  rspecs.push_back(rspec);
+  // The same shapes glued from the last column.
+  rspec.glue_source_col = num_vars - 1;
+  rspec.glue_target_col = 0;
+  rspecs.push_back(rspec);
+  rspec.glue_target_col = -1;
+  rspec.distinct_from_target = {0};
+  rspecs.push_back(rspec);
+  return rspecs;
+}
+
 TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
   const RealizationCase& c = GetParam();
   constexpr int64_t kHorizon = 1000;
@@ -306,24 +336,7 @@ TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
   rel::Table right =
       RandomActionTable(&rng, c.right_rows, c.domain, kHorizon);
 
-  std::vector<RealizationJoinSpec> rspecs;
-  RealizationJoinSpec rspec;
-  rspec.num_left_vars = c.num_vars;
-  rspec.glue_source_col = 0;
-  // Fresh target with a distinctness constraint on every variable.
-  rspec.glue_target_col = -1;
-  for (size_t k = 0; k < c.num_vars; ++k) {
-    rspec.distinct_from_target.push_back(k);
-  }
-  rspecs.push_back(rspec);
-  // Fresh target, unconstrained.
-  rspec.distinct_from_target.clear();
-  rspecs.push_back(rspec);
-  // Glued target.
-  rspec.glue_target_col = static_cast<int>(c.num_vars - 1);
-  rspecs.push_back(rspec);
-
-  for (RealizationJoinSpec rs : rspecs) {
+  for (RealizationJoinSpec rs : RealizationSpecZoo(c.num_vars)) {
     for (int64_t max_span :
          {std::numeric_limits<int64_t>::max(), int64_t{800}, int64_t{50}}) {
       for (bool dedup : {false, true}) {
@@ -341,6 +354,95 @@ TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
       }
     }
   }
+}
+
+// Prepared inputs are built once and shared: one action side per key shape
+// and one left hash vector per glue-column pair serve every spec and every
+// (max_span, dedup) variant, as one expansion generation shares them across
+// its candidates. Each join must equal the one-shot kernel and the unfused
+// nested-loop pipeline row for row.
+TEST_P(RealizationJoinTest, PreparedInputsMatchOneShotAndNestedLoop) {
+  const RealizationCase& c = GetParam();
+  constexpr int64_t kHorizon = 1000;
+  Rng rng(c.seed ^ 0x5eed);
+  // A small domain gives duplicate keys on both sides.
+  rel::Table left = RandomRealizationTable(&rng, c.left_rows, c.num_vars,
+                                           c.domain, kHorizon);
+  rel::Table right =
+      RandomActionTable(&rng, c.right_rows, c.domain, kHorizon);
+
+  Result<PreparedActionSide> fresh_side =
+      PreparedActionSide::Build(right, /*glued_target=*/false);
+  Result<PreparedActionSide> glued_side =
+      PreparedActionSide::Build(right, /*glued_target=*/true);
+  ASSERT_TRUE(fresh_side.ok() && glued_side.ok());
+  std::vector<std::pair<std::pair<size_t, int>, std::vector<uint64_t>>>
+      left_keys;
+  for (RealizationJoinSpec rs : RealizationSpecZoo(c.num_vars)) {
+    const std::pair<size_t, int> glue = {rs.glue_source_col,
+                                         rs.glue_target_col};
+    auto keys = std::find_if(left_keys.begin(), left_keys.end(),
+                             [&](const auto& e) { return e.first == glue; });
+    if (keys == left_keys.end()) {
+      Result<std::vector<uint64_t>> hashes =
+          HashRealizationKeys(left, glue.first, glue.second);
+      ASSERT_TRUE(hashes.ok());
+      keys = left_keys.insert(left_keys.end(), {glue, *hashes});
+    }
+    const PreparedActionSide& side =
+        rs.glue_target_col < 0 ? *fresh_side : *glued_side;
+    for (int64_t max_span :
+         {std::numeric_limits<int64_t>::max(), int64_t{800}, int64_t{50}}) {
+      for (bool dedup : {false, true}) {
+        rs.max_span = max_span;
+        rs.dedup_keep_tightest = dedup;
+        const size_t out_vars =
+            c.num_vars + (rs.glue_target_col < 0 ? 1 : 0);
+        Result<rel::Table> prepared = JoinRealizations(
+            left, keys->second, side, VarSchema(out_vars, "v"), rs);
+        Result<rel::Table> one_shot =
+            JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+        ASSERT_TRUE(prepared.ok() && one_shot.ok());
+        const std::vector<std::string> rows = RowList(*prepared);
+        EXPECT_EQ(rows, RowList(*one_shot))
+            << "seed " << c.seed << " glue " << rs.glue_source_col << "/"
+            << rs.glue_target_col << " max_span " << max_span;
+        EXPECT_EQ(rows, RowList(OracleJoinRealizations(left, right, rs)))
+            << "seed " << c.seed << " glue " << rs.glue_source_col << "/"
+            << rs.glue_target_col << " max_span " << max_span;
+      }
+    }
+  }
+}
+
+TEST(PreparedRealizationJoinTest, RejectsMismatchedInputs) {
+  Rng rng(3);
+  rel::Table left = RandomRealizationTable(&rng, 20, 2, 4, 100);
+  rel::Table right = RandomActionTable(&rng, 20, 4, 100);
+  RealizationJoinSpec spec;
+  spec.num_left_vars = 2;
+  spec.glue_source_col = 0;
+  spec.glue_target_col = 1;
+  Result<std::vector<uint64_t>> keys = HashRealizationKeys(left, 0, 1);
+  Result<PreparedActionSide> fresh = PreparedActionSide::Build(right, false);
+  Result<PreparedActionSide> glued = PreparedActionSide::Build(right, true);
+  ASSERT_TRUE(keys.ok() && fresh.ok() && glued.ok());
+  EXPECT_TRUE(
+      JoinRealizations(left, *keys, *glued, VarSchema(2, "v"), spec).ok());
+  // A fresh-target side for a glued spec, and a short hash vector.
+  EXPECT_EQ(JoinRealizations(left, *keys, *fresh, VarSchema(2, "v"), spec)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  std::vector<uint64_t> short_keys(keys->begin(), keys->end() - 1);
+  EXPECT_EQ(JoinRealizations(left, short_keys, *glued, VarSchema(2, "v"), spec)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Not a (u, v, t) table; a key column out of range.
+  EXPECT_FALSE(PreparedActionSide::Build(left, false).ok());
+  EXPECT_FALSE(HashRealizationKeys(left, 4, -1).ok());
+  EXPECT_FALSE(HashRealizationKeys(left, 0, 4).ok());
 }
 
 TEST_P(RealizationJoinTest, FlatDedupMatchesReferenceExactly) {

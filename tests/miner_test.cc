@@ -577,3 +577,114 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace wiclean
+
+namespace wiclean {
+namespace {
+
+/// Prepared join inputs live for one ExpandAll call. Here a second ingest
+/// round grows an action entry whose join side the first round prepared:
+/// round 1 ingests players only and extends the lifted singleton
+/// +(person, current_club, club) by +(person, in_league, league), building
+/// that entry's action side. Its admission pulls in entities(person), so
+/// round 2 adds the coaches' in_league rows to the same entry, and the
+/// pattern player -current_club-> club -squad-> person -in_league-> league
+/// can only see them through a side rebuilt in round 2.
+TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
+  TypeTaxonomy tax;
+  const TypeId thing = *tax.AddRoot("thing");
+  const TypeId person = *tax.AddType("person", thing);
+  const TypeId player = *tax.AddType("player", person);
+  const TypeId coach = *tax.AddType("coach", person);
+  const TypeId org = *tax.AddType("org", thing);
+  const TypeId club = *tax.AddType("club", org);
+  const TypeId league = *tax.AddType("league", org);
+  EntityRegistry registry(&tax);
+  std::vector<EntityId> players, coaches, clubs, leagues;
+  for (int i = 0; i < 4; ++i) {
+    players.push_back(*registry.Register("P" + std::to_string(i), player));
+  }
+  for (int i = 0; i < 2; ++i) {
+    coaches.push_back(*registry.Register("K" + std::to_string(i), coach));
+    clubs.push_back(*registry.Register("C" + std::to_string(i), club));
+    leagues.push_back(*registry.Register("L" + std::to_string(i), league));
+  }
+  RevisionStore store;
+  auto add = [&](EntityId s, const std::string& rel, EntityId o, Timestamp t) {
+    Action a;
+    a.op = EditOp::kAdd;
+    a.subject = s;
+    a.relation = rel;
+    a.object = o;
+    a.time = t;
+    store.Add(a);
+  };
+  for (int i = 0; i < 4; ++i) {
+    add(players[i], "current_club", clubs[i % 2], 10 + i);
+    add(players[i], "in_league", leagues[i % 2], 20 + i);
+  }
+  for (int i = 0; i < 2; ++i) {
+    add(clubs[i], "squad", coaches[i], 30 + i);
+    add(coaches[i], "in_league", leagues[i], 40 + i);
+  }
+
+  auto mine = [&](JoinEngineKind engine, size_t threads) {
+    MinerOptions o;
+    o.frequency_threshold = 0.5;
+    o.max_abstraction_lift = 1;
+    o.allow_multiple_seed_vars = true;
+    o.join_engine = engine;
+    o.num_threads = threads;
+    PatternMiner miner(&registry, &store, o);
+    Result<MineWindowResult> result = miner.MineWindow(player, {0, 100});
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  };
+  MineWindowResult hashed = mine(JoinEngineKind::kHashJoin, 1);
+  MineWindowResult nested = mine(JoinEngineKind::kNestedLoop, 1);
+  ASSERT_TRUE(hashed.context->index.HasEntity(coaches[0]));
+
+  Pattern chain;
+  const int p = chain.AddVar(player);
+  const int c = chain.AddVar(club);
+  const int k = chain.AddVar(person);
+  const int l = chain.AddVar(league);
+  ASSERT_TRUE(chain.AddAction(EditOp::kAdd, p, "current_club", c).ok());
+  ASSERT_TRUE(chain.AddAction(EditOp::kAdd, c, "squad", k).ok());
+  ASSERT_TRUE(chain.AddAction(EditOp::kAdd, k, "in_league", l).ok());
+  ASSERT_TRUE(chain.SetSourceVar(p).ok());
+  auto it = hashed.context->evaluated.find(chain.CanonicalKey());
+  ASSERT_NE(it, hashed.context->evaluated.end());
+  const Pattern& stored = it->second.pattern;
+  const relational::Table& rows = it->second.realizations;
+  size_t person_col = stored.num_vars();
+  for (size_t v = 0; v < stored.num_vars(); ++v) {
+    if (stored.var_type(static_cast<int>(v)) == person) person_col = v;
+  }
+  ASSERT_LT(person_col, rows.num_columns())
+      << "chain realization evicted: too few rows reached it";
+  size_t coach_rows = 0;
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    const EntityId e = rows.column(person_col).Int64At(r);
+    coach_rows += registry.TypeOf(e) == coach ? 1 : 0;
+  }
+  EXPECT_GT(coach_rows, 0u) << "round-2 rows of the prepared entry missing";
+
+  // Every evaluated table equals the unprepared nested-loop engine's, also
+  // when four candidate tasks share the prepared inputs.
+  MineWindowResult parallel = mine(JoinEngineKind::kHashJoin, 4);
+  for (const MineWindowResult* run : {&hashed, &parallel}) {
+    ASSERT_EQ(run->context->evaluated.size(),
+              nested.context->evaluated.size());
+    for (const auto& [key, state] : run->context->evaluated) {
+      auto other = nested.context->evaluated.find(key);
+      ASSERT_NE(other, nested.context->evaluated.end()) << key;
+      EXPECT_EQ(state.support, other->second.support) << key;
+      EXPECT_EQ(state.realizations.ToString(1 << 20),
+                other->second.realizations.ToString(1 << 20))
+          << key;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace wiclean

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/pattern.h"
 #include "synth/catalog.h"
+#include "tests/support/reference_canonical_key.h"
 
 namespace wiclean {
 namespace {
@@ -127,6 +129,144 @@ TEST_F(PatternTest, CanonicalKeyDistinguishesGluing) {
   ASSERT_TRUE(two.SetSourceVar(pl).ok());
 
   EXPECT_NE(same.CanonicalKey(), two.CanonicalKey());
+}
+
+/// A random pattern over `num_vars` variables drawn from `types` (repeats
+/// likely), with up to `max_actions` actions over relations that share
+/// prefixes, some variables value-bound, and usually a source variable.
+Pattern RandomPattern(Rng* rng, const std::vector<TypeId>& types,
+                      size_t num_vars, size_t max_actions) {
+  static const char* const kRelations[] = {"r", "r1", "r10", "r_2", "squad",
+                                           "current_club"};
+  Pattern p;
+  for (size_t v = 0; v < num_vars; ++v) {
+    const int var = p.AddVar(types[rng->NextBelow(types.size())]);
+    if (rng->NextBernoulli(0.15)) {
+      EXPECT_TRUE(p.BindVar(var, rng->NextInRange(0, 120)).ok());
+    }
+  }
+  const size_t actions = 1 + rng->NextBelow(max_actions);
+  for (size_t a = 0; a < actions; ++a) {
+    EXPECT_TRUE(p.AddAction(rng->NextBernoulli(0.5) ? EditOp::kAdd
+                                                    : EditOp::kRemove,
+                            static_cast<int>(rng->NextBelow(num_vars)),
+                            kRelations[rng->NextBelow(6)],
+                            static_cast<int>(rng->NextBelow(num_vars)))
+                    .ok());
+  }
+  if (rng->NextBernoulli(0.9)) {
+    const int source = static_cast<int>(rng->NextBelow(num_vars));
+    EXPECT_TRUE(p.SetSourceVar(source).ok());
+  }
+  return p;
+}
+
+/// `p` with its variables renumbered by a random permutation and its
+/// actions shuffled: isomorphic, so it has the same canonical key.
+Pattern Renamed(Rng* rng, const Pattern& p) {
+  std::vector<int> to_new(p.num_vars());
+  for (size_t v = 0; v < to_new.size(); ++v) to_new[v] = static_cast<int>(v);
+  rng->Shuffle(&to_new);
+  std::vector<int> to_old(to_new.size());
+  for (size_t v = 0; v < to_new.size(); ++v) {
+    to_old[to_new[v]] = static_cast<int>(v);
+  }
+  Pattern out;
+  for (int old_var : to_old) {
+    const int var = out.AddVar(p.var_type(old_var));
+    EXPECT_TRUE(out.BindVar(var, p.var_binding(old_var)).ok());
+  }
+  std::vector<AbstractAction> actions = p.actions();
+  rng->Shuffle(&actions);
+  for (const AbstractAction& a : actions) {
+    EXPECT_TRUE(out.AddAction(a.op, to_new[a.source_var], a.relation,
+                              to_new[a.target_var])
+                    .ok());
+  }
+  if (p.source_var() >= 0) {
+    EXPECT_TRUE(out.SetSourceVar(to_new[p.source_var()]).ok());
+  }
+  return out;
+}
+
+TEST_F(PatternTest, CanonicalKeyMatchesReferenceOnRandomPatterns) {
+  Rng rng(20211);
+  // Few distinct types, so same-type groups (and their permutations) are
+  // large; type ids above 9 give multi-digit tokens.
+  const std::vector<TypeId> types = {types_.soccer_player, types_.soccer_club,
+                                     types_.soccer_league, types_.thing};
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t vars = 1 + rng.NextBelow(7);  // up to max_pattern_vars
+    Pattern p = RandomPattern(&rng, types, vars, 6);
+    const std::string key = p.CanonicalKey();
+    ASSERT_EQ(key, ReferenceCanonicalKey(p)) << "trial " << trial;
+    ASSERT_EQ(Renamed(&rng, p).CanonicalKey(), key) << "trial " << trial;
+  }
+  // Wider patterns over many types: new ids of two digits ("10" sorts
+  // before "2"), with at most small same-type groups.
+  std::vector<TypeId> many;
+  for (TypeId t = 0; t < 12; ++t) many.push_back(t);
+  for (int trial = 0; trial < 100; ++trial) {
+    Pattern p = RandomPattern(&rng, many, 12, 10);
+    ASSERT_EQ(p.CanonicalKey(), ReferenceCanonicalKey(p)) << "trial " << trial;
+  }
+  EXPECT_EQ(Pattern().CanonicalKey(), ReferenceCanonicalKey(Pattern()));
+}
+
+TEST_F(PatternTest, SpecializationOrderMatchesPairwiseChecks) {
+  Rng rng(7);
+  const std::vector<TypeId> types = {types_.soccer_player, types_.athlete,
+                                     types_.soccer_club, types_.sports_team};
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random patterns plus their sub-patterns and type generalizations, so
+    // the set holds real specialization pairs among unrelated ones.
+    std::vector<Pattern> patterns;
+    for (int b = 0; b < 4; ++b) {
+      Pattern base = RandomPattern(&rng, types, 2 + rng.NextBelow(3), 4);
+      if (base.source_var() < 0) {
+        ASSERT_TRUE(base.SetSourceVar(0).ok());
+      }
+      patterns.push_back(base);
+      std::vector<size_t> kept;
+      for (size_t a = 0; a < base.num_actions(); ++a) {
+        if (rng.NextBernoulli(0.6)) kept.push_back(a);
+      }
+      Result<Pattern> sub = SubPattern(base, kept);
+      if (sub.ok()) patterns.push_back(*sub);
+      Pattern lifted;
+      for (size_t v = 0; v < base.num_vars(); ++v) {
+        const TypeId t = base.var_type(static_cast<int>(v));
+        const TypeId parent = taxonomy_->Parent(t);
+        lifted.AddVar(parent != kInvalidTypeId && rng.NextBernoulli(0.5)
+                          ? parent
+                          : t);
+      }
+      for (const AbstractAction& a : base.actions()) {
+        ASSERT_TRUE(
+            lifted.AddAction(a.op, a.source_var, a.relation, a.target_var)
+                .ok());
+      }
+      ASSERT_TRUE(lifted.SetSourceVar(base.source_var()).ok());
+      patterns.push_back(lifted);
+      patterns.push_back(Renamed(&rng, base));
+    }
+    std::vector<const Pattern*> ptrs;
+    for (const Pattern& p : patterns) ptrs.push_back(&p);
+    const SpecializationOrder order(ptrs, *taxonomy_);
+    std::vector<size_t> most_specific;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      bool dominated = false;
+      for (size_t j = 0; j < patterns.size(); ++j) {
+        const bool strict =
+            IsStrictSpecializationOf(patterns[j], patterns[i], *taxonomy_);
+        ASSERT_EQ(order.StrictlySpecializes(j, i), strict)
+            << "trial " << trial << " pair (" << j << ", " << i << ")";
+        dominated |= strict;
+      }
+      if (!dominated) most_specific.push_back(i);
+    }
+    EXPECT_EQ(order.MostSpecific(), most_specific) << "trial " << trial;
+  }
 }
 
 TEST_F(PatternTest, SpecializationByActionRemoval) {
