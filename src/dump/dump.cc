@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <sstream>
 
 #include "common/strings.h"
@@ -51,9 +52,13 @@ namespace {
 /// Internal outcome of a resync scan (see StreamCursor::SkipToPageBoundary).
 enum class ResyncOutcome { kAtPage, kAtFooter, kEof };
 
-/// Minimal pull-style tokenizer over the reader's input stream. Tracks a
-/// cursor into a growing buffer; the buffer is compacted after each page so
-/// memory stays bounded by one page.
+/// Minimal pull-style tokenizer over the reader's input stream. Reads the
+/// stream in DumpPageStream::kReadChunkBytes pieces straight into one buffer
+/// and hands element bodies out as views into it. `mark_` is the first byte
+/// of the element being parsed (Compact moves it past each finished page);
+/// the bytes before it are dropped lazily, at the next refill, so memory
+/// stays bounded by one page plus a chunk without moving the lookahead after
+/// every page.
 class StreamCursor {
  public:
   explicit StreamCursor(std::istream* in) : in_(in) {}
@@ -63,9 +68,7 @@ class StreamCursor {
   bool Consume(std::string_view token) {
     SkipWhitespace();
     if (!Ensure(token.size())) return false;
-    if (std::string_view(buffer_).substr(pos_, token.size()) != token) {
-      return false;
-    }
+    if (Pending().substr(0, token.size()) != token) return false;
     pos_ += token.size();
     return true;
   }
@@ -75,9 +78,9 @@ class StreamCursor {
   /// Corruption for a plain mismatch.
   Status Expect(std::string_view token) {
     if (Consume(token)) return Status::OK();
-    if (buffer_.size() - pos_ < token.size() && !Refill()) {
+    if (end_ - pos_ < token.size() && !Refill()) {
       return Status::DataLoss("truncated dump at byte " +
-                              std::to_string(consumed_ + buffer_.size()) +
+                              std::to_string(StreamLength()) +
                               ": expected '" + std::string(token) + "'");
     }
     return Status::Corruption("dump parse error: expected '" +
@@ -94,85 +97,95 @@ class StreamCursor {
     SkipWhitespace();
     while (Refill()) {
     }
-    std::string_view rest = std::string_view(buffer_).substr(pos_);
+    std::string_view rest = Pending();
     return !rest.empty() && rest.size() < token.size() &&
            token.substr(0, rest.size()) == rest;
   }
 
-  /// Total input length once the stream is exhausted (for DataLoss messages).
-  size_t StreamLength() const { return consumed_ + buffer_.size(); }
+  /// Bytes read from the stream so far; its total length once exhausted (for
+  /// DataLoss messages).
+  size_t StreamLength() const { return consumed_ + end_; }
 
   /// Reads everything up to (not including) `delimiter`, consuming the
-  /// delimiter too. DataLoss if the stream ends first (an unterminated
-  /// element means the input was cut mid-record).
-  Result<std::string> ReadUntil(std::string_view delimiter) {
+  /// delimiter too. The view points into the buffer and is valid until the
+  /// next cursor call. The delimiter search resumes where the previous pass
+  /// stopped, so an element spanning many refills is scanned once. DataLoss
+  /// if the stream ends first (an unterminated element means the input was
+  /// cut mid-record).
+  Result<std::string_view> ReadUntil(std::string_view delimiter) {
+    size_t scanned = 0;  // bytes past pos_ that cannot start the delimiter
     for (;;) {
-      size_t hit = buffer_.find(delimiter, pos_);
-      if (hit != std::string::npos) {
-        std::string out = buffer_.substr(pos_, hit - pos_);
-        pos_ = hit + delimiter.size();
-        return out;
+      std::string_view pending = Pending();
+      size_t hit = pending.find(delimiter, scanned);
+      if (hit != std::string_view::npos) {
+        pos_ += hit + delimiter.size();
+        return pending.substr(0, hit);
+      }
+      if (pending.size() >= delimiter.size()) {
+        scanned = pending.size() - delimiter.size() + 1;
       }
       if (!Refill()) {
         return Status::DataLoss("truncated dump at byte " +
-                                std::to_string(consumed_ + buffer_.size()) +
+                                std::to_string(StreamLength()) +
                                 ": unterminated element, expected '" +
                                 std::string(delimiter) + "'");
       }
     }
   }
 
+  /// ReadUntil, XML-unescaped straight from the buffer into *out.
+  Status ReadUnescapedUntil(std::string_view delimiter, std::string* out) {
+    WICLEAN_ASSIGN_OR_RETURN(std::string_view body, ReadUntil(delimiter));
+    XmlUnescapeTo(body, out);
+    return Status::OK();
+  }
+
   /// Degraded-mode recovery scan: consumes bytes — starting from the first
-  /// byte of the abandoned region (the current buffer start) — until the
-  /// next "<page>" or "</mediawiki>" token, which is left unconsumed. The
-  /// skipped bytes are captured into *info up to `max_raw` (the byte count
-  /// stays exact past the cap).
+  /// byte of the abandoned region (the mark) — until the next "<page>" or
+  /// "</mediawiki>" token, which is left unconsumed. The skipped bytes are
+  /// captured into *info up to `max_raw` (the byte count stays exact past
+  /// the cap).
   ResyncOutcome SkipToPageBoundary(ResyncInfo* info, size_t max_raw) {
     static constexpr std::string_view kPageTok = "<page>";
     static constexpr std::string_view kFooterTok = "</mediawiki>";
-    info->byte_offset = consumed_;
-    auto capture = [&](std::string_view bytes) {
-      info->skipped_bytes += bytes.size();
+    info->byte_offset = consumed_ + mark_;
+    // Consumes the next `n` bytes from the mark into the capture.
+    auto skip = [&](size_t n) {
+      std::string_view bytes(buffer_.data() + mark_, n);
+      info->skipped_bytes += n;
       size_t room = max_raw > info->raw.size() ? max_raw - info->raw.size() : 0;
-      if (bytes.size() <= room) {
+      if (n <= room) {
         info->raw.append(bytes);
       } else {
         info->raw.append(bytes.substr(0, room));
         info->raw_truncated = true;
       }
+      mark_ += n;
+      pos_ = mark_;
     };
     // Fold the already-scanned prefix of the failed region into the capture,
     // so the quarantined raw starts at the abandoned element's first byte
     // and the boundary search cannot re-match tokens the parser already
     // consumed.
-    capture(std::string_view(buffer_).substr(0, pos_));
-    consumed_ += pos_;
-    buffer_.erase(0, pos_);
-    pos_ = 0;
+    skip(pos_ - mark_);
     for (;;) {
-      size_t hit_page = buffer_.find(kPageTok);
-      size_t hit_footer = buffer_.find(kFooterTok);
+      std::string_view rest(buffer_.data() + mark_, end_ - mark_);
+      size_t hit_page = rest.find(kPageTok);
+      size_t hit_footer = rest.find(kFooterTok);
       size_t hit = std::min(hit_page, hit_footer);
-      if (hit != std::string::npos) {
-        capture(std::string_view(buffer_).substr(0, hit));
-        consumed_ += hit;
-        buffer_.erase(0, hit);
+      if (hit != std::string_view::npos) {
+        skip(hit);
         return hit_page <= hit_footer ? ResyncOutcome::kAtPage
                                       : ResyncOutcome::kAtFooter;
       }
-      // Flush all but a token-length tail: a boundary token may straddle the
-      // next refill, and the flush keeps memory bounded while skipping an
-      // arbitrarily large damaged region.
-      if (size_t keep = kFooterTok.size() - 1; buffer_.size() > keep) {
-        size_t flush = buffer_.size() - keep;
-        capture(std::string_view(buffer_).substr(0, flush));
-        consumed_ += flush;
-        buffer_.erase(0, flush);
+      // Skip all but a token-length tail: a boundary token may straddle the
+      // next refill, and the refill then drops the skipped bytes, keeping
+      // memory bounded while skipping an arbitrarily large damaged region.
+      if (size_t keep = kFooterTok.size() - 1; rest.size() > keep) {
+        skip(rest.size() - keep);
       }
       if (!Refill()) {
-        capture(buffer_);
-        consumed_ += buffer_.size();
-        buffer_.clear();
+        skip(end_ - mark_);
         return ResyncOutcome::kEof;
       }
     }
@@ -181,77 +194,85 @@ class StreamCursor {
   /// True when only whitespace remains.
   bool AtEof() {
     SkipWhitespace();
-    return pos_ >= buffer_.size() && !Refill();
+    return pos_ >= end_ && !Refill();
   }
 
-  /// Drops consumed bytes; call between pages to bound memory.
-  void Compact() {
-    consumed_ += pos_;
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
+  /// Marks the consumed bytes droppable; call between pages to bound memory.
+  void Compact() { mark_ = pos_; }
 
  private:
+  std::string_view Pending() const {
+    return std::string_view(buffer_.data() + pos_, end_ - pos_);
+  }
+
   void SkipWhitespace() {
     for (;;) {
-      while (pos_ < buffer_.size() &&
+      while (pos_ < end_ &&
              std::isspace(static_cast<unsigned char>(buffer_[pos_]))) {
         ++pos_;
       }
-      if (pos_ < buffer_.size()) return;
+      if (pos_ < end_) return;
       if (!Refill()) return;
     }
   }
 
   bool Ensure(size_t n) {
-    while (buffer_.size() - pos_ < n) {
+    while (end_ - pos_ < n) {
       if (!Refill()) return false;
     }
     return true;
   }
 
+  /// Drops the bytes before the mark, then reads up to one chunk from the
+  /// stream directly behind the valid bytes. False at end of stream.
   bool Refill() {
-    char chunk[4096];
-    in_->read(chunk, sizeof(chunk));
+    constexpr size_t kChunk = DumpPageStream::kReadChunkBytes;
+    if (mark_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + mark_, end_ - mark_);
+      consumed_ += mark_;
+      end_ -= mark_;
+      pos_ -= mark_;
+      mark_ = 0;
+    }
+    if (buffer_.size() - end_ < kChunk) buffer_.resize(end_ + kChunk);
+    in_->read(buffer_.data() + end_, kChunk);
     std::streamsize got = in_->gcount();
     if (got <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(got));
+    end_ += static_cast<size_t>(got);
     return true;
   }
 
   std::istream* in_;
-  std::string buffer_;
-  size_t pos_ = 0;
-  size_t consumed_ = 0;  // bytes discarded by Compact, for error offsets
+  std::string buffer_;  // valid bytes are [0, end_); the rest is read space
+  size_t end_ = 0;
+  size_t mark_ = 0;      // start of the element being parsed
+  size_t pos_ = 0;       // parse cursor
+  size_t consumed_ = 0;  // bytes dropped from the buffer, for error offsets
 };
 
 Result<int64_t> ParseXmlInt(StreamCursor* cur, std::string_view open,
                             std::string_view close) {
   WICLEAN_RETURN_IF_ERROR(cur->Expect(open));
-  WICLEAN_ASSIGN_OR_RETURN(std::string body, cur->ReadUntil(close));
+  WICLEAN_ASSIGN_OR_RETURN(std::string_view body, cur->ReadUntil(close));
   WICLEAN_ASSIGN_OR_RETURN(int64_t value,
                            ParseInt64(StripWhitespace(body)));
   return value;
 }
 
-Result<DumpRevision> ParseRevision(StreamCursor* cur) {
-  DumpRevision rev;
-  WICLEAN_ASSIGN_OR_RETURN(rev.revision_id,
+Status ParseRevision(StreamCursor* cur, DumpRevision* rev) {
+  WICLEAN_ASSIGN_OR_RETURN(rev->revision_id,
                            ParseXmlInt(cur, "<id>", "</id>"));
-  WICLEAN_ASSIGN_OR_RETURN(rev.timestamp,
+  WICLEAN_ASSIGN_OR_RETURN(rev->timestamp,
                            ParseXmlInt(cur, "<timestamp>", "</timestamp>"));
   WICLEAN_RETURN_IF_ERROR(cur->Expect("<contributor><username>"));
-  WICLEAN_ASSIGN_OR_RETURN(std::string user, cur->ReadUntil("</username>"));
-  rev.contributor = XmlUnescape(user);
+  WICLEAN_RETURN_IF_ERROR(
+      cur->ReadUnescapedUntil("</username>", &rev->contributor));
   WICLEAN_RETURN_IF_ERROR(cur->Expect("</contributor>"));
   WICLEAN_RETURN_IF_ERROR(cur->Expect("<comment>"));
-  WICLEAN_ASSIGN_OR_RETURN(std::string comment, cur->ReadUntil("</comment>"));
-  rev.comment = XmlUnescape(comment);
+  WICLEAN_RETURN_IF_ERROR(cur->ReadUnescapedUntil("</comment>", &rev->comment));
   WICLEAN_RETURN_IF_ERROR(cur->Expect("<text>"));
-  WICLEAN_ASSIGN_OR_RETURN(std::string text, cur->ReadUntil("</text>"));
-  rev.text = XmlUnescape(text);
-  WICLEAN_RETURN_IF_ERROR(cur->Expect("</revision>"));
-  return rev;
+  WICLEAN_RETURN_IF_ERROR(cur->ReadUnescapedUntil("</text>", &rev->text));
+  return cur->Expect("</revision>");
 }
 
 /// Parses everything of a <page> element after its title. Split out so the
@@ -259,8 +280,8 @@ Result<DumpRevision> ParseRevision(StreamCursor* cur) {
 Status ParsePageBody(StreamCursor* cur, DumpPage* page) {
   WICLEAN_ASSIGN_OR_RETURN(page->page_id, ParseXmlInt(cur, "<id>", "</id>"));
   while (cur->Consume("<revision>")) {
-    WICLEAN_ASSIGN_OR_RETURN(DumpRevision rev, ParseRevision(cur));
-    page->revisions.push_back(std::move(rev));
+    WICLEAN_RETURN_IF_ERROR(
+        ParseRevision(cur, &page->revisions.emplace_back()));
   }
   WICLEAN_RETURN_IF_ERROR(cur->Expect("</page>"));
   return Status::OK();
@@ -269,8 +290,7 @@ Status ParsePageBody(StreamCursor* cur, DumpPage* page) {
 Result<DumpPage> ParsePageElement(StreamCursor* cur) {
   DumpPage page;
   WICLEAN_RETURN_IF_ERROR(cur->Expect("<title>"));
-  WICLEAN_ASSIGN_OR_RETURN(std::string title, cur->ReadUntil("</title>"));
-  page.title = XmlUnescape(title);
+  WICLEAN_RETURN_IF_ERROR(cur->ReadUnescapedUntil("</title>", &page.title));
   Status status = ParsePageBody(cur, &page);
   if (!status.ok()) {
     // A truncation detected once the title is known names the page it cut:

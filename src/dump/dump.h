@@ -89,6 +89,10 @@ struct ResyncInfo {
 /// pipeline interleave reading with parallel downstream parsing.
 class DumpPageStream {
  public:
+  /// Bytes requested from the input stream per read. Memory is bounded by
+  /// one page plus one chunk.
+  static constexpr size_t kReadChunkBytes = 64 << 10;
+
   /// The stream must outlive this object.
   explicit DumpPageStream(std::istream* in);
   ~DumpPageStream();

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
@@ -20,9 +21,9 @@ void AttachRaw(std::string raw, QuarantineRecord* record) {
   record->raw = std::move(raw);
 }
 
-// Maps a DiffRevisions failure to its skip reason: only the nesting-depth
+// Maps a revision parse failure to its skip reason: only the nesting-depth
 // guard surfaces as kResourceExhausted; everything else is corrupt wikitext.
-SkipReason DiffSkipReason(const Status& status) {
+SkipReason ParseSkipReason(const Status& status) {
   return status.code() == StatusCode::kResourceExhausted
              ? SkipReason::kNestingDepth
              : SkipReason::kWikitextCorruption;
@@ -150,7 +151,14 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
   Timestamp last_timestamp = 0;
   bool have_timestamp = false;
 
-  std::string previous_text;  // first revision diffs against the empty page
+  // Each revision is parsed once. `previous` holds the last good revision's
+  // links (sorted, de-duplicated views into its text, which outlives this
+  // loop); the first revision diffs against the empty page. The buffers are
+  // reused across revisions.
+  std::vector<LinkView> previous;
+  std::vector<LinkView> current;
+  std::vector<LinkView> removed;
+  std::vector<LinkView> added;
   for (const DumpRevision& rev : page.revisions) {
     if (degraded) {
       // Integrity checks the historical strict parser never ran; kStrict
@@ -182,25 +190,26 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
       continue;
     }
 
-    // On a diff failure under a skip policy, previous_text is not advanced:
-    // the next revision diffs against the last good text, as if the skipped
-    // one never existed.
-    Result<LinkDelta> delta_result =
-        DiffRevisions(previous_text, rev.text, parse_limits);
-    if (!delta_result.ok() && !degraded) return delta_result.status();
-    if (!delta_result.ok()) {
-      skip_revision(rev, DiffSkipReason(delta_result.status()),
-                    std::string(delta_result.status().message()));
+    // On a parse failure under a skip policy, `previous` is not advanced:
+    // the next revision diffs against the last good links, as if the
+    // skipped one never existed.
+    current.clear();
+    Status parsed = ParseInfoboxLinks(rev.text, parse_limits, &current);
+    if (!parsed.ok()) {
+      if (!degraded) return parsed;
+      skip_revision(rev, ParseSkipReason(parsed),
+                    std::string(parsed.message()));
       continue;
     }
-    const LinkDelta delta = std::move(delta_result).value();
+    SortUniqueLinks(&current);
+    DiffLinkSets(previous, current, &removed, &added);
 
     ++batch.revisions;
     if (degraded) {
       last_timestamp = rev.timestamp;
       have_timestamp = true;
     }
-    auto emit = [&](EditOp op, const InfoboxLink& link) {
+    auto emit = [&](EditOp op, const LinkView& link) {
       Result<EntityId> object = registry.FindByName(link.target_title);
       if (!object.ok()) {
         ++batch.unresolved_links;
@@ -210,14 +219,14 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
       Action action;
       action.op = op;
       action.subject = subject_id;
-      action.relation = link.relation;
+      action.relation = std::string(link.relation);
       action.object = object_id;
       action.time = rev.timestamp;
       batch.actions.push_back(std::move(action));
     };
-    for (const InfoboxLink& link : delta.removed) emit(EditOp::kRemove, link);
-    for (const InfoboxLink& link : delta.added) emit(EditOp::kAdd, link);
-    previous_text = rev.text;
+    for (const LinkView& link : removed) emit(EditOp::kRemove, link);
+    for (const LinkView& link : added) emit(EditOp::kAdd, link);
+    previous.swap(current);
   }
 
   if (limits.max_actions_per_page > 0 &&

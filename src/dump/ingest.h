@@ -100,9 +100,12 @@ struct IngestOptions {
   /// are merged in page order.
   size_t num_threads = 1;
 
-  /// Bound on the reader-to-workers page queue: the reader blocks once this
-  /// many parsed-but-unconsumed pages are buffered, keeping memory
-  /// proportional to the queue, not the dump. Ignored when num_threads <= 1.
+  /// Bound on buffered pages between the reader and the workers, keeping
+  /// memory proportional to the queue, not the dump. Pages travel in
+  /// batches of kIngestHandoffPages (dump/pipeline.h); the queue holds
+  /// ⌈queue_capacity / kIngestHandoffPages⌉ batches, and pages read but not
+  /// yet merged never exceed queue_capacity + num_threads ×
+  /// kIngestHandoffPages. Ignored when num_threads <= 1.
   size_t queue_capacity = 64;
 
   /// Fault tolerance (see DESIGN.md §2c "Degraded-mode ingestion"). Under

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/bounded_queue.h"
@@ -38,6 +39,20 @@ void AccumulateStats(const PageActions& batch, IngestStats* stats) {
   stats->revisions += batch.revisions;
   stats->actions += batch.actions.size();
   stats->unresolved_links += batch.unresolved_links;
+}
+
+/// The merge stage for one page, run strictly in sequence order: folds its
+/// counters into *stats, writes its quarantine records and hands a surviving
+/// page to the sink. Skip batches never reach the sink.
+Status MergePage(PageActions&& batch, const IngestOptions& options,
+                 ActionSink* sink, IngestStats* stats) {
+  AccumulateStats(batch, stats);
+  for (const QuarantineRecord& record : batch.quarantine) {
+    // Losing the quarantine channel is fatal.
+    WICLEAN_RETURN_IF_ERROR(options.quarantine->Write(record));
+  }
+  if (batch.skipped) return Status::OK();
+  return sink->Append(std::move(batch));
 }
 
 /// Builds the skip batch for a raw input region the reader resynced past.
@@ -126,31 +141,28 @@ Result<IngestStats> RunSequential(PageSource* source,
     }
 
     Timer merge_timer;
-    AccumulateStats(batch, &stats);
-    Status status = Status::OK();
-    for (const QuarantineRecord& record : batch.quarantine) {
-      status = options.quarantine->Write(record);
-      if (!status.ok()) break;  // losing the quarantine channel is fatal
-    }
-    if (status.ok() && !batch.skipped) {
-      status = sink->Append(std::move(batch));
-    }
+    Status status = MergePage(std::move(batch), options, sink, &stats);
     stats.merge_seconds += merge_timer.ElapsedSeconds();
     if (!status.ok()) return status;
   }
   return stats;
 }
 
-/// One (sequence, page) unit of work handed from the reader to the workers.
-/// Reader-side region skips travel through the same queue as pre-resolved
-/// batches (`resolved` set), so they hold their sequence slot in the merge
-/// without the workers parsing anything.
+/// One (sequence, page) unit of work. Reader-side region skips travel
+/// through the same queue as pre-resolved batches (`resolved` set), so they
+/// hold their sequence slot in the merge without the workers parsing
+/// anything.
 struct WorkItem {
   uint64_t sequence = 0;
   DumpPage page;
   bool resolved = false;
   PageActions batch;  // final batch when resolved; ignored otherwise
 };
+
+/// What the reader hands the workers per queue item: up to
+/// kIngestHandoffPages consecutive items, so queue traffic and worker
+/// wake-ups are paid per batch, not per page.
+using WorkBatch = std::vector<WorkItem>;
 
 /// Shared state of one parallel run: the reorder buffer, the merged
 /// counters, and the first error. All of it is WC_GUARDED_BY(mu) — the
@@ -162,9 +174,13 @@ struct WorkItem {
 /// cross-thread traffic is through mu (and the relaxed parse counter).
 struct MergeState {
   Mutex mu;
-  std::map<uint64_t, PageActions> pending
-      WC_GUARDED_BY(mu);                        // finished, not yet mergeable
-  uint64_t next_sequence WC_GUARDED_BY(mu) = 0;  // next batch the sink expects
+  // Signalled when pages merge or the run fails; the reader waits on it for
+  // room in the page budget.
+  CondVar merged;
+  // Finished batches not yet mergeable, keyed by their first sequence.
+  std::map<uint64_t, std::vector<PageActions>> pending WC_GUARDED_BY(mu);
+  // Next sequence the sink expects; also the number of pages merged.
+  uint64_t next_sequence WC_GUARDED_BY(mu) = 0;
   IngestStats stats WC_GUARDED_BY(mu);
   Status first_error WC_GUARDED_BY(mu);
   std::atomic<int64_t> parse_micros{0};
@@ -177,89 +193,132 @@ Result<IngestStats> RunParallel(PageSource* source,
                                 const IngestOptions& options) {
   const bool degraded = options.on_error != ErrorPolicy::kStrict;
   const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  BoundedQueue<WorkItem> queue(options.queue_capacity);
+  constexpr size_t kBatch = kIngestHandoffPages;
+  // queue_capacity counts pages; the queue holds whole batches.
+  BoundedQueue<WorkBatch> queue((options.queue_capacity + kBatch - 1) /
+                                kBatch);
+  // Pages read but not yet merged never exceed this: the queue's pages plus
+  // one batch in each worker's hands. Finished batches parked behind a slow
+  // one count too, so the reorder buffer cannot grow past it either.
+  const uint64_t page_budget =
+      options.queue_capacity + options.num_threads * kBatch;
   MergeState state;
 
   // Any stage reporting a failure cancels the queue: a reader blocked on a
-  // full queue wakes up and stops, workers' Pop calls return false and they
-  // drain. Only the first error is kept.
+  // full queue or on the page budget wakes up and stops, workers' Pop calls
+  // return false and they drain. Only the first error is kept.
   auto record_error = [&](Status status) {
     {
       MutexLock lock(&state.mu);
       if (state.first_error.ok()) state.first_error = std::move(status);
     }
     queue.Cancel();
+    state.merged.NotifyAll();
   };
 
   ThreadPool pool(options.num_threads);
   for (size_t w = 0; w < options.num_threads; ++w) {
     pool.Submit([&] {
-      WorkItem item;
-      while (queue.Pop(&item)) {
-        PageActions merged;
-        if (item.resolved) {
-          merged = std::move(item.batch);
-        } else {
-          Timer parse_timer;
+      WorkBatch work;
+      while (queue.Pop(&work)) {
+        const uint64_t first_sequence = work.front().sequence;
+        std::vector<PageActions> parsed;
+        parsed.reserve(work.size());
+        Timer parse_timer;
+        Status failed = Status::OK();
+        for (WorkItem& item : work) {
+          if (item.resolved) {
+            parsed.push_back(std::move(item.batch));
+            continue;
+          }
           Result<PageActions> batch =
               ParsePageActions(item.page, item.sequence, registry, options);
-          state.parse_micros.fetch_add(
-              static_cast<int64_t>(parse_timer.ElapsedSeconds() * 1e6),
-              std::memory_order_relaxed);
           if (!batch.ok()) {
-            record_error(batch.status());
-            return;
+            failed = batch.status();
+            break;
           }
-          merged = std::move(batch).value();
+          parsed.push_back(std::move(batch).value());
         }
+        state.parse_micros.fetch_add(
+            static_cast<int64_t>(parse_timer.ElapsedSeconds() * 1e6),
+            std::memory_order_relaxed);
+        if (!failed.ok()) {
+          record_error(std::move(failed));
+          return;
+        }
+        work.clear();  // release the page texts before merging
+
         MutexLock lock(&state.mu);
-        state.pending.emplace(item.sequence, std::move(merged));
+        state.pending.emplace(first_sequence, std::move(parsed));
         // Flush the contiguous run now available, in sequence order. Skip
         // batches pass through the same merge (so counters and quarantine
         // records land in source order) but never reach the sink.
+        bool merged_any = false;
         while (!state.pending.empty() && state.first_error.ok()) {
           auto front = state.pending.begin();
           if (front->first != state.next_sequence) break;
           Timer merge_timer;
-          AccumulateStats(front->second, &state.stats);
           Status status = Status::OK();
-          for (const QuarantineRecord& record : front->second.quarantine) {
-            status = options.quarantine->Write(record);
-            if (!status.ok()) break;  // losing quarantine output is fatal
-          }
-          if (status.ok() && !front->second.skipped) {
-            status = sink->Append(std::move(front->second));
+          for (PageActions& batch : front->second) {
+            status = MergePage(std::move(batch), options, sink, &state.stats);
+            if (!status.ok()) break;
           }
           state.merge_micros +=
               static_cast<int64_t>(merge_timer.ElapsedSeconds() * 1e6);
+          state.next_sequence += front->second.size();
           state.pending.erase(front);
-          ++state.next_sequence;
+          merged_any = true;
           if (!status.ok()) {
             state.first_error = std::move(status);
             queue.Cancel();
           }
         }
+        if (merged_any) state.merged.NotifyAll();
       }
     });
   }
 
-  // Stage 1, on the calling thread: pull pages and push them downstream.
-  // Push blocking on a full queue is the backpressure that keeps the reader
-  // at most queue_capacity pages ahead. Under a skip policy a read error is
-  // downgraded to a pre-resolved region-skip item so the stream continues.
+  // Stage 1, on the calling thread: pull pages and push them downstream in
+  // batches. Two waits keep the reader bounded: Push blocks on a full queue,
+  // and a new batch starts only when it fits in the page budget. Under a
+  // skip policy a read error is downgraded to a pre-resolved region-skip
+  // item so the stream continues.
   uint64_t sequence = 0;
   double read_seconds = 0.0;  // reader-local; folded into stats at the end
-  for (;;) {
+  WorkBatch open;
+  // Hands the open batch to the workers; false once the run is cancelled.
+  auto flush = [&] {
+    if (open.empty()) return true;
+    const bool pushed = queue.Push(std::move(open));
+    open = WorkBatch();
+    return pushed;
+  };
+  // Blocks until a full batch more fits in the page budget; false once the
+  // run has failed.
+  auto wait_for_budget = [&] {
+    MutexLock lock(&state.mu);
+    while (state.first_error.ok() &&
+           sequence + kBatch - state.next_sequence > page_budget) {
+      state.merged.Wait(&state.mu);
+    }
+    return state.first_error.ok();
+  };
+  for (bool at_end = false; !at_end;) {
+    if (open.empty() && !wait_for_budget()) break;
     WorkItem item;
     Timer read_timer;
     Result<bool> more = source->Next(&item.page);
     read_seconds += read_timer.ElapsedSeconds();
+    if (more.ok() && !*more) break;
     if (!more.ok()) {
       if (!degraded) {
         record_error(more.status());
         break;
       }
-      bool at_end = false;
+      // Flush the pages read so far first: the workers start on them while
+      // the source resyncs, and the region skip takes the next sequence slot
+      // as the first item of a new batch.
+      if (!flush() || !wait_for_budget()) break;
       Timer resync_timer;
       Result<PageActions> skip = RecoverRegion(source, more.status(),
                                                sequence, quarantining,
@@ -270,15 +329,13 @@ Result<IngestStats> RunParallel(PageSource* source,
         break;
       }
       item.batch = std::move(skip).value();
-      item.sequence = sequence++;
       item.resolved = true;
-      if (!queue.Push(std::move(item)) || at_end) break;
-      continue;
     }
-    if (!*more) break;
     item.sequence = sequence++;
-    if (!queue.Push(std::move(item))) break;  // cancelled by a failed stage
+    open.push_back(std::move(item));
+    if (open.size() == kBatch && !flush()) break;
   }
+  flush();  // the tail batch; a no-op once the run is cancelled
   queue.Close();
   pool.Wait();
 

@@ -30,30 +30,38 @@ std::string XmlEscape(std::string_view text) {
 
 std::string XmlUnescape(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
+  XmlUnescapeTo(text, &out);
+  return out;
+}
+
+void XmlUnescapeTo(std::string_view text, std::string* out) {
+  out->clear();
+  out->reserve(text.size());
   size_t i = 0;
   while (i < text.size()) {
-    if (text[i] != '&') {
-      out += text[i++];
-      continue;
-    }
-    if (StartsWith(text.substr(i), "&amp;")) {
-      out += '&';
+    // Bulk-append the run up to the next entity.
+    size_t amp = text.find('&', i);
+    if (amp == std::string_view::npos) amp = text.size();
+    out->append(text.data() + i, amp - i);
+    i = amp;
+    if (i == text.size()) break;
+    std::string_view rest = text.substr(i);
+    if (StartsWith(rest, "&amp;")) {
+      *out += '&';
       i += 5;
-    } else if (StartsWith(text.substr(i), "&lt;")) {
-      out += '<';
+    } else if (StartsWith(rest, "&lt;")) {
+      *out += '<';
       i += 4;
-    } else if (StartsWith(text.substr(i), "&gt;")) {
-      out += '>';
+    } else if (StartsWith(rest, "&gt;")) {
+      *out += '>';
       i += 4;
-    } else if (StartsWith(text.substr(i), "&quot;")) {
-      out += '"';
+    } else if (StartsWith(rest, "&quot;")) {
+      *out += '"';
       i += 6;
     } else {
-      out += text[i++];  // unknown entity: pass through
+      *out += text[i++];  // unknown entity: pass through
     }
   }
-  return out;
 }
 
 }  // namespace wiclean

@@ -13,6 +13,10 @@ std::string XmlEscape(std::string_view text);
 /// through verbatim, as real-world dump tooling must tolerate them.
 std::string XmlUnescape(std::string_view text);
 
+/// XmlUnescape into *out (replacing its contents, reusing its capacity):
+/// the dump reader unescapes element bodies straight out of its buffer.
+void XmlUnescapeTo(std::string_view text, std::string* out);
+
 }  // namespace wiclean
 
 #endif  // WICLEAN_DUMP_XML_UTIL_H_

@@ -17,7 +17,7 @@ Result<EntityId> EntityRegistry::Register(std::string name, TypeId type) {
 }
 
 Result<EntityId> EntityRegistry::FindByName(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return Status::NotFound("unknown entity '" + std::string(name) + "'");
   }

@@ -1,6 +1,7 @@
 #ifndef WICLEAN_GRAPH_ENTITY_REGISTRY_H_
 #define WICLEAN_GRAPH_ENTITY_REGISTRY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,7 +36,7 @@ class EntityRegistry {
 
   const Entity& Get(EntityId id) const { return entities_[id]; }
 
-  /// Entity id by article title, or NotFound.
+  /// Entity id by article title, or NotFound. Builds no temporary string.
   [[nodiscard]] Result<EntityId> FindByName(std::string_view name) const;
 
   /// Most-specific type of `id` (kInvalidTypeId if out of range).
@@ -55,7 +56,16 @@ class EntityRegistry {
  private:
   const TypeTaxonomy* taxonomy_;
   std::vector<Entity> entities_;
-  std::unordered_map<std::string, EntityId> by_name_;
+  // Transparent hash and equality: FindByName looks a string_view up
+  // directly (ingest calls it for every page title and every diffed link).
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, EntityId, NameHash, std::equal_to<>>
+      by_name_;
   // exact (most-specific) type -> entity ids; subsumption resolved per query.
   std::unordered_map<TypeId, std::vector<EntityId>> by_exact_type_;
 };

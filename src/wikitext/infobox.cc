@@ -1,7 +1,6 @@
 #include "wikitext/infobox.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 
@@ -11,9 +10,9 @@ namespace {
 constexpr std::string_view kInfoboxOpen = "{{Infobox";
 
 /// Extracts every [[Target]] / [[Target|display]] in `text`, appending
-/// (relation, Target) pairs. Returns Corruption on an unterminated link.
-Status ExtractLinks(std::string_view text, const std::string& relation,
-                    std::vector<InfoboxLink>* out) {
+/// (relation, Target) views. Returns Corruption on an unterminated link.
+Status ExtractLinks(std::string_view text, std::string_view relation,
+                    std::vector<LinkView>* out) {
   size_t pos = 0;
   for (;;) {
     size_t open = text.find("[[", pos);
@@ -21,18 +20,26 @@ Status ExtractLinks(std::string_view text, const std::string& relation,
     size_t close = text.find("]]", open + 2);
     if (close == std::string_view::npos) {
       return Status::Corruption("unterminated wikilink in attribute '" +
-                                relation + "'");
+                                std::string(relation) + "'");
     }
     std::string_view inner = text.substr(open + 2, close - open - 2);
     // [[Target|display]] -> Target
     size_t pipe = inner.find('|');
     if (pipe != std::string_view::npos) inner = inner.substr(0, pipe);
     inner = StripWhitespace(inner);
-    if (!inner.empty()) {
-      out->push_back(InfoboxLink{relation, std::string(inner)});
-    }
+    if (!inner.empty()) out->push_back(LinkView{relation, inner});
     pos = close + 2;
   }
+}
+
+std::vector<InfoboxLink> ToInfoboxLinks(const std::vector<LinkView>& views) {
+  std::vector<InfoboxLink> out;
+  out.reserve(views.size());
+  for (const LinkView& v : views) {
+    out.push_back(
+        InfoboxLink{std::string(v.relation), std::string(v.target_title)});
+  }
+  return out;
 }
 
 }  // namespace
@@ -74,18 +81,18 @@ std::string RenderPage(const std::string& title,
   return out;
 }
 
-Result<ParsedPage> ParsePage(const std::string& wikitext,
-                             const ParseLimits& limits) {
-  ParsedPage page;
+Status ParseInfoboxLinks(std::string_view wikitext, const ParseLimits& limits,
+                         std::vector<LinkView>* links,
+                         std::string_view* infobox_class) {
   size_t open = wikitext.find(kInfoboxOpen);
-  if (open == std::string::npos) return page;  // no structured section
+  if (open == std::string_view::npos) return Status::OK();  // no infobox
 
   // Find the matching "}}" at template nesting depth 0. The generator never
   // nests templates, but a parser of real dumps must not be fooled by "{{"
   // inside attribute values.
   size_t pos = open + kInfoboxOpen.size();
   int depth = 1;
-  size_t body_end = std::string::npos;
+  size_t body_end = std::string_view::npos;
   while (pos + 1 < wikitext.size()) {
     if (wikitext[pos] == '{' && wikitext[pos + 1] == '{') {
       ++depth;
@@ -107,47 +114,92 @@ Result<ParsedPage> ParsePage(const std::string& wikitext,
       ++pos;
     }
   }
-  if (body_end == std::string::npos) {
+  if (body_end == std::string_view::npos) {
     return Status::Corruption("unterminated {{Infobox}} template");
   }
 
-  std::string_view body(wikitext.data() + open + kInfoboxOpen.size(),
-                        body_end - open - kInfoboxOpen.size());
+  const std::string_view body = wikitext.substr(
+      open + kInfoboxOpen.size(), body_end - open - kInfoboxOpen.size());
 
   // First line (up to the first '|' or newline) is the infobox class.
-  size_t header_end = body.find_first_of("|\n");
-  if (header_end == std::string_view::npos) header_end = body.size();
-  page.infobox_class = std::string(StripWhitespace(body.substr(0, header_end)));
+  if (infobox_class != nullptr) {
+    size_t header_end = body.find_first_of("|\n");
+    if (header_end == std::string_view::npos) header_end = body.size();
+    *infobox_class = StripWhitespace(body.substr(0, header_end));
+  }
 
   // Attribute lines: "| attr = value".
-  for (const std::string& line_raw : SplitString(body, '\n')) {
-    std::string_view line = StripWhitespace(line_raw);
+  for (size_t line_start = 0; line_start <= body.size();) {
+    size_t line_end = body.find('\n', line_start);
+    if (line_end == std::string_view::npos) line_end = body.size();
+    std::string_view line =
+        StripWhitespace(body.substr(line_start, line_end - line_start));
+    line_start = line_end + 1;
     if (line.empty() || line[0] != '|') continue;
     line.remove_prefix(1);
     size_t eq = line.find('=');
     if (eq == std::string_view::npos) continue;  // tolerated: bare parameter
-    std::string attr(StripWhitespace(line.substr(0, eq)));
+    std::string_view attr = StripWhitespace(line.substr(0, eq));
     if (attr.empty()) continue;
-    WICLEAN_RETURN_IF_ERROR(
-        ExtractLinks(line.substr(eq + 1), attr, &page.links));
+    WICLEAN_RETURN_IF_ERROR(ExtractLinks(line.substr(eq + 1), attr, links));
   }
+  return Status::OK();
+}
+
+void SortUniqueLinks(std::vector<LinkView>* links) {
+  std::sort(links->begin(), links->end());
+  links->erase(std::unique(links->begin(), links->end()), links->end());
+}
+
+void DiffLinkSets(const std::vector<LinkView>& before,
+                  const std::vector<LinkView>& after,
+                  std::vector<LinkView>* removed,
+                  std::vector<LinkView>* added) {
+  removed->clear();
+  added->clear();
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() && a != after.end()) {
+    if (*b < *a) {
+      removed->push_back(*b++);
+    } else if (*a < *b) {
+      added->push_back(*a++);
+    } else {
+      ++b;
+      ++a;
+    }
+  }
+  removed->insert(removed->end(), b, before.end());
+  added->insert(added->end(), a, after.end());
+}
+
+Result<ParsedPage> ParsePage(const std::string& wikitext,
+                             const ParseLimits& limits) {
+  std::vector<LinkView> links;
+  std::string_view infobox_class;
+  WICLEAN_RETURN_IF_ERROR(
+      ParseInfoboxLinks(wikitext, limits, &links, &infobox_class));
+  ParsedPage page;
+  page.infobox_class = std::string(infobox_class);
+  page.links = ToInfoboxLinks(links);
   return page;
 }
 
 Result<LinkDelta> DiffRevisions(const std::string& before,
                                 const std::string& after,
                                 const ParseLimits& limits) {
-  WICLEAN_ASSIGN_OR_RETURN(ParsedPage old_page, ParsePage(before, limits));
-  WICLEAN_ASSIGN_OR_RETURN(ParsedPage new_page, ParsePage(after, limits));
-
-  std::set<InfoboxLink> old_set(old_page.links.begin(), old_page.links.end());
-  std::set<InfoboxLink> new_set(new_page.links.begin(), new_page.links.end());
-
+  std::vector<LinkView> old_links;
+  std::vector<LinkView> new_links;
+  WICLEAN_RETURN_IF_ERROR(ParseInfoboxLinks(before, limits, &old_links));
+  WICLEAN_RETURN_IF_ERROR(ParseInfoboxLinks(after, limits, &new_links));
+  SortUniqueLinks(&old_links);
+  SortUniqueLinks(&new_links);
+  std::vector<LinkView> removed;
+  std::vector<LinkView> added;
+  DiffLinkSets(old_links, new_links, &removed, &added);
   LinkDelta delta;
-  std::set_difference(old_set.begin(), old_set.end(), new_set.begin(),
-                      new_set.end(), std::back_inserter(delta.removed));
-  std::set_difference(new_set.begin(), new_set.end(), old_set.begin(),
-                      old_set.end(), std::back_inserter(delta.added));
+  delta.removed = ToInfoboxLinks(removed);
+  delta.added = ToInfoboxLinks(added);
   return delta;
 }
 

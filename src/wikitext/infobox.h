@@ -1,17 +1,18 @@
 #ifndef WICLEAN_WIKITEXT_INFOBOX_H_
 #define WICLEAN_WIKITEXT_INFOBOX_H_
 
+#include <compare>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 
 // Thread-safety: everything in this header is a pure function of its
 // arguments — no global or function-local mutable state anywhere in the
-// implementation. RenderPage, ParsePage and DiffRevisions may be called
-// concurrently from any number of threads; the parallel ingestion pipeline
-// (dump/pipeline.h) relies on this to diff pages across workers without
-// locking.
+// implementation. Every function may be called concurrently from any number
+// of threads; the parallel ingestion pipeline (dump/pipeline.h) relies on
+// this to diff pages across workers without locking.
 
 namespace wiclean {
 
@@ -30,6 +31,17 @@ struct InfoboxLink {
     if (relation != other.relation) return relation < other.relation;
     return target_title < other.target_title;
   }
+};
+
+/// An InfoboxLink as views into the revision text it was parsed from: the
+/// allocation-free form the ingest diff works on. Valid only while that text
+/// is alive and unmodified. Ordered like InfoboxLink (relation, then target).
+struct LinkView {
+  std::string_view relation;
+  std::string_view target_title;
+
+  friend bool operator==(const LinkView&, const LinkView&) = default;
+  friend auto operator<=>(const LinkView&, const LinkView&) = default;
 };
 
 /// Parsed structured content of one page revision.
@@ -73,10 +85,33 @@ struct ParseLimits {
 [[nodiscard]] Result<ParsedPage> ParsePage(const std::string& wikitext,
                                            const ParseLimits& limits = {});
 
+/// The parse kernel behind ParsePage and DiffRevisions, with ParsePage's
+/// grammar, errors and limits: appends the infobox links of `wikitext` to
+/// *links in document order, as views into `wikitext`, and points
+/// *infobox_class (when non-null) at the infobox class. Allocates nothing
+/// beyond *links' growth. On error *links may hold a partial parse.
+[[nodiscard]] Status ParseInfoboxLinks(std::string_view wikitext,
+                                       const ParseLimits& limits,
+                                       std::vector<LinkView>* links,
+                                       std::string_view* infobox_class =
+                                           nullptr);
+
+/// Sorts *links and drops duplicates: the set form DiffLinkSets consumes.
+void SortUniqueLinks(std::vector<LinkView>* links);
+
+/// Linear merge of two link sets made by SortUniqueLinks: *removed receives
+/// the links only in `before`, *added those only in `after`, each sorted.
+/// Both outputs are cleared first, so callers can reuse their buffers.
+void DiffLinkSets(const std::vector<LinkView>& before,
+                  const std::vector<LinkView>& after,
+                  std::vector<LinkView>* removed,
+                  std::vector<LinkView>* added);
+
 /// Computes the link edits that turn revision `before` into revision `after`:
 /// links present only in `after` are additions, links present only in
 /// `before` are removals. Duplicate links within one revision are treated as
-/// a set. Returned order: removals then additions, each sorted.
+/// a set. Returned order: removals then additions, each sorted. A wrapper
+/// over ParseInfoboxLinks + SortUniqueLinks + DiffLinkSets.
 struct LinkDelta {
   std::vector<InfoboxLink> removed;
   std::vector<InfoboxLink> added;

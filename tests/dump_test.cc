@@ -283,6 +283,196 @@ TEST(DumpPageStreamTest, ResyncCapsRawCaptureButCountsAllBytes) {
   EXPECT_EQ(page.title, "Second");
 }
 
+// ---------- reader refill boundaries ----------
+
+constexpr size_t kChunk = DumpPageStream::kReadChunkBytes;
+
+std::string DumpOf(const std::vector<DumpPage>& pages) {
+  std::ostringstream out;
+  DumpWriter writer(&out);
+  writer.Begin();
+  for (const DumpPage& page : pages) writer.WritePage(page);
+  EXPECT_TRUE(writer.End().ok());
+  return out.str();
+}
+
+/// A one-revision page with `pad` extra bytes at the end of one field
+/// (0 = contributor, 1 = comment, 2 = text). Escapable characters sit in
+/// every field, so unescaping runs across the refills too.
+DumpPage PaddedPage(const std::string& title, int field, size_t pad) {
+  DumpPage page;
+  page.title = title;
+  page.page_id = 3;
+  DumpRevision rev;
+  rev.revision_id = 9;
+  rev.timestamp = 77;
+  rev.contributor = "u<&>";
+  rev.comment = "c \"q\"";
+  rev.text = RenderPage(title, "player", {{"club", "A & B"}});
+  std::string* padded = field == 0   ? &rev.contributor
+                        : field == 1 ? &rev.comment
+                                     : &rev.text;
+  padded->append(pad, 'x');
+  page.revisions = {rev};
+  return page;
+}
+
+DumpPage TitledSample(const std::string& title) {
+  DumpPage page = SamplePage();
+  page.title = title;
+  return page;
+}
+
+std::vector<DumpPage> ReadPages(const std::string& xml) {
+  std::istringstream in(xml);
+  std::vector<DumpPage> pages;
+  Status s = DumpReader::ReadAll(&in, [&](const DumpPage& p) {
+    pages.push_back(p);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return pages;
+}
+
+void ExpectSamePages(const std::vector<DumpPage>& got,
+                     const std::vector<DumpPage>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].title, want[i].title);
+    EXPECT_EQ(got[i].page_id, want[i].page_id);
+    ASSERT_EQ(got[i].revisions.size(), want[i].revisions.size());
+    for (size_t r = 0; r < got[i].revisions.size(); ++r) {
+      const DumpRevision& g = got[i].revisions[r];
+      const DumpRevision& w = want[i].revisions[r];
+      EXPECT_EQ(g.revision_id, w.revision_id);
+      EXPECT_EQ(g.timestamp, w.timestamp);
+      EXPECT_EQ(g.contributor, w.contributor);
+      EXPECT_EQ(g.comment, w.comment);
+      EXPECT_TRUE(g.text == w.text) << "page " << i << " revision " << r;
+    }
+  }
+}
+
+TEST(DumpReaderBoundaryTest, ClosingTagsStraddlingARefillAtEveryOffset) {
+  struct Case {
+    std::string_view tag;
+    int field;  // which field's padding moves the tag
+  };
+  const Case cases[] = {
+      {"</username>", 0}, {"</comment>", 1}, {"</text>", 2}, {"</page>", 2}};
+  // The first boundary is met while the first page is still open; the
+  // second after earlier pages were compacted away.
+  for (size_t boundary : {kChunk, 2 * kChunk}) {
+    for (const Case& c : cases) {
+      const std::vector<DumpPage> unpadded = {
+          TitledSample("Head"), PaddedPage("Straddle", c.field, 0),
+          TitledSample("Tail")};
+      const std::string probe = DumpOf(unpadded);
+      const size_t base = probe.find(c.tag, probe.find("Straddle"));
+      ASSERT_LT(base, kChunk);
+      // The tag starts j bytes before the boundary: after it (j = 0),
+      // straddling it, and ending exactly on it (j = tag size).
+      for (size_t j = 0; j <= c.tag.size(); ++j) {
+        SCOPED_TRACE(std::string(c.tag) + " boundary " +
+                     std::to_string(boundary) + " j " + std::to_string(j));
+        std::vector<DumpPage> pages = unpadded;
+        pages[1] = PaddedPage("Straddle", c.field, boundary - j - base);
+        const std::string xml = DumpOf(pages);
+        ASSERT_EQ(xml.find(c.tag, xml.find("Straddle")), boundary - j);
+        ExpectSamePages(ReadPages(xml), pages);
+      }
+    }
+  }
+}
+
+TEST(DumpReaderBoundaryTest, MultiMebibyteRevisionRoundTrips) {
+  std::string big;
+  for (size_t i = 0; big.size() < (3u << 20); ++i) {
+    big += "line " + std::to_string(i) + " & <b> \"q\" [[Link " +
+           std::to_string(i % 97) + "]]\n";
+  }
+  DumpPage page = SamplePage();
+  page.revisions[1].text = big;
+  const std::vector<DumpPage> pages = {TitledSample("Head"), page,
+                                       TitledSample("Tail")};
+  ExpectSamePages(ReadPages(DumpOf(pages)), pages);
+}
+
+TEST(DumpReaderBoundaryTest, TruncationMessagesAcrossRefills) {
+  // The middle page spans two refill boundaries.
+  const std::string full = DumpOf(
+      {TitledSample("Head"), PaddedPage("Big", 2, 2 * kChunk + 100),
+       TitledSample("Tail")});
+  const size_t big_end = full.find("</text>", full.find("Big"));
+  ASSERT_GT(big_end, 2 * kChunk + 5);
+  for (size_t cut : {kChunk - 1, kChunk, kChunk + 1, 2 * kChunk + 5}) {
+    Status s = ReadAllOf(full.substr(0, cut));
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_EQ(s.message(), "truncated dump at byte " + std::to_string(cut) +
+                               ": unterminated element, expected '</text>'"
+                               ", inside page 'Big'");
+  }
+  const size_t footer_cut = full.size() - 3;
+  Status s = ReadAllOf(full.substr(0, footer_cut));
+  EXPECT_EQ(s.message(), "truncated dump at byte " +
+                             std::to_string(footer_cut) +
+                             ": expected '</mediawiki>'");
+  // A cut inside the page read after the refills compacted the buffer.
+  const size_t tail_cut = full.find("<timestamp>", full.find("Tail")) + 5;
+  s = ReadAllOf(full.substr(0, tail_cut));
+  EXPECT_EQ(s.message(), "truncated dump at byte " + std::to_string(tail_cut) +
+                             ": expected '<timestamp>', inside page 'Tail'");
+}
+
+TEST(DumpReaderBoundaryTest, ResyncCaptureStartsAtFailedPageAcrossRefills) {
+  // Garbage longer than a refill between two pages.
+  std::string xml = DumpOf({TitledSample("Head"), TitledSample("Second")});
+  const size_t head_end = xml.find("</page>") + 7;
+  xml.insert(head_end, std::string(kChunk + 1234, '#'));
+  std::istringstream in(xml);
+  DumpPageStream stream(&in);
+  DumpPage page;
+  ASSERT_TRUE(stream.Next(&page).ok());
+  ASSERT_FALSE(stream.Next(&page).ok());
+  ResyncInfo info;
+  Result<bool> resumed = stream.Resync(&info);
+  ASSERT_TRUE(resumed.ok() && *resumed);
+  const size_t next_page = xml.find("<page>", head_end);
+  EXPECT_EQ(info.byte_offset, head_end);
+  EXPECT_EQ(info.skipped_bytes, next_page - head_end);
+  EXPECT_TRUE(info.raw == xml.substr(head_end, next_page - head_end));
+  EXPECT_FALSE(info.raw_truncated);
+  Result<bool> second = stream.Next(&page);
+  ASSERT_TRUE(second.ok() && *second);
+  EXPECT_EQ(page.title, "Second");
+
+  // A page that fails after a refill moved the buffer: its capture still
+  // starts at its own first byte, and the error names the exact byte.
+  xml = DumpOf({TitledSample("Head"), PaddedPage("Big", 2, kChunk + 100),
+                TitledSample("Tail")});
+  const size_t big_start = xml.find("</page>") + 7;
+  const size_t mangled = xml.find("</revision>", xml.find("Big"));
+  ASSERT_GT(mangled, kChunk);
+  xml.replace(mangled, 11, "</revisiXn>");
+  std::istringstream in2(xml);
+  DumpPageStream stream2(&in2);
+  ASSERT_TRUE(stream2.Next(&page).ok());
+  Result<bool> damaged = stream2.Next(&page);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().message(),
+            "dump parse error: expected '</revision>' near byte " +
+                std::to_string(mangled));
+  ResyncInfo info2;
+  resumed = stream2.Resync(&info2);
+  ASSERT_TRUE(resumed.ok() && *resumed);
+  const size_t tail_start = xml.find("<page>", mangled);
+  EXPECT_EQ(info2.byte_offset, big_start);
+  EXPECT_TRUE(info2.raw == xml.substr(big_start, tail_start - big_start));
+  Result<bool> tail = stream2.Next(&page);
+  ASSERT_TRUE(tail.ok() && *tail);
+  EXPECT_EQ(page.title, "Tail");
+}
+
 // ---------- ingestion ----------
 
 class IngestTest : public ::testing::Test {

@@ -1,15 +1,21 @@
 // Tests for the staged ingestion pipeline (dump/pipeline.h): determinism
-// across worker counts, the in-memory PageSource, custom sinks, and error
-// propagation through the parallel path.
+// across worker counts, the in-memory PageSource, custom sinks, error
+// propagation through the parallel path, and the batched reader-to-worker
+// hand-off (its page bound and sequence order around region skips).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
 #include <string>
 #include <vector>
 
 #include "dump/ingest.h"
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
+#include "dump/quarantine.h"
 #include "revision/revision_store.h"
 #include "synth/dump_render.h"
 #include "synth/synthesizer.h"
@@ -217,6 +223,151 @@ TEST(IngestPipelineTest, StageTimingsArePopulated) {
     EXPECT_GE(stats->merge_seconds, 0.0);
     // ToString carries the stage split for CLI / bench reporting.
     EXPECT_NE(stats->ToString().find("parse="), std::string::npos);
+  }
+}
+
+/// Pages pulled from a source and merged into a sink, shared by the two
+/// counting wrappers below. The reader thread alone writes `pulled` and
+/// `max_in_flight`; merging workers bump `merged`.
+struct InFlightCounter {
+  std::atomic<size_t> pulled{0};
+  std::atomic<size_t> merged{0};
+  size_t max_in_flight = 0;
+};
+
+class CountingPageSource : public PageSource {
+ public:
+  CountingPageSource(PageSource* inner, InFlightCounter* counter)
+      : inner_(inner), counter_(counter) {}
+
+  Result<bool> Next(DumpPage* page) override {
+    Result<bool> more = inner_->Next(page);
+    if (more.ok() && *more) {
+      const size_t pulled = ++counter_->pulled;
+      const size_t in_flight = pulled - counter_->merged.load();
+      counter_->max_in_flight = std::max(counter_->max_in_flight, in_flight);
+    }
+    return more;
+  }
+
+ private:
+  PageSource* inner_;
+  InFlightCounter* counter_;
+};
+
+/// Counts merged pages; every 16th merge stalls briefly, so finished
+/// batches pile up behind it and the reader runs into its page bound.
+class CountingSink : public ActionSink {
+ public:
+  CountingSink(ActionSink* inner, InFlightCounter* counter)
+      : inner_(inner), counter_(counter) {}
+
+  Status Append(PageActions&& batch) override {
+    if (++counter_->merged % 16 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return inner_->Append(std::move(batch));
+  }
+
+ private:
+  ActionSink* inner_;
+  InFlightCounter* counter_;
+};
+
+TEST(IngestPipelineTest, PagesInFlightStayWithinCapacityPlusWorkerBatches) {
+  Corpus corpus = MakeCorpus(40, 5);
+  const size_t n = corpus.world.registry->size();
+  RevisionStore sequential;
+  {
+    std::istringstream in(corpus.dump_xml);
+    ASSERT_TRUE(IngestDump(&in, *corpus.world.registry, &sequential).ok());
+  }
+  for (size_t capacity : {1u, 4u, 64u}) {
+    for (size_t threads : {2u, 4u}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " threads " +
+                   std::to_string(threads));
+      std::istringstream in(corpus.dump_xml);
+      XmlPageSource xml(&in);
+      InFlightCounter counter;
+      CountingPageSource source(&xml, &counter);
+      RevisionStore store;
+      RevisionStoreSink store_sink(&store);
+      CountingSink sink(&store_sink, &counter);
+      IngestOptions options;
+      options.num_threads = threads;
+      options.queue_capacity = capacity;
+      Result<IngestStats> stats =
+          RunIngestPipeline(&source, *corpus.world.registry, &sink, options);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(counter.merged.load(), counter.pulled.load());
+      EXPECT_GT(counter.pulled.load(), 4 * kIngestHandoffPages);
+      EXPECT_LE(counter.max_in_flight,
+                capacity + threads * kIngestHandoffPages);
+      EXPECT_EQ(Fingerprint(store, n), Fingerprint(sequential, n));
+    }
+  }
+}
+
+TEST(IngestPipelineTest, RegionSkipMidBatchIsByteIdenticalAtAnyWidth) {
+  Corpus corpus = MakeCorpus(40, 11);
+  const size_t n = corpus.world.registry->size();
+  std::string xml = corpus.dump_xml;
+  auto page_start = [&xml](size_t index) {
+    size_t pos = xml.find("<page>");
+    for (size_t i = 0; i < index; ++i) pos = xml.find("<page>", pos + 1);
+    return pos;
+  };
+  // Garbage in front of page 11 and a mangled page 21: neither region starts
+  // a hand-off batch, so each skip lands mid-batch.
+  static_assert(11 % kIngestHandoffPages != 0);
+  static_assert(22 % kIngestHandoffPages != 0);
+  const size_t mangled = xml.find("<title>", page_start(21));
+  ASSERT_NE(mangled, std::string::npos);
+  xml.replace(mangled, 7, "<tiXle>");
+  xml.insert(page_start(11), "@@not-xml@@");
+
+  std::string baseline;
+  IngestStats base;
+  std::vector<QuarantineRecord> base_records;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    MemoryQuarantineSink quarantine;
+    IngestOptions options;
+    options.num_threads = threads;
+    options.queue_capacity = 4;
+    options.on_error = ErrorPolicy::kQuarantine;
+    options.quarantine = &quarantine;
+    RevisionStore store;
+    std::istringstream in(xml);
+    Result<IngestStats> stats =
+        IngestDump(&in, *corpus.world.registry, &store, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (threads == 1) {
+      baseline = Fingerprint(store, n);
+      base = *stats;
+      base_records = quarantine.records();
+      EXPECT_EQ(stats->regions_skipped, 2u);
+      ASSERT_EQ(base_records.size(), 2u);
+      EXPECT_EQ(base_records[0].sequence, 11u);  // the garbage's slot
+      EXPECT_EQ(base_records[1].sequence, 22u);  // the mangled page's slot
+      continue;
+    }
+    EXPECT_EQ(Fingerprint(store, n), baseline);
+    EXPECT_EQ(stats->pages, base.pages);
+    EXPECT_EQ(stats->revisions, base.revisions);
+    EXPECT_EQ(stats->actions, base.actions);
+    EXPECT_EQ(stats->unresolved_links, base.unresolved_links);
+    EXPECT_EQ(stats->regions_skipped, base.regions_skipped);
+    EXPECT_EQ(stats->quarantined, base.quarantined);
+    EXPECT_EQ(stats->skipped_by_reason, base.skipped_by_reason);
+    const std::vector<QuarantineRecord>& records = quarantine.records();
+    ASSERT_EQ(records.size(), base_records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].sequence, base_records[i].sequence);
+      EXPECT_EQ(records[i].reason, base_records[i].reason);
+      EXPECT_EQ(records[i].detail, base_records[i].detail);
+      EXPECT_EQ(records[i].raw, base_records[i].raw);
+    }
   }
 }
 
