@@ -227,11 +227,14 @@ class PatternMiner::Impl {
   /// Output of one pure candidate evaluation. `computed` is false when the
   /// canonical key was already cached at evaluation time (nothing to insert;
   /// the commit step re-admits the cached state, as the serial code does).
+  /// `realization` is materialized only when `frequency` reaches the
+  /// realization cache floor, i.e. only when the cache will keep it.
   struct CandidateResult {
     std::string key;
     Pattern pattern;
     rel::Table realization{rel::Schema()};
     size_t support = 0;
+    double frequency = 0;
     bool computed = false;
     WorkingSetProfile touched;  // per-task profile shard, merged at commit
   };
@@ -512,14 +515,23 @@ class PatternMiner::Impl {
     }
   }
 
+  /// Per-thread buffers of EvaluateCandidate's PM path: the probe's output
+  /// rows and their source values. Cleared, never freed, so once they have
+  /// grown a candidate allocates nothing here.
+  struct CandidateScratch {
+    RealizationRows rows;
+    std::vector<int64_t> sources;
+  };
+
   /// Pure evaluation of one extension candidate: builds the extended
-  /// pattern, computes its realization table by joining the base realization
-  /// with the action realization, and counts seed support. Reads the
-  /// evaluation cache (no writes happen while tasks run) and shared
-  /// immutable tables only, so any number of these run concurrently. The PM
-  /// path runs the fused JoinRealizations operator (join + span recompute +
-  /// prune + dedup in one pass, no wide join materialized); PM−join keeps
-  /// the unfused nested-loop pipeline as the §6 ablation baseline.
+  /// pattern, joins the base realization with the action realization, and
+  /// counts seed support. Reads the evaluation cache (no writes happen while
+  /// tasks run) and shared immutable tables only, so any number of these run
+  /// concurrently. The PM path probes with the fused operator (join + span
+  /// recompute + prune + dedup in one pass, no wide join materialized) into
+  /// per-thread row buffers, counts support from them, and assembles the
+  /// realization table only when the cache floor keeps it; PM−join keeps the
+  /// unfused nested-loop pipeline as the §6 ablation baseline.
   Status EvaluateCandidate(
       const ExtensionCandidate& c, const std::vector<ActionSlot>& actions,
       const std::vector<std::vector<uint64_t>>& left_keys,
@@ -543,7 +555,10 @@ class PatternMiner::Impl {
     }
     const size_t n = base.pattern.num_vars();
     const size_t new_vars = glue_target < 0 ? n + 1 : n;
-    rel::Table realization(rel::Schema{});
+    if (options_.profile_workingset) {
+      out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
+                                         entry.realizations.ApproxBytes();
+    }
     if (options_.join_engine == JoinEngineKind::kHashJoin) {
       RealizationJoinSpec rspec;
       rspec.num_left_vars = n;
@@ -561,17 +576,33 @@ class PatternMiner::Impl {
       }
       rspec.max_span = options_.max_realization_span;
       rspec.dedup_keep_tightest = true;
-      if (options_.profile_workingset) {
-        out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
-                                           entry.realizations.ApproxBytes();
-      }
       const std::optional<PreparedActionSide>& side =
           glue_target < 0 ? slot.fresh_side : slot.glued_side;
       WICLEAN_CHECK(side.has_value() && new_vars < schemas_.size());
-      WICLEAN_ASSIGN_OR_RETURN(
-          realization,
-          JoinRealizations(base.realizations, left_keys[c.left_keys], *side,
-                           schemas_[new_vars], rspec));
+      // Per-thread, so capacity survives across this thread's candidates and
+      // concurrent tasks never share it.
+      thread_local CandidateScratch scratch;
+      WICLEAN_RETURN_IF_ERROR(ProbeRealizations(base.realizations,
+                                                left_keys[c.left_keys], *side,
+                                                rspec, &scratch.rows));
+      // The source variable predates the new one, so its column is a left
+      // column, reached through each output row's representative left row.
+      const size_t source_col = static_cast<size_t>(extended.source_var());
+      WICLEAN_CHECK(source_col < n);
+      const int64_t* source =
+          base.realizations.column(source_col).int64_data().data();
+      scratch.sources.clear();
+      for (uint32_t l : scratch.rows.lrows) {
+        scratch.sources.push_back(source[l]);
+      }
+      out->support = CountDistinctSeedSources(&scratch.sources);
+      out->frequency = FrequencyOf(out->support);
+      if (out->frequency >= options_.realization_cache_min_frequency) {
+        WICLEAN_ASSIGN_OR_RETURN(
+            out->realization,
+            AssembleRealizations(base.realizations, *side, schemas_[new_vars],
+                                 rspec, scratch.rows));
+      }
     } else {
       rel::JoinSpec spec;
       spec.equal_cols.push_back(
@@ -586,17 +617,13 @@ class PatternMiner::Impl {
           }
         }
       }
-      if (options_.profile_workingset) {
-        out->touched.join_bytes_touched += base.realizations.ApproxBytes() +
-                                           entry.realizations.ApproxBytes();
-      }
       WICLEAN_ASSIGN_OR_RETURN(
           rel::Table joined,
           rel::NestedLoopJoin(base.realizations, entry.realizations, spec));
       // Joined layout: v0..v(n-1), tmin, tmax, u, v, t. Recompute the
       // span, prune realizations wider than any reportable pattern window,
       // and keep the tightest witness per variable assignment.
-      realization = rel::Table(RealizationSchema(new_vars));
+      rel::Table realization(RealizationSchema(new_vars));
       std::vector<int64_t> row(new_vars + 2);
       for (size_t r = 0; r < joined.num_rows(); ++r) {
         int64_t t = joined.column(n + 4).Int64At(r);
@@ -613,11 +640,12 @@ class PatternMiner::Impl {
         out->touched.dedup_bytes_touched += realization.ApproxBytes();
       }
       realization = DedupKeepTightest(realization, new_vars);
+      out->support = CountTableSeedSources(
+          realization, static_cast<size_t>(extended.source_var()));
+      out->frequency = FrequencyOf(out->support);
+      out->realization = std::move(realization);
     }
-    out->support =
-        CountDistinctSeedSources(realization, extended.source_var());
     out->pattern = std::move(extended);
-    out->realization = std::move(realization);
     out->computed = true;
     return Status::OK();
   }
@@ -636,7 +664,8 @@ class PatternMiner::Impl {
       WICLEAN_CHECK(res->computed);
       ctx_->stats.workingset.Accumulate(res->touched);
       it = RecordEvaluated(std::move(res->key), std::move(res->pattern),
-                           std::move(res->realization), res->support);
+                           std::move(res->realization), res->support,
+                           res->frequency);
     }
     MaybeAdmit(it, admission, admitted_keys, admitted_hashes, admitted_set,
                mark_frequent);
@@ -646,23 +675,23 @@ class PatternMiner::Impl {
   MiningContext::EvaluatedMap::iterator RecordEvaluation(
       std::string key, Pattern pattern, rel::Table realization) {
     size_t source_col = static_cast<size_t>(pattern.source_var());
-    size_t support = CountDistinctSeedSources(realization, source_col);
+    size_t support = CountTableSeedSources(realization, source_col);
     return RecordEvaluated(std::move(key), std::move(pattern),
-                           std::move(realization), support);
+                           std::move(realization), support,
+                           FrequencyOf(support));
   }
 
-  /// Stores one evaluation with a precomputed support count, computes its
-  /// frequency (Definition 3.2), and applies the realization cache floor.
+  /// Stores one evaluation with its precomputed support count and frequency
+  /// (FrequencyOf(support)), and applies the realization cache floor to that
+  /// same frequency — the one EvaluateCandidate used to decide whether to
+  /// assemble `realization` at all.
   MiningContext::EvaluatedMap::iterator RecordEvaluated(
       std::string key, Pattern pattern, rel::Table realization,
-      size_t support) {
+      size_t support, double frequency) {
     ++ctx_->stats.candidates_considered;
     MiningContext::PatternState state;
     state.support = support;
-    state.frequency =
-        seed_count_ == 0
-            ? 0.0
-            : static_cast<double>(state.support) / seed_count_;
+    state.frequency = frequency;
     state.pattern = std::move(pattern);
     if (options_.profile_workingset) {
       WorkingSetProfile& ws = ctx_->stats.workingset;
@@ -671,7 +700,7 @@ class PatternMiner::Impl {
         ws.live_bytes += realization.ApproxBytes();
         ws.peak_live_bytes = std::max(ws.peak_live_bytes, ws.live_bytes);
       } else {
-        ++ws.tables_died;  // evicted immediately by the cache floor
+        ++ws.tables_died;  // below the cache floor: not kept
       }
     }
     if (state.frequency >= options_.realization_cache_min_frequency) {
@@ -695,10 +724,29 @@ class PatternMiner::Impl {
     }
   }
 
-  /// COUNT(DISTINCT source) restricted to entities(seed_type) (§4.2): sort
-  /// and unique the non-null sources, then type-check each distinct one.
-  size_t CountDistinctSeedSources(const rel::Table& realization,
-                                  size_t source_col) const {
+  /// Definition 3.2 frequency of a pattern with `support` seed sources.
+  double FrequencyOf(size_t support) const {
+    return seed_count_ == 0 ? 0.0 : static_cast<double>(support) / seed_count_;
+  }
+
+  /// COUNT(DISTINCT source) restricted to entities(seed_type) (§4.2) over the
+  /// source values of a realization's rows: sort and unique them in place,
+  /// then type-check each distinct one.
+  size_t CountDistinctSeedSources(std::vector<int64_t>* sources) const {
+    std::sort(sources->begin(), sources->end());
+    sources->erase(std::unique(sources->begin(), sources->end()),
+                   sources->end());
+    size_t count = 0;
+    for (int64_t e : *sources) {
+      if (taxonomy_->IsA(registry_->TypeOf(e), seed_type_)) ++count;
+    }
+    return count;
+  }
+
+  /// CountDistinctSeedSources over the non-null cells of one column of a
+  /// materialized realization table.
+  size_t CountTableSeedSources(const rel::Table& realization,
+                               size_t source_col) const {
     const rel::Column& col = realization.column(source_col);
     const std::vector<int64_t>& data = col.int64_data();
     const std::vector<uint8_t>& valid = col.validity();
@@ -707,13 +755,7 @@ class PatternMiner::Impl {
     for (size_t r = 0; r < realization.num_rows(); ++r) {
       if (valid[r]) sources.push_back(data[r]);
     }
-    std::sort(sources.begin(), sources.end());
-    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-    size_t count = 0;
-    for (int64_t e : sources) {
-      if (taxonomy_->IsA(registry_->TypeOf(e), seed_type_)) ++count;
-    }
-    return count;
+    return CountDistinctSeedSources(&sources);
   }
 
   /// The realization schema of `width` variables, built once per width.

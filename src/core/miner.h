@@ -126,8 +126,13 @@ struct RelativePattern {
 struct WorkingSetProfile {
   size_t join_bytes_touched = 0;   // fused/nested join inputs read
   size_t dedup_bytes_touched = 0;  // standalone dedup inputs read
-  size_t tables_born = 0;          // realization tables materialized
-  size_t tables_died = 0;          // dropped below the realization cache floor
+  /// Evaluated candidates (one realization each, cached or not). Only those
+  /// at or above MinerOptions::realization_cache_min_frequency are
+  /// materialized as tables; the rest are counted by their rows alone.
+  size_t tables_born = 0;
+  /// Evaluated candidates below the realization cache floor, whose
+  /// realization the cache does not keep.
+  size_t tables_died = 0;
   size_t live_bytes = 0;           // resident realization bytes (gauge)
   size_t peak_live_bytes = 0;      // high-water mark of live_bytes
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <numeric>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -233,14 +234,15 @@ namespace {
 
 /// Backtracking search for an injective, type-respecting mapping of
 /// `general`'s variables into `specific`'s such that every action of
-/// `general` is covered (same op + relation, mapped endpoints).
+/// `general` is covered (same op + relation, mapped endpoints). `mapping` has
+/// one slot per general variable, -1 while unmapped.
 bool FindEmbedding(const Pattern& specific, const Pattern& general,
-                   const TypeTaxonomy& taxonomy, std::vector<int>* mapping,
+                   const TypeTaxonomy& taxonomy, std::span<int> mapping,
                    size_t next_action) {
   if (next_action == general.num_actions()) {
     // All actions matched; check the source designation maps correctly.
     if (general.source_var() >= 0) {
-      int mapped = (*mapping)[general.source_var()];
+      int mapped = mapping[general.source_var()];
       if (mapped != -1 && mapped != specific.source_var()) return false;
       if (mapped == -1 &&
           !taxonomy.IsA(specific.var_type(specific.source_var()),
@@ -258,8 +260,11 @@ bool FindEmbedding(const Pattern& specific, const Pattern& general,
     if (sa.op != ga.op || sa.relation != ga.relation) continue;
     // Try mapping ga.source_var -> sa.source_var, ga.target_var ->
     // sa.target_var, consistent with current bindings, injective, and with
-    // general's types generalizing specific's.
-    auto try_bind = [&](int gvar, int svar, std::vector<int>* undo) {
+    // general's types generalizing specific's. One action binds at most its
+    // two endpoints, so two undo slots suffice.
+    int undo[2];
+    size_t undone = 0;
+    auto try_bind = [&](int gvar, int svar) {
       if (!taxonomy.IsA(specific.var_type(svar), general.var_type(gvar))) {
         return false;
       }
@@ -269,34 +274,44 @@ bool FindEmbedding(const Pattern& specific, const Pattern& general,
           general.var_binding(gvar) != specific.var_binding(svar)) {
         return false;
       }
-      if ((*mapping)[gvar] != -1) return (*mapping)[gvar] == svar;
-      for (size_t i = 0; i < mapping->size(); ++i) {
-        if ((*mapping)[i] == svar) return false;  // injectivity
+      if (mapping[gvar] != -1) return mapping[gvar] == svar;
+      for (int mapped : mapping) {
+        if (mapped == svar) return false;  // injectivity
       }
-      (*mapping)[gvar] = svar;
-      undo->push_back(gvar);
+      mapping[gvar] = svar;
+      undo[undone++] = gvar;
       return true;
     };
 
-    std::vector<int> undo;
-    bool ok = try_bind(ga.source_var, sa.source_var, &undo) &&
-              try_bind(ga.target_var, sa.target_var, &undo);
+    bool ok = try_bind(ga.source_var, sa.source_var) &&
+              try_bind(ga.target_var, sa.target_var);
     if (ok && FindEmbedding(specific, general, taxonomy, mapping,
                             next_action + 1)) {
       return true;
     }
-    for (int gvar : undo) (*mapping)[gvar] = -1;
+    while (undone > 0) mapping[undo[--undone]] = -1;
   }
   return false;
 }
+
+/// Variable count up to which IsSpecializationOf keeps its mapping on the
+/// stack; mined patterns stay far below it (MinerOptions::max_pattern_vars).
+constexpr size_t kInlineMappingVars = 16;
 
 }  // namespace
 
 bool IsSpecializationOf(const Pattern& specific, const Pattern& general,
                         const TypeTaxonomy& taxonomy) {
   if (general.num_actions() > specific.num_actions()) return false;
-  std::vector<int> mapping(general.num_vars(), -1);
-  return FindEmbedding(specific, general, taxonomy, &mapping, 0);
+  const size_t n = general.num_vars();
+  if (n <= kInlineMappingVars) {
+    int inline_mapping[kInlineMappingVars];
+    std::span<int> mapping(inline_mapping, n);
+    std::fill(mapping.begin(), mapping.end(), -1);
+    return FindEmbedding(specific, general, taxonomy, mapping, 0);
+  }
+  std::vector<int> mapping(n, -1);
+  return FindEmbedding(specific, general, taxonomy, mapping, 0);
 }
 
 bool IsStrictSpecializationOf(const Pattern& specific, const Pattern& general,

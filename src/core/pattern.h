@@ -129,6 +129,8 @@ class SpecializationOrder {
   SpecializationOrder(std::vector<const Pattern*> patterns,
                       const TypeTaxonomy& taxonomy);
 
+  size_t size() const { return patterns_.size(); }
+
   /// True iff patterns[j] ≺ patterns[i]: IsStrictSpecializationOf(
   /// *patterns[j], *patterns[i]).
   bool StrictlySpecializes(size_t j, size_t i) const;

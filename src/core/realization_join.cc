@@ -54,6 +54,20 @@ Status ValidateRealizationInputs(const rel::Table& left,
   return Status::OK();
 }
 
+/// Per-thread working state of ProbeRealizations: the left column pointers
+/// and the dedup hash table. Both are reset, never freed, so their capacity
+/// survives from one join to the next on the same thread. Thread-local, so
+/// concurrent candidate evaluations never share one.
+struct JoinScratch {
+  std::vector<const int64_t*> lvar;
+  rel::JoinHashTable dedup;
+};
+
+JoinScratch& ThreadJoinScratch() {
+  thread_local JoinScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 Result<PreparedActionSide> PreparedActionSide::Build(const rel::Table& actions,
@@ -87,21 +101,16 @@ Result<std::vector<uint64_t>> HashRealizationKeys(const rel::Table& left,
   return hashes;
 }
 
-Result<rel::Table> JoinRealizations(const rel::Table& left,
-                                    const std::vector<uint64_t>& left_hashes,
-                                    const PreparedActionSide& prepared,
-                                    rel::Schema schema,
-                                    const RealizationJoinSpec& spec) {
+Status ProbeRealizations(const rel::Table& left,
+                         const std::vector<uint64_t>& left_hashes,
+                         const PreparedActionSide& prepared,
+                         const RealizationJoinSpec& spec,
+                         RealizationRows* rows) {
   const rel::Table& right = prepared.table();
   WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
   const bool dedup_on = spec.dedup_keep_tightest;
-  const size_t out_vars = n + (fresh ? 1 : 0);
-  if (schema.num_fields() != out_vars + 2) {
-    return Status::InvalidArgument(
-        "output schema width != output vars + tmin + tmax");
-  }
   if (prepared.glued_target() == fresh) {
     return Status::InvalidArgument(
         "prepared action side does not match the spec's target gluing");
@@ -112,9 +121,11 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   WICLEAN_CHECK(left.num_rows() < rel::kNoRow &&
                 right.num_rows() < rel::kNoRow);
   const rel::JoinHashTable& build = prepared.hash_table();
+  JoinScratch& scratch = ThreadJoinScratch();
 
   // Raw column pointers: every per-candidate test below is array indexing.
-  std::vector<const int64_t*> lvar(n);
+  std::vector<const int64_t*>& lvar = scratch.lvar;
+  lvar.resize(n);
   for (size_t c = 0; c < n; ++c) lvar[c] = left.column(c).int64_data().data();
   const int64_t* lt_min = left.column(n).int64_data().data();
   const int64_t* lt_max = left.column(n + 1).int64_data().data();
@@ -128,11 +139,14 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   // Representative (left row, right row) per output row and its current best
   // span. Dedup replaces spans in place, never the representative rows (the
   // variable assignment is identical by definition).
-  std::vector<uint32_t> lrows, rrows;
-  std::vector<int64_t> tmins, tmaxs;
-  // Sized on the first surviving row, so a join that emits nothing never
-  // allocates it.
-  rel::JoinHashTable dedup;
+  rows->clear();
+  std::vector<uint32_t>& lrows = rows->lrows;
+  std::vector<uint32_t>& rrows = rows->rrows;
+  std::vector<int64_t>& tmins = rows->tmins;
+  std::vector<int64_t>& tmaxs = rows->tmaxs;
+  // Reset on the first surviving row, so a join that emits nothing never
+  // touches it.
+  rel::JoinHashTable& dedup = scratch.dedup;
   bool dedup_ready = false;
 
   // One probe candidate: verify the equi-join keys (64-bit hashes can
@@ -203,6 +217,28 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
       }
     }
   }
+  return Status::OK();
+}
+
+Result<rel::Table> AssembleRealizations(const rel::Table& left,
+                                        const PreparedActionSide& prepared,
+                                        rel::Schema schema,
+                                        const RealizationJoinSpec& spec,
+                                        const RealizationRows& rows) {
+  const size_t n = spec.num_left_vars;
+  const bool fresh = spec.glue_target_col < 0;
+  const size_t out_vars = n + (fresh ? 1 : 0);
+  if (schema.num_fields() != out_vars + 2) {
+    return Status::InvalidArgument(
+        "output schema width != output vars + tmin + tmax");
+  }
+  if (left.num_columns() != n + 2) {
+    return Status::InvalidArgument(
+        "left realization table width != num_left_vars + 2");
+  }
+  WICLEAN_CHECK(rows.rrows.size() == rows.size() &&
+                rows.tmins.size() == rows.size() &&
+                rows.tmaxs.size() == rows.size());
 
   // Bulk columnar assembly: gather the variable columns through the
   // representative rows, then the spans in one append each.
@@ -210,21 +246,32 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   cols.reserve(out_vars + 2);
   for (size_t c = 0; c < n; ++c) {
     rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(left.column(c), lrows);
+    col.AppendGather(left.column(c), rows.lrows);
     cols.push_back(std::move(col));
   }
   if (fresh) {
     rel::Column col(rel::DataType::kInt64);
-    col.AppendGather(right.column(1), rrows);
+    col.AppendGather(prepared.table().column(1), rows.rrows);
     cols.push_back(std::move(col));
   }
   rel::Column tmin_col(rel::DataType::kInt64);
-  tmin_col.AppendInt64Bulk(tmins);
+  tmin_col.AppendInt64Bulk(rows.tmins);
   cols.push_back(std::move(tmin_col));
   rel::Column tmax_col(rel::DataType::kInt64);
-  tmax_col.AppendInt64Bulk(tmaxs);
+  tmax_col.AppendInt64Bulk(rows.tmaxs);
   cols.push_back(std::move(tmax_col));
   return rel::Table::FromColumns(std::move(schema), std::move(cols));
+}
+
+Result<rel::Table> JoinRealizations(const rel::Table& left,
+                                    const std::vector<uint64_t>& left_hashes,
+                                    const PreparedActionSide& prepared,
+                                    rel::Schema schema,
+                                    const RealizationJoinSpec& spec) {
+  thread_local RealizationRows rows;
+  WICLEAN_RETURN_IF_ERROR(
+      ProbeRealizations(left, left_hashes, prepared, spec, &rows));
+  return AssembleRealizations(left, prepared, std::move(schema), spec, rows);
 }
 
 Result<rel::Table> JoinRealizations(const rel::Table& left,

@@ -73,17 +73,52 @@ class PreparedActionSide {
     const relational::Table& left, size_t glue_source_col,
     int glue_target_col);
 
-/// The fused join → span recompute → prune → dedup operator (the PM fast
-/// path), over prepared inputs: `left_hashes` must be
+/// The surviving rows of one realization join before assembly: for each
+/// output row, its representative left row, its right row (the bound v of a
+/// fresh target) and its [tmin, tmax] span. Caller-owned: ProbeRealizations
+/// clears it but keeps its capacity, so a caller that reuses one object joins
+/// without reallocating these vectors.
+struct RealizationRows {
+  std::vector<uint32_t> lrows;
+  std::vector<uint32_t> rrows;
+  std::vector<int64_t> tmins;
+  std::vector<int64_t> tmaxs;
+
+  size_t size() const { return lrows.size(); }
+  void clear() {
+    lrows.clear();
+    rrows.clear();
+    tmins.clear();
+    tmaxs.clear();
+  }
+};
+
+/// The probe body of the fused join → span recompute → prune → dedup
+/// operator (the PM fast path), over prepared inputs: `left_hashes` must be
 /// HashRealizationKeys(left, spec.glue_source_col, spec.glue_target_col) and
 /// `right` must be prepared for the spec's target shape (glued iff
-/// spec.glue_target_col >= 0). Output layout: left variable columns in
-/// order, then — with a fresh target — the bound v column, then "tmin",
-/// "tmax"; `schema` must describe exactly that shape. Candidate rows are
-/// produced in left-major order with ascending right rows per left row
-/// (identical to NestedLoopJoin order), so the result is deterministic and
-/// byte-identical to the unfused join + filter + DedupKeepTightest
-/// composition.
+/// spec.glue_target_col >= 0). Replaces `rows` with the output rows, in
+/// left-major order with ascending right rows per left row (identical to
+/// NestedLoopJoin order). Reads and writes only `rows` and per-thread
+/// scratch, so concurrent calls with distinct `rows` are safe.
+[[nodiscard]] Status ProbeRealizations(const relational::Table& left,
+                                       const std::vector<uint64_t>& left_hashes,
+                                       const PreparedActionSide& right,
+                                       const RealizationJoinSpec& spec,
+                                       RealizationRows* rows);
+
+/// Gathers the output table of a ProbeRealizations call with the same
+/// inputs. Output layout: left variable columns in order, then — with a
+/// fresh target — the bound v column, then "tmin", "tmax"; `schema` must
+/// describe exactly that shape.
+[[nodiscard]] Result<relational::Table> AssembleRealizations(
+    const relational::Table& left, const PreparedActionSide& right,
+    relational::Schema schema, const RealizationJoinSpec& spec,
+    const RealizationRows& rows);
+
+/// ProbeRealizations followed by AssembleRealizations. The result is
+/// deterministic and byte-identical to the unfused join + filter +
+/// DedupKeepTightest composition.
 [[nodiscard]] Result<relational::Table> JoinRealizations(
     const relational::Table& left, const std::vector<uint64_t>& left_hashes,
     const PreparedActionSide& right, relational::Schema schema,

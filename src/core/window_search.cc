@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -81,12 +80,9 @@ Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
                            MinedPattern* mp) {
   WICLEAN_ASSIGN_OR_RETURN(std::vector<PatternMiner::RealizationSpan> spans,
                            probes.Realizations(mp->pattern, mp->window));
+  const WindowSupportCounter support(std::move(spans));
   auto freq_in = [&](const TimeWindow& w) {
-    std::unordered_set<int64_t> seeds;
-    for (const PatternMiner::RealizationSpan& s : spans) {
-      if (s.tmin >= w.begin && s.tmax < w.end) seeds.insert(s.seed);
-    }
-    return static_cast<double>(seeds.size()) /
+    return static_cast<double>(support.CountWithin(w)) /
            static_cast<double>(seed_count);
   };
 
@@ -160,6 +156,70 @@ Result<bool> PassesLeverage(FreqEvaluator& freq_of, double min_phi,
 }
 
 }  // namespace
+
+Status ValidateMostSpecific(
+    const SpecializationOrder& order,
+    const std::function<Result<bool>(size_t)>& validate) {
+  const size_t n = order.size();
+  std::vector<char> processed(n, 0);
+  std::vector<char> rejected(n, 0);
+  // Member i is shadowed while some member that strictly specializes it is
+  // not rejected — exactly when a per-member count of unrejected dominators
+  // would be nonzero.
+  auto shadowed = [&](size_t i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (j != i && !rejected[j] && order.StrictlySpecializes(j, i)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<size_t> ready;
+  for (size_t i = 0; i < n; ++i) {
+    if (!shadowed(i)) ready.push_back(i);
+  }
+  while (!ready.empty()) {
+    // Each member is pushed at most once: a root has no dominator to
+    // release it, and a released member has no unrejected one left.
+    const size_t pi = ready.back();
+    ready.pop_back();
+    processed[pi] = 1;
+    WICLEAN_ASSIGN_OR_RETURN(bool keep, validate(pi));
+    if (keep) continue;
+    rejected[pi] = 1;
+    // Release the generalizations this artifact was the last to shadow.
+    for (size_t i = 0; i < n; ++i) {
+      if (i == pi || processed[i] || !order.StrictlySpecializes(pi, i)) {
+        continue;
+      }
+      if (!shadowed(i)) ready.push_back(i);
+    }
+  }
+  return Status::OK();
+}
+
+WindowSupportCounter::WindowSupportCounter(
+    std::vector<PatternMiner::RealizationSpan> spans)
+    : spans_(std::move(spans)) {
+  std::sort(spans_.begin(), spans_.end(),
+            [](const PatternMiner::RealizationSpan& a,
+               const PatternMiner::RealizationSpan& b) {
+              return a.seed < b.seed;
+            });
+}
+
+size_t WindowSupportCounter::CountWithin(const TimeWindow& w) const {
+  size_t count = 0;
+  for (size_t k = 0; k < spans_.size();) {
+    const EntityId seed = spans_[k].seed;
+    bool inside = false;
+    for (; k < spans_.size() && spans_[k].seed == seed; ++k) {
+      inside = inside || (spans_[k].tmin >= w.begin && spans_[k].tmax < w.end);
+    }
+    if (inside) ++count;
+  }
+  return count;
+}
 
 WindowSearch::WindowSearch(const EntityRegistry* registry,
                            const RevisionStore* store,
@@ -271,43 +331,19 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
           pool.push_back(std::move(mp));
         }
       }
-      const TypeTaxonomy& taxonomy = registry_->taxonomy();
-
-      // Domination graph, built once per window: dominated_by[i] counts the
-      // strictly-more-specific pool members shadowing i; dominates[j] lists
-      // what j shadows, so a rejection releases its generalizations without
-      // an O(n^2) rescan.
-      const size_t n = pool.size();
       std::vector<const Pattern*> pool_patterns;
-      pool_patterns.reserve(n);
+      pool_patterns.reserve(pool.size());
       for (const MinedPattern& mp : pool) pool_patterns.push_back(&mp.pattern);
-      const SpecializationOrder order(std::move(pool_patterns), taxonomy);
-      std::vector<size_t> dominated_by(n, 0);
-      std::vector<std::vector<size_t>> dominates(n);
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < n; ++i) {
-          if (i != j && order.StrictlySpecializes(j, i)) {
-            ++dominated_by[i];
-            dominates[j].push_back(i);
-          }
-        }
-      }
+      const SpecializationOrder order(std::move(pool_patterns),
+                                      registry_->taxonomy());
 
-      std::vector<size_t> ready;
-      std::vector<char> processed(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (dominated_by[i] == 0) ready.push_back(i);
-      }
-      while (!ready.empty()) {
-        size_t pi = ready.back();
-        ready.pop_back();
-        if (processed[pi]) continue;
-        processed[pi] = 1;
+      // Validates one selected most-specific candidate; true keeps it
+      // shadowing its generalizations, false rejects it as an artifact.
+      auto validate = [&](size_t pi) -> Result<bool> {
         MinedPattern& mp = pool[pi];
         std::string key = mp.pattern.CanonicalKey();
-        if (seen_keys.count(key) > 0) continue;  // already reported
+        if (seen_keys.count(key) > 0) return true;  // already reported
 
-        // Validate this most-specific candidate.
         bool genuine = true;
         if (options_.subwindow_validation &&
             mp.window.width() > options_.min_window_width) {
@@ -325,13 +361,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
         }
         if (!genuine) {
           rejected_keys.insert(std::move(key));
-          // Release the generalizations this artifact was shadowing.
-          for (size_t freed : dominates[pi]) {
-            if (--dominated_by[freed] == 0 && !processed[freed]) {
-              ready.push_back(freed);
-            }
-          }
-          continue;
+          return false;
         }
 
         seen_keys.insert(std::move(key));
@@ -348,7 +378,9 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
         }
         dp.mined = mp;
         result.patterns.push_back(std::move(dp));
-      }
+        return true;
+      };
+      WICLEAN_RETURN_IF_ERROR(ValidateMostSpecific(order, validate));
     }
 
     result.rounds.push_back(RefinementRound{width, threshold, new_patterns,

@@ -1,6 +1,7 @@
 #ifndef WICLEAN_CORE_WINDOW_SEARCH_H_
 #define WICLEAN_CORE_WINDOW_SEARCH_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,39 @@ struct WindowSearchResult {
   std::vector<DiscoveredPattern> patterns;
   std::vector<RefinementRound> rounds;
   MineWindowStats total_stats;
+};
+
+/// The validate-and-release loop behind each window's most-specific
+/// selection (Definition 3.3 with validation interleaved): calls
+/// `validate(i)` on the pool members of `order` in selection order, where
+/// true keeps member i (accepted, or skipped as already reported) and false
+/// rejects it as an artifact. A member is selected once every member that
+/// strictly specializes it has been rejected; a kept member keeps shadowing
+/// its generalizations. Selection is a stack: it starts from the members
+/// nothing specializes, pushed in ascending index order, and a rejection
+/// pushes the members it alone was still shadowing, also in ascending index
+/// order. Domination is checked on demand, for the roots and for the
+/// rejected members' generalizations only: a window pools hundreds of
+/// patterns and processes a few dozen. Returns the first error of
+/// `validate`, which stops the loop.
+[[nodiscard]] Status ValidateMostSpecific(
+    const SpecializationOrder& order,
+    const std::function<Result<bool>(size_t)>& validate);
+
+/// Distinct-seed support of one pattern's realizations inside any
+/// sub-window: the spans are sorted by seed once, so each count is one pass
+/// over them with no per-window set. A realization supports window w iff its
+/// whole span fits: tmin >= w.begin and tmax < w.end.
+class WindowSupportCounter {
+ public:
+  explicit WindowSupportCounter(
+      std::vector<PatternMiner::RealizationSpan> spans);
+
+  /// Number of distinct seeds with at least one realization inside `w`.
+  size_t CountWithin(const TimeWindow& w) const;
+
+ private:
+  std::vector<PatternMiner::RealizationSpan> spans_;  // sorted by seed
 };
 
 /// Algorithm 2: splits the timeline into non-overlapping windows of the

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -443,6 +444,80 @@ TEST(PreparedRealizationJoinTest, RejectsMismatchedInputs) {
   EXPECT_FALSE(PreparedActionSide::Build(left, false).ok());
   EXPECT_FALSE(HashRealizationKeys(left, 4, -1).ok());
   EXPECT_FALSE(HashRealizationKeys(left, 0, 4).ok());
+}
+
+// The probe keeps its column pointers and dedup table in per-thread scratch,
+// and callers reuse one RealizationRows: after a large join has grown both,
+// smaller joins of other widths and glue shapes on the same thread must not
+// see any of its state. Each must equal the one-shot kernel run on a fresh
+// thread (fresh scratch) and the unfused nested-loop pipeline.
+TEST(RealizationScratchTest, LargeThenSmallJoinsMatchFreshReferences) {
+  constexpr int64_t kHorizon = 1000;
+  Rng rng(77);
+  RealizationRows reused;
+  auto check = [&](const rel::Table& left, const rel::Table& right,
+                   const RealizationJoinSpec& rs, const std::string& what) {
+    const size_t out_vars =
+        rs.num_left_vars + (rs.glue_target_col < 0 ? 1 : 0);
+    Result<PreparedActionSide> side =
+        PreparedActionSide::Build(right, rs.glue_target_col >= 0);
+    Result<std::vector<uint64_t>> keys =
+        HashRealizationKeys(left, rs.glue_source_col, rs.glue_target_col);
+    ASSERT_TRUE(side.ok() && keys.ok()) << what;
+    ASSERT_TRUE(ProbeRealizations(left, *keys, *side, rs, &reused).ok())
+        << what;
+    Result<rel::Table> assembled = AssembleRealizations(
+        left, *side, VarSchema(out_vars, "v"), rs, reused);
+    Result<rel::Table> wrapped =
+        JoinRealizations(left, *keys, *side, VarSchema(out_vars, "v"), rs);
+    ASSERT_TRUE(assembled.ok() && wrapped.ok()) << what;
+    std::vector<std::string> fresh_rows;
+    std::thread fresh([&] {
+      Result<rel::Table> one_shot =
+          JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+      if (one_shot.ok()) fresh_rows = RowList(*one_shot);
+    });
+    fresh.join();
+    const std::vector<std::string> rows = RowList(*assembled);
+    EXPECT_EQ(rows.size(), reused.size()) << what;
+    EXPECT_EQ(rows, RowList(*wrapped)) << what;
+    EXPECT_EQ(rows, fresh_rows) << what;
+    EXPECT_EQ(rows, RowList(OracleJoinRealizations(left, right, rs))) << what;
+  };
+
+  // Large: a wide left table and many matches, so the dedup table and every
+  // row buffer grow well past what the joins below need.
+  {
+    rel::Table left = RandomRealizationTable(&rng, 3000, 4, 40, kHorizon);
+    rel::Table right = RandomActionTable(&rng, 3000, 40, kHorizon);
+    RealizationJoinSpec rs = RealizationSpecZoo(4).front();
+    rs.dedup_keep_tightest = true;
+    check(left, right, rs, "large");
+    ASSERT_GT(reused.size(), 1000u);
+  }
+  // Small, of every other width and glue shape, with and without dedup;
+  // an empty join last.
+  for (size_t num_vars : {size_t{2}, size_t{3}, size_t{5}}) {
+    rel::Table left = RandomRealizationTable(&rng, 25, num_vars, 5, kHorizon);
+    rel::Table right = RandomActionTable(&rng, 30, 5, kHorizon);
+    for (RealizationJoinSpec rs : RealizationSpecZoo(num_vars)) {
+      for (bool dedup : {true, false}) {
+        rs.dedup_keep_tightest = dedup;
+        rs.max_span = dedup ? int64_t{800} : rs.max_span;
+        check(left, right, rs,
+              "vars " + std::to_string(num_vars) + " glue " +
+                  std::to_string(rs.glue_source_col) + "/" +
+                  std::to_string(rs.glue_target_col) + " dedup " +
+                  std::to_string(dedup));
+      }
+    }
+  }
+  rel::Table empty_left = RandomRealizationTable(&rng, 0, 2, 5, kHorizon);
+  rel::Table right = RandomActionTable(&rng, 30, 5, kHorizon);
+  RealizationJoinSpec rs = RealizationSpecZoo(2).front();
+  rs.dedup_keep_tightest = true;
+  check(empty_left, right, rs, "empty");
+  EXPECT_EQ(reused.size(), 0u);
 }
 
 TEST_P(RealizationJoinTest, FlatDedupMatchesReferenceExactly) {

@@ -418,6 +418,153 @@ TEST_F(MinerTest, CandidateCountingIsPositive) {
   EXPECT_GT(result->stats.entities_ingested, 0u);
 }
 
+/// (key, frequency, support) of each mined pattern, in output order.
+std::vector<std::tuple<std::string, double, size_t>> PatternSignature(
+    const std::vector<MinedPattern>& ps) {
+  std::vector<std::tuple<std::string, double, size_t>> out;
+  for (const MinedPattern& mp : ps) {
+    out.emplace_back(mp.pattern.CanonicalKey(), mp.frequency, mp.support);
+  }
+  return out;
+}
+
+/// The realization cache floor decides only which evaluated realizations the
+/// context keeps: `got` (mined with floor `floor`) must match `all` (the same
+/// mine with floor 0, which keeps every table) in patterns, frequencies,
+/// supports and every counter, keep exactly `all`'s tables at or above the
+/// floor, and count the rest as died.
+void ExpectOnlyCacheDiffers(const MineWindowResult& all,
+                            const MineWindowResult& got, double floor) {
+  EXPECT_EQ(PatternSignature(got.all_frequent),
+            PatternSignature(all.all_frequent));
+  EXPECT_EQ(PatternSignature(got.most_specific),
+            PatternSignature(all.most_specific));
+  EXPECT_EQ(got.stats.ToString(), all.stats.ToString());
+  const WorkingSetProfile& g = got.stats.workingset;
+  const WorkingSetProfile& a = all.stats.workingset;
+  EXPECT_EQ(g.join_bytes_touched, a.join_bytes_touched);
+  EXPECT_EQ(g.dedup_bytes_touched, a.dedup_bytes_touched);
+  EXPECT_EQ(g.tables_born, a.tables_born);
+  EXPECT_EQ(g.tables_born, got.stats.candidates_considered);
+  EXPECT_EQ(a.tables_died, 0u);
+
+  ASSERT_EQ(got.context->evaluated.size(), all.context->evaluated.size());
+  size_t below = 0;
+  size_t kept_bytes = 0;
+  for (const auto& [key, state] : got.context->evaluated) {
+    auto other = all.context->evaluated.find(key);
+    ASSERT_NE(other, all.context->evaluated.end()) << key;
+    EXPECT_EQ(state.support, other->second.support) << key;
+    EXPECT_EQ(state.frequency, other->second.frequency) << key;
+    if (state.frequency >= floor) {
+      EXPECT_EQ(state.realizations.ToString(1 << 20),
+                other->second.realizations.ToString(1 << 20))
+          << key;
+      kept_bytes += state.realizations.ApproxBytes();
+    } else {
+      ++below;
+      EXPECT_EQ(state.realizations.num_columns(), 0u) << key;
+    }
+  }
+  EXPECT_EQ(g.tables_died, below);
+  EXPECT_EQ(g.live_bytes, kept_bytes);
+}
+
+TEST_F(MinerTest, CacheFloorChangesOnlyWhatIsCached) {
+  auto mine = [&](double threshold, double floor) {
+    MinerOptions o = Options(threshold);
+    o.realization_cache_min_frequency = floor;
+    o.profile_workingset = true;
+    PatternMiner miner(registry_.get(), &store_, o);
+    Result<MineWindowResult> r = miner.MineWindow(player_, window_);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(r).value();
+  };
+  const double kDefaultFloor = MinerOptions().realization_cache_min_frequency;
+
+  // Floors up to the admission threshold, and 1.0 with a threshold of 1.0.
+  for (double threshold : {0.7, 1.0}) {
+    const MineWindowResult all = mine(threshold, 0.0);
+    for (double floor : {kDefaultFloor, threshold}) {
+      SCOPED_TRACE("threshold " + std::to_string(threshold) + " floor " +
+                   std::to_string(floor));
+      ExpectOnlyCacheDiffers(all, mine(threshold, floor), floor);
+    }
+  }
+
+  // Relative mining still joins from the cached base table at the default
+  // floor, and finds what it finds with every table kept.
+  MineWindowResult all = mine(0.7, 0.0);
+  MineWindowResult cached = mine(0.7, kDefaultFloor);
+  const MinedPattern* pair = FindByKey(cached.most_specific, JoinPair());
+  ASSERT_NE(pair, nullptr);
+  PatternMiner miner(registry_.get(), &store_, Options(0.7));
+  Result<std::vector<RelativePattern>> from_all =
+      miner.MineRelative(all.context.get(), player_, *pair, 0.7);
+  Result<std::vector<RelativePattern>> from_cached =
+      miner.MineRelative(cached.context.get(), player_, *pair, 0.7);
+  ASSERT_TRUE(from_all.ok() && from_cached.ok());
+  ASSERT_FALSE(from_cached->empty());
+  ASSERT_EQ(from_cached->size(), from_all->size());
+  for (size_t i = 0; i < from_all->size(); ++i) {
+    EXPECT_EQ((*from_cached)[i].pattern.CanonicalKey(),
+              (*from_all)[i].pattern.CanonicalKey());
+    EXPECT_EQ((*from_cached)[i].support, (*from_all)[i].support);
+    EXPECT_EQ((*from_cached)[i].relative_frequency,
+              (*from_all)[i].relative_frequency);
+  }
+
+  // At threshold and floor 1.0 the pair (frequency 0.8) is evaluated but its
+  // table is not kept: value-specific mining from it must refuse, while the
+  // floor-0 context still answers.
+  const MinedPattern evicted{JoinPair(), window_, 0.8, 4};
+  MineWindowResult strict = mine(1.0, 1.0);
+  auto it = strict.context->evaluated.find(JoinPair().CanonicalKey());
+  ASSERT_NE(it, strict.context->evaluated.end());
+  EXPECT_EQ(miner.MineValueSpecific(*strict.context, player_, evicted, 0.5)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  MineWindowResult keep_all = mine(1.0, 0.0);
+  EXPECT_TRUE(
+      miner.MineValueSpecific(*keep_all.context, player_, evicted, 0.5).ok());
+}
+
+/// The same on a synthesized soccer world, where most candidates fall below
+/// the default floor and many admitted patterns extend through kept tables.
+TEST(MinerCacheFloorTest, SynthWorldCacheFloorChangesOnlyWhatIsCached) {
+  SynthOptions so;
+  so.seed_entities = 30;
+  so.years = 1;
+  so.rng_seed = 21;
+  so.soccer = true;
+  so.background_entities = 60;
+  so.background_edit_rate = 2.0;
+  Result<SynthWorld> world = Synthesize(so);
+  ASSERT_TRUE(world.ok());
+  const TimeWindow window = world->WindowOf(16);
+  auto mine = [&](double floor) {
+    MinerOptions o;
+    o.frequency_threshold = 0.3;
+    o.max_pattern_actions = 4;
+    o.realization_cache_min_frequency = floor;
+    o.profile_workingset = true;
+    PatternMiner miner(world->registry.get(), &world->store, o);
+    Result<MineWindowResult> r =
+        miner.MineWindow(world->types.soccer_player, window);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(r).value();
+  };
+  const MineWindowResult all = mine(0.0);
+  ASSERT_FALSE(all.all_frequent.empty());
+  for (double floor : {MinerOptions().realization_cache_min_frequency, 0.3}) {
+    SCOPED_TRACE("floor " + std::to_string(floor));
+    const MineWindowResult got = mine(floor);
+    ExpectOnlyCacheDiffers(all, got, floor);
+    EXPECT_GT(got.stats.workingset.tables_died, 0u);
+  }
+}
+
 /// Shared-index probes on a synthesized soccer world, over every
 /// (abstraction lift, join engine) pair.
 class SharedActionIndexTest

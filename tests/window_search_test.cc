@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/window_search.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_selection.h"
 
 namespace wiclean {
 namespace {
@@ -239,6 +244,156 @@ TEST_F(WindowSearchTest, InputValidation) {
   WindowSearch search2(world_->registry.get(), &world_->store, bad);
   EXPECT_FALSE(
       search2.Run(world_->types.soccer_player, 0, kSecondsPerYear).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Most-specific selection: the on-demand ValidateMostSpecific against the
+// eager domination-graph oracle it replaced, on random pools.
+
+/// A random pattern over one player source and up to five (op, relation)
+/// slots, each target typed at its base type or one level up. Patterns are
+/// then (mostly) ordered by action subsets and type lifts, so pools have
+/// long specialization chains and members with several dominators.
+Pattern RandomSelectionPattern(Rng* rng, const std::vector<TypeId>& targets,
+                               TypeId player) {
+  static const char* const kRelations[] = {"r0", "r1", "r2", "r3", "r4"};
+  Pattern p;
+  const int src = p.AddVar(player);
+  EXPECT_TRUE(p.SetSourceVar(src).ok());
+  for (size_t slot = 0; slot < 5; ++slot) {
+    if (!rng->NextBernoulli(0.5)) continue;
+    const TypeId t = targets[2 * (slot % 2) + rng->NextBelow(2)];
+    const int v = p.AddVar(t);
+    const EditOp op = slot == 4 ? EditOp::kRemove : EditOp::kAdd;
+    EXPECT_TRUE(p.AddAction(op, src, kRelations[slot], v).ok());
+  }
+  return p;
+}
+
+struct SelectionTrace {
+  std::vector<size_t> sequence;  // every validate(i) call, in order
+  std::vector<size_t> accepted;  // members neither seen nor rejected
+  Status status;
+};
+
+template <typename Select>
+SelectionTrace TraceSelection(Select select, const SpecializationOrder& order,
+                              const std::vector<char>& reject,
+                              const std::vector<char>& seen, size_t fail_at) {
+  SelectionTrace trace;
+  trace.status = select(order, [&](size_t i) -> Result<bool> {
+    trace.sequence.push_back(i);
+    if (trace.sequence.size() == fail_at) {
+      return Status::Internal("validation failed");
+    }
+    if (seen[i]) return true;
+    if (reject[i]) return false;
+    trace.accepted.push_back(i);
+    return true;
+  });
+  return trace;
+}
+
+TEST(DominationReleaseTest, OnDemandMatchesEagerGraphOnRandomPools) {
+  TypeTaxonomy tax;
+  const TypeId thing = *tax.AddRoot("thing");
+  const TypeId person = *tax.AddType("person", thing);
+  const TypeId player = *tax.AddType("player", person);
+  const TypeId org = *tax.AddType("org", thing);
+  const TypeId club = *tax.AddType("club", org);
+  const TypeId place = *tax.AddType("place", thing);
+  const TypeId city = *tax.AddType("city", place);
+  const std::vector<TypeId> targets = {club, org, city, place};
+
+  Rng rng(1801);
+  size_t released_with_several_dominators = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Pattern> pool;
+    std::set<std::string> keys;
+    const size_t wanted = 5 + rng.NextBelow(40);
+    for (size_t k = 0; k < 4 * wanted && pool.size() < wanted; ++k) {
+      Pattern p = RandomSelectionPattern(&rng, targets, player);
+      if (p.num_actions() == 0) continue;
+      if (keys.insert(p.CanonicalKey()).second) pool.push_back(std::move(p));
+    }
+    std::vector<const Pattern*> ptrs;
+    for (const Pattern& p : pool) ptrs.push_back(&p);
+    const SpecializationOrder order(std::move(ptrs), tax);
+    const size_t n = order.size();
+
+    const double reject_rate = rng.NextDouble();
+    std::vector<char> reject(n), seen(n);
+    for (size_t i = 0; i < n; ++i) {
+      reject[i] = rng.NextBernoulli(reject_rate) ? 1 : 0;
+      seen[i] = rng.NextBernoulli(0.15) ? 1 : 0;
+    }
+    // Every fifth trial fails validation at a random call.
+    const size_t fail_at = trial % 5 == 4 ? 1 + rng.NextBelow(n) : 0;
+
+    SelectionTrace eager = TraceSelection(ReferenceValidateMostSpecific,
+                                          order, reject, seen, fail_at);
+    SelectionTrace lazy =
+        TraceSelection(ValidateMostSpecific, order, reject, seen, fail_at);
+    EXPECT_EQ(lazy.sequence, eager.sequence) << "trial " << trial;
+    EXPECT_EQ(lazy.accepted, eager.accepted) << "trial " << trial;
+    EXPECT_EQ(lazy.status.code(), eager.status.code()) << "trial " << trial;
+
+    // Coverage: count processed members that had several dominators, i.e.
+    // were released only by the last of several rejections.
+    for (size_t i : eager.sequence) {
+      size_t dominators = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (j != i && order.StrictlySpecializes(j, i)) ++dominators;
+      }
+      if (dominators >= 2) ++released_with_several_dominators;
+    }
+  }
+  EXPECT_GT(released_with_several_dominators, 100u);
+}
+
+TEST(DominationReleaseTest, EmptyPoolValidatesNothing) {
+  TypeTaxonomy tax;
+  (void)*tax.AddRoot("thing");
+  const SpecializationOrder order({}, tax);
+  size_t calls = 0;
+  EXPECT_TRUE(ValidateMostSpecific(order, [&](size_t) -> Result<bool> {
+                ++calls;
+                return true;
+              }).ok());
+  EXPECT_EQ(calls, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Window tightening counts distinct seeds per sub-window from seed-sorted
+// spans; it must agree with a per-window hash set on random spans.
+
+TEST(WindowSupportCounterTest, MatchesPerWindowSetCount) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<PatternMiner::RealizationSpan> spans;
+    const size_t count = rng.NextBelow(60);
+    const uint64_t seeds = 1 + rng.NextBelow(15);
+    for (size_t k = 0; k < count; ++k) {
+      const Timestamp a = rng.NextInRange(0, 100);
+      const Timestamp b = rng.NextInRange(0, 100);
+      spans.push_back(PatternMiner::RealizationSpan{
+          static_cast<EntityId>(rng.NextBelow(seeds)), std::min(a, b),
+          std::max(a, b)});
+    }
+    const WindowSupportCounter counter(spans);
+    for (int w = 0; w < 20; ++w) {
+      const Timestamp begin = rng.NextInRange(-5, 100);
+      const TimeWindow window{begin, begin + rng.NextInRange(1, 110)};
+      std::unordered_set<EntityId> expected;
+      for (const PatternMiner::RealizationSpan& s : spans) {
+        if (s.tmin >= window.begin && s.tmax < window.end) {
+          expected.insert(s.seed);
+        }
+      }
+      EXPECT_EQ(counter.CountWithin(window), expected.size())
+          << "trial " << trial << " window " << window.ToString();
+    }
+  }
 }
 
 }  // namespace
