@@ -1,5 +1,10 @@
 #include "core/action_index.h"
 
+#include <functional>
+#include <utility>
+
+#include "common/hash.h"
+
 namespace wiclean {
 
 namespace rel = ::wiclean::relational;
@@ -78,36 +83,60 @@ rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
   return out;
 }
 
+size_t ActionIndex::LookupKeyHash::operator()(const LookupKey& k) const {
+  const uint64_t types =
+      static_cast<uint64_t>(static_cast<uint32_t>(k.source_type)) << 32 |
+      static_cast<uint32_t>(k.target_type);
+  return static_cast<size_t>(HashCombine(
+      HashCombine(k.relation_hash, types), static_cast<uint64_t>(k.op)));
+}
+
+const AbstractActionEntry* ActionIndex::Find(EditOp op, TypeId source_type,
+                                             std::string_view relation,
+                                             TypeId target_type) const {
+  auto it = lookup_.find(LookupKey{op, source_type, relation, target_type,
+                                   std::hash<std::string_view>{}(relation)});
+  return it == lookup_.end() ? nullptr : it->second;
+}
+
+AbstractActionEntry& ActionIndex::EntryFor(const LookupKey& key) {
+  auto it = lookup_.find(key);
+  if (it != lookup_.end()) return *it->second;
+  AbstractActionKey full{key.op, key.source_type, std::string(key.relation),
+                         key.target_type};
+  std::string encoded = full.Encode();
+  AbstractActionEntry& entry =
+      entries_
+          .emplace(std::move(encoded),
+                   AbstractActionEntry(std::move(full), NewRealizationTable()))
+          .first->second;
+  LookupKey stored = key;
+  stored.relation = entry.key.relation;  // outlives the ingested action
+  lookup_.emplace(stored, &entry);
+  return entry;
+}
+
 void ActionIndex::IngestAction(const Action& action) {
   const TypeTaxonomy& taxonomy = registry_->taxonomy();
-  TypeId src_type = registry_->TypeOf(action.subject);
-  TypeId dst_type = registry_->TypeOf(action.object);
+  const TypeId src_type = registry_->TypeOf(action.subject);
+  const TypeId dst_type = registry_->TypeOf(action.object);
   if (src_type == kInvalidTypeId || dst_type == kInvalidTypeId) return;
   ++num_actions_;
 
   // Enumerate abstractions: every (ancestor-of-source x ancestor-of-target)
   // pair within the lift budget (§3: "the set of possible abstractions can be
-  // computed by traversing the type hierarchy").
-  std::vector<TypeId> src_levels = taxonomy.AncestorsOf(src_type);
-  std::vector<TypeId> dst_levels = taxonomy.AncestorsOf(dst_type);
-  size_t src_count = std::min(
-      src_levels.size(), static_cast<size_t>(max_abstraction_lift_) + 1);
-  size_t dst_count = std::min(
-      dst_levels.size(), static_cast<size_t>(max_abstraction_lift_) + 1);
-
-  for (size_t i = 0; i < src_count; ++i) {
-    for (size_t j = 0; j < dst_count; ++j) {
-      AbstractActionKey key{action.op, src_levels[i], action.relation,
-                            dst_levels[j]};
-      std::string encoded = key.Encode();
-      auto it = entries_.find(encoded);
-      if (it == entries_.end()) {
-        it = entries_
-                 .emplace(std::move(encoded),
-                          AbstractActionEntry(key, NewRealizationTable()))
-                 .first;
-      }
-      it->second.realizations.AppendInt64Row(
+  // computed by traversing the type hierarchy"), walking up the parents.
+  LookupKey key{action.op, kInvalidTypeId, action.relation, kInvalidTypeId,
+                std::hash<std::string_view>{}(action.relation)};
+  TypeId src = src_type;
+  for (int i = 0; i <= max_abstraction_lift_ && taxonomy.IsValid(src);
+       ++i, src = taxonomy.Parent(src)) {
+    key.source_type = src;
+    TypeId dst = dst_type;
+    for (int j = 0; j <= max_abstraction_lift_ && taxonomy.IsValid(dst);
+         ++j, dst = taxonomy.Parent(dst)) {
+      key.target_type = dst;
+      EntryFor(key).realizations.AppendInt64Row(
           {action.subject, action.object, action.time});
     }
   }

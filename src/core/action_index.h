@@ -1,8 +1,11 @@
 #ifndef WICLEAN_CORE_ACTION_INDEX_H_
 #define WICLEAN_CORE_ACTION_INDEX_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -74,6 +77,13 @@ class ActionIndex {
   ActionIndex(const EntityRegistry* registry, const RevisionStore* store,
               const TimeWindow& window, int max_abstraction_lift);
 
+  // The lookup table points into entries_; moves keep those nodes, copies
+  // would not.
+  ActionIndex(const ActionIndex&) = delete;
+  ActionIndex& operator=(const ActionIndex&) = delete;
+  ActionIndex(ActionIndex&&) = default;
+  ActionIndex& operator=(ActionIndex&&) = default;
+
   /// Ingests the window's reduced actions of every not-yet-ingested entity in
   /// `entities`. Returns the number of entities actually ingested.
   size_t AddEntities(const std::vector<EntityId>& entities);
@@ -91,17 +101,45 @@ class ActionIndex {
   const TimeWindow& window() const { return window_; }
   int max_abstraction_lift() const { return max_abstraction_lift_; }
 
-  /// All abstract-action entries, keyed by AbstractActionKey::Encode().
+  /// All abstract-action entries, keyed by AbstractActionKey::Encode(). The
+  /// key order fixes the miner's candidate enumeration order.
   const std::map<std::string, AbstractActionEntry>& entries() const {
     return entries_;
   }
+
+  /// The entry of key (op, source_type, relation, target_type), or null;
+  /// no key is encoded.
+  const AbstractActionEntry* Find(EditOp op, TypeId source_type,
+                                  std::string_view relation,
+                                  TypeId target_type) const;
 
   /// Cumulative ingestion counters.
   size_t num_entities_ingested() const { return ingested_.size(); }
   size_t num_actions_ingested() const { return num_actions_; }
 
  private:
+  /// An entry's key fields, with a view of the relation (into the action
+  /// being ingested for a probe, into the entry's own key once stored) and
+  /// that relation's hash, computed once per action.
+  struct LookupKey {
+    EditOp op;
+    TypeId source_type;
+    std::string_view relation;
+    TypeId target_type;
+    size_t relation_hash;
+
+    bool operator==(const LookupKey& other) const {
+      return op == other.op && source_type == other.source_type &&
+             target_type == other.target_type && relation == other.relation;
+    }
+  };
+  struct LookupKeyHash {
+    size_t operator()(const LookupKey& k) const;
+  };
+
   void IngestAction(const Action& action);
+  /// The entry of `key`, created (and only then encoded) if absent.
+  AbstractActionEntry& EntryFor(const LookupKey& key);
 
   const EntityRegistry* registry_;
   const RevisionStore* store_;
@@ -113,6 +151,8 @@ class ActionIndex {
   std::unordered_set<TypeId> ingested_types_;
   size_t num_actions_ = 0;
   std::map<std::string, AbstractActionEntry> entries_;
+  /// Every entry of entries_ by its key fields (map nodes never move).
+  std::unordered_map<LookupKey, AbstractActionEntry*, LookupKeyHash> lookup_;
 };
 
 /// Filters a ("u", "v", "t") action-realization table down to rows whose

@@ -1,0 +1,120 @@
+#include "core/evaluation_cache.h"
+
+#include <bit>
+#include <utility>
+
+#include "common/hash.h"
+#include "common/logging.h"
+
+namespace wiclean {
+
+namespace {
+
+constexpr size_t kInitialSlots = 16;
+
+/// Fibonacci hashing: the top bits of value * 2^64/phi. Spreads hashes whose
+/// low bits are poorly mixed (HashCombine outputs) over the whole table.
+inline size_t FibonacciSlot(uint64_t value, int shift) {
+  return static_cast<size_t>((value * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+}  // namespace
+
+bool PairHashSet::Contains(uint64_t value) const {
+  if (value == 0) return has_zero_;
+  if (slots_.empty()) return false;
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = FibonacciSlot(value, shift_);; s = (s + 1) & mask) {
+    if (slots_[s] == value) return true;
+    if (slots_[s] == 0) return false;
+  }
+}
+
+bool PairHashSet::Insert(uint64_t value) {
+  if (value == 0) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    ++size_;
+    return true;
+  }
+  // Zero never occupies a slot, so the slots hold at most size_ values.
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = FibonacciSlot(value, shift_);; s = (s + 1) & mask) {
+    if (slots_[s] == value) return false;
+    if (slots_[s] == 0) {
+      slots_[s] = value;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+void PairHashSet::Grow() {
+  std::vector<uint64_t> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), 0);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (uint64_t value : old) {
+    if (value == 0) continue;
+    size_t s = FibonacciSlot(value, shift_);
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = value;
+  }
+}
+
+uint64_t EvaluationCache::HashKey(std::string_view key) {
+  return Fnv1a64(key);
+}
+
+EvaluationCache::Id EvaluationCache::Find(std::string_view key,
+                                          uint64_t hash) const {
+  if (slots_.empty()) return kAbsent;
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = FibonacciSlot(hash, shift_);; s = (s + 1) & mask) {
+    const Id id = slots_[s];
+    if (id == kAbsent) return kAbsent;
+    if (entries_[id].hash == hash && this->key(id) == key) return id;
+  }
+}
+
+EvaluationCache::Id EvaluationCache::Insert(std::string_view key,
+                                            uint64_t hash, double frequency,
+                                            size_t support) {
+  WICLEAN_CHECK(entries_.size() < kAbsent && key.size() <= UINT32_MAX);
+  if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+  const Id id = static_cast<Id>(entries_.size());
+  Entry& e = entries_.emplace_back();
+  e.hash = hash;
+  e.key_begin = keys_.size();
+  e.key_size = static_cast<uint32_t>(key.size());
+  e.state.frequency = frequency;
+  e.state.support = support;
+  keys_.append(key);
+  const size_t mask = slots_.size() - 1;
+  size_t s = FibonacciSlot(hash, shift_);
+  while (slots_[s] != kAbsent) s = (s + 1) & mask;
+  slots_[s] = id;
+  return id;
+}
+
+void EvaluationCache::Keep(Id id, Pattern pattern,
+                           relational::Table realizations) {
+  State& state = entries_[id].state;
+  WICLEAN_CHECK(state.realized == nullptr);
+  state.realized = &realized_.emplace_back(
+      Realized{std::move(pattern), std::move(realizations)});
+}
+
+void EvaluationCache::Grow() {
+  slots_.assign(slots_.empty() ? kInitialSlots : 2 * slots_.size(), kAbsent);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (Id id = 0; id < entries_.size(); ++id) {
+    size_t s = FibonacciSlot(entries_[id].hash, shift_);
+    while (slots_[s] != kAbsent) s = (s + 1) & mask;
+    slots_[s] = id;
+  }
+}
+
+}  // namespace wiclean

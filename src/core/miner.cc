@@ -1,6 +1,7 @@
 #include "core/miner.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -88,12 +89,38 @@ rel::Schema RealizationSchema(size_t num_vars) {
   return schema;
 }
 
+/// The error for an admission below the realization cache floor: a pattern
+/// admitted there would have no cached realization table to expand from.
+Status AdmissionBelowFloor(double admission, double floor) {
+  char text[160];
+  std::snprintf(text, sizeof(text),
+                "admission threshold %g is below the realization cache floor "
+                "%g (MinerOptions::realization_cache_min_frequency)",
+                admission, floor);
+  return Status::InvalidArgument(text);
+}
+
+/// The same contract broken by a reused context: it cached a pattern that
+/// clears `admission` under a higher floor than this miner's, without its
+/// table.
+Status AdmittedWithoutRealization(double admission) {
+  char text[200];
+  std::snprintf(text, sizeof(text),
+                "a pattern admitted at threshold %g has no cached realization: "
+                "the reused mining context was built with a realization cache "
+                "floor above that admission",
+                admission);
+  return Status::InvalidArgument(text);
+}
+
 }  // namespace
 
 /// All mining logic for one (seed type, window) pair. Owns nothing; mutates
 /// the MiningContext it is given.
 class PatternMiner::Impl {
  public:
+  using Id = EvaluationCache::Id;
+
   Impl(const EntityRegistry* registry, const RevisionStore* store,
        const MinerOptions& options, MiningContext* ctx, TypeId seed_type)
       : registry_(registry),
@@ -120,19 +147,22 @@ class PatternMiner::Impl {
   /// state from a previous (higher-threshold) run over the same window, the
   /// cached evaluations seed the frequent set and only new expansions run.
   Status MineFrequent() {
-    for (auto& [key, state] : ctx_->evaluated) {
+    EvaluationCache& cache = ctx_->evaluated;
+    std::vector<Id> seeded;
+    for (Id id = 0; id < cache.size(); ++id) {
+      const EvaluationCache::State& state = cache.state(id);
       if (state.support > 0 &&
           state.frequency >= options_.frequency_threshold) {
-        state.frequent = true;
-        frequent_keys_.push_back(key);
+        seeded.push_back(id);
       }
     }
-    // The evaluation cache is unordered; sort the seeded worklist so reused
-    // contexts expand (and report) in the same order as a fresh run.
-    std::sort(frequent_keys_.begin(), frequent_keys_.end());
-    frequent_hashes_.reserve(frequent_keys_.size());
-    for (const std::string& key : frequent_keys_) {
-      frequent_hashes_.push_back(Fnv1a64(key));
+    // Seed in key order, so reused contexts expand (and report) in the same
+    // order as a fresh run.
+    std::sort(seeded.begin(), seeded.end(),
+              [&](Id a, Id b) { return cache.key(a) < cache.key(b); });
+    for (Id id : seeded) {
+      WICLEAN_RETURN_IF_ERROR(MaybeAdmit(id, options_.frequency_threshold,
+                                         &frequent_, /*mark_frequent=*/true));
     }
     Timer ingest_timer;
     if (options_.graph_strategy == GraphStrategy::kMaterializeFull) {
@@ -156,8 +186,7 @@ class PatternMiner::Impl {
     for (;;) {
       Timer mine_timer;
       WICLEAN_RETURN_IF_ERROR(ExpandAll(options_.frequency_threshold,
-                                        &frequent_keys_, &frequent_hashes_,
-                                        &ctx_->tested,
+                                        &frequent_, &ctx_->tested,
                                         /*mark_frequent=*/true));
       ctx_->stats.mine_seconds += mine_timer.ElapsedSeconds();
 
@@ -169,43 +198,55 @@ class PatternMiner::Impl {
     ctx_->stats.entities_ingested = ctx_->index.num_entities_ingested();
     ctx_->stats.actions_ingested = ctx_->index.num_actions_ingested();
     ctx_->stats.abstract_actions = ctx_->index.entries().size();
-    ctx_->stats.frequent_patterns = frequent_keys_.size();
+    ctx_->stats.frequent_patterns = frequent_.ids.size();
     return Status::OK();
   }
 
-  const std::vector<std::string>& frequent_keys() const {
-    return frequent_keys_;
-  }
+  const std::vector<Id>& frequent_ids() const { return frequent_.ids; }
 
   /// Stage-2 entry point: relative mining from one base pattern (Def 3.5).
-  /// Returns keys of the admitted (relatively frequent) patterns, base
+  /// Returns the ids of the admitted (relatively frequent) patterns, base
   /// excluded.
-  Result<std::vector<std::string>> MineRelativeFrom(const std::string& base_key,
-                                                    double rel_threshold) {
-    auto it = ctx_->evaluated.find(base_key);
-    if (it == ctx_->evaluated.end()) {
-      return Status::InvalidArgument(
-          "relative mining base pattern was not evaluated in this context");
+  Result<std::vector<Id>> MineRelativeFrom(Id base, double rel_threshold) {
+    const double admission =
+        rel_threshold * ctx_->evaluated.state(base).frequency;
+    if (admission < options_.realization_cache_min_frequency) {
+      return AdmissionBelowFloor(admission,
+                                 options_.realization_cache_min_frequency);
     }
-    double admission = rel_threshold * it->second.frequency;
-    std::vector<std::string> admitted = {base_key};
-    std::vector<uint64_t> admitted_hashes = {Fnv1a64(base_key)};
-    std::unordered_set<uint64_t> local_tested;
+    Worklist admitted;
+    admitted.Add(base);
+    PairHashSet local_tested;
     Timer mine_timer;
-    WICLEAN_RETURN_IF_ERROR(ExpandAll(admission, &admitted, &admitted_hashes,
-                                      &local_tested,
+    WICLEAN_RETURN_IF_ERROR(ExpandAll(admission, &admitted, &local_tested,
                                       /*mark_frequent=*/false));
     ctx_->stats.mine_seconds += mine_timer.ElapsedSeconds();
-    admitted.erase(admitted.begin());  // drop the base itself
-    return admitted;
+    admitted.ids.erase(admitted.ids.begin());  // drop the base itself
+    return std::move(admitted.ids);
   }
 
  private:
-  /// One concrete extension to evaluate: base pattern state (stable pointer —
-  /// unordered_map nodes never move), the glued action, the gluing, and its
-  /// left-side join keys among the generation's prepared inputs.
+  using Realized = EvaluationCache::Realized;
+
+  /// Pattern ids whose expansions one ExpandAll pass explores, in admission
+  /// order, each listed once.
+  struct Worklist {
+    std::vector<Id> ids;
+    std::vector<char> listed;  // listed[id] != 0 iff ids holds id
+
+    void Add(Id id) {
+      if (id >= listed.size()) listed.resize(id + 1, 0);
+      if (listed[id] != 0) return;
+      listed[id] = 1;
+      ids.push_back(id);
+    }
+  };
+
+  /// One concrete extension to evaluate: the base pattern's kept state
+  /// (stable: the cache never moves it), the glued action, the gluing, and
+  /// its left-side join keys among the generation's prepared inputs.
   struct ExtensionCandidate {
-    const MiningContext::PatternState* base = nullptr;
+    const Realized* base = nullptr;
     size_t action = 0;  // index into ExpandAll's action snapshot
     int glue_source = 0;
     int glue_target = -1;  // -1 = fresh target variable
@@ -227,20 +268,21 @@ class PatternMiner::Impl {
   /// Output of one pure candidate evaluation. `computed` is false when the
   /// canonical key was already cached at evaluation time (nothing to insert;
   /// the commit step re-admits the cached state, as the serial code does).
-  /// `realization` is materialized only when `frequency` reaches the
-  /// realization cache floor, i.e. only when the cache will keep it.
+  /// `kept` — the pattern and its realization table — is built only when
+  /// `frequency` reaches the realization cache floor, i.e. only when the
+  /// cache will keep it.
   struct CandidateResult {
     std::string key;
-    Pattern pattern;
-    rel::Table realization{rel::Schema()};
+    uint64_t hash = 0;  // EvaluationCache::HashKey(key)
+    std::optional<Realized> kept;
     size_t support = 0;
     double frequency = 0;
     bool computed = false;
     WorkingSetProfile touched;  // per-task profile shard, merged at commit
   };
 
-  /// Fixpoint expansion pass: grows `admitted_keys` (a worklist of pattern
-  /// keys whose expansions are explored) by testing every untested
+  /// Fixpoint expansion pass: grows `admitted` (the worklist of patterns
+  /// whose expansions are explored) by testing every untested
   /// (pattern, abstract action) pair, admitting extensions with frequency >=
   /// `admission`. Also (re)scans singleton candidates when mark_frequent is
   /// set, so newly ingested action types can seed new patterns.
@@ -260,18 +302,15 @@ class PatternMiner::Impl {
   /// drops the rest without counting them. The admitted worklist, cache
   /// contents, and every stats counter are therefore identical at any
   /// MinerOptions::num_threads.
-  Status ExpandAll(double admission, std::vector<std::string>* admitted_keys,
-                   std::vector<uint64_t>* admitted_hashes,
-                   std::unordered_set<uint64_t>* tested, bool mark_frequent) {
+  Status ExpandAll(double admission, Worklist* admitted, PairHashSet* tested,
+                   bool mark_frequent) {
     if (mark_frequent) {
-      WICLEAN_RETURN_IF_ERROR(ScanSingletons(admission, admitted_keys,
-                                             admitted_hashes, tested));
+      WICLEAN_RETURN_IF_ERROR(ScanSingletons(admission, admitted, tested));
     }
-    WICLEAN_CHECK(admitted_keys->size() == admitted_hashes->size());
     // Snapshot the abstract actions with their key hashes computed once: the
     // pair-tested check below runs for every (pattern, action) combination,
     // and re-hashing both strings each time dominated this loop. Pattern-key
-    // hashes ride along in admitted_hashes. The index cannot grow during
+    // hashes are stored with the cache entries. The index cannot grow during
     // expansion (ingest happens between ExpandAll rounds), so the snapshot —
     // and the action sides prepared from it — stay valid for this call only.
     std::vector<ActionSlot> actions(ctx_->index.entries().size());
@@ -285,17 +324,16 @@ class PatternMiner::Impl {
       }
     }
     const bool hash_join = options_.join_engine == JoinEngineKind::kHashJoin;
-    std::unordered_set<std::string> admitted_set(admitted_keys->begin(),
-                                                 admitted_keys->end());
     std::vector<size_t> pattern_actions;
     size_t pi = 0;
-    while (pi < admitted_keys->size()) {
-      const size_t gen_end = admitted_keys->size();
+    while (pi < admitted->ids.size()) {
+      const size_t gen_end = admitted->ids.size();
       std::vector<ExtensionCandidate> candidates;
       std::vector<std::vector<uint64_t>> left_keys;
       for (; pi < gen_end; ++pi) {
-        const MiningContext::PatternState& base =
-            ctx_->evaluated.at((*admitted_keys)[pi]);
+        const Id id = admitted->ids[pi];
+        // MaybeAdmit lists kept states only.
+        const Realized& base = *ctx_->evaluated.state(id).realized;
         const Pattern& p = base.pattern;
         // A pattern at the action cap has no extension, whatever the action.
         if (p.num_actions() >= options_.max_pattern_actions) continue;
@@ -313,10 +351,10 @@ class PatternMiner::Impl {
         std::sort(pattern_actions.begin(), pattern_actions.end());
         const bool has_seed_var = HasSeedVar(p);
         const size_t first = candidates.size();
-        const uint64_t pattern_hash = (*admitted_hashes)[pi];
+        const uint64_t pattern_hash = ctx_->evaluated.hash(id);
         for (size_t ai : pattern_actions) {
           uint64_t pair_key = HashCombine(pattern_hash, actions[ai].key_hash);
-          if (!tested->insert(pair_key).second) continue;
+          if (!tested->Insert(pair_key)) continue;
           CollectPair(base, has_seed_var, ai, *actions[ai].entry,
                       &candidates);
         }
@@ -344,8 +382,8 @@ class PatternMiner::Impl {
       }
       for (const Status& s : statuses) WICLEAN_RETURN_IF_ERROR(s);
       for (CandidateResult& res : results) {
-        CommitCandidate(&res, admission, admitted_keys, admitted_hashes,
-                        &admitted_set, mark_frequent);
+        WICLEAN_RETURN_IF_ERROR(
+            CommitCandidate(&res, admission, admitted, mark_frequent));
       }
     }
     return Status::OK();
@@ -353,8 +391,7 @@ class PatternMiner::Impl {
 
   /// Gives candidates[first..] — all from one base pattern — their left key
   /// hashes: one vector per distinct (glue source, glue target) of the base.
-  Status PrepareLeftKeys(const MiningContext::PatternState& base,
-                         size_t first,
+  Status PrepareLeftKeys(const Realized& base, size_t first,
                          std::vector<ExtensionCandidate>* candidates,
                          std::vector<std::vector<uint64_t>>* left_keys) const {
     // (glue source, glue target or -1) -> index into left_keys.
@@ -400,12 +437,8 @@ class PatternMiner::Impl {
   /// Evaluates (or fetches from cache) all singleton patterns whose source
   /// variable type is comparable to the seed type (Algorithm 1, line 2, over
   /// every abstraction level).
-  Status ScanSingletons(double admission,
-                        std::vector<std::string>* admitted_keys,
-                        std::vector<uint64_t>* admitted_hashes,
-                        std::unordered_set<uint64_t>* tested) {
-    std::unordered_set<std::string> admitted_set(admitted_keys->begin(),
-                                                 admitted_keys->end());
+  Status ScanSingletons(double admission, Worklist* admitted,
+                        PairHashSet* tested) {
     for (const auto& [action_key, entry] : ctx_->index.entries()) {
       if (!taxonomy_->Comparable(entry.key.source_type, seed_type_)) continue;
       // Seed-focus constraint also applies to singletons whose target would
@@ -416,7 +449,7 @@ class PatternMiner::Impl {
       }
       uint64_t singleton_marker =
           HashCombine(Fnv1a64("\x1e singleton"), Fnv1a64(action_key));
-      if (!tested->insert(singleton_marker).second) continue;
+      if (!tested->Insert(singleton_marker)) continue;
 
       Pattern p;
       int u = p.AddVar(entry.key.source_type);
@@ -425,9 +458,10 @@ class PatternMiner::Impl {
           p.AddAction(entry.key.op, u, entry.key.relation, v));
       WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
 
-      std::string key = p.CanonicalKey();
-      auto cached = ctx_->evaluated.find(key);
-      if (cached == ctx_->evaluated.end()) {
+      const std::string key = p.CanonicalKey();
+      const uint64_t hash = EvaluationCache::HashKey(key);
+      Id id = ctx_->evaluated.Find(key, hash);
+      if (id == EvaluationCache::kAbsent) {
         // Distinct variables bind distinct entities: drop self-link rows.
         // Rows carry the action timestamp as a [t, t] span.
         rel::Table realization(RealizationSchemaOf(2));
@@ -443,11 +477,17 @@ class PatternMiner::Impl {
               realization.ApproxBytes();
         }
         realization = DedupKeepTightest(realization, 2);
-        cached = RecordEvaluation(std::move(key), std::move(p),
-                                  std::move(realization));
+        const size_t support = CountTableSeedSources(
+            realization, static_cast<size_t>(p.source_var()));
+        const double frequency = FrequencyOf(support);
+        std::optional<Realized> kept;
+        if (frequency >= options_.realization_cache_min_frequency) {
+          kept.emplace(Realized{std::move(p), std::move(realization)});
+        }
+        id = RecordEvaluated(key, hash, std::move(kept), support, frequency);
       }
-      MaybeAdmit(cached, admission, admitted_keys, admitted_hashes,
-                 &admitted_set, /*mark_frequent=*/true);
+      WICLEAN_RETURN_IF_ERROR(
+          MaybeAdmit(id, admission, admitted, /*mark_frequent=*/true));
     }
     return Status::OK();
   }
@@ -469,8 +509,8 @@ class PatternMiner::Impl {
   /// Candidates are appended in exactly the order the serial code evaluated
   /// them — the commit step replays this order, which is what keeps parallel
   /// runs byte-identical.
-  void CollectPair(const MiningContext::PatternState& base, bool has_seed_var,
-                   size_t action, const AbstractActionEntry& entry,
+  void CollectPair(const Realized& base, bool has_seed_var, size_t action,
+                   const AbstractActionEntry& entry,
                    std::vector<ExtensionCandidate>* out) const {
     const Pattern& p = base.pattern;
     for (int i = 0; i < static_cast<int>(p.num_vars()); ++i) {
@@ -515,10 +555,13 @@ class PatternMiner::Impl {
     }
   }
 
-  /// Per-thread buffers of EvaluateCandidate's PM path: the probe's output
-  /// rows and their source values. Cleared, never freed, so once they have
-  /// grown a candidate allocates nothing here.
+  /// Per-thread buffers of EvaluateCandidate: the extended pattern, and the
+  /// PM path's join spec, probe output rows and their source values.
+  /// Overwritten or cleared, never freed, so once they have grown a
+  /// candidate allocates nothing here.
   struct CandidateScratch {
+    Pattern extended;
+    RealizationJoinSpec spec;
     RealizationRows rows;
     std::vector<int64_t> sources;
   };
@@ -527,21 +570,27 @@ class PatternMiner::Impl {
   /// pattern, joins the base realization with the action realization, and
   /// counts seed support. Reads the evaluation cache (no writes happen while
   /// tasks run) and shared immutable tables only, so any number of these run
-  /// concurrently. The PM path probes with the fused operator (join + span
-  /// recompute + prune + dedup in one pass, no wide join materialized) into
-  /// per-thread row buffers, counts support from them, and assembles the
-  /// realization table only when the cache floor keeps it; PM−join keeps the
-  /// unfused nested-loop pipeline as the §6 ablation baseline.
+  /// concurrently. The extended pattern is built in per-thread scratch and
+  /// copied out only when the cache floor keeps it. The PM path probes with
+  /// the fused operator (join + span recompute + prune + dedup in one pass,
+  /// no wide join materialized) into per-thread row buffers, counts support
+  /// from them, and assembles the realization table only when the cache
+  /// floor keeps it; PM−join keeps the unfused nested-loop pipeline as the §6
+  /// ablation baseline.
   Status EvaluateCandidate(
       const ExtensionCandidate& c, const std::vector<ActionSlot>& actions,
       const std::vector<std::vector<uint64_t>>& left_keys,
       CandidateResult* out) const {
-    const MiningContext::PatternState& base = *c.base;
+    const Realized& base = *c.base;
     const ActionSlot& slot = actions[c.action];
     const AbstractActionEntry& entry = *slot.entry;
     const int glue_source = c.glue_source;
     const int glue_target = c.glue_target;
-    Pattern extended = base.pattern;
+    // Per-thread, so capacity survives across this thread's candidates and
+    // concurrent tasks never share it.
+    thread_local CandidateScratch scratch;
+    Pattern& extended = scratch.extended;
+    extended = base.pattern;
     int target_var =
         glue_target >= 0 ? glue_target : extended.AddVar(entry.key.target_type);
     WICLEAN_RETURN_IF_ERROR(extended.AddAction(entry.key.op, glue_source,
@@ -549,7 +598,8 @@ class PatternMiner::Impl {
                                                target_var));
 
     out->key = extended.CanonicalKey();
-    if (ctx_->evaluated.find(out->key) != ctx_->evaluated.end()) {
+    out->hash = EvaluationCache::HashKey(out->key);
+    if (ctx_->evaluated.Find(out->key, out->hash) != EvaluationCache::kAbsent) {
       // Cached at snapshot time; commit will re-admit the cached state.
       return Status::OK();
     }
@@ -560,10 +610,11 @@ class PatternMiner::Impl {
                                          entry.realizations.ApproxBytes();
     }
     if (options_.join_engine == JoinEngineKind::kHashJoin) {
-      RealizationJoinSpec rspec;
+      RealizationJoinSpec& rspec = scratch.spec;
       rspec.num_left_vars = n;
       rspec.glue_source_col = static_cast<size_t>(glue_source);
       rspec.glue_target_col = glue_target;
+      rspec.distinct_from_target.clear();
       if (glue_target < 0) {
         // Fresh variable: must bind an entity distinct from every variable
         // it could share a binding with (types on one taxonomy path).
@@ -579,9 +630,6 @@ class PatternMiner::Impl {
       const std::optional<PreparedActionSide>& side =
           glue_target < 0 ? slot.fresh_side : slot.glued_side;
       WICLEAN_CHECK(side.has_value() && new_vars < schemas_.size());
-      // Per-thread, so capacity survives across this thread's candidates and
-      // concurrent tasks never share it.
-      thread_local CandidateScratch scratch;
       WICLEAN_RETURN_IF_ERROR(ProbeRealizations(base.realizations,
                                                 left_keys[c.left_keys], *side,
                                                 rspec, &scratch.rows));
@@ -599,9 +647,10 @@ class PatternMiner::Impl {
       out->frequency = FrequencyOf(out->support);
       if (out->frequency >= options_.realization_cache_min_frequency) {
         WICLEAN_ASSIGN_OR_RETURN(
-            out->realization,
+            rel::Table realization,
             AssembleRealizations(base.realizations, *side, schemas_[new_vars],
                                  rspec, scratch.rows));
+        out->kept.emplace(Realized{extended, std::move(realization)});
       }
     } else {
       rel::JoinSpec spec;
@@ -643,9 +692,10 @@ class PatternMiner::Impl {
       out->support = CountTableSeedSources(
           realization, static_cast<size_t>(extended.source_var()));
       out->frequency = FrequencyOf(out->support);
-      out->realization = std::move(realization);
+      if (out->frequency >= options_.realization_cache_min_frequency) {
+        out->kept.emplace(Realized{extended, std::move(realization)});
+      }
     }
-    out->pattern = std::move(extended);
     out->computed = true;
     return Status::OK();
   }
@@ -654,74 +704,63 @@ class PatternMiner::Impl {
   /// the result into the cache unless the key arrived earlier (same-
   /// generation duplicate routes recompute the same canonical pattern; the
   /// first commit wins, as in the serial code), then replays admission.
-  void CommitCandidate(CandidateResult* res, double admission,
-                       std::vector<std::string>* admitted_keys,
-                       std::vector<uint64_t>* admitted_hashes,
-                       std::unordered_set<std::string>* admitted_set,
-                       bool mark_frequent) {
-    auto it = ctx_->evaluated.find(res->key);
-    if (it == ctx_->evaluated.end()) {
+  Status CommitCandidate(CandidateResult* res, double admission,
+                         Worklist* admitted, bool mark_frequent) {
+    Id id = ctx_->evaluated.Find(res->key, res->hash);
+    if (id == EvaluationCache::kAbsent) {
       WICLEAN_CHECK(res->computed);
       ctx_->stats.workingset.Accumulate(res->touched);
-      it = RecordEvaluated(std::move(res->key), std::move(res->pattern),
-                           std::move(res->realization), res->support,
-                           res->frequency);
+      id = RecordEvaluated(res->key, res->hash, std::move(res->kept),
+                           res->support, res->frequency);
     }
-    MaybeAdmit(it, admission, admitted_keys, admitted_hashes, admitted_set,
-               mark_frequent);
+    return MaybeAdmit(id, admission, admitted, mark_frequent);
   }
 
-  /// Computes seed support, then stores the evaluation (serial callers).
-  MiningContext::EvaluatedMap::iterator RecordEvaluation(
-      std::string key, Pattern pattern, rel::Table realization) {
-    size_t source_col = static_cast<size_t>(pattern.source_var());
-    size_t support = CountTableSeedSources(realization, source_col);
-    return RecordEvaluated(std::move(key), std::move(pattern),
-                           std::move(realization), support,
-                           FrequencyOf(support));
-  }
-
-  /// Stores one evaluation with its precomputed support count and frequency
-  /// (FrequencyOf(support)), and applies the realization cache floor to that
-  /// same frequency — the one EvaluateCandidate used to decide whether to
-  /// assemble `realization` at all.
-  MiningContext::EvaluatedMap::iterator RecordEvaluated(
-      std::string key, Pattern pattern, rel::Table realization,
-      size_t support, double frequency) {
+  /// Stores one evaluation with its support count and frequency
+  /// (FrequencyOf(support)). `kept` must hold the pattern and realization
+  /// exactly when that frequency reaches the realization cache floor — the
+  /// test every evaluator applies before building them.
+  Id RecordEvaluated(std::string_view key, uint64_t hash,
+                     std::optional<Realized> kept, size_t support,
+                     double frequency) {
     ++ctx_->stats.candidates_considered;
-    MiningContext::PatternState state;
-    state.support = support;
-    state.frequency = frequency;
-    state.pattern = std::move(pattern);
+    const bool keep = frequency >= options_.realization_cache_min_frequency;
+    WICLEAN_CHECK(kept.has_value() == keep);
     if (options_.profile_workingset) {
       WorkingSetProfile& ws = ctx_->stats.workingset;
       ++ws.tables_born;
-      if (state.frequency >= options_.realization_cache_min_frequency) {
-        ws.live_bytes += realization.ApproxBytes();
+      if (keep) {
+        ws.live_bytes += kept->realizations.ApproxBytes();
         ws.peak_live_bytes = std::max(ws.peak_live_bytes, ws.live_bytes);
       } else {
         ++ws.tables_died;  // below the cache floor: not kept
       }
     }
-    if (state.frequency >= options_.realization_cache_min_frequency) {
-      state.realizations = std::move(realization);
+    const Id id = ctx_->evaluated.Insert(key, hash, frequency, support);
+    if (keep) {
+      ctx_->evaluated.Keep(id, std::move(kept->pattern),
+                           std::move(kept->realizations));
     }
-    return ctx_->evaluated.emplace(std::move(key), std::move(state)).first;
+    return id;
   }
 
-  void MaybeAdmit(MiningContext::EvaluatedMap::iterator it, double admission,
-                  std::vector<std::string>* admitted_keys,
-                  std::vector<uint64_t>* admitted_hashes,
-                  std::unordered_set<std::string>* admitted_set,
-                  bool mark_frequent) {
-    if (it->second.support == 0 || it->second.frequency < admission) return;
-    if (mark_frequent) it->second.frequent = true;
-    if (admitted_set->insert(it->first).second) {
-      admitted_keys->push_back(it->first);
-      // Key hash rides along with the worklist entry, so the pair-tested
-      // loop never re-hashes pattern keys.
-      admitted_hashes->push_back(Fnv1a64(it->first));
+  /// Admits entry `id` at `admission` (support > 0 and frequency at least
+  /// `admission`): marks it frequent when asked and lists it once. An
+  /// admitted state must be kept, since expansion joins from its table. The
+  /// entry points reject admissions below this miner's floor, so only a
+  /// reused context cached under a higher floor can break that here.
+  Status MaybeAdmit(Id id, double admission, Worklist* admitted,
+                    bool mark_frequent) {
+    EvaluationCache::State& state = ctx_->evaluated.state(id);
+    if (state.support == 0 || state.frequency < admission) {
+      return Status::OK();
     }
+    if (state.realized == nullptr) {
+      return AdmittedWithoutRealization(admission);
+    }
+    if (mark_frequent) state.frequent = true;
+    admitted->Add(id);
+    return Status::OK();
   }
 
   /// Definition 3.2 frequency of a pattern with `support` seed sources.
@@ -773,8 +812,8 @@ class PatternMiner::Impl {
   bool IngestPendingTypes() {
     if (full_graph_) return false;
     bool grew = false;
-    for (const std::string& key : frequent_keys_) {
-      const Pattern& p = ctx_->evaluated.at(key).pattern;
+    for (Id id : frequent_.ids) {
+      const Pattern& p = ctx_->evaluated.state(id).realized->pattern;
       for (TypeId t : p.DistinctVarTypes()) {
         size_t added = ctx_->index.AddEntitiesOfType(t);
         grew = grew || added > 0;
@@ -792,8 +831,7 @@ class PatternMiner::Impl {
   size_t seed_count_;
   bool full_graph_ = false;
 
-  std::vector<std::string> frequent_keys_;
-  std::vector<uint64_t> frequent_hashes_;  // Fnv1a64 of frequent_keys_[i]
+  Worklist frequent_;
   /// schemas_[w] = RealizationSchema(w); see RealizationSchemaOf.
   std::vector<rel::Schema> schemas_;
   /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
@@ -823,6 +861,10 @@ Result<MineWindowResult> PatternMiner::MineWindow(
     return Status::InvalidArgument(
         "reused mining context belongs to a different window");
   }
+  if (options_.frequency_threshold < options_.realization_cache_min_frequency) {
+    return AdmissionBelowFloor(options_.frequency_threshold,
+                               options_.realization_cache_min_frequency);
+  }
 
   MineWindowResult result;
   result.context =
@@ -837,12 +879,11 @@ Result<MineWindowResult> PatternMiner::MineWindow(
   // Collect every frequent pattern, then filter to the most specific ones
   // (Definition 3.3) among them.
   std::vector<const Pattern*> frequent;
-  for (const std::string& key : impl.frequent_keys()) {
-    const MiningContext::PatternState& state =
-        result.context->evaluated.at(key);
-    frequent.push_back(&state.pattern);
-    result.all_frequent.push_back(
-        MinedPattern{state.pattern, window, state.frequency, state.support});
+  for (EvaluationCache::Id id : impl.frequent_ids()) {
+    const EvaluationCache::State& state = result.context->evaluated.state(id);
+    frequent.push_back(&state.realized->pattern);
+    result.all_frequent.push_back(MinedPattern{
+        state.realized->pattern, window, state.frequency, state.support});
   }
   const SpecializationOrder order(std::move(frequent), registry_->taxonomy());
   for (size_t i : order.MostSpecific()) {
@@ -900,13 +941,13 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   bound_tables.reserve(pattern.num_actions());
   auto realizations_of = [&](size_t ai) -> const rel::Table* {
     const AbstractAction& a = pattern.actions()[ai];
-    AbstractActionKey key{a.op, pattern.var_type(a.source_var), a.relation,
-                          pattern.var_type(a.target_var)};
-    auto it = index->entries().find(key.Encode());
-    if (it == index->entries().end()) return nullptr;
-    if (!pattern.HasBindings()) return &it->second.realizations;
+    const AbstractActionEntry* entry =
+        index->Find(a.op, pattern.var_type(a.source_var), a.relation,
+                    pattern.var_type(a.target_var));
+    if (entry == nullptr) return nullptr;
+    if (!pattern.HasBindings()) return &entry->realizations;
     bound_tables.push_back(FilterRealizationsByBindings(
-        it->second.realizations, pattern.var_binding(a.source_var),
+        entry->realizations, pattern.var_binding(a.source_var),
         pattern.var_binding(a.target_var)));
     return &bound_tables.back();
   };
@@ -1060,20 +1101,22 @@ PatternMiner::MineValueSpecific(const MiningContext& context,
   if (min_value_share <= 0 || min_value_share > 1) {
     return Status::InvalidArgument("value share must be in (0, 1]");
   }
-  auto it = context.evaluated.find(base.pattern.CanonicalKey());
-  if (it == context.evaluated.end()) {
+  const EvaluationCache::Id id =
+      context.evaluated.Find(base.pattern.CanonicalKey());
+  if (id == EvaluationCache::kAbsent) {
     return Status::InvalidArgument(
         "value-specific mining base pattern was not evaluated in this "
         "context");
   }
-  const rel::Table& realization = it->second.realizations;
-  const Pattern& p = base.pattern;
-  const size_t n = p.num_vars();
-  if (realization.num_columns() < n) {
+  const EvaluationCache::Realized* kept = context.evaluated.state(id).realized;
+  if (kept == nullptr) {
     return Status::FailedPrecondition(
         "base pattern's realization table was evicted (frequency below the "
         "realization cache floor)");
   }
+  const rel::Table& realization = kept->realizations;
+  const Pattern& p = base.pattern;
+  const size_t n = p.num_vars();
   const TypeTaxonomy& taxonomy = registry_->taxonomy();
   size_t seed_count = registry_->CountEntitiesOfType(seed_type);
   size_t source_col = static_cast<size_t>(p.source_var());
@@ -1126,27 +1169,30 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   if (rel_threshold <= 0 || rel_threshold > 1) {
     return Status::InvalidArgument("relative threshold must be in (0, 1]");
   }
+  const EvaluationCache::Id base_id =
+      context->evaluated.Find(base.pattern.CanonicalKey());
+  if (base_id == EvaluationCache::kAbsent) {
+    return Status::InvalidArgument(
+        "relative mining base pattern was not evaluated in this context");
+  }
   Impl impl(registry_, store_, options_, context, seed_type);
-  std::string base_key = base.pattern.CanonicalKey();
-  WICLEAN_ASSIGN_OR_RETURN(std::vector<std::string> admitted,
-                           impl.MineRelativeFrom(base_key, rel_threshold));
+  WICLEAN_ASSIGN_OR_RETURN(std::vector<EvaluationCache::Id> admitted,
+                           impl.MineRelativeFrom(base_id, rel_threshold));
   // Relative frequencies are w.r.t. the base frequency *in this context's
   // window* (the base may have been re-localized afterwards).
-  const double base_frequency = context->evaluated.at(base_key).frequency;
+  const double base_frequency = context->evaluated.state(base_id).frequency;
 
   // Most specific relatively-frequent refinements.
-  std::vector<const MiningContext::PatternState*> states;
   std::vector<const Pattern*> patterns;
-  for (const std::string& key : admitted) {
-    states.push_back(&context->evaluated.at(key));
-    patterns.push_back(&states.back()->pattern);
+  for (EvaluationCache::Id id : admitted) {
+    patterns.push_back(&context->evaluated.state(id).realized->pattern);
   }
   const SpecializationOrder order(std::move(patterns), registry_->taxonomy());
   std::vector<RelativePattern> out;
   for (size_t i : order.MostSpecific()) {
-    const MiningContext::PatternState& state = *states[i];
+    const EvaluationCache::State& state = context->evaluated.state(admitted[i]);
     RelativePattern rp;
-    rp.pattern = state.pattern;
+    rp.pattern = state.realized->pattern;
     rp.frequency = state.frequency;
     rp.support = state.support;
     rp.relative_frequency =

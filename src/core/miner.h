@@ -2,13 +2,11 @@
 #define WICLEAN_CORE_MINER_H_
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "core/action_index.h"
+#include "core/evaluation_cache.h"
 #include "core/pattern.h"
 #include "graph/entity_registry.h"
 #include "relational/table.h"
@@ -77,13 +75,15 @@ struct MinerOptions {
   /// explodes the search.
   Timestamp max_realization_span = 8 * kSecondsPerWeek;
 
-  /// Realization tables of evaluated patterns below this frequency are
-  /// discarded after the frequency is computed (the cached frequency
-  /// remains). Tables are only ever re-joined for *admitted* patterns, and
-  /// every admission threshold in the system (absolute ladders bottom out at
-  /// 0.2; relative admissions at rel_threshold * base frequency) stays above
-  /// this floor — lower it if you run with more permissive thresholds.
-  /// Bounds the memory of wide-window, low-threshold rounds.
+  /// Evaluated patterns below this frequency keep only their frequency and
+  /// support: the cache drops their pattern and realization table. Tables
+  /// are only ever re-joined for *admitted* patterns, so no admission may
+  /// fall below this floor: MineWindow rejects a frequency_threshold, and
+  /// MineRelative a rel_threshold * base frequency, below it with
+  /// InvalidArgument. Absolute ladders bottom out at 0.2 and relative
+  /// admissions at 0.5 of that, so the default fits the default search;
+  /// WindowSearch lowers it to its own lowest admission when configured
+  /// below that. Bounds the memory of wide-window, low-threshold rounds.
   double realization_cache_min_frequency = 0.1;
 
   /// Mining-internal parallelism: candidate evaluations within one expansion
@@ -167,41 +167,20 @@ struct MineWindowStats {
 /// to be reused if the same patterns are later re-examined").
 class MiningContext {
  public:
-  struct PatternState {
-    Pattern pattern;
-    relational::Table realizations;  // columns v0..vN (empty if infrequent)
-    double frequency = 0;
-    size_t support = 0;
-    bool frequent = false;
-
-    PatternState() : realizations(relational::Schema()) {}
-  };
-
   MiningContext(const EntityRegistry* registry, const RevisionStore* store,
                 const TimeWindow& window, const MinerOptions& options)
       : index(registry, store, window, options.max_abstraction_lift) {}
 
-  /// Canonical pattern keys are hashed with Fnv1a64 — the same hash the
-  /// miner already computes for tested-pair keys, so profiles show one key
-  /// hash function end to end.
-  struct PatternKeyHasher {
-    size_t operator()(const std::string& key) const {
-      return static_cast<size_t>(Fnv1a64(key));
-    }
-  };
-  using EvaluatedMap =
-      std::unordered_map<std::string, PatternState, PatternKeyHasher>;
-
   ActionIndex index;
-  /// canonical pattern key -> evaluation result. Unordered: anything whose
-  /// output order could leak from iteration order (e.g. seeding a reused
-  /// context's frequent set) must sort explicitly.
-  EvaluatedMap evaluated;
+  /// canonical pattern key -> evaluation result. Ids follow the serial
+  /// commit order, the same at any thread count. Anything that must follow
+  /// key order (seeding a reused context's frequent set) sorts explicitly.
+  EvaluationCache evaluated;
   /// Hashes of (pattern key, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
   /// Pairs that can yield no candidate (no variable of the action's source
   /// type, or a pattern at max_pattern_actions) are never entered.
-  std::unordered_set<uint64_t> tested;
+  PairHashSet tested;
   MineWindowStats stats;
 };
 
@@ -234,6 +213,10 @@ class PatternMiner {
   /// paper's "caching of the computed frequencies/realization tables, to be
   /// reused if the same patterns are later re-examined with different
   /// thresholds". Stats in the result cover only the incremental work.
+  ///
+  /// InvalidArgument when frequency_threshold is below
+  /// realization_cache_min_frequency, or when `reuse` holds an admissible
+  /// pattern without its table (it was cached under a higher floor).
   [[nodiscard]] Result<MineWindowResult> MineWindow(
       TypeId seed_type, const TimeWindow& window,
       std::shared_ptr<MiningContext> reuse = nullptr) const;
@@ -303,7 +286,9 @@ class PatternMiner {
   /// Definition 3.5: mines the most specific *relatively* frequent
   /// refinements of `base` (which must be a pattern found by the MineWindow
   /// call that produced `context`). Expansion continues from base's cached
-  /// realization with admission threshold rel_threshold * frequency(base).
+  /// realization with admission threshold rel_threshold * frequency(base);
+  /// InvalidArgument when that admission is below
+  /// MinerOptions::realization_cache_min_frequency.
   [[nodiscard]] Result<std::vector<RelativePattern>> MineRelative(
       MiningContext* context, TypeId seed_type, const MinedPattern& base,
       double rel_threshold) const;

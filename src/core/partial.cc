@@ -230,10 +230,10 @@ Result<PartialUpdateReport> PartialUpdateDetector::Detect(
 
   auto realizations = [&](size_t i) -> const rel::Table* {
     const AbstractAction& a = pattern.actions()[i];
-    AbstractActionKey key{a.op, pattern.var_type(a.source_var), a.relation,
-                          pattern.var_type(a.target_var)};
-    auto it = index.entries().find(key.Encode());
-    return it == index.entries().end() ? nullptr : &it->second.realizations;
+    const AbstractActionEntry* entry =
+        index.Find(a.op, pattern.var_type(a.source_var), a.relation,
+                   pattern.var_type(a.target_var));
+    return entry == nullptr ? nullptr : &entry->realizations;
   };
   return DetectPartialsFromRealizations(pattern, window,
                                         registry_->taxonomy(), realizations,

@@ -116,8 +116,11 @@ std::string Pattern::CanonicalKey() const {
 
   s.by_type.resize(n);
   std::iota(s.by_type.begin(), s.by_type.end(), 0);
-  std::stable_sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
-    return var_types_[a] < var_types_[b];
+  // By (type, index): the order a stable sort by type gives, without the
+  // temporary buffer std::stable_sort allocates on every call.
+  std::sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
+    return var_types_[a] != var_types_[b] ? var_types_[a] < var_types_[b]
+                                          : a < b;
   });
   s.group_end.clear();
   for (size_t k = 0; k < n; ++k) {

@@ -275,10 +275,23 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
            std::shared_ptr<MiningContext>> context_cache;
   Timestamp cached_width = -1;
 
+  // No admission may fall below the miner's realization cache floor. The
+  // threshold never drops below min(initial, min_threshold), and a relative
+  // admission is relative_threshold times a base at least that frequent, so
+  // that product bounds every admission of the search from below.
+  const double lowest_threshold =
+      std::min(options_.initial_threshold, options_.min_threshold);
+  const double cache_floor =
+      std::min(options_.miner.realization_cache_min_frequency,
+               options_.mine_relative
+                   ? lowest_threshold * options_.relative_threshold
+                   : lowest_threshold);
+
   for (size_t round = 0; round < options_.max_rounds; ++round) {
     Timer round_timer;
     MinerOptions miner_options = options_.miner;
     miner_options.frequency_threshold = threshold;
+    miner_options.realization_cache_min_frequency = cache_floor;
     PatternMiner miner(registry_, store_, miner_options);
 
     std::vector<TimeWindow> windows =

@@ -22,6 +22,13 @@ void Table::AppendInt64Row(const std::vector<int64_t>& row) {
   ++num_rows_;
 }
 
+void Table::AppendInt64Row(std::initializer_list<int64_t> row) {
+  WICLEAN_CHECK(row.size() == columns_.size());
+  size_t i = 0;
+  for (int64_t v : row) columns_[i++].AppendInt64(v);
+  ++num_rows_;
+}
+
 void Table::AppendRowFrom(const Table& other, size_t row) {
   WICLEAN_CHECK(other.num_columns() == num_columns());
   for (size_t i = 0; i < columns_.size(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef WICLEAN_RELATIONAL_TABLE_H_
 #define WICLEAN_RELATIONAL_TABLE_H_
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,9 @@ class Table {
 
   /// Appends an all-int64 row without boxing; schema must be all-int64.
   void AppendInt64Row(const std::vector<int64_t>& row);
+  /// The same for a braced row, e.g. AppendInt64Row({u, v, t}), with no
+  /// temporary vector.
+  void AppendInt64Row(std::initializer_list<int64_t> row);
 
   /// Copies row `row` of `other` (same schema layout by position) onto this
   /// table's end.

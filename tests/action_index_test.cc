@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "common/rng.h"
 #include "core/action_index.h"
+#include "synth/synthesizer.h"
+#include "tests/support/reference_action_index.h"
 
 namespace wiclean {
 namespace {
@@ -136,6 +141,80 @@ TEST_F(ActionIndexTest, FilterRealizationsByBindings) {
   relational::Table none =
       FilterRealizationsByBindings(all, p0_, p1_);  // mismatched pair
   EXPECT_EQ(none.num_rows(), 0u);
+}
+
+/// The library index must hold exactly the reference's entries — same
+/// keys in the same order, same rows in the same order — and counters, and
+/// Find must reach each entry without its encoded key.
+void ExpectSameIndex(const ActionIndex& got, const ReferenceActionIndex& want) {
+  EXPECT_EQ(got.num_entities_ingested(), want.num_entities_ingested());
+  EXPECT_EQ(got.num_actions_ingested(), want.num_actions_ingested());
+  ASSERT_EQ(got.entries().size(), want.entries().size());
+  auto w = want.entries().begin();
+  for (const auto& [key, entry] : got.entries()) {
+    ASSERT_EQ(key, w->first);
+    EXPECT_EQ(entry.key, w->second.key) << key;
+    EXPECT_EQ(entry.key.Encode(), key);
+    const relational::Table& rows = entry.realizations;
+    const relational::Table& want_rows = w->second.realizations;
+    ASSERT_EQ(rows.num_rows(), want_rows.num_rows()) << key;
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(rows.column(c).int64_data(), want_rows.column(c).int64_data())
+          << key << " column " << c;
+    }
+    EXPECT_EQ(got.Find(entry.key.op, entry.key.source_type, entry.key.relation,
+                       entry.key.target_type),
+              &entry)
+        << key;
+    ++w;
+  }
+}
+
+TEST(ActionIndexOracleTest, MatchesReferenceIngestOnSynthWorlds) {
+  for (uint64_t seed : {5u, 23u, 61u}) {
+    SynthOptions so;
+    so.seed_entities = 40;
+    so.years = 1;
+    so.rng_seed = seed;
+    so.cinema = seed != 23;
+    so.background_entities = 30;
+    Result<SynthWorld> world = Synthesize(so);
+    ASSERT_TRUE(world.ok()) << world.status().ToString();
+    const size_t num_entities = world->registry->size();
+    Rng rng(seed);
+    for (int lift : {0, 1, 2}) {
+      const TimeWindow windows[] = {
+          world->YearWindow(0),
+          world->WindowOf(static_cast<int>(rng.NextBelow(20)))};
+      for (const TimeWindow& window : windows) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " lift " +
+                     std::to_string(lift) + " window " + window.ToString());
+        ActionIndex got(world->registry.get(), &world->store, window, lift);
+        ReferenceActionIndex want(world->registry.get(), &world->store,
+                                  window, lift);
+        std::vector<TypeId> types(world->taxonomy->num_types());
+        std::iota(types.begin(), types.end(), 0);
+        rng.Shuffle(&types);
+        // Every type once, in random order, with random entity batches
+        // interleaved: the two indexes must agree after every call.
+        for (TypeId t : types) {
+          if (rng.NextBernoulli(0.3)) {
+            std::vector<EntityId> batch;
+            for (int k = 0; k < 5; ++k) {
+              batch.push_back(static_cast<EntityId>(rng.NextBelow(num_entities)));
+            }
+            EXPECT_EQ(got.AddEntities(batch), want.AddEntities(batch));
+          }
+          EXPECT_EQ(got.AddEntitiesOfType(t), want.AddEntitiesOfType(t));
+          ExpectSameIndex(got, want);
+        }
+        if (window == world->YearWindow(0)) {
+          EXPECT_FALSE(got.entries().empty());
+        }
+        EXPECT_EQ(got.Find(EditOp::kAdd, 0, "no_such_relation", 0), nullptr);
+      }
+    }
+  }
 }
 
 }  // namespace

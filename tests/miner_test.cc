@@ -432,7 +432,8 @@ std::vector<std::tuple<std::string, double, size_t>> PatternSignature(
 /// context keeps: `got` (mined with floor `floor`) must match `all` (the same
 /// mine with floor 0, which keeps every table) in patterns, frequencies,
 /// supports and every counter, keep exactly `all`'s tables at or above the
-/// floor, and count the rest as died.
+/// floor, count the rest as died and keep neither pattern nor table for
+/// them, and keep the pattern of every admitted state.
 void ExpectOnlyCacheDiffers(const MineWindowResult& all,
                             const MineWindowResult& got, double floor) {
   EXPECT_EQ(PatternSignature(got.all_frequent),
@@ -448,26 +449,43 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
   EXPECT_EQ(g.tables_born, got.stats.candidates_considered);
   EXPECT_EQ(a.tables_died, 0u);
 
-  ASSERT_EQ(got.context->evaluated.size(), all.context->evaluated.size());
+  const EvaluationCache& got_cache = got.context->evaluated;
+  const EvaluationCache& all_cache = all.context->evaluated;
+  ASSERT_EQ(got_cache.size(), all_cache.size());
   size_t below = 0;
   size_t kept_bytes = 0;
-  for (const auto& [key, state] : got.context->evaluated) {
-    auto other = all.context->evaluated.find(key);
-    ASSERT_NE(other, all.context->evaluated.end()) << key;
-    EXPECT_EQ(state.support, other->second.support) << key;
-    EXPECT_EQ(state.frequency, other->second.frequency) << key;
+  for (EvaluationCache::Id id = 0; id < got_cache.size(); ++id) {
+    const std::string key(got_cache.key(id));
+    const EvaluationCache::Id other_id = all_cache.Find(key);
+    ASSERT_NE(other_id, EvaluationCache::kAbsent) << key;
+    const EvaluationCache::State& state = got_cache.state(id);
+    const EvaluationCache::State& other = all_cache.state(other_id);
+    EXPECT_EQ(state.support, other.support) << key;
+    EXPECT_EQ(state.frequency, other.frequency) << key;
+    ASSERT_NE(other.realized, nullptr) << key;
     if (state.frequency >= floor) {
-      EXPECT_EQ(state.realizations.ToString(1 << 20),
-                other->second.realizations.ToString(1 << 20))
+      ASSERT_NE(state.realized, nullptr) << key;
+      EXPECT_EQ(state.realized->pattern.CanonicalKey(), key);
+      EXPECT_EQ(state.realized->realizations.ToString(1 << 20),
+                other.realized->realizations.ToString(1 << 20))
           << key;
-      kept_bytes += state.realizations.ApproxBytes();
+      kept_bytes += state.realized->realizations.ApproxBytes();
     } else {
       ++below;
-      EXPECT_EQ(state.realizations.num_columns(), 0u) << key;
+      EXPECT_EQ(state.realized, nullptr) << key;  // no pattern, no table
+    }
+    if (state.frequent) {
+      EXPECT_NE(state.realized, nullptr) << key;
     }
   }
   EXPECT_EQ(g.tables_died, below);
   EXPECT_EQ(g.live_bytes, kept_bytes);
+  for (const MinedPattern& mp : got.all_frequent) {
+    const EvaluationCache::Id id = got_cache.Find(mp.pattern.CanonicalKey());
+    ASSERT_NE(id, EvaluationCache::kAbsent);
+    EXPECT_TRUE(got_cache.state(id).frequent);
+    EXPECT_NE(got_cache.state(id).realized, nullptr);
+  }
 }
 
 TEST_F(MinerTest, CacheFloorChangesOnlyWhatIsCached) {
@@ -519,8 +537,8 @@ TEST_F(MinerTest, CacheFloorChangesOnlyWhatIsCached) {
   // floor-0 context still answers.
   const MinedPattern evicted{JoinPair(), window_, 0.8, 4};
   MineWindowResult strict = mine(1.0, 1.0);
-  auto it = strict.context->evaluated.find(JoinPair().CanonicalKey());
-  ASSERT_NE(it, strict.context->evaluated.end());
+  ASSERT_NE(strict.context->evaluated.Find(JoinPair().CanonicalKey()),
+            EvaluationCache::kAbsent);
   EXPECT_EQ(miner.MineValueSpecific(*strict.context, player_, evicted, 0.5)
                 .status()
                 .code(),
@@ -528,6 +546,76 @@ TEST_F(MinerTest, CacheFloorChangesOnlyWhatIsCached) {
   MineWindowResult keep_all = mine(1.0, 0.0);
   EXPECT_TRUE(
       miner.MineValueSpecific(*keep_all.context, player_, evicted, 0.5).ok());
+}
+
+/// No admission may fall below the realization cache floor: a pattern
+/// admitted there would have no cached table to expand. MineWindow checks
+/// its threshold and MineRelative its rel_threshold * base frequency up
+/// front, and both name the admission and the floor.
+TEST_F(MinerTest, AdmissionFloorRejectsLowThresholds) {
+  MinerOptions low = Options(0.05);  // default floor 0.1
+  Result<MineWindowResult> rejected =
+      PatternMiner(registry_.get(), &store_, low).MineWindow(player_, window_);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("threshold 0.05"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("floor 0.1"), std::string::npos)
+      << rejected.status().ToString();
+  // At the floor, or with the floor lowered to the threshold, it mines.
+  EXPECT_TRUE(PatternMiner(registry_.get(), &store_, Options(0.1))
+                  .MineWindow(player_, window_)
+                  .ok());
+  low.realization_cache_min_frequency = 0.05;
+  EXPECT_TRUE(
+      PatternMiner(registry_.get(), &store_, low).MineWindow(player_, window_)
+          .ok());
+
+  // The pair has frequency 0.8: rel 0.1 admits at 0.08, below the floor.
+  PatternMiner miner(registry_.get(), &store_, Options(0.7));
+  Result<MineWindowResult> mined = miner.MineWindow(player_, window_);
+  ASSERT_TRUE(mined.ok());
+  const MinedPattern* pair = FindByKey(mined->most_specific, JoinPair());
+  ASSERT_NE(pair, nullptr);
+  Result<std::vector<RelativePattern>> relatives =
+      miner.MineRelative(mined->context.get(), player_, *pair, 0.1);
+  ASSERT_FALSE(relatives.ok());
+  EXPECT_EQ(relatives.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(relatives.status().message().find("threshold 0.08"),
+            std::string::npos)
+      << relatives.status().ToString();
+  EXPECT_NE(relatives.status().message().find("floor 0.1"), std::string::npos)
+      << relatives.status().ToString();
+  // rel 0.125 admits at exactly the floor.
+  EXPECT_TRUE(
+      miner.MineRelative(mined->context.get(), player_, *pair, 0.125).ok());
+}
+
+/// A context reused under a lower floor than the one that built it holds
+/// admissible patterns without tables; mining from it must fail cleanly.
+TEST_F(MinerTest, AdmissionFloorRejectsContextCachedUnderHigherFloor) {
+  MinerOptions high = Options(0.8);
+  high.realization_cache_min_frequency = 0.8;
+  Result<MineWindowResult> first =
+      PatternMiner(registry_.get(), &store_, high).MineWindow(player_, window_);
+  ASSERT_TRUE(first.ok());
+  const EvaluationCache& cache = first->context->evaluated;
+  bool unkept_admissible = false;
+  for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
+    const EvaluationCache::State& state = cache.state(id);
+    unkept_admissible = unkept_admissible ||
+                        (state.support > 0 && state.frequency >= 0.2 &&
+                         state.realized == nullptr);
+  }
+  ASSERT_TRUE(unkept_admissible);
+  Result<MineWindowResult> reused =
+      PatternMiner(registry_.get(), &store_, Options(0.2))
+          .MineWindow(player_, window_, first->context);
+  ASSERT_FALSE(reused.ok());
+  EXPECT_EQ(reused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reused.status().message().find("threshold 0.2"), std::string::npos)
+      << reused.status().ToString();
 }
 
 /// The same on a synthesized soccer world, where most candidates fall below
@@ -799,10 +887,15 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
   ASSERT_TRUE(chain.AddAction(EditOp::kAdd, c, "squad", k).ok());
   ASSERT_TRUE(chain.AddAction(EditOp::kAdd, k, "in_league", l).ok());
   ASSERT_TRUE(chain.SetSourceVar(p).ok());
-  auto it = hashed.context->evaluated.find(chain.CanonicalKey());
-  ASSERT_NE(it, hashed.context->evaluated.end());
-  const Pattern& stored = it->second.pattern;
-  const relational::Table& rows = it->second.realizations;
+  const EvaluationCache::Id id =
+      hashed.context->evaluated.Find(chain.CanonicalKey());
+  ASSERT_NE(id, EvaluationCache::kAbsent);
+  const EvaluationCache::Realized* kept =
+      hashed.context->evaluated.state(id).realized;
+  ASSERT_NE(kept, nullptr)
+      << "chain realization evicted: too few rows reached it";
+  const Pattern& stored = kept->pattern;
+  const relational::Table& rows = kept->realizations;
   size_t person_col = stored.num_vars();
   for (size_t v = 0; v < stored.num_vars(); ++v) {
     if (stored.var_type(static_cast<int>(v)) == person) person_col = v;
@@ -820,15 +913,23 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
   // when four candidate tasks share the prepared inputs.
   MineWindowResult parallel = mine(JoinEngineKind::kHashJoin, 4);
   for (const MineWindowResult* run : {&hashed, &parallel}) {
-    ASSERT_EQ(run->context->evaluated.size(),
-              nested.context->evaluated.size());
-    for (const auto& [key, state] : run->context->evaluated) {
-      auto other = nested.context->evaluated.find(key);
-      ASSERT_NE(other, nested.context->evaluated.end()) << key;
-      EXPECT_EQ(state.support, other->second.support) << key;
-      EXPECT_EQ(state.realizations.ToString(1 << 20),
-                other->second.realizations.ToString(1 << 20))
-          << key;
+    const EvaluationCache& cache = run->context->evaluated;
+    const EvaluationCache& reference = nested.context->evaluated;
+    ASSERT_EQ(cache.size(), reference.size());
+    for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
+      const std::string key(cache.key(id));
+      const EvaluationCache::Id other_id = reference.Find(key);
+      ASSERT_NE(other_id, EvaluationCache::kAbsent) << key;
+      const EvaluationCache::State& state = cache.state(id);
+      const EvaluationCache::State& other = reference.state(other_id);
+      EXPECT_EQ(state.support, other.support) << key;
+      // Both keep the table, or neither does.
+      ASSERT_EQ(state.realized == nullptr, other.realized == nullptr) << key;
+      if (state.realized != nullptr) {
+        EXPECT_EQ(state.realized->realizations.ToString(1 << 20),
+                  other.realized->realizations.ToString(1 << 20))
+            << key;
+      }
     }
   }
 }

@@ -1,0 +1,87 @@
+#include "tests/support/reference_action_index.h"
+
+#include <algorithm>
+
+namespace wiclean {
+
+namespace rel = ::wiclean::relational;
+
+namespace {
+
+rel::Table NewRealizationTable() {
+  rel::Schema schema;
+  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
+  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
+  // Timestamp of the reduced action. The mining joins reference only u/v;
+  // the time column feeds realization-span computation (window tightening).
+  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
+  return rel::Table(schema);
+}
+
+}  // namespace
+
+ReferenceActionIndex::ReferenceActionIndex(const EntityRegistry* registry,
+                                           const RevisionStore* store,
+                                           const TimeWindow& window,
+                                           int max_abstraction_lift)
+    : registry_(registry),
+      store_(store),
+      window_(window),
+      max_abstraction_lift_(max_abstraction_lift) {}
+
+size_t ReferenceActionIndex::AddEntities(
+    const std::vector<EntityId>& entities) {
+  size_t ingested = 0;
+  for (EntityId e : entities) {
+    if (!ingested_.insert(e).second) continue;
+    ++ingested;
+    // Reduce per entity: an entity's log holds all edits of its outgoing
+    // links, so edge-level cancellation never spans entities.
+    std::vector<Action> reduced =
+        ReduceActions(store_->ActionsInWindow(e, window_));
+    for (const Action& a : reduced) IngestAction(a);
+  }
+  return ingested;
+}
+
+size_t ReferenceActionIndex::AddEntitiesOfType(TypeId type) {
+  if (!ingested_types_.insert(type).second) return 0;
+  return AddEntities(registry_->EntitiesOfType(type));
+}
+
+void ReferenceActionIndex::IngestAction(const Action& action) {
+  const TypeTaxonomy& taxonomy = registry_->taxonomy();
+  TypeId src_type = registry_->TypeOf(action.subject);
+  TypeId dst_type = registry_->TypeOf(action.object);
+  if (src_type == kInvalidTypeId || dst_type == kInvalidTypeId) return;
+  ++num_actions_;
+
+  // Enumerate abstractions: every (ancestor-of-source x ancestor-of-target)
+  // pair within the lift budget (§3: "the set of possible abstractions can be
+  // computed by traversing the type hierarchy").
+  std::vector<TypeId> src_levels = taxonomy.AncestorsOf(src_type);
+  std::vector<TypeId> dst_levels = taxonomy.AncestorsOf(dst_type);
+  size_t src_count = std::min(
+      src_levels.size(), static_cast<size_t>(max_abstraction_lift_) + 1);
+  size_t dst_count = std::min(
+      dst_levels.size(), static_cast<size_t>(max_abstraction_lift_) + 1);
+
+  for (size_t i = 0; i < src_count; ++i) {
+    for (size_t j = 0; j < dst_count; ++j) {
+      AbstractActionKey key{action.op, src_levels[i], action.relation,
+                            dst_levels[j]};
+      std::string encoded = key.Encode();
+      auto it = entries_.find(encoded);
+      if (it == entries_.end()) {
+        it = entries_
+                 .emplace(std::move(encoded),
+                          AbstractActionEntry(key, NewRealizationTable()))
+                 .first;
+      }
+      it->second.realizations.AppendInt64Row(
+          std::vector<int64_t>{action.subject, action.object, action.time});
+    }
+  }
+}
+
+}  // namespace wiclean

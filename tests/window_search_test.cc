@@ -235,6 +235,41 @@ TEST_F(WindowSearchTest, ValidationOffAdmitsMorePatterns) {
   EXPECT_GE(b->patterns.size(), a->patterns.size());
 }
 
+/// A search whose thresholds start below 0.2 admits relative refinements
+/// below the miner's default realization cache floor (0.1), and expands
+/// them. The search lowers the floor to its lowest admission, so they
+/// expand from cached tables instead of failing (on this world, a search
+/// at 0.15 that kept the 0.1 floor failed with "realization join key column
+/// out of range").
+TEST(WindowSearchFloorTest, AdmissionFloorFollowsLowestThreshold) {
+  SynthOptions so;
+  so.seed_entities = 60;
+  so.years = 1;
+  so.rng_seed = 17;
+  Result<SynthWorld> world = Synthesize(so);
+  ASSERT_TRUE(world.ok());
+  WindowSearchOptions o;
+  o.initial_threshold = 0.15;  // below min_threshold: every round at 0.15
+  o.miner.max_abstraction_lift = 1;
+  o.miner.max_pattern_actions = 6;
+  ASSERT_EQ(o.miner.realization_cache_min_frequency, 0.1);
+  WindowSearch search(world->registry.get(), &world->store, o);
+  Result<WindowSearchResult> result =
+      search.Run(world->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->patterns.empty());
+  size_t below_default_floor = 0;
+  for (const DiscoveredPattern& dp : result->patterns) {
+    for (const RelativePattern& rp : dp.relatives) {
+      EXPECT_GE(rp.relative_frequency, 0.5);
+      below_default_floor += rp.frequency < 0.1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(below_default_floor, 0u)
+      << "no relative pattern below 0.1: the test no longer covers the "
+         "lowered floor";
+}
+
 TEST_F(WindowSearchTest, InputValidation) {
   WindowSearch search(world_->registry.get(), &world_->store, Options());
   EXPECT_FALSE(search.Run(world_->types.soccer_player, 100, 100).ok());
