@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/bounded_queue.h"
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "serve/detector_session.h"
+#include "serve/online_detector.h"
 #include "serve/snapshot_registry.h"
 
 namespace wiclean {
@@ -86,7 +89,12 @@ struct DetectorServiceStats {
   uint64_t watchdog_scans = 0;
 };
 
-/// Long-running multi-tenant serving front-end over DetectorSession:
+/// Long-running multi-tenant front-end of online detection. Each tenant is
+/// one serving session: a stream of events broadcast to the tenant's
+/// OnlineDetector shards, each shard with its own BoundedQueue and worker
+/// thread. Every shard sees the whole stream and owns a disjoint slice of
+/// the patterns (pattern-parallel, not data-parallel), so the merged alert
+/// set is identical at any shard count.
 ///
 ///   - **Epoch hot-swap.** PublishSnapshot installs a new pattern snapshot
 ///     in the SnapshotRegistry without touching live traffic: sessions pin
@@ -98,28 +106,34 @@ struct DetectorServiceStats {
 ///     each tenant's per-shard queue quota plus the feed deadline turns
 ///     overload into an explicit, deterministic kOverloaded instead of
 ///     unbounded queueing — and one slow tenant cannot displace others,
-///     because quotas are per-tenant by construction.
+///     because quotas are per-tenant by construction. The deadline applies
+///     at shard 0 only — the *admission gate*: shards have equal capacity
+///     and get events in the same order from the tenant's one producer, so
+///     shard 0 full for the whole deadline means the quota is exhausted.
+///     Once shard 0 admits, the other shards take blocking pushes, so
+///     acceptance is all-or-nothing (kOverloaded ⇒ the event reached no
+///     shard). A stalled shard other than 0 is the watchdog's job.
 ///   - **Failure containment.** A shard failure aborts only its own
-///     tenant's session; the service quarantines the tenant with a
-///     structured cause and every other tenant's stream is untouched.
-///     RunWatchdogScan (called on the operator's cadence) additionally
-///     quarantines tenants whose shards are wedged: backlog non-empty
-///     across two consecutive scans while the shard's consumed heartbeat
-///     stands still.
+///     tenant; the service quarantines the tenant with a structured cause
+///     and every other tenant's stream is untouched. RunWatchdogScan
+///     (called on the operator's cadence) additionally quarantines tenants
+///     whose shards are wedged: backlog non-empty across two consecutive
+///     scans while the shard's consumed heartbeat stands still.
 ///
 /// Thread-safety: everything is callable from any thread. The tenant table
 /// is guarded by mu_; each tenant carries two mutexes with distinct jobs.
 /// `feed_mu` serializes the tenant's producers (one logical stream per
-/// tenant — DetectorSession requires a single producer) and is the only
-/// lock held across a possibly-blocking queue push; `mu` guards the
-/// tenant's state (session pointer, quarantine flag, heartbeat baselines)
-/// and is only ever held briefly. The split is load-bearing: a producer
-/// parked on a full queue (feed_deadline_ms <= 0, stuck shard) holds only
-/// feed_mu, so RunWatchdogScan can still read the heartbeats, quarantine
-/// the tenant, and — via Cancel — wake that very producer; with the state
-/// lock held across the push instead, the watchdog could never reach the
-/// exact condition it exists to detect. Feeds of different tenants never
-/// contend with each other (only with the table lookup).
+/// tenant) and is the only lock held across a possibly-blocking queue push;
+/// `mu` guards the tenant's state (quarantine flag, counters, heartbeat
+/// baselines) and is only ever held briefly. The split is load-bearing: a
+/// producer parked on a full queue (feed_deadline_ms <= 0, stuck shard)
+/// holds only feed_mu, so RunWatchdogScan can still read the heartbeats,
+/// quarantine the tenant, and — by cancelling its queues — wake that very
+/// producer; with the state lock held across the push instead, the watchdog
+/// could never reach the exact condition it exists to detect. Feeds of
+/// different tenants never contend with each other (only with the table
+/// lookup). Shard workers take neither lock: Quarantine joins them while
+/// holding `mu`.
 class DetectorService {
  public:
   /// `registry` (entities + taxonomy) must outlive the service.
@@ -146,7 +160,7 @@ class DetectorService {
       WC_EXCLUDES(mu_);
 
   /// Feeds one event into the tenant's stream (canonical sequence = feed
-  /// order). kAborted from the session quarantines the tenant here.
+  /// order). A shard failure surfaces here: the tenant is quarantined.
   FeedResult Feed(TenantId tenant, const Action& action) WC_EXCLUDES(mu_);
 
   /// Feed with an explicit canonical sequence rank — for streams whose
@@ -177,21 +191,59 @@ class DetectorService {
   DetectorServiceStats stats() const;
 
  private:
+  struct FeedItem {
+    Action action;
+    uint64_t sequence = 0;
+  };
+
+  /// Everything one pattern shard owns. Until the tenant's pool is joined,
+  /// its worker touches only this Shard and the tenant's failure slot, and
+  /// other threads touch only the queue and the atomic heartbeat.
+  struct Shard {
+    explicit Shard(size_t queue_capacity) : queue(queue_capacity) {}
+    BoundedQueue<FeedItem> queue;
+    std::unique_ptr<OnlineDetector> detector;
+    std::vector<OnlineAlert> alerts;
+    double busy_seconds = 0;
+    /// Heartbeat: events consumed, published after each Pop. Read lock-free
+    /// by the watchdog while the worker runs.
+    std::atomic<uint64_t> consumed{0};
+  };
+
   struct Tenant {
+    ~Tenant() { StopWorkers(); }
+
+    /// Worker body of shard `s`: observes events until its queue closes or
+    /// is cancelled, recording the first failure in the failure slot.
+    void RunShard(size_t s) WC_EXCLUDES(failure_mu);
+    /// Cancels every shard queue (discarding backlogs, waking a parked
+    /// worker or a blocked producer) and joins the workers. Idempotent.
+    void StopWorkers();
+
     TenantId id = 0;
-    /// Serializes this tenant's producers and pins the session's lifetime:
-    /// Feed holds it (WITHOUT mu) across the possibly-blocking TryFeed, and
-    /// CloseSession acquires it before destroying the session, so a raw
-    /// session pointer read under mu stays valid for as long as feed_mu is
-    /// held. Never acquired while holding mu.
+    EpochId epoch = 0;     // immutable after open
+    ShardFaultPlan fault;  // immutable after open
+    /// Built by OpenSession before the tenant is published and destroyed
+    /// only by CloseSession while it holds both feed_mu and mu — so
+    /// producers (feed_mu) and the watchdog (mu) use them without a further
+    /// lock.
+    std::vector<std::unique_ptr<Shard>> shards;
+    std::unique_ptr<ThreadPool> pool;
+
+    /// Serializes this tenant's producers: Feed holds it (WITHOUT mu)
+    /// across the possibly-blocking push, and CloseSession acquires it
+    /// before draining, so the drain never runs concurrently with a feed.
+    /// Never acquired while holding mu.
     Mutex feed_mu WC_ACQUIRED_BEFORE(mu);
+    uint64_t events_shed WC_GUARDED_BY(feed_mu) = 0;
+    double feed_seconds WC_GUARDED_BY(feed_mu) = 0;
+
     /// Guards this tenant's state. Held only briefly — never across a
     /// blocking queue push — so quarantine, close, and the watchdog's
     /// heartbeat reads always make progress. Distinct tenants never contend.
     Mutex mu;
-    std::unique_ptr<DetectorSession> session WC_GUARDED_BY(mu);
     SnapshotRef pin WC_GUARDED_BY(mu);
-    EpochId epoch = 0;  // immutable after open
+    bool closed WC_GUARDED_BY(mu) = false;
     bool quarantined WC_GUARDED_BY(mu) = false;
     QuarantineCause cause WC_GUARDED_BY(mu);
     uint64_t events_fed WC_GUARDED_BY(mu) = 0;
@@ -199,21 +251,34 @@ class DetectorService {
     bool scanned_once WC_GUARDED_BY(mu) = false;
     std::vector<uint64_t> last_consumed WC_GUARDED_BY(mu);
     std::vector<bool> last_backlogged WC_GUARDED_BY(mu);
+
+    /// First shard failure (status and shard index), written by the failing
+    /// worker before it cancels the queues — so a producer whose push was
+    /// refused finds the cause here. Its own lock, because workers must
+    /// never take mu.
+    Mutex failure_mu;
+    QuarantineCause failure WC_GUARDED_BY(failure_mu);
   };
 
   std::shared_ptr<Tenant> FindTenant(TenantId id) const WC_EXCLUDES(mu_);
   FeedResult FeedInternal(TenantId tenant, const Action& action,
                           bool has_sequence, uint64_t sequence)
       WC_EXCLUDES(mu_);
-  /// Marks the tenant quarantined and cancels its session. First caller
-  /// wins; callers must have checked `!t->quarantined`.
+  /// Marks the tenant quarantined, cancels its queues and joins its
+  /// workers. Callers must have checked `!t->quarantined`.
   void Quarantine(Tenant* t, QuarantineCause cause) WC_REQUIRES(t->mu);
+  /// Closes the shard queues, lets every worker consume its backlog,
+  /// finalizes the remaining patterns and merges the shard alerts. Fails
+  /// with the quarantine cause or the first shard failure instead.
+  Result<SessionReport> Drain(Tenant* t) WC_REQUIRES(t->feed_mu, t->mu);
 
   const EntityRegistry* registry_;
   DetectorServiceOptions options_;
   SnapshotRegistry epochs_;
 
   mutable Mutex mu_;
+  /// Declared after epochs_, so on destruction every tenant stops its
+  /// workers and releases its pin while the epoch table still exists.
   std::map<TenantId, std::shared_ptr<Tenant>> tenants_ WC_GUARDED_BY(mu_);
   TenantId next_tenant_ WC_GUARDED_BY(mu_) = 0;
 

@@ -79,7 +79,8 @@ struct OnlineDetectorStats {
 /// (core/partial.h) produces the report — which is why replaying any action
 /// log online yields exactly the batch PartialUpdateDetector's alert set.
 ///
-/// Not thread-safe; DetectorSession gives each shard its own instance.
+/// Not thread-safe: one instance is one shard, and DetectorService gives
+/// each shard of a tenant its own instance, driven by one worker thread.
 class OnlineDetector {
  public:
   /// `registry` must outlive the detector.

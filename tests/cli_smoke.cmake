@@ -70,6 +70,37 @@ if(NOT csv MATCHES "pattern,window_begin_day")
   message(FATAL_ERROR "CSV header missing")
 endif()
 
+# Serving: pack the mined patterns into a snapshot, then replay the revision
+# log through two staggered tenants of two shards each.
+execute_process(
+  COMMAND ${WICLEAN} pack
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --seed-type soccer_player --threshold 0.8
+    --out ${WORK_DIR}/patterns.wcps
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "pack failed: ${out}${err}")
+endif()
+if(NOT out MATCHES "packed [0-9]+ pattern\\(s\\)")
+  message(FATAL_ERROR "pack summary missing: ${out}")
+endif()
+execute_process(
+  COMMAND ${WICLEAN} serve
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --patterns ${WORK_DIR}/patterns.wcps
+    --tenants 2 --feed-threads 2
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "serve failed: ${out}${err}")
+endif()
+if(NOT err MATCHES "served [0-9]+ event\\(s\\) on 2 shard thread\\(s\\)")
+  message(FATAL_ERROR "serve summary missing: ${err}")
+endif()
+
 # Action log: ingest once to a WCAL artifact, then mine from the log in
 # place of the dump. The two mine reports must agree exactly, modulo the
 # wall-time lines.
@@ -132,6 +163,32 @@ if(rc EQUAL 0)
 endif()
 if(NOT err MATCHES "--mine-threads must be >= 1")
   message(FATAL_ERROR "mine --mine-threads -1: unexpected error: ${err}")
+endif()
+execute_process(
+  COMMAND ${WICLEAN} serve
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --patterns ${WORK_DIR}/patterns.wcps --queue-capacity -1
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "serve --queue-capacity -1 should fail")
+endif()
+if(NOT err MATCHES "--queue-capacity must be >= 1")
+  message(FATAL_ERROR "serve --queue-capacity -1: unexpected error: ${err}")
+endif()
+execute_process(
+  COMMAND ${WICLEAN} serve
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --patterns ${WORK_DIR}/patterns.wcps --allowed-skew -1
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "serve --allowed-skew -1 should fail")
+endif()
+if(NOT err MATCHES "--allowed-skew must be >= 0")
+  message(FATAL_ERROR "serve --allowed-skew -1: unexpected error: ${err}")
 endif()
 execute_process(
   COMMAND ${WICLEAN} bogus-subcommand

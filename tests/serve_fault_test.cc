@@ -363,6 +363,7 @@ TEST_P(ServeFaultMatrix, ShardFailureQuarantinesOnlyItsTenant) {
   Result<QuarantineCause> cause = service.cause(*faulty);
   ASSERT_TRUE(cause.ok()) << cause.status().ToString();
   EXPECT_EQ(cause->kind, QuarantineCause::Kind::kShardFailure);
+  EXPECT_EQ(cause->shard, shards - 1);
   EXPECT_NE(cause->status.ToString().find("injected fault"),
             std::string::npos);
   EXPECT_EQ(service.stats().tenants_quarantined, 1u);

@@ -1,8 +1,9 @@
 // Serving-layer tests: WCPS snapshot round-trip and corruption handling,
-// inverted pattern-index dispatch, and the differential suite proving the
-// incremental online detector replays to exactly the batch detector's alert
-// set — across three synthetic domains, 1 and 4 feed threads, and in-order
-// vs bounded-skew out-of-order delivery.
+// inverted pattern-index dispatch (checked against a scan of every pattern
+// action), and the differential suite proving a DetectorService session
+// replays to exactly the batch detector's alert set — across three
+// synthetic domains, 1 and 4 shards, and in-order vs bounded-skew
+// out-of-order delivery.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@
 #include "core/partial.h"
 #include "core/window_search.h"
 #include "report/report.h"
-#include "serve/detector_session.h"
+#include "serve/detector_service.h"
 #include "serve/online_detector.h"
 #include "serve/pattern_index.h"
 #include "serve/pattern_store.h"
@@ -343,33 +344,39 @@ class DifferentialTest : public ::testing::Test {
     return events;
   }
 
-  /// Runs the session over `feed` and asserts the merged alert set equals
-  /// the batch baseline pattern-by-pattern.
+  /// Runs one blocking session (feed_deadline_ms = 0, the CLI's replay
+  /// mode) of a 1-tenant service over `feed` and asserts the merged alert
+  /// set equals the batch baseline pattern-by-pattern.
   void ExpectBatchIdentical(
-      const std::vector<std::pair<Action, uint64_t>>& feed,
-      size_t num_threads, Timestamp allowed_skew) {
-    DetectorSessionOptions options;
-    options.num_threads = num_threads;
+      const std::vector<std::pair<Action, uint64_t>>& feed, size_t shards,
+      Timestamp allowed_skew) {
+    DetectorServiceOptions options;
+    options.max_tenants = 1;
+    options.shards_per_tenant = shards;
+    options.feed_deadline_ms = 0;
     options.detector.allowed_skew = allowed_skew;
     options.detector.detector.max_abstraction_lift = 1;
-    DetectorSession session(world_->registry.get(), options);
-    ASSERT_TRUE(session.Start(*snapshot_).ok());
+    DetectorService service(world_->registry.get(), options);
+    service.PublishSnapshot(*snapshot_);
+    Result<TenantId> tenant = service.OpenSession();
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
     for (const auto& [action, sequence] : feed) {
-      ASSERT_TRUE(session.FeedWithSequence(action, sequence));
+      ASSERT_EQ(service.Feed(*tenant, action, sequence), FeedResult::kOk);
     }
-    Result<SessionReport> report = session.Drain();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    Result<TenantReport> closed = service.CloseSession(*tenant);
+    ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+    const SessionReport& report = closed->session;
 
-    EXPECT_EQ(report->events_fed, feed.size());
-    EXPECT_EQ(report->stats.events_observed, feed.size() * num_threads);
-    EXPECT_EQ(report->stats.late_events, 0u);
-    ASSERT_EQ(report->alerts.size(), snapshot_->patterns.size());
-    for (size_t i = 0; i < report->alerts.size(); ++i) {
-      const OnlineAlert& alert = report->alerts[i];
+    EXPECT_EQ(report.events_fed, feed.size());
+    EXPECT_EQ(report.stats.events_observed, feed.size() * shards);
+    EXPECT_EQ(report.stats.late_events, 0u);
+    ASSERT_EQ(report.alerts.size(), snapshot_->patterns.size());
+    for (size_t i = 0; i < report.alerts.size(); ++i) {
+      const OnlineAlert& alert = report.alerts[i];
       ASSERT_EQ(alert.pattern_id, i) << "alerts not sorted by pattern id";
       EXPECT_EQ(Fingerprint(alert.report), (*batch_fingerprints_)[i])
-          << "pattern " << i << " diverges at " << num_threads
-          << " thread(s), skew " << allowed_skew;
+          << "pattern " << i << " diverges at " << shards
+          << " shard(s), skew " << allowed_skew;
       EXPECT_EQ(alert.suggestions.size(), alert.report.partials.size());
     }
   }
@@ -434,6 +441,61 @@ TEST_F(DifferentialTest, OutOfOrderFourThreads) {
   for (const auto& [ignored, i] : order) shuffled.push_back(feed[i]);
 
   ExpectBatchIdentical(shuffled, 4, kSkew);
+}
+
+TEST_F(DifferentialTest, IndexLookupMatchesScanOfEveryPatternAction) {
+  // Index dispatch must route every event to exactly the pattern actions a
+  // scan of every action of every pattern finds under the same within-lift
+  // predicate — same slots, same multiplicities.
+  constexpr int kLift = 1;
+  const TypeTaxonomy& taxonomy = world_->registry->taxonomy();
+  PatternIndex index(&taxonomy, kLift);
+  for (size_t i = 0; i < snapshot_->patterns.size(); ++i) {
+    ASSERT_TRUE(index
+                    .AddPattern(static_cast<uint32_t>(i),
+                                snapshot_->patterns[i].pattern)
+                    .ok());
+  }
+  auto within_lift = [&](TypeId concrete, TypeId general) {
+    return taxonomy.IsA(concrete, general) &&
+           taxonomy.Depth(concrete) - taxonomy.Depth(general) <= kLift;
+  };
+
+  using Slot = std::pair<uint32_t, uint32_t>;  // (pattern id, action index)
+  std::vector<PatternSlot> slots;
+  size_t events = 0;
+  size_t hits = 0;
+  for (const auto& [action, sequence] : CanonicalFeed()) {
+    const TypeId subject_type = world_->registry->TypeOf(action.subject);
+    const TypeId object_type = world_->registry->TypeOf(action.object);
+    if (subject_type == kInvalidTypeId || object_type == kInvalidTypeId) {
+      continue;
+    }
+    std::vector<Slot> scanned;
+    for (uint32_t p = 0; p < snapshot_->patterns.size(); ++p) {
+      const Pattern& pattern = snapshot_->patterns[p].pattern;
+      for (uint32_t a = 0; a < pattern.num_actions(); ++a) {
+        const AbstractAction& pa = pattern.actions()[a];
+        if (pa.relation == action.relation &&
+            within_lift(subject_type, pattern.var_type(pa.source_var)) &&
+            within_lift(object_type, pattern.var_type(pa.target_var))) {
+          scanned.emplace_back(p, a);
+        }
+      }
+    }
+    index.Lookup(subject_type, action.relation, object_type, &slots);
+    std::vector<Slot> looked_up;
+    for (const PatternSlot& slot : slots) {
+      looked_up.emplace_back(slot.pattern_id, slot.action_index);
+    }
+    std::sort(scanned.begin(), scanned.end());
+    std::sort(looked_up.begin(), looked_up.end());
+    ASSERT_EQ(looked_up, scanned) << "event with sequence " << sequence;
+    ++events;
+    hits += looked_up.size();
+  }
+  EXPECT_GT(events, 0u);
+  EXPECT_GT(hits, 0u) << "no event reached any pattern: the check is vacuous";
 }
 
 TEST_F(DifferentialTest, ProvenanceSurvivesStoreAndStampsReports) {

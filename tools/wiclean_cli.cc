@@ -471,6 +471,9 @@ int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
   }
   options.shards_per_tenant = static_cast<size_t>(feed_threads);
   options.detector.allowed_skew = args.GetInt("allowed-skew", 0);
+  if (options.detector.allowed_skew < 0) {
+    return Fail(Status::InvalidArgument("--allowed-skew must be >= 0"));
+  }
   options.detector.detector.max_abstraction_lift =
       snapshot.provenance.max_abstraction_lift;
   int64_t max_tenants = args.GetInt("max-tenants", 64);
@@ -481,8 +484,11 @@ int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
   // Default 0 = block on backpressure: the faithful batch-replay mode. A
   // positive deadline turns sustained overload into explicit shed events.
   options.feed_deadline_ms = args.GetInt("feed-deadline-ms", 0);
-  options.tenant_queue_capacity =
-      static_cast<size_t>(args.GetInt("queue-capacity", 256));
+  int64_t queue_capacity = args.GetInt("queue-capacity", 256);
+  if (queue_capacity < 1) {
+    return Fail(Status::InvalidArgument("--queue-capacity must be >= 1"));
+  }
+  options.tenant_queue_capacity = static_cast<size_t>(queue_capacity);
 
   int64_t num_tenants = args.GetInt("tenants", 1);
   if (num_tenants < 1) {
