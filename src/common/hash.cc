@@ -15,6 +15,17 @@ uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
 }
 
+uint64_t HashWords(std::span<const uint64_t> words) {
+  uint64_t h = 0x84222325cbf29ce4ULL ^ words.size();
+  for (uint64_t w : words) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
 uint32_t Crc32(std::string_view bytes) {
   // Standard IEEE reflected CRC-32, table computed on first use.
   static const uint32_t* table = [] {

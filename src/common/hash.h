@@ -2,6 +2,7 @@
 #define WICLEAN_COMMON_HASH_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace wiclean {
@@ -18,6 +19,11 @@ uint64_t Fnv1a64(std::string_view text);
 
 /// Combines two 64-bit hashes (boost::hash_combine style).
 uint64_t HashCombine(uint64_t a, uint64_t b);
+
+/// Hash of a run of 64-bit words (canonical pattern codes): one multiply and
+/// xor-shift per word, then the splitmix64 finalizer. The length is mixed in
+/// first, so a run and its zero-extension hash apart.
+uint64_t HashWords(std::span<const uint64_t> words);
 
 /// CRC-32 (IEEE, reflected) — the payload checksum of the WCPS pattern
 /// snapshot and WCAL action-log containers.

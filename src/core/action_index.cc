@@ -110,6 +110,7 @@ AbstractActionEntry& ActionIndex::EntryFor(const LookupKey& key) {
           .emplace(std::move(encoded),
                    AbstractActionEntry(std::move(full), NewRealizationTable()))
           .first->second;
+  entry.relation_id = relations_.Intern(key.relation);
   LookupKey stored = key;
   stored.relation = entry.key.relation;  // outlives the ingested action
   lookup_.emplace(stored, &entry);

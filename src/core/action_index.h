@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/pattern.h"
 #include "graph/entity_registry.h"
 #include "relational/table.h"
 #include "revision/revision_store.h"
@@ -42,6 +43,8 @@ struct AbstractActionKey {
 struct AbstractActionEntry {
   AbstractActionKey key;
   relational::Table realizations;
+  /// key.relation's id in the owning index's relation table.
+  uint32_t relation_id = 0;
 
   AbstractActionEntry(AbstractActionKey k, relational::Table t)
       : key(std::move(k)), realizations(std::move(t)) {}
@@ -113,6 +116,18 @@ class ActionIndex {
                                   std::string_view relation,
                                   TypeId target_type) const;
 
+  /// Ids of every relation an entry has named, interned as entries are
+  /// created (and by InternRelation); canonical codes of this index's
+  /// patterns number relations through it.
+  const RelationTable& relations() const { return relations_; }
+
+  /// Interns `name` ahead of any entry naming it. Ids are append-only, so
+  /// this never changes an id already given out; it only fixes which ids
+  /// later relations get.
+  uint32_t InternRelation(std::string_view name) {
+    return relations_.Intern(name);
+  }
+
   /// Cumulative ingestion counters.
   size_t num_entities_ingested() const { return ingested_.size(); }
   size_t num_actions_ingested() const { return num_actions_; }
@@ -150,6 +165,7 @@ class ActionIndex {
   /// Types ingested through AddEntitiesOfType.
   std::unordered_set<TypeId> ingested_types_;
   size_t num_actions_ = 0;
+  RelationTable relations_;
   std::map<std::string, AbstractActionEntry> entries_;
   /// Every entry of entries_ by its key fields (map nodes never move).
   std::unordered_map<LookupKey, AbstractActionEntry*, LookupKeyHash> lookup_;

@@ -1,9 +1,9 @@
 #include "core/evaluation_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace wiclean {
@@ -63,34 +63,28 @@ void PairHashSet::Grow() {
   }
 }
 
-uint64_t EvaluationCache::HashKey(std::string_view key) {
-  return Fnv1a64(key);
-}
-
-EvaluationCache::Id EvaluationCache::Find(std::string_view key,
-                                          uint64_t hash) const {
+CodeTable::Id CodeTable::Find(std::span<const uint64_t> code,
+                              uint64_t hash) const {
   if (slots_.empty()) return kAbsent;
   const size_t mask = slots_.size() - 1;
   for (size_t s = FibonacciSlot(hash, shift_);; s = (s + 1) & mask) {
     const Id id = slots_[s];
     if (id == kAbsent) return kAbsent;
-    if (entries_[id].hash == hash && this->key(id) == key) return id;
+    const Entry& e = entries_[id];
+    if (e.hash == hash && e.size == code.size() &&
+        std::equal(code.begin(), code.end(), words_.begin() + e.begin)) {
+      return id;
+    }
   }
 }
 
-EvaluationCache::Id EvaluationCache::Insert(std::string_view key,
-                                            uint64_t hash, double frequency,
-                                            size_t support) {
-  WICLEAN_CHECK(entries_.size() < kAbsent && key.size() <= UINT32_MAX);
+CodeTable::Id CodeTable::Insert(std::span<const uint64_t> code,
+                                uint64_t hash) {
+  WICLEAN_CHECK(entries_.size() < kAbsent);
   if (2 * (entries_.size() + 1) > slots_.size()) Grow();
   const Id id = static_cast<Id>(entries_.size());
-  Entry& e = entries_.emplace_back();
-  e.hash = hash;
-  e.key_begin = keys_.size();
-  e.key_size = static_cast<uint32_t>(key.size());
-  e.state.frequency = frequency;
-  e.state.support = support;
-  keys_.append(key);
+  entries_.push_back(Entry{hash, words_.size(), code.size()});
+  words_.insert(words_.end(), code.begin(), code.end());
   const size_t mask = slots_.size() - 1;
   size_t s = FibonacciSlot(hash, shift_);
   while (slots_[s] != kAbsent) s = (s + 1) & mask;
@@ -98,15 +92,13 @@ EvaluationCache::Id EvaluationCache::Insert(std::string_view key,
   return id;
 }
 
-void EvaluationCache::Keep(Id id, Pattern pattern,
-                           relational::Table realizations) {
-  State& state = entries_[id].state;
-  WICLEAN_CHECK(state.realized == nullptr);
-  state.realized = &realized_.emplace_back(
-      Realized{std::move(pattern), std::move(realizations)});
+void CodeTable::Clear() {
+  words_.clear();
+  entries_.clear();
+  std::fill(slots_.begin(), slots_.end(), kAbsent);
 }
 
-void EvaluationCache::Grow() {
+void CodeTable::Grow() {
   slots_.assign(slots_.empty() ? kInitialSlots : 2 * slots_.size(), kAbsent);
   shift_ = 64 - std::countr_zero(slots_.size());
   const size_t mask = slots_.size() - 1;
@@ -115,6 +107,22 @@ void EvaluationCache::Grow() {
     while (slots_[s] != kAbsent) s = (s + 1) & mask;
     slots_[s] = id;
   }
+}
+
+EvaluationCache::Id EvaluationCache::Insert(std::span<const uint64_t> code,
+                                            uint64_t hash, double frequency,
+                                            size_t support) {
+  const Id id = codes_.Insert(code, hash);
+  State& state = states_.emplace_back();
+  state.frequency = frequency;
+  state.support = support;
+  return id;
+}
+
+void EvaluationCache::Keep(Id id, Realized realized) {
+  State& state = states_[id];
+  WICLEAN_CHECK(state.realized == nullptr);
+  state.realized = &realized_.emplace_back(std::move(realized));
 }
 
 }  // namespace wiclean

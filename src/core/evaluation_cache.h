@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/pattern.h"
@@ -32,25 +32,73 @@ class PairHashSet {
   bool has_zero_ = false;
 };
 
-/// The miner's cache of evaluated patterns, keyed by canonical pattern key
-/// (Pattern::CanonicalKey). Entries are numbered by insertion order; ids stay
-/// valid for the cache's lifetime.
-///
-/// Layout: every key's bytes sit in one arena string, every entry is a
-/// fixed-size record (key span, key hash, frequency, support), and an
-/// open-addressing table of ids indexes the records by hash. Only states at
-/// or above the realization cache floor carry their Pattern and realization
-/// table, in separate storage whose elements never move; a state below the
-/// floor is the bare record. The caller supplies the key hash (Fnv1a64 of
-/// the key), so a key is hashed once however often it is looked up.
-class EvaluationCache {
+/// Canonical codes (Pattern::CanonicalCode word runs) numbered by insertion
+/// order, with an index for finding them: every code's words sit back to
+/// back in one arena, each entry records its span and hash, and an
+/// open-addressing table of ids indexes the entries by hash. The caller
+/// supplies each hash (HashWords of the code), so a code is hashed once
+/// however often it is looked up. Ids stay valid until Clear.
+class CodeTable {
  public:
   using Id = uint32_t;
   static constexpr Id kAbsent = ~Id{0};
 
+  size_t size() const { return entries_.size(); }
+
+  /// The id of `code`, or kAbsent. `hash` must be HashWords(code).
+  Id Find(std::span<const uint64_t> code, uint64_t hash) const;
+
+  /// Adds an absent `code`; returns its id (the previous size()).
+  Id Insert(std::span<const uint64_t> code, uint64_t hash);
+
+  std::span<const uint64_t> code(Id id) const {
+    return std::span<const uint64_t>(words_).subspan(entries_[id].begin,
+                                                      entries_[id].size);
+  }
+  uint64_t hash(Id id) const { return entries_[id].hash; }
+
+  /// Forgets every code, keeping the buffers' capacity.
+  void Clear();
+
+ private:
+  struct Entry {
+    uint64_t hash = 0;
+    size_t begin = 0;
+    size_t size = 0;
+  };
+
+  void Grow();
+
+  std::vector<uint64_t> words_;  // every code's words, back to back
+  std::vector<Entry> entries_;   // by id
+  std::vector<Id> slots_;        // power of two, at most half full; kAbsent
+  int shift_ = 64;               // 64 - log2(slots_.size())
+};
+
+/// The miner's cache of evaluated patterns, keyed by canonical code
+/// (Pattern::CanonicalCode over the mining context's relation table).
+/// Entries are numbered by insertion order; ids stay valid for the cache's
+/// lifetime.
+///
+/// Layout: the codes sit in a CodeTable, each entry's state (frequency,
+/// support) in a parallel fixed-size record. Only states at or above the
+/// realization cache floor carry their Pattern, its string key and its
+/// realization table, in separate storage whose elements never move; a
+/// state below the floor is the bare record. The code is the identity: the
+/// string key is built for kept states only, because only their order is
+/// ever visible (a reused context seeds its worklist in key order).
+class EvaluationCache {
+ public:
+  using Id = CodeTable::Id;
+  static constexpr Id kAbsent = CodeTable::kAbsent;
+
   /// What the cache keeps of a state at or above the floor.
   struct Realized {
     Pattern pattern;
+    /// The relation id of each of pattern's actions, in action order, so an
+    /// extension is coded without building it.
+    std::vector<uint32_t> relations;
+    std::string key;                 // pattern.CanonicalKey()
     relational::Table realizations;  // columns v0..vN, tmin, tmax
   };
 
@@ -62,45 +110,28 @@ class EvaluationCache {
     Realized* realized = nullptr;
   };
 
-  /// Fnv1a64(key), the hash every other member expects.
-  static uint64_t HashKey(std::string_view key);
+  size_t size() const { return codes_.size(); }
 
-  size_t size() const { return entries_.size(); }
+  /// The id of `code`, or kAbsent. `hash` must be HashWords(code).
+  Id Find(std::span<const uint64_t> code, uint64_t hash) const {
+    return codes_.Find(code, hash);
+  }
 
-  /// The id of `key`, or kAbsent. `hash` must be HashKey(key).
-  Id Find(std::string_view key, uint64_t hash) const;
-  Id Find(std::string_view key) const { return Find(key, HashKey(key)); }
-
-  /// Adds an absent `key` with a bare state; returns its id.
-  Id Insert(std::string_view key, uint64_t hash, double frequency,
+  /// Adds an absent `code` with a bare state; returns its id.
+  Id Insert(std::span<const uint64_t> code, uint64_t hash, double frequency,
             size_t support);
 
-  /// Attaches the pattern and realization table to entry `id`, which has
-  /// none yet.
-  void Keep(Id id, Pattern pattern, relational::Table realizations);
+  /// Attaches what the cache keeps to entry `id`, which has none yet.
+  void Keep(Id id, Realized realized);
 
-  std::string_view key(Id id) const {
-    return std::string_view(keys_).substr(entries_[id].key_begin,
-                                          entries_[id].key_size);
-  }
-  uint64_t hash(Id id) const { return entries_[id].hash; }
-  State& state(Id id) { return entries_[id].state; }
-  const State& state(Id id) const { return entries_[id].state; }
+  std::span<const uint64_t> code(Id id) const { return codes_.code(id); }
+  uint64_t hash(Id id) const { return codes_.hash(id); }
+  State& state(Id id) { return states_[id]; }
+  const State& state(Id id) const { return states_[id]; }
 
  private:
-  struct Entry {
-    uint64_t hash = 0;
-    size_t key_begin = 0;
-    uint32_t key_size = 0;
-    State state;
-  };
-
-  void Grow();
-
-  std::string keys_;            // every key's bytes, back to back
-  std::vector<Entry> entries_;  // by id
-  std::vector<Id> slots_;       // power of two, at most half full; kAbsent
-  int shift_ = 64;              // 64 - log2(slots_.size())
+  CodeTable codes_;
+  std::vector<State> states_;      // by id
   std::deque<Realized> realized_;  // never moves an element
 };
 

@@ -153,13 +153,19 @@ class PatternMiner::Impl {
       const EvaluationCache::State& state = cache.state(id);
       if (state.support > 0 &&
           state.frequency >= options_.frequency_threshold) {
+        // Admission expands from the kept table (MaybeAdmit), and only kept
+        // states carry the key the seeding order needs.
+        if (state.realized == nullptr) {
+          return AdmittedWithoutRealization(options_.frequency_threshold);
+        }
         seeded.push_back(id);
       }
     }
     // Seed in key order, so reused contexts expand (and report) in the same
     // order as a fresh run.
-    std::sort(seeded.begin(), seeded.end(),
-              [&](Id a, Id b) { return cache.key(a) < cache.key(b); });
+    std::sort(seeded.begin(), seeded.end(), [&](Id a, Id b) {
+      return cache.state(a).realized->key < cache.state(b).realized->key;
+    });
     for (Id id : seeded) {
       WICLEAN_RETURN_IF_ERROR(MaybeAdmit(id, options_.frequency_threshold,
                                          &frequent_, /*mark_frequent=*/true));
@@ -253,6 +259,15 @@ class PatternMiner::Impl {
     size_t left_keys = 0;  // index into the generation's left key hashes
   };
 
+  /// One enumerated extension as the commit replays it, in enumeration
+  /// order: the cache id its code had when the generation was enumerated,
+  /// or else (cached == kAbsent) the generation's one evaluation of its
+  /// code — which is also the index of that code in generation_.
+  struct Enumerated {
+    Id cached = EvaluationCache::kAbsent;
+    Id evaluation = 0;
+  };
+
   /// One abstract action of the index snapshot an ExpandAll call works on,
   /// with the action sides of the joins that glue it: keyed on u for a fresh
   /// target, on (u, v) for a glued one. Each is built serially the first time
@@ -265,19 +280,14 @@ class PatternMiner::Impl {
     std::optional<PreparedActionSide> glued_side;
   };
 
-  /// Output of one pure candidate evaluation. `computed` is false when the
-  /// canonical key was already cached at evaluation time (nothing to insert;
-  /// the commit step re-admits the cached state, as the serial code does).
-  /// `kept` — the pattern and its realization table — is built only when
+  /// Output of one pure candidate evaluation. `kept` — the pattern, its
+  /// relation ids and key, and its realization table — is built only when
   /// `frequency` reaches the realization cache floor, i.e. only when the
   /// cache will keep it.
   struct CandidateResult {
-    std::string key;
-    uint64_t hash = 0;  // EvaluationCache::HashKey(key)
     std::optional<Realized> kept;
     size_t support = 0;
     double frequency = 0;
-    bool computed = false;
     WorkingSetProfile touched;  // per-task profile shard, merged at commit
   };
 
@@ -288,20 +298,22 @@ class PatternMiner::Impl {
   /// set, so newly ingested action types can seed new patterns.
   ///
   /// Parallel structure: the worklist is processed in generations — all
-  /// untested pairs of the patterns admitted so far are enumerated into a
-  /// candidate list (marking them tested), the generation's shared join
-  /// inputs are prepared serially (one left key-hash vector per base pattern
-  /// and glue columns, one action side per action and key shape), every
-  /// candidate is evaluated as a pure task against a snapshot of the
-  /// evaluation cache and those read-only inputs (per-task result slots, no
-  /// shared writes), and the results commit serially in enumeration order. A
-  /// candidate's base pattern is always from an earlier generation, so
-  /// evaluations never depend on same-generation commits; duplicate canonical
-  /// keys within a generation recompute the same pure result and the commit
-  /// step keeps the first (= the one the serial code would have cached) and
-  /// drops the rest without counting them. The admitted worklist, cache
-  /// contents, and every stats counter are therefore identical at any
-  /// MinerOptions::num_threads.
+  /// untested pairs of the patterns admitted so far are enumerated (marking
+  /// them tested) and each extension is coded serially from its base and
+  /// the new action, without building it. An extension whose code is
+  /// already cached, or already enumerated in this generation, is not
+  /// evaluated; every other one joins the generation's candidate list. The
+  /// shared join inputs are prepared serially (one left key-hash vector per
+  /// base pattern and glue columns, one action side per action and key
+  /// shape), every candidate is evaluated as a pure task against those
+  /// read-only inputs (per-task result slots, no shared writes), and the
+  /// enumerated extensions commit serially in enumeration order: a cached
+  /// one re-admits its state, the first of a code inserts the evaluation,
+  /// and a later duplicate re-admits what the first inserted without being
+  /// counted. A candidate's base pattern is always from an earlier
+  /// generation, so evaluations never depend on same-generation commits. The
+  /// admitted worklist, cache contents, and every stats counter are
+  /// therefore identical at any MinerOptions::num_threads.
   Status ExpandAll(double admission, Worklist* admitted, PairHashSet* tested,
                    bool mark_frequent) {
     if (mark_frequent) {
@@ -325,11 +337,14 @@ class PatternMiner::Impl {
     }
     const bool hash_join = options_.join_engine == JoinEngineKind::kHashJoin;
     std::vector<size_t> pattern_actions;
+    std::vector<ExtensionCandidate> pair_extensions;
     size_t pi = 0;
     while (pi < admitted->ids.size()) {
       const size_t gen_end = admitted->ids.size();
       std::vector<ExtensionCandidate> candidates;
+      std::vector<Enumerated> enumerated;
       std::vector<std::vector<uint64_t>> left_keys;
+      generation_.Clear();
       for (; pi < gen_end; ++pi) {
         const Id id = admitted->ids[pi];
         // MaybeAdmit lists kept states only.
@@ -352,11 +367,16 @@ class PatternMiner::Impl {
         const bool has_seed_var = HasSeedVar(p);
         const size_t first = candidates.size();
         const uint64_t pattern_hash = ctx_->evaluated.hash(id);
+        SetCodeBase(base);
         for (size_t ai : pattern_actions) {
           uint64_t pair_key = HashCombine(pattern_hash, actions[ai].key_hash);
           if (!tested->Insert(pair_key)) continue;
-          CollectPair(base, has_seed_var, ai, *actions[ai].entry,
-                      &candidates);
+          const AbstractActionEntry& entry = *actions[ai].entry;
+          pair_extensions.clear();
+          CollectPair(base, has_seed_var, ai, entry, &pair_extensions);
+          for (const ExtensionCandidate& c : pair_extensions) {
+            enumerated.push_back(Enumerate(c, entry, &candidates));
+          }
         }
         if (hash_join) {
           WICLEAN_RETURN_IF_ERROR(
@@ -364,8 +384,7 @@ class PatternMiner::Impl {
           RealizationSchemaOf(p.num_vars() + 1);
         }
       }
-      if (candidates.empty()) continue;
-      if (hash_join) {
+      if (hash_join && !candidates.empty()) {
         WICLEAN_RETURN_IF_ERROR(PrepareActionSides(candidates, &actions));
       }
 
@@ -381,12 +400,74 @@ class PatternMiner::Impl {
         for (size_t k = 0; k < candidates.size(); ++k) evaluate(k);
       }
       for (const Status& s : statuses) WICLEAN_RETURN_IF_ERROR(s);
-      for (CandidateResult& res : results) {
+      std::vector<Id> committed(candidates.size(), EvaluationCache::kAbsent);
+      for (const Enumerated& e : enumerated) {
+        Id id = e.cached;
+        if (id == EvaluationCache::kAbsent) {
+          id = committed[e.evaluation];
+          if (id == EvaluationCache::kAbsent) {
+            CandidateResult& res = results[e.evaluation];
+            ctx_->stats.workingset.Accumulate(res.touched);
+            id = RecordEvaluated(generation_.code(e.evaluation),
+                                 generation_.hash(e.evaluation),
+                                 std::move(res.kept), res.support,
+                                 res.frequency);
+            committed[e.evaluation] = id;
+          }
+        }
         WICLEAN_RETURN_IF_ERROR(
-            CommitCandidate(&res, admission, admitted, mark_frequent));
+            MaybeAdmit(id, admission, admitted, mark_frequent));
       }
     }
     return Status::OK();
+  }
+
+  /// Loads `base` — its variables and its actions over relation ids — as
+  /// the shape Enumerate extends.
+  void SetCodeBase(const Realized& base) {
+    const Pattern& p = base.pattern;
+    code_types_.assign(p.var_types().begin(), p.var_types().end());
+    code_bindings_.assign(p.var_bindings().begin(), p.var_bindings().end());
+    code_actions_.clear();
+    for (size_t i = 0; i < p.num_actions(); ++i) {
+      const AbstractAction& a = p.actions()[i];
+      code_actions_.push_back(
+          CodedAction{a.op, a.source_var, base.relations[i], a.target_var});
+    }
+  }
+
+  /// Codes extension `c` of the SetCodeBase pattern by `entry`, without
+  /// building it, and decides whether it is evaluated: not when its code is
+  /// already cached or already enumerated in this generation; otherwise it
+  /// joins `candidates`.
+  Enumerated Enumerate(const ExtensionCandidate& c,
+                       const AbstractActionEntry& entry,
+                       std::vector<ExtensionCandidate>* candidates) {
+    const Pattern& base = c.base->pattern;
+    code_types_.resize(base.num_vars());
+    code_bindings_.resize(base.num_vars());
+    code_actions_.resize(base.num_actions());
+    int target = c.glue_target;
+    if (target < 0) {
+      target = static_cast<int>(base.num_vars());
+      code_types_.push_back(entry.key.target_type);
+      code_bindings_.push_back(kInvalidEntityId);
+    }
+    code_actions_.push_back(
+        CodedAction{entry.key.op, c.glue_source, entry.relation_id, target});
+    CanonicalCodeOf(PatternShape{code_types_, code_bindings_,
+                                 base.source_var(), code_actions_},
+                    &code_);
+    const uint64_t hash = HashWords(code_);
+    Enumerated e;
+    e.cached = ctx_->evaluated.Find(code_, hash);
+    if (e.cached != EvaluationCache::kAbsent) return e;
+    e.evaluation = generation_.Find(code_, hash);
+    if (e.evaluation == CodeTable::kAbsent) {
+      e.evaluation = generation_.Insert(code_, hash);
+      candidates->push_back(c);
+    }
+    return e;
   }
 
   /// Gives candidates[first..] — all from one base pattern — their left key
@@ -451,16 +532,13 @@ class PatternMiner::Impl {
           HashCombine(Fnv1a64("\x1e singleton"), Fnv1a64(action_key));
       if (!tested->Insert(singleton_marker)) continue;
 
-      Pattern p;
-      int u = p.AddVar(entry.key.source_type);
-      int v = p.AddVar(entry.key.target_type);
-      WICLEAN_RETURN_IF_ERROR(
-          p.AddAction(entry.key.op, u, entry.key.relation, v));
-      WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
-
-      const std::string key = p.CanonicalKey();
-      const uint64_t hash = EvaluationCache::HashKey(key);
-      Id id = ctx_->evaluated.Find(key, hash);
+      // {op (source_type#0, relation, target_type#1)}, source #0.
+      const TypeId types[] = {entry.key.source_type, entry.key.target_type};
+      const EntityId bindings[] = {kInvalidEntityId, kInvalidEntityId};
+      const CodedAction action{entry.key.op, 0, entry.relation_id, 1};
+      CanonicalCodeOf(PatternShape{types, bindings, 0, {&action, 1}}, &code_);
+      const uint64_t hash = HashWords(code_);
+      Id id = ctx_->evaluated.Find(code_, hash);
       if (id == EvaluationCache::kAbsent) {
         // Distinct variables bind distinct entities: drop self-link rows.
         // Rows carry the action timestamp as a [t, t] span.
@@ -477,14 +555,21 @@ class PatternMiner::Impl {
               realization.ApproxBytes();
         }
         realization = DedupKeepTightest(realization, 2);
-        const size_t support = CountTableSeedSources(
-            realization, static_cast<size_t>(p.source_var()));
+        const size_t support = CountTableSeedSources(realization, 0);
         const double frequency = FrequencyOf(support);
         std::optional<Realized> kept;
         if (frequency >= options_.realization_cache_min_frequency) {
-          kept.emplace(Realized{std::move(p), std::move(realization)});
+          Pattern p;
+          const int u = p.AddVar(entry.key.source_type);
+          const int v = p.AddVar(entry.key.target_type);
+          WICLEAN_RETURN_IF_ERROR(
+              p.AddAction(entry.key.op, u, entry.key.relation, v));
+          WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
+          std::string key = p.CanonicalKey();
+          kept.emplace(Realized{std::move(p), {entry.relation_id},
+                                std::move(key), std::move(realization)});
         }
-        id = RecordEvaluated(key, hash, std::move(kept), support, frequency);
+        id = RecordEvaluated(code_, hash, std::move(kept), support, frequency);
       }
       WICLEAN_RETURN_IF_ERROR(
           MaybeAdmit(id, admission, admitted, /*mark_frequent=*/true));
@@ -555,23 +640,20 @@ class PatternMiner::Impl {
     }
   }
 
-  /// Per-thread buffers of EvaluateCandidate: the extended pattern, and the
-  /// PM path's join spec, probe output rows and their source values.
-  /// Overwritten or cleared, never freed, so once they have grown a
-  /// candidate allocates nothing here.
+  /// Per-thread buffers of EvaluateCandidate: the PM path's join spec, probe
+  /// output rows and their source values. Overwritten or cleared, never
+  /// freed, so once they have grown a candidate allocates nothing here.
   struct CandidateScratch {
-    Pattern extended;
     RealizationJoinSpec spec;
     RealizationRows rows;
     std::vector<int64_t> sources;
   };
 
-  /// Pure evaluation of one extension candidate: builds the extended
-  /// pattern, joins the base realization with the action realization, and
-  /// counts seed support. Reads the evaluation cache (no writes happen while
-  /// tasks run) and shared immutable tables only, so any number of these run
-  /// concurrently. The extended pattern is built in per-thread scratch and
-  /// copied out only when the cache floor keeps it. The PM path probes with
+  /// Pure evaluation of one extension candidate: joins the base realization
+  /// with the action realization and counts seed support. Reads shared
+  /// immutable tables only, so any number of these run concurrently. The
+  /// extended pattern, its relation ids and its key are built only when the
+  /// cache floor keeps it (KeepExtension). The PM path probes with
   /// the fused operator (join + span recompute + prune + dedup in one pass,
   /// no wide join materialized) into per-thread row buffers, counts support
   /// from them, and assembles the realization table only when the cache
@@ -589,20 +671,6 @@ class PatternMiner::Impl {
     // Per-thread, so capacity survives across this thread's candidates and
     // concurrent tasks never share it.
     thread_local CandidateScratch scratch;
-    Pattern& extended = scratch.extended;
-    extended = base.pattern;
-    int target_var =
-        glue_target >= 0 ? glue_target : extended.AddVar(entry.key.target_type);
-    WICLEAN_RETURN_IF_ERROR(extended.AddAction(entry.key.op, glue_source,
-                                               entry.key.relation,
-                                               target_var));
-
-    out->key = extended.CanonicalKey();
-    out->hash = EvaluationCache::HashKey(out->key);
-    if (ctx_->evaluated.Find(out->key, out->hash) != EvaluationCache::kAbsent) {
-      // Cached at snapshot time; commit will re-admit the cached state.
-      return Status::OK();
-    }
     const size_t n = base.pattern.num_vars();
     const size_t new_vars = glue_target < 0 ? n + 1 : n;
     if (options_.profile_workingset) {
@@ -635,7 +703,7 @@ class PatternMiner::Impl {
                                                 rspec, &scratch.rows));
       // The source variable predates the new one, so its column is a left
       // column, reached through each output row's representative left row.
-      const size_t source_col = static_cast<size_t>(extended.source_var());
+      const size_t source_col = static_cast<size_t>(base.pattern.source_var());
       WICLEAN_CHECK(source_col < n);
       const int64_t* source =
           base.realizations.column(source_col).int64_data().data();
@@ -650,7 +718,8 @@ class PatternMiner::Impl {
             rel::Table realization,
             AssembleRealizations(base.realizations, *side, schemas_[new_vars],
                                  rspec, scratch.rows));
-        out->kept.emplace(Realized{extended, std::move(realization)});
+        WICLEAN_RETURN_IF_ERROR(
+            KeepExtension(c, entry, std::move(realization), out));
       }
     } else {
       rel::JoinSpec spec;
@@ -690,37 +759,39 @@ class PatternMiner::Impl {
       }
       realization = DedupKeepTightest(realization, new_vars);
       out->support = CountTableSeedSources(
-          realization, static_cast<size_t>(extended.source_var()));
+          realization, static_cast<size_t>(base.pattern.source_var()));
       out->frequency = FrequencyOf(out->support);
       if (out->frequency >= options_.realization_cache_min_frequency) {
-        out->kept.emplace(Realized{extended, std::move(realization)});
+        WICLEAN_RETURN_IF_ERROR(
+            KeepExtension(c, entry, std::move(realization), out));
       }
     }
-    out->computed = true;
     return Status::OK();
   }
 
-  /// Serial commit of one evaluated candidate, in enumeration order: inserts
-  /// the result into the cache unless the key arrived earlier (same-
-  /// generation duplicate routes recompute the same canonical pattern; the
-  /// first commit wins, as in the serial code), then replays admission.
-  Status CommitCandidate(CandidateResult* res, double admission,
-                         Worklist* admitted, bool mark_frequent) {
-    Id id = ctx_->evaluated.Find(res->key, res->hash);
-    if (id == EvaluationCache::kAbsent) {
-      WICLEAN_CHECK(res->computed);
-      ctx_->stats.workingset.Accumulate(res->touched);
-      id = RecordEvaluated(res->key, res->hash, std::move(res->kept),
-                           res->support, res->frequency);
-    }
-    return MaybeAdmit(id, admission, admitted, mark_frequent);
+  /// Builds what the cache keeps of candidate `c`: the extended pattern, its
+  /// relation ids, its key and `realization`.
+  static Status KeepExtension(const ExtensionCandidate& c,
+                              const AbstractActionEntry& entry,
+                              rel::Table realization, CandidateResult* out) {
+    Realized& kept = out->kept.emplace(Realized{
+        c.base->pattern, c.base->relations, {}, std::move(realization)});
+    const int target = c.glue_target >= 0
+                           ? c.glue_target
+                           : kept.pattern.AddVar(entry.key.target_type);
+    WICLEAN_RETURN_IF_ERROR(kept.pattern.AddAction(
+        entry.key.op, c.glue_source, entry.key.relation, target));
+    kept.relations.push_back(entry.relation_id);
+    kept.key = kept.pattern.CanonicalKey();
+    return Status::OK();
   }
 
-  /// Stores one evaluation with its support count and frequency
-  /// (FrequencyOf(support)). `kept` must hold the pattern and realization
-  /// exactly when that frequency reaches the realization cache floor — the
-  /// test every evaluator applies before building them.
-  Id RecordEvaluated(std::string_view key, uint64_t hash,
+  /// Stores one evaluation under `code` (hash = HashWords(code)) with its
+  /// support count and frequency (FrequencyOf(support)). `kept` must hold
+  /// the pattern and realization exactly when that frequency reaches the
+  /// realization cache floor — the test every evaluator applies before
+  /// building them.
+  Id RecordEvaluated(std::span<const uint64_t> code, uint64_t hash,
                      std::optional<Realized> kept, size_t support,
                      double frequency) {
     ++ctx_->stats.candidates_considered;
@@ -736,11 +807,8 @@ class PatternMiner::Impl {
         ++ws.tables_died;  // below the cache floor: not kept
       }
     }
-    const Id id = ctx_->evaluated.Insert(key, hash, frequency, support);
-    if (keep) {
-      ctx_->evaluated.Keep(id, std::move(kept->pattern),
-                           std::move(kept->realizations));
-    }
+    const Id id = ctx_->evaluated.Insert(code, hash, frequency, support);
+    if (keep) ctx_->evaluated.Keep(id, std::move(*kept));
     return id;
   }
 
@@ -832,12 +900,39 @@ class PatternMiner::Impl {
   bool full_graph_ = false;
 
   Worklist frequent_;
+  /// The codes of the current generation's evaluated candidates, by
+  /// candidate index (see ExpandAll).
+  CodeTable generation_;
+  /// Canonical-code scratch (serial): the SetCodeBase pattern's shape, grown
+  /// by one action per Enumerate, and the last code written.
+  std::vector<TypeId> code_types_;
+  std::vector<EntityId> code_bindings_;
+  std::vector<CodedAction> code_actions_;
+  std::vector<uint64_t> code_;
   /// schemas_[w] = RealizationSchema(w); see RealizationSchemaOf.
   std::vector<rel::Schema> schemas_;
   /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
   /// here so it is never shared with window-level pools.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+EvaluationCache::Id MiningContext::Find(const Pattern& pattern) const {
+  std::vector<uint64_t> code;
+  if (!pattern.CanonicalCode(index.relations(), &code)) {
+    return EvaluationCache::kAbsent;
+  }
+  return evaluated.Find(code, HashWords(code));
+}
+
+Status CheckUnitThreshold(const char* option, double value) {
+  // 0 would admit every supported pattern, so a search would expand all the
+  // caps allow; NaN fails the comparison too.
+  if (value > 0 && value <= 1) return Status::OK();
+  char text[160];
+  std::snprintf(text, sizeof(text), "%s must be in (0, 1], got %g", option,
+                value);
+  return Status::InvalidArgument(text);
+}
 
 PatternMiner::PatternMiner(const EntityRegistry* registry,
                            const RevisionStore* store, MinerOptions options)
@@ -860,6 +955,17 @@ Result<MineWindowResult> PatternMiner::MineWindow(
   if (reuse != nullptr && !(reuse->index.window() == window)) {
     return Status::InvalidArgument(
         "reused mining context belongs to a different window");
+  }
+  WICLEAN_RETURN_IF_ERROR(CheckUnitThreshold(
+      "MinerOptions::frequency_threshold", options_.frequency_threshold));
+  if (options_.max_pattern_actions < 1) {
+    return Status::InvalidArgument(
+        "MinerOptions::max_pattern_actions must be >= 1, got 0");
+  }
+  if (options_.max_abstraction_lift < 0) {
+    return Status::InvalidArgument(
+        "MinerOptions::max_abstraction_lift must be >= 0, got " +
+        std::to_string(options_.max_abstraction_lift));
   }
   if (options_.frequency_threshold < options_.realization_cache_min_frequency) {
     return AdmissionBelowFloor(options_.frequency_threshold,
@@ -1101,8 +1207,7 @@ PatternMiner::MineValueSpecific(const MiningContext& context,
   if (min_value_share <= 0 || min_value_share > 1) {
     return Status::InvalidArgument("value share must be in (0, 1]");
   }
-  const EvaluationCache::Id id =
-      context.evaluated.Find(base.pattern.CanonicalKey());
+  const EvaluationCache::Id id = context.Find(base.pattern);
   if (id == EvaluationCache::kAbsent) {
     return Status::InvalidArgument(
         "value-specific mining base pattern was not evaluated in this "
@@ -1169,8 +1274,7 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   if (rel_threshold <= 0 || rel_threshold > 1) {
     return Status::InvalidArgument("relative threshold must be in (0, 1]");
   }
-  const EvaluationCache::Id base_id =
-      context->evaluated.Find(base.pattern.CanonicalKey());
+  const EvaluationCache::Id base_id = context->Find(base.pattern);
   if (base_id == EvaluationCache::kAbsent) {
     return Status::InvalidArgument(
         "relative mining base pattern was not evaluated in this context");

@@ -171,12 +171,17 @@ class MiningContext {
                 const TimeWindow& window, const MinerOptions& options)
       : index(registry, store, window, options.max_abstraction_lift) {}
 
+  /// The cache id of `pattern`'s evaluation, coded through index's relation
+  /// table, or EvaluationCache::kAbsent.
+  EvaluationCache::Id Find(const Pattern& pattern) const;
+
   ActionIndex index;
-  /// canonical pattern key -> evaluation result. Ids follow the serial
-  /// commit order, the same at any thread count. Anything that must follow
-  /// key order (seeding a reused context's frequent set) sorts explicitly.
+  /// canonical pattern code (over index.relations()) -> evaluation result.
+  /// Ids follow the serial commit order, the same at any thread count.
+  /// Anything that must follow key order (seeding a reused context's
+  /// frequent set) sorts explicitly by the kept states' keys.
   EvaluationCache evaluated;
-  /// Hashes of (pattern key, action key) pairs already expanded — tested[w]
+  /// Hashes of (pattern code, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
   /// Pairs that can yield no candidate (no variable of the action's source
   /// type, or a pattern at max_pattern_actions) are never entered.
@@ -192,6 +197,10 @@ struct MineWindowResult {
   /// Retained so MineRelative (and diagnostics) can reuse realizations.
   std::shared_ptr<MiningContext> context;
 };
+
+/// OK iff `value` is a usable frequency threshold, in (0, 1]; otherwise
+/// InvalidArgument naming `option` and the value.
+[[nodiscard]] Status CheckUnitThreshold(const char* option, double value);
 
 /// Algorithm 1: grow-and-store mining of connected frequent patterns in one
 /// time window, with join-based realization tables and incremental graph
@@ -214,9 +223,10 @@ class PatternMiner {
   /// reused if the same patterns are later re-examined with different
   /// thresholds". Stats in the result cover only the incremental work.
   ///
-  /// InvalidArgument when frequency_threshold is below
-  /// realization_cache_min_frequency, or when `reuse` holds an admissible
-  /// pattern without its table (it was cached under a higher floor).
+  /// InvalidArgument when frequency_threshold is outside (0, 1] or below
+  /// realization_cache_min_frequency, when max_pattern_actions < 1 or
+  /// max_abstraction_lift < 0, or when `reuse` holds an admissible pattern
+  /// without its table (it was cached under a higher floor).
   [[nodiscard]] Result<MineWindowResult> MineWindow(
       TypeId seed_type, const TimeWindow& window,
       std::shared_ptr<MiningContext> reuse = nullptr) const;

@@ -8,7 +8,24 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace wiclean {
+
+uint32_t RelationTable::Intern(std::string_view name) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  WICLEAN_CHECK(names_.size() < kMaxRelations);
+  const uint32_t id = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(name);
+  ids_.emplace(names_.back(), id);
+  return id;
+}
+
+uint32_t RelationTable::Find(std::string_view name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kUnknown : it->second;
+}
 
 int Pattern::AddVar(TypeId type) {
   var_types_.push_back(type);
@@ -201,6 +218,112 @@ std::string Pattern::CanonicalKey() const {
     if (!advanced) break;
   }
   return best;
+}
+
+namespace {
+
+/// Per-thread working buffers of CanonicalCodeOf and Pattern::CanonicalCode,
+/// cleared and never freed like CanonicalScratch.
+struct CodeScratch {
+  std::vector<int> by_type;       // variables sorted by (type, index)
+  std::vector<size_t> group_end;  // end of each same-type run of by_type
+  std::vector<uint32_t> ids;      // ids[k] = new id of variable by_type[k]
+  std::vector<uint32_t> perm;     // perm[variable] = new id
+  std::vector<uint64_t> current;  // one renaming's words after the types
+  std::vector<uint64_t> best;     // the smallest such words so far
+};
+
+}  // namespace
+
+void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code) {
+  thread_local CodeScratch s;
+  const std::span<const TypeId> types = shape.var_types;
+  const size_t n = types.size();
+  const size_t m = shape.actions.size();
+  WICLEAN_CHECK(n <= kMaxCodeVars && m < UINT32_MAX &&
+                shape.var_bindings.size() == n);
+  bool bound = false;
+  for (EntityId b : shape.var_bindings) bound = bound || b != kInvalidEntityId;
+
+  // New ids are dense in (type, index) order, as in CanonicalKey, so the
+  // sorted type list is the same for every renaming and is written once.
+  s.by_type.resize(n);
+  std::iota(s.by_type.begin(), s.by_type.end(), 0);
+  std::sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
+    return types[a] != types[b] ? types[a] < types[b] : a < b;
+  });
+  s.group_end.clear();
+  for (size_t k = 0; k < n; ++k) {
+    if (k + 1 == n || types[s.by_type[k + 1]] != types[s.by_type[k]]) {
+      s.group_end.push_back(k + 1);
+    }
+  }
+  code->clear();
+  code->push_back((bound ? uint64_t{1} << 63 : 0) | uint64_t{n} << 32 | m);
+  for (size_t k = 0; k < n; k += 2) {
+    uint64_t word = uint64_t{static_cast<uint32_t>(types[s.by_type[k]])}
+                    << 32;
+    if (k + 1 < n) word |= static_cast<uint32_t>(types[s.by_type[k + 1]]);
+    code->push_back(word);
+  }
+
+  s.ids.resize(n);
+  std::iota(s.ids.begin(), s.ids.end(), 0u);
+  s.perm.resize(n);
+  const size_t actions_at = bound ? 1 + n : 1;
+  s.current.resize(actions_at + m);
+  s.best.resize(actions_at + m);
+  bool first = true;
+  for (;;) {
+    for (size_t k = 0; k < n; ++k) s.perm[s.by_type[k]] = s.ids[k];
+    uint64_t* words = s.current.data();
+    words[0] = shape.source_var >= 0 ? s.perm[shape.source_var] + 1 : 0;
+    if (bound) {
+      for (size_t v = 0; v < n; ++v) {
+        words[1 + s.perm[v]] = static_cast<uint64_t>(shape.var_bindings[v]);
+      }
+    }
+    uint64_t* action_words = words + actions_at;
+    for (size_t i = 0; i < m; ++i) {
+      const CodedAction& a = shape.actions[i];
+      WICLEAN_CHECK(a.relation < RelationTable::kMaxRelations);
+      action_words[i] = (a.op == EditOp::kAdd ? 0 : uint64_t{1} << 63) |
+                        uint64_t{a.relation} << 32 |
+                        uint64_t{s.perm[a.source_var]} << 16 |
+                        s.perm[a.target_var];
+    }
+    std::sort(action_words, action_words + m);
+    if (first || std::lexicographical_compare(s.current.begin(),
+                                              s.current.end(), s.best.begin(),
+                                              s.best.end())) {
+      s.best.swap(s.current);
+    }
+    first = false;
+
+    // Next renaming: the odometer of CanonicalKey.
+    bool advanced = false;
+    for (size_t g = s.group_end.size(); g-- > 0 && !advanced;) {
+      const size_t begin = g == 0 ? 0 : s.group_end[g - 1];
+      advanced = std::next_permutation(s.ids.begin() + begin,
+                                       s.ids.begin() + s.group_end[g]);
+    }
+    if (!advanced) break;
+  }
+  code->insert(code->end(), s.best.begin(), s.best.end());
+}
+
+bool Pattern::CanonicalCode(const RelationTable& relations,
+                            std::vector<uint64_t>* code) const {
+  thread_local std::vector<CodedAction> coded;
+  coded.clear();
+  for (const AbstractAction& a : actions_) {
+    const uint32_t id = relations.Find(a.relation);
+    if (id == RelationTable::kUnknown) return false;
+    coded.push_back(CodedAction{a.op, a.source_var, id, a.target_var});
+  }
+  CanonicalCodeOf(
+      PatternShape{var_types_, var_bindings_, source_var_, coded}, code);
+  return true;
 }
 
 std::string Pattern::ToString(const TypeTaxonomy& taxonomy) const {

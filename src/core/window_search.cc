@@ -247,6 +247,10 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       options_.min_window_width > options_.max_window_width) {
     return Status::InvalidArgument("invalid window width bounds");
   }
+  WICLEAN_RETURN_IF_ERROR(CheckUnitThreshold(
+      "WindowSearchOptions::initial_threshold", options_.initial_threshold));
+  WICLEAN_RETURN_IF_ERROR(CheckUnitThreshold(
+      "WindowSearchOptions::min_threshold", options_.min_threshold));
 
   WindowSearchResult result;
   std::set<std::string> seen_keys;      // reported patterns

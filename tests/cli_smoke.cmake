@@ -164,6 +164,36 @@ endif()
 if(NOT err MATCHES "--mine-threads must be >= 1")
   message(FATAL_ERROR "mine --mine-threads -1: unexpected error: ${err}")
 endif()
+# Mining options outside their domain fail up front, naming the option and
+# the value: a threshold of 0 used to expand every supported pattern (no
+# result within minutes), a negative one failed with a misleading cache-floor
+# message, and one above 1 was accepted; a negative --abstraction-lift mined
+# nothing, --max-actions 0 still reported singletons and -1 wrapped to no cap.
+foreach(bad
+    "--threshold;0;WindowSearchOptions::initial_threshold must be in \\(0, 1\\], got 0"
+    "--threshold;-0.3;WindowSearchOptions::initial_threshold must be in \\(0, 1\\], got -0.3"
+    "--threshold;1.5;WindowSearchOptions::initial_threshold must be in \\(0, 1\\], got 1.5"
+    "--abstraction-lift;-1;--abstraction-lift must be >= 0, got -1"
+    "--max-actions;0;--max-actions must be >= 1, got 0"
+    "--max-actions;-1;--max-actions must be >= 1, got -1")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  list(GET bad 2 expected)
+  execute_process(
+    COMMAND ${WICLEAN} mine
+      --dump ${WORK_DIR}/dump.xml
+      --taxonomy ${WORK_DIR}/taxonomy.tsv
+      --alignment ${WORK_DIR}/alignment.tsv
+      --seed-type soccer_player ${flag} ${value}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET
+    TIMEOUT 60)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "mine ${flag} ${value} should fail")
+  endif()
+  if(NOT err MATCHES "${expected}")
+    message(FATAL_ERROR "mine ${flag} ${value}: unexpected error: ${rc} ${err}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${WICLEAN} serve
     --dump ${WORK_DIR}/dump.xml

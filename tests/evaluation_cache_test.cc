@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -58,66 +60,86 @@ TEST(PairHashSetTest, MatchesStdSetThroughGrowth) {
   }
 }
 
-/// Distinct keys that look like canonical pattern keys.
-std::string KeyOf(int i) {
-  return "src=0:" + std::to_string(i % 7) + "|+ 0:" + std::to_string(i % 7) +
-         " rel" + std::to_string(i) + " 1:" + std::to_string(i / 7);
+/// Distinct codes shaped like canonical pattern codes: a size word, type
+/// words, a source word and action words, of varying length. Some share
+/// every word but the last, or are prefixes of one another.
+std::vector<uint64_t> CodeOf(int i) {
+  const uint64_t actions = 1 + static_cast<uint64_t>(i % 5);
+  std::vector<uint64_t> code = {uint64_t{3} << 32 | actions,
+                                static_cast<uint64_t>(i % 7) << 32 | 2, 1};
+  for (uint64_t a = 0; a + 1 < actions; ++a) code.push_back(a << 16 | 1);
+  code.push_back(static_cast<uint64_t>(i / 5) << 32 | 2);
+  return code;
 }
+
+uint64_t HashOf(const std::vector<uint64_t>& code) { return HashWords(code); }
 
 TEST(EvaluationCacheTest, FindsEveryKeyThroughGrowth) {
   EvaluationCache cache;
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Find("absent"), EvaluationCache::kAbsent);
+  const std::vector<uint64_t> absent = {42};
+  EXPECT_EQ(cache.Find(absent, HashOf(absent)), EvaluationCache::kAbsent);
   constexpr int kKeys = 5000;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = KeyOf(i);
-    const uint64_t hash = EvaluationCache::HashKey(key);
-    ASSERT_EQ(cache.Find(key, hash), EvaluationCache::kAbsent) << key;
+    const std::vector<uint64_t> code = CodeOf(i);
+    const uint64_t hash = HashOf(code);
+    ASSERT_EQ(cache.Find(code, hash), EvaluationCache::kAbsent) << i;
     const EvaluationCache::Id id =
-        cache.Insert(key, hash, i / double{kKeys}, static_cast<size_t>(i));
+        cache.Insert(code, hash, i / double{kKeys}, static_cast<size_t>(i));
     EXPECT_EQ(id, static_cast<EvaluationCache::Id>(i));
-    // Every earlier key is still found after each insert (and growth).
+    // Every earlier code is still found after each insert (and growth).
     if (i % 997 == 0) {
       for (int j = 0; j <= i; ++j) {
-        ASSERT_EQ(cache.Find(KeyOf(j)), static_cast<EvaluationCache::Id>(j));
+        const std::vector<uint64_t> earlier = CodeOf(j);
+        ASSERT_EQ(cache.Find(earlier, HashOf(earlier)),
+                  static_cast<EvaluationCache::Id>(j));
       }
     }
   }
   ASSERT_EQ(cache.size(), static_cast<size_t>(kKeys));
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = KeyOf(i);
-    const EvaluationCache::Id id = cache.Find(key);
+    const std::vector<uint64_t> code = CodeOf(i);
+    const EvaluationCache::Id id = cache.Find(code, HashOf(code));
     ASSERT_EQ(id, static_cast<EvaluationCache::Id>(i));
-    EXPECT_EQ(cache.key(id), key);
-    EXPECT_EQ(cache.hash(id), Fnv1a64(key));
+    EXPECT_TRUE(std::ranges::equal(cache.code(id), code));
+    EXPECT_EQ(cache.hash(id), HashOf(code));
     EXPECT_EQ(cache.state(id).support, static_cast<size_t>(i));
     EXPECT_EQ(cache.state(id).frequency, i / double{kKeys});
     EXPECT_FALSE(cache.state(id).frequent);
     EXPECT_EQ(cache.state(id).realized, nullptr);
   }
-  EXPECT_EQ(cache.Find("src=0:0"), EvaluationCache::kAbsent);
-  EXPECT_EQ(cache.Find(KeyOf(0) + "x"), EvaluationCache::kAbsent);
+  // A proper prefix and an extension of a stored code are absent.
+  std::vector<uint64_t> prefix = CodeOf(0);
+  prefix.pop_back();
+  EXPECT_EQ(cache.Find(prefix, HashOf(prefix)), EvaluationCache::kAbsent);
+  std::vector<uint64_t> longer = CodeOf(0);
+  longer.push_back(0);
+  EXPECT_EQ(cache.Find(longer, HashOf(longer)), EvaluationCache::kAbsent);
 }
 
 TEST(EvaluationCacheTest, EqualHashesAreToldApartByKey) {
   // Entries whose stored hashes collide (a caller-supplied hash) share probe
-  // chains; lookups must still compare keys.
+  // chains; lookups must still compare code words, and lengths.
   EvaluationCache cache;
-  const EvaluationCache::Id a = cache.Insert("alpha", 42, 0.5, 1);
-  const EvaluationCache::Id b = cache.Insert("beta", 42, 0.25, 2);
+  const std::vector<uint64_t> alpha = {1, 2, 3};
+  const std::vector<uint64_t> beta = {1, 2, 4};
+  const std::vector<uint64_t> alpha_prefix = {1, 2};
+  const EvaluationCache::Id a = cache.Insert(alpha, 42, 0.5, 1);
+  const EvaluationCache::Id b = cache.Insert(beta, 42, 0.25, 2);
   EXPECT_NE(a, b);
-  EXPECT_EQ(cache.Find("alpha", 42), a);
-  EXPECT_EQ(cache.Find("beta", 42), b);
-  EXPECT_EQ(cache.Find("gamma", 42), EvaluationCache::kAbsent);
+  EXPECT_EQ(cache.Find(alpha, 42), a);
+  EXPECT_EQ(cache.Find(beta, 42), b);
+  EXPECT_EQ(cache.Find(alpha_prefix, 42), EvaluationCache::kAbsent);
+  EXPECT_EQ(cache.Find(std::vector<uint64_t>{1, 2, 5}, 42),
+            EvaluationCache::kAbsent);
 }
 
 TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
   EvaluationCache cache;
   std::vector<const EvaluationCache::Realized*> kept;
   for (int i = 0; i < 3000; ++i) {
-    const std::string key = KeyOf(i);
-    const EvaluationCache::Id id =
-        cache.Insert(key, EvaluationCache::HashKey(key), 0.0, 0);
+    const std::vector<uint64_t> code = CodeOf(i);
+    const EvaluationCache::Id id = cache.Insert(code, HashOf(code), 0.0, 0);
     if (i % 3 == 0) {
       Pattern p;
       p.AddVar(static_cast<TypeId>(i));
@@ -125,16 +147,19 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
       schema.AddField(relational::Field{"v0", relational::DataType::kInt64});
       relational::Table table(schema);
       table.AppendInt64Row({i});
-      cache.Keep(id, std::move(p), std::move(table));
+      std::string key = p.CanonicalKey();
+      cache.Keep(id, EvaluationCache::Realized{std::move(p), {}, std::move(key),
+                                               std::move(table)});
       kept.push_back(cache.state(id).realized);
     }
   }
   // Kept patterns and tables never move while the cache grows.
-  std::set<std::string> seen;
+  std::set<std::vector<uint64_t>> seen;
   size_t with_table = 0;
   for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
-    EXPECT_TRUE(seen.insert(std::string(cache.key(id))).second);
-    EXPECT_EQ(cache.Find(cache.key(id)), id);
+    const std::span<const uint64_t> code = cache.code(id);
+    EXPECT_TRUE(seen.emplace(code.begin(), code.end()).second);
+    EXPECT_EQ(cache.Find(code, cache.hash(id)), id);
     const EvaluationCache::Realized* r = cache.state(id).realized;
     if (id % 3 != 0) {
       EXPECT_EQ(r, nullptr);
@@ -142,11 +167,36 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
     }
     ASSERT_EQ(r, kept[id / 3]);
     EXPECT_EQ(r->pattern.var_type(0), static_cast<TypeId>(id));
+    EXPECT_EQ(r->key, r->pattern.CanonicalKey());
     EXPECT_EQ(r->realizations.column(0).Int64At(0), static_cast<int64_t>(id));
     ++with_table;
   }
   EXPECT_EQ(seen.size(), 3000u);
   EXPECT_EQ(with_table, 1000u);
+}
+
+TEST(CodeTableTest, ClearForgetsCodesAndRenumbers) {
+  CodeTable table;
+  for (int round = 0; round < 3; ++round) {
+    // Each round inserts a different number of codes into the cleared
+    // table, so slots left from a larger round must read as empty.
+    const int count = 700 - 300 * round;
+    for (int i = 0; i < count; ++i) {
+      const std::vector<uint64_t> code = CodeOf(i + 1000 * round);
+      ASSERT_EQ(table.Find(code, HashOf(code)), CodeTable::kAbsent);
+      ASSERT_EQ(table.Insert(code, HashOf(code)),
+                static_cast<CodeTable::Id>(i));
+    }
+    ASSERT_EQ(table.size(), static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      const std::vector<uint64_t> code = CodeOf(i + 1000 * round);
+      ASSERT_EQ(table.Find(code, HashOf(code)), static_cast<CodeTable::Id>(i));
+    }
+    table.Clear();
+    EXPECT_EQ(table.size(), 0u);
+    const std::vector<uint64_t> first = CodeOf(1000 * round);
+    EXPECT_EQ(table.Find(first, HashOf(first)), CodeTable::kAbsent);
+  }
 }
 
 }  // namespace

@@ -418,6 +418,17 @@ TEST_F(MinerTest, CandidateCountingIsPositive) {
   EXPECT_GT(result->stats.entities_ingested, 0u);
 }
 
+/// A context's relation names by id. Codes of two contexts compare directly
+/// only when these are equal.
+std::vector<std::string> RelationNames(const MiningContext& context) {
+  std::vector<std::string> names;
+  const RelationTable& relations = context.index.relations();
+  for (uint32_t id = 0; id < relations.size(); ++id) {
+    names.push_back(relations.name(id));
+  }
+  return names;
+}
+
 /// (key, frequency, support) of each mined pattern, in output order.
 std::vector<std::tuple<std::string, double, size_t>> PatternSignature(
     const std::vector<MinedPattern>& ps) {
@@ -452,11 +463,13 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
   const EvaluationCache& got_cache = got.context->evaluated;
   const EvaluationCache& all_cache = all.context->evaluated;
   ASSERT_EQ(got_cache.size(), all_cache.size());
+  ASSERT_EQ(RelationNames(*got.context), RelationNames(*all.context));
   size_t below = 0;
   size_t kept_bytes = 0;
   for (EvaluationCache::Id id = 0; id < got_cache.size(); ++id) {
-    const std::string key(got_cache.key(id));
-    const EvaluationCache::Id other_id = all_cache.Find(key);
+    const std::string key = "entry " + std::to_string(id);
+    const EvaluationCache::Id other_id =
+        all_cache.Find(got_cache.code(id), got_cache.hash(id));
     ASSERT_NE(other_id, EvaluationCache::kAbsent) << key;
     const EvaluationCache::State& state = got_cache.state(id);
     const EvaluationCache::State& other = all_cache.state(other_id);
@@ -465,7 +478,18 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
     ASSERT_NE(other.realized, nullptr) << key;
     if (state.frequency >= floor) {
       ASSERT_NE(state.realized, nullptr) << key;
-      EXPECT_EQ(state.realized->pattern.CanonicalKey(), key);
+      // The kept pattern, its key, relation ids and code all agree.
+      const Pattern& kept = state.realized->pattern;
+      EXPECT_EQ(state.realized->key, kept.CanonicalKey()) << key;
+      EXPECT_EQ(state.realized->key, other.realized->key) << key;
+      ASSERT_EQ(state.realized->relations.size(), kept.num_actions()) << key;
+      for (size_t a = 0; a < kept.num_actions(); ++a) {
+        EXPECT_EQ(got.context->index.relations().name(
+                      state.realized->relations[a]),
+                  kept.actions()[a].relation)
+            << key;
+      }
+      EXPECT_EQ(got.context->Find(kept), id) << key;
       EXPECT_EQ(state.realized->realizations.ToString(1 << 20),
                 other.realized->realizations.ToString(1 << 20))
           << key;
@@ -481,7 +505,7 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
   EXPECT_EQ(g.tables_died, below);
   EXPECT_EQ(g.live_bytes, kept_bytes);
   for (const MinedPattern& mp : got.all_frequent) {
-    const EvaluationCache::Id id = got_cache.Find(mp.pattern.CanonicalKey());
+    const EvaluationCache::Id id = got.context->Find(mp.pattern);
     ASSERT_NE(id, EvaluationCache::kAbsent);
     EXPECT_TRUE(got_cache.state(id).frequent);
     EXPECT_NE(got_cache.state(id).realized, nullptr);
@@ -537,8 +561,7 @@ TEST_F(MinerTest, CacheFloorChangesOnlyWhatIsCached) {
   // floor-0 context still answers.
   const MinedPattern evicted{JoinPair(), window_, 0.8, 4};
   MineWindowResult strict = mine(1.0, 1.0);
-  ASSERT_NE(strict.context->evaluated.Find(JoinPair().CanonicalKey()),
-            EvaluationCache::kAbsent);
+  ASSERT_NE(strict.context->Find(JoinPair()), EvaluationCache::kAbsent);
   EXPECT_EQ(miner.MineValueSpecific(*strict.context, player_, evicted, 0.5)
                 .status()
                 .code(),
@@ -887,8 +910,7 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
   ASSERT_TRUE(chain.AddAction(EditOp::kAdd, c, "squad", k).ok());
   ASSERT_TRUE(chain.AddAction(EditOp::kAdd, k, "in_league", l).ok());
   ASSERT_TRUE(chain.SetSourceVar(p).ok());
-  const EvaluationCache::Id id =
-      hashed.context->evaluated.Find(chain.CanonicalKey());
+  const EvaluationCache::Id id = hashed.context->Find(chain);
   ASSERT_NE(id, EvaluationCache::kAbsent);
   const EvaluationCache::Realized* kept =
       hashed.context->evaluated.state(id).realized;
@@ -916,9 +938,11 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
     const EvaluationCache& cache = run->context->evaluated;
     const EvaluationCache& reference = nested.context->evaluated;
     ASSERT_EQ(cache.size(), reference.size());
+    ASSERT_EQ(RelationNames(*run->context), RelationNames(*nested.context));
     for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
-      const std::string key(cache.key(id));
-      const EvaluationCache::Id other_id = reference.Find(key);
+      const std::string key = "entry " + std::to_string(id);
+      const EvaluationCache::Id other_id =
+          reference.Find(cache.code(id), cache.hash(id));
       ASSERT_NE(other_id, EvaluationCache::kAbsent) << key;
       const EvaluationCache::State& state = cache.state(id);
       const EvaluationCache::State& other = reference.state(other_id);

@@ -213,6 +213,177 @@ TEST_F(PatternTest, CanonicalKeyMatchesReferenceOnRandomPatterns) {
   EXPECT_EQ(Pattern().CanonicalKey(), ReferenceCanonicalKey(Pattern()));
 }
 
+/// A pattern's parts, so a test can mutate one field and rebuild.
+struct PatternParts {
+  std::vector<TypeId> types;
+  std::vector<EntityId> bindings;
+  std::vector<AbstractAction> actions;
+  int source = -1;
+
+  Pattern Build() const {
+    Pattern p;
+    for (size_t v = 0; v < types.size(); ++v) {
+      const int var = p.AddVar(types[v]);
+      EXPECT_TRUE(p.BindVar(var, bindings[v]).ok());
+    }
+    for (const AbstractAction& a : actions) {
+      EXPECT_TRUE(
+          p.AddAction(a.op, a.source_var, a.relation, a.target_var).ok());
+    }
+    EXPECT_TRUE(p.SetSourceVar(source).ok());
+    return p;
+  }
+};
+
+constexpr const char* kCodeRelations[] = {"r", "r1", "squad", "current_club"};
+
+/// A random pattern connected from its source, like every mined pattern: a
+/// random tree from the source reaches each variable, then `extra` random
+/// actions (often back to the source, so other variables can serve as
+/// sources too) are added. No type has more than `max_group` variables, which
+/// keeps the renaming search small; some variables are value-bound.
+PatternParts RandomConnectedParts(Rng* rng, const std::vector<TypeId>& types,
+                                  size_t num_vars, size_t extra,
+                                  size_t max_group) {
+  PatternParts parts;
+  std::vector<size_t> used(types.size(), 0);
+  for (size_t v = 0; v < num_vars; ++v) {
+    size_t t = rng->NextBelow(types.size());
+    while (used[t] == max_group) t = (t + 1) % types.size();
+    ++used[t];
+    parts.types.push_back(types[t]);
+    parts.bindings.push_back(rng->NextBernoulli(0.1) ? rng->NextInRange(0, 3)
+                                                     : kInvalidEntityId);
+  }
+  std::vector<int> order(num_vars);
+  for (size_t v = 0; v < num_vars; ++v) order[v] = static_cast<int>(v);
+  rng->Shuffle(&order);
+  parts.source = order[0];
+  auto random_action = [&](int from, int to) {
+    return AbstractAction{
+        rng->NextBernoulli(0.5) ? EditOp::kAdd : EditOp::kRemove, from,
+        kCodeRelations[rng->NextBelow(4)], to};
+  };
+  for (size_t i = 1; i < num_vars; ++i) {
+    parts.actions.push_back(random_action(order[rng->NextBelow(i)], order[i]));
+  }
+  for (size_t i = 0; i < extra; ++i) {
+    const int from = static_cast<int>(rng->NextBelow(num_vars));
+    const int to = rng->NextBernoulli(0.4)
+                       ? parts.source
+                       : static_cast<int>(rng->NextBelow(num_vars));
+    parts.actions.push_back(random_action(from, to));
+  }
+  return parts;
+}
+
+/// `parts` with one field changed: an action's op, relation or endpoint, a
+/// variable's binding or type, or the source. Often the same pattern up to
+/// renaming anyway (symmetric groups); the caller drops results that are
+/// no longer connected from their source.
+PatternParts Mutated(Rng* rng, PatternParts parts,
+                     const std::vector<TypeId>& types) {
+  const size_t n = parts.types.size();
+  AbstractAction& a = parts.actions[rng->NextBelow(parts.actions.size())];
+  switch (rng->NextBelow(6)) {
+    case 0:
+      a.op = a.op == EditOp::kAdd ? EditOp::kRemove : EditOp::kAdd;
+      break;
+    case 1:
+      a.relation = kCodeRelations[rng->NextBelow(4)];
+      break;
+    case 2:
+      a.target_var = static_cast<int>(rng->NextBelow(n));
+      break;
+    case 3: {
+      const size_t v = rng->NextBelow(n);
+      parts.bindings[v] = parts.bindings[v] == kInvalidEntityId
+                              ? rng->NextInRange(0, 3)
+                              : kInvalidEntityId;
+      break;
+    }
+    case 4:
+      parts.types[rng->NextBelow(n)] = types[rng->NextBelow(types.size())];
+      break;
+    default:
+      parts.source = static_cast<int>(rng->NextBelow(n));
+      break;
+  }
+  return parts;
+}
+
+/// Code equality must be exactly reference-key equality: over families of
+/// source-connected patterns — each a random pattern, renamed copies, and
+/// single-field mutations (many of them isomorphic again through a
+/// symmetric same-type group) — every pair compares equal by code iff it
+/// compares equal by ReferenceCanonicalKey.
+TEST_F(PatternTest, CanonicalCodeEqualityMatchesReferenceKeyEquality) {
+  Rng rng(2002);
+  const std::vector<TypeId> types = {types_.soccer_player, types_.soccer_club,
+                                     types_.soccer_league, types_.thing};
+  RelationTable relations;
+  for (const char* name : kCodeRelations) relations.Intern(name);
+  size_t equal_pairs = 0;
+  size_t distinct_pairs = 0;
+  size_t source_moves = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Mostly mined-size patterns (2-7 variables); every fifth up to 12
+    // variables and ten actions past the spanning tree (beyond the default
+    // action cap).
+    const bool wide = trial % 5 == 0;
+    const size_t vars = 2 + rng.NextBelow(wide ? 11 : 6);
+    const size_t extra = rng.NextBelow(wide ? 11 : 4);
+    const PatternParts base = RandomConnectedParts(
+        &rng, types, vars, extra, /*max_group=*/wide ? 3 : 4);
+    std::vector<Pattern> family = {base.Build()};
+    family.push_back(Renamed(&rng, family[0]));
+    for (int m = 0; m < 12; ++m) {
+      const PatternParts mutated = Mutated(&rng, base, types);
+      Pattern p = mutated.Build();
+      if (!p.IsConnected()) continue;
+      source_moves += mutated.source != base.source ? 1 : 0;
+      family.push_back(rng.NextBernoulli(0.5) ? Renamed(&rng, p) : p);
+    }
+    std::vector<std::string> keys;
+    std::vector<std::vector<uint64_t>> codes(family.size());
+    for (size_t i = 0; i < family.size(); ++i) {
+      keys.push_back(ReferenceCanonicalKey(family[i]));
+      ASSERT_TRUE(family[i].CanonicalCode(relations, &codes[i]));
+    }
+    for (size_t i = 0; i < family.size(); ++i) {
+      for (size_t j = i + 1; j < family.size(); ++j) {
+        const bool same_key = keys[i] == keys[j];
+        ASSERT_EQ(codes[i] == codes[j], same_key)
+            << "trial " << trial << "\n  " << keys[i] << "\n  " << keys[j];
+        (same_key ? equal_pairs : distinct_pairs) += 1;
+      }
+    }
+  }
+  // Both sides of the equivalence are exercised, source moves included.
+  EXPECT_GT(equal_pairs, 1000u);
+  EXPECT_GT(distinct_pairs, 10000u);
+  EXPECT_GT(source_moves, 100u);
+}
+
+TEST_F(PatternTest, CanonicalCodeNeedsEveryRelation) {
+  Pattern transfer = Transfer(types_.soccer_player, types_.soccer_club);
+  RelationTable relations;
+  std::vector<uint64_t> code;
+  relations.Intern("current_club");
+  EXPECT_FALSE(transfer.CanonicalCode(relations, &code));
+  relations.Intern("squad");
+  ASSERT_TRUE(transfer.CanonicalCode(relations, &code));
+  // 3 variables, 4 actions: size word, two type words, the source word and
+  // one word per action.
+  EXPECT_EQ(code.size(), 1u + 2u + 1u + 4u);
+  EXPECT_EQ(code[0], uint64_t{3} << 32 | 4);
+  // Ids are interned once and never renumbered.
+  EXPECT_EQ(relations.Intern("squad"), 1u);
+  EXPECT_EQ(relations.Find("squad"), 1u);
+  EXPECT_EQ(relations.Find("in_league"), RelationTable::kUnknown);
+  EXPECT_EQ(relations.name(0), "current_club");
+}
+
 TEST_F(PatternTest, SpecializationOrderMatchesPairwiseChecks) {
   Rng rng(7);
   const std::vector<TypeId> types = {types_.soccer_player, types_.athlete,

@@ -301,10 +301,19 @@ Result<WindowSearchResult> RunSearch(const LoadedCorpus& corpus,
                                      const Args& args) {
   WindowSearchOptions options;
   options.initial_threshold = args.GetDouble("threshold", 0.7);
-  options.miner.max_abstraction_lift =
-      static_cast<int>(args.GetInt("abstraction-lift", 1));
-  options.miner.max_pattern_actions =
-      static_cast<size_t>(args.GetInt("max-actions", 6));
+  // Checked before the casts: a negative --max-actions would wrap to no cap.
+  const int64_t lift = args.GetInt("abstraction-lift", 1);
+  if (lift < 0 || lift > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--abstraction-lift must be >= 0, got " +
+                                   std::to_string(lift));
+  }
+  const int64_t max_actions = args.GetInt("max-actions", 6);
+  if (max_actions < 1) {
+    return Status::InvalidArgument("--max-actions must be >= 1, got " +
+                                   std::to_string(max_actions));
+  }
+  options.miner.max_abstraction_lift = static_cast<int>(lift);
+  options.miner.max_pattern_actions = static_cast<size_t>(max_actions);
   // Mining-internal parallelism (candidate evaluation); output is invariant
   // under this knob. Distinct from --threads, which parallelizes ingest.
   int64_t mine_threads = args.GetInt("mine-threads", 1);
