@@ -1,6 +1,7 @@
-// Fault-injection harness for degraded-mode ingestion (dump/fault_injection.h
-// + IngestOptions::on_error). Self-verifying: exits non-zero unless every
-// differential property holds, so it doubles as a CI gate.
+// Fault-injection harness for degraded-mode ingestion
+// (tests/support/fault_injection.h + IngestOptions::on_error).
+// Self-verifying: exits non-zero unless every differential property holds,
+// so it doubles as a CI gate.
 //
 // Properties asserted, at 1 and 4 worker threads:
 //   1. kSkip over a clean dump == kStrict over the same dump, zero skips.
@@ -25,10 +26,10 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "dump/fault_injection.h"
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
 #include "dump/quarantine.h"
+#include "tests/support/fault_injection.h"
 
 using namespace wiclean;
 using namespace wiclean::bench;

@@ -31,7 +31,7 @@ uint32_t Crc32(std::string_view bytes);
 
 /// splitmix64 step: advances *state and returns a well-distributed 64-bit
 /// value. Used to expand RNG seeds (common/rng.cc) and as the entire
-/// generator of deterministic fault plans (dump/fault_injection.h).
+/// generator of the test-only fault plans (tests/support/fault_injection.h).
 inline uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -28,14 +28,6 @@ void WorkingSetProfile::Accumulate(const WorkingSetProfile& other) {
   peak_live_bytes = std::max(peak_live_bytes, other.peak_live_bytes);
 }
 
-void WorkingSetProfile::Subtract(const WorkingSetProfile& base) {
-  join_bytes_touched -= base.join_bytes_touched;
-  dedup_bytes_touched -= base.dedup_bytes_touched;
-  tables_born -= base.tables_born;
-  tables_died -= base.tables_died;
-  // live_bytes / peak_live_bytes are gauges; keep the current values.
-}
-
 std::string WorkingSetProfile::ToJson() const {
   return "{\"join_bytes_touched\":" + std::to_string(join_bytes_touched) +
          ",\"dedup_bytes_touched\":" + std::to_string(dedup_bytes_touched) +
@@ -54,16 +46,6 @@ void MineWindowStats::Accumulate(const MineWindowStats& other) {
   ingest_seconds += other.ingest_seconds;
   mine_seconds += other.mine_seconds;
   workingset.Accumulate(other.workingset);
-}
-
-void MineWindowStats::Subtract(const MineWindowStats& base) {
-  candidates_considered -= base.candidates_considered;
-  actions_ingested -= base.actions_ingested;
-  ingest_seconds -= base.ingest_seconds;
-  mine_seconds -= base.mine_seconds;
-  workingset.Subtract(base.workingset);
-  // entities_ingested / abstract_actions / frequent_patterns are level
-  // gauges, not counters; keep the current values.
 }
 
 std::string MineWindowStats::ToString() const {
@@ -116,18 +98,20 @@ Status AdmittedWithoutRealization(double admission) {
 }  // namespace
 
 /// All mining logic for one (seed type, window) pair. Owns nothing; mutates
-/// the MiningContext it is given.
+/// the MiningContext it is given and adds its own work to `stats`.
 class PatternMiner::Impl {
  public:
   using Id = EvaluationCache::Id;
 
   Impl(const EntityRegistry* registry, const RevisionStore* store,
-       const MinerOptions& options, MiningContext* ctx, TypeId seed_type)
+       const MinerOptions& options, MiningContext* ctx, TypeId seed_type,
+       MineWindowStats* stats)
       : registry_(registry),
         taxonomy_(&registry->taxonomy()),
         store_(store),
         options_(options),
         ctx_(ctx),
+        stats_(stats),
         seed_type_(seed_type),
         seed_count_(registry->CountEntitiesOfType(seed_type)) {
     // The evaluation pool is miner-owned and never shared with window-level
@@ -170,6 +154,7 @@ class PatternMiner::Impl {
       WICLEAN_RETURN_IF_ERROR(MaybeAdmit(id, options_.frequency_threshold,
                                          &frequent_, /*mark_frequent=*/true));
     }
+    const size_t actions_before = ctx_->index.num_actions_ingested();
     Timer ingest_timer;
     if (options_.graph_strategy == GraphStrategy::kMaterializeFull) {
       // PM−inc: the whole edits graph up front, like conventional miners.
@@ -182,7 +167,7 @@ class PatternMiner::Impl {
     } else {
       ctx_->index.AddEntitiesOfType(seed_type_);
     }
-    ctx_->stats.ingest_seconds += ingest_timer.ElapsedSeconds();
+    stats_->ingest_seconds += ingest_timer.ElapsedSeconds();
 
     // mine_seconds and ingest_seconds are disjoint sub-intervals of the wall
     // clock: each timer covers exactly one phase and is read exactly once
@@ -194,17 +179,18 @@ class PatternMiner::Impl {
       WICLEAN_RETURN_IF_ERROR(ExpandAll(options_.frequency_threshold,
                                         &frequent_, &ctx_->tested,
                                         /*mark_frequent=*/true));
-      ctx_->stats.mine_seconds += mine_timer.ElapsedSeconds();
+      stats_->mine_seconds += mine_timer.ElapsedSeconds();
 
       ingest_timer.Restart();
       bool grew = IngestPendingTypes();
-      ctx_->stats.ingest_seconds += ingest_timer.ElapsedSeconds();
+      stats_->ingest_seconds += ingest_timer.ElapsedSeconds();
       if (!grew) break;
     }
-    ctx_->stats.entities_ingested = ctx_->index.num_entities_ingested();
-    ctx_->stats.actions_ingested = ctx_->index.num_actions_ingested();
-    ctx_->stats.abstract_actions = ctx_->index.entries().size();
-    ctx_->stats.frequent_patterns = frequent_.ids.size();
+    stats_->entities_ingested = ctx_->index.num_entities_ingested();
+    stats_->actions_ingested =
+        ctx_->index.num_actions_ingested() - actions_before;
+    stats_->abstract_actions = ctx_->index.entries().size();
+    stats_->frequent_patterns = frequent_.ids.size();
     return Status::OK();
   }
 
@@ -226,7 +212,7 @@ class PatternMiner::Impl {
     Timer mine_timer;
     WICLEAN_RETURN_IF_ERROR(ExpandAll(admission, &admitted, &local_tested,
                                       /*mark_frequent=*/false));
-    ctx_->stats.mine_seconds += mine_timer.ElapsedSeconds();
+    stats_->mine_seconds += mine_timer.ElapsedSeconds();
     admitted.ids.erase(admitted.ids.begin());  // drop the base itself
     return std::move(admitted.ids);
   }
@@ -407,7 +393,7 @@ class PatternMiner::Impl {
           id = committed[e.evaluation];
           if (id == EvaluationCache::kAbsent) {
             CandidateResult& res = results[e.evaluation];
-            ctx_->stats.workingset.Accumulate(res.touched);
+            stats_->workingset.Accumulate(res.touched);
             id = RecordEvaluated(generation_.code(e.evaluation),
                                  generation_.hash(e.evaluation),
                                  std::move(res.kept), res.support,
@@ -551,7 +537,7 @@ class PatternMiner::Impl {
           if (su != sv) realization.AppendInt64Row({su, sv, st, st});
         }
         if (options_.profile_workingset) {
-          ctx_->stats.workingset.dedup_bytes_touched +=
+          stats_->workingset.dedup_bytes_touched +=
               realization.ApproxBytes();
         }
         realization = DedupKeepTightest(realization, 2);
@@ -602,39 +588,28 @@ class PatternMiner::Impl {
       if (p.var_type(i) != entry.key.source_type) continue;
 
       // No-parallel-edges constraint: skip extensions that would repeat an
-      // (op, relation) pair out of the same variable.
-      if (!options_.allow_parallel_edges) {
-        bool parallel = false;
-        for (const AbstractAction& a : p.actions()) {
-          if (a.source_var == i && a.op == entry.key.op &&
-              a.relation == entry.key.relation) {
-            parallel = true;
-            break;
-          }
+      // (op, relation) pair out of the same variable. This also rules out
+      // gluing a duplicate of an existing action (Option B below).
+      bool parallel = false;
+      for (const AbstractAction& a : p.actions()) {
+        if (a.source_var == i && a.op == entry.key.op &&
+            a.relation == entry.key.relation) {
+          parallel = true;
+          break;
         }
-        if (parallel) continue;
       }
+      if (parallel) continue;
 
       // Option A: introduce a fresh target variable.
       bool fresh_seed_var_blocked =
           !options_.allow_multiple_seed_vars && has_seed_var &&
           taxonomy_->Comparable(entry.key.target_type, seed_type_);
-      if (p.num_vars() < options_.max_pattern_vars &&
-          !fresh_seed_var_blocked) {
+      if (p.num_vars() < kMaxPatternVars && !fresh_seed_var_blocked) {
         out->push_back(ExtensionCandidate{&base, action, i, -1});
       }
       // Option B: glue the target onto each compatible existing variable.
       for (int k = 0; k < static_cast<int>(p.num_vars()); ++k) {
         if (k == i || p.var_type(k) != entry.key.target_type) continue;
-        bool duplicate_action = false;
-        for (const AbstractAction& a : p.actions()) {
-          if (a.op == entry.key.op && a.source_var == i &&
-              a.target_var == k && a.relation == entry.key.relation) {
-            duplicate_action = true;
-            break;
-          }
-        }
-        if (duplicate_action) continue;
         out->push_back(ExtensionCandidate{&base, action, i, k});
       }
     }
@@ -794,18 +769,12 @@ class PatternMiner::Impl {
   Id RecordEvaluated(std::span<const uint64_t> code, uint64_t hash,
                      std::optional<Realized> kept, size_t support,
                      double frequency) {
-    ++ctx_->stats.candidates_considered;
+    ++stats_->candidates_considered;
     const bool keep = frequency >= options_.realization_cache_min_frequency;
     WICLEAN_CHECK(kept.has_value() == keep);
     if (options_.profile_workingset) {
-      WorkingSetProfile& ws = ctx_->stats.workingset;
-      ++ws.tables_born;
-      if (keep) {
-        ws.live_bytes += kept->realizations.ApproxBytes();
-        ws.peak_live_bytes = std::max(ws.peak_live_bytes, ws.live_bytes);
-      } else {
-        ++ws.tables_died;  // below the cache floor: not kept
-      }
+      ++stats_->workingset.tables_born;
+      if (!keep) ++stats_->workingset.tables_died;  // not kept
     }
     const Id id = ctx_->evaluated.Insert(code, hash, frequency, support);
     if (keep) ctx_->evaluated.Keep(id, std::move(*kept));
@@ -895,6 +864,7 @@ class PatternMiner::Impl {
   const RevisionStore* store_;
   const MinerOptions& options_;
   MiningContext* ctx_;
+  MineWindowStats* stats_;
   TypeId seed_type_;
   size_t seed_count_;
   bool full_graph_ = false;
@@ -978,8 +948,8 @@ Result<MineWindowResult> PatternMiner::MineWindow(
           ? std::move(reuse)
           : std::make_shared<MiningContext>(registry_, store_, window,
                                             options_);
-  MineWindowStats baseline = result.context->stats;
-  Impl impl(registry_, store_, options_, result.context.get(), seed_type);
+  Impl impl(registry_, store_, options_, result.context.get(), seed_type,
+            &result.stats);
   WICLEAN_RETURN_IF_ERROR(impl.MineFrequent());
 
   // Collect every frequent pattern, then filter to the most specific ones
@@ -995,8 +965,18 @@ Result<MineWindowResult> PatternMiner::MineWindow(
   for (size_t i : order.MostSpecific()) {
     result.most_specific.push_back(result.all_frequent[i]);
   }
-  result.stats = result.context->stats;
-  result.stats.Subtract(baseline);
+  if (options_.profile_workingset) {
+    // The cache never evicts, so what it holds now is its high-water mark.
+    size_t kept_bytes = 0;
+    const EvaluationCache& cache = result.context->evaluated;
+    for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
+      if (const EvaluationCache::Realized* kept = cache.state(id).realized) {
+        kept_bytes += kept->realizations.ApproxBytes();
+      }
+    }
+    result.stats.workingset.live_bytes = kept_bytes;
+    result.stats.workingset.peak_live_bytes = kept_bytes;
+  }
   return result;
 }
 
@@ -1267,7 +1247,7 @@ PatternMiner::MineValueSpecific(const MiningContext& context,
 
 Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
     MiningContext* context, TypeId seed_type, const MinedPattern& base,
-    double rel_threshold) const {
+    double rel_threshold, MineWindowStats* stats) const {
   if (context == nullptr) {
     return Status::InvalidArgument("MineRelative requires a mining context");
   }
@@ -1279,7 +1259,9 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
     return Status::InvalidArgument(
         "relative mining base pattern was not evaluated in this context");
   }
-  Impl impl(registry_, store_, options_, context, seed_type);
+  MineWindowStats own;
+  Impl impl(registry_, store_, options_, context, seed_type,
+            stats != nullptr ? stats : &own);
   WICLEAN_ASSIGN_OR_RETURN(std::vector<EvaluationCache::Id> admitted,
                            impl.MineRelativeFrom(base_id, rel_threshold));
   // Relative frequencies are w.r.t. the base frequency *in this context's

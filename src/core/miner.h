@@ -31,6 +31,16 @@ enum class GraphStrategy {
                      // entity up front, as conventional graph miners require
 };
 
+/// Variable cap of a mined pattern: an extension that would introduce one
+/// more variable is not enumerated.
+inline constexpr size_t kMaxPatternVars = 7;
+
+/// The widest window a pattern is ever reported with: the paper's genuine
+/// patterns live in windows of "hours to months". WindowSearch rejects a
+/// pattern it cannot localize into a window this wide, and the default
+/// MinerOptions::max_realization_span prunes realizations wider than it.
+inline constexpr Timestamp kMaxPatternWindow = 8 * kSecondsPerWeek;
+
 /// Tuning knobs for one mining run.
 struct MinerOptions {
   /// Minimum pattern frequency (Definition 3.2) for admission.
@@ -45,35 +55,31 @@ struct MinerOptions {
   /// patterns that now need to be examined becomes larger").
   int max_abstraction_lift = 1;
 
-  /// Growth caps; patterns in the paper's domains have up to ~6 actions.
+  /// Growth cap; patterns in the paper's domains have up to ~6 actions
+  /// (variables are capped at kMaxPatternVars).
   size_t max_pattern_actions = 5;
-  size_t max_pattern_vars = 7;
 
-  /// Structural constraints that keep the search seed-focused. Both default
-  /// to off (= constrained), which is what the paper's reported output
+  /// Structural constraint that keeps the search seed-focused. Off (=
+  /// constrained) by default, which is what the paper's reported output
   /// implies even though its pattern definition technically admits more:
-  ///
-  /// allow_multiple_seed_vars: when false, a pattern may contain only one
-  /// variable whose type is comparable to the seed type. Without this, dense
-  /// fan-in relations (a club's squad lists a dozen players) make "the club
-  /// also signed *another* player" patterns frequent, and their ever-more-
-  /// specific chains dominate every real pattern.
+  /// when false, a pattern may contain only one variable whose type is
+  /// comparable to the seed type. Without this, dense fan-in relations (a
+  /// club's squad lists a dozen players) make "the club also signed
+  /// *another* player" patterns frequent, and their ever-more-specific
+  /// chains dominate every real pattern. Independently of this option, a
+  /// pattern never holds two actions with the same (source variable, op,
+  /// relation): none of the paper's example patterns repeats an (op,
+  /// relation) pair from one variable.
   bool allow_multiple_seed_vars = false;
-
-  /// allow_parallel_edges: when false, a pattern may not contain two actions
-  /// with the same (source variable, op, relation). None of the paper's
-  /// example patterns repeats an (op, relation) pair from one variable.
-  bool allow_parallel_edges = false;
 
   /// Maximum time span a single realization may cover (max action time −
   /// min action time). Realizations wider than this are pruned during
   /// expansion: a pattern is only ever *reported* with a window of at most
-  /// WindowSearchOptions::max_pattern_window (the paper's windows are "hours
-  /// to months"), so realizations that cannot fit any reportable window are
-  /// dead weight — and, at wide ladder windows, they are precisely the
-  /// combinatorial conjunctions of unrelated events whose lattice otherwise
-  /// explodes the search.
-  Timestamp max_realization_span = 8 * kSecondsPerWeek;
+  /// kMaxPatternWindow, so realizations that cannot fit any reportable
+  /// window are dead weight — and, at wide ladder windows, they are
+  /// precisely the combinatorial conjunctions of unrelated events whose
+  /// lattice otherwise explodes the search.
+  Timestamp max_realization_span = kMaxPatternWindow;
 
   /// Evaluated patterns below this frequency keep only their frequency and
   /// support: the cache drops their pattern and realization table. Tables
@@ -133,17 +139,17 @@ struct WorkingSetProfile {
   /// Evaluated candidates below the realization cache floor, whose
   /// realization the cache does not keep.
   size_t tables_died = 0;
-  size_t live_bytes = 0;           // resident realization bytes (gauge)
-  size_t peak_live_bytes = 0;      // high-water mark of live_bytes
+  /// Realization bytes the mining context holds when MineWindow returns
+  /// (gauges). The cache never evicts, so they are also its high-water mark.
+  size_t live_bytes = 0;
+  size_t peak_live_bytes = 0;
 
   void Accumulate(const WorkingSetProfile& other);
-  /// Subtracts a baseline snapshot of the counters; the live/peak gauges keep
-  /// their current values.
-  void Subtract(const WorkingSetProfile& base);
   std::string ToJson() const;
 };
 
-/// Counters for one MineWindow call (and the small-data candidate experiment).
+/// Counters for one MineWindow or MineRelative call (and the small-data
+/// candidate experiment): each call counts only its own work.
 struct MineWindowStats {
   size_t candidates_considered = 0;  // patterns whose frequency was evaluated
   size_t entities_ingested = 0;      // revision logs read ("related entities")
@@ -156,8 +162,6 @@ struct MineWindowStats {
   WorkingSetProfile workingset;
 
   void Accumulate(const MineWindowStats& other);
-  /// Subtracts a baseline snapshot (for incremental reporting).
-  void Subtract(const MineWindowStats& base);
   std::string ToString() const;
 };
 
@@ -186,7 +190,6 @@ class MiningContext {
   /// Pairs that can yield no candidate (no variable of the action's source
   /// type, or a pattern at max_pattern_actions) are never entered.
   PairHashSet tested;
-  MineWindowStats stats;
 };
 
 /// Result of mining one window.
@@ -298,10 +301,12 @@ class PatternMiner {
   /// call that produced `context`). Expansion continues from base's cached
   /// realization with admission threshold rel_threshold * frequency(base);
   /// InvalidArgument when that admission is below
-  /// MinerOptions::realization_cache_min_frequency.
+  /// MinerOptions::realization_cache_min_frequency. When `stats` is given,
+  /// this call's counters (evaluations, mining time, working-set bytes and
+  /// tables) are added to it; the ingest and level gauges are MineWindow's.
   [[nodiscard]] Result<std::vector<RelativePattern>> MineRelative(
       MiningContext* context, TypeId seed_type, const MinedPattern& base,
-      double rel_threshold) const;
+      double rel_threshold, MineWindowStats* stats = nullptr) const;
 
  private:
   class Impl;

@@ -421,7 +421,7 @@ bool FindEmbedding(const Pattern& specific, const Pattern& general,
 }
 
 /// Variable count up to which IsSpecializationOf keeps its mapping on the
-/// stack; mined patterns stay far below it (MinerOptions::max_pattern_vars).
+/// stack; mined patterns stay far below it (kMaxPatternVars, core/miner.h).
 constexpr size_t kInlineMappingVars = 16;
 
 }  // namespace

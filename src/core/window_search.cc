@@ -6,6 +6,8 @@
 #include <mutex>
 #include <set>
 
+#include "common/hash.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -19,9 +21,12 @@ namespace {
 /// abstracting every entity of every variable type again. The index's
 /// superset invariant (action_index.h) keeps each probe's realizations
 /// exactly those of a fresh index. Frequencies are additionally memoized per
-/// (pattern, window): every league-extended transfer variant shares most of
-/// its sub-patterns, so most leverage probes are repeats. Validation runs
-/// serially, so neither map needs a lock.
+/// (pattern, window), keyed by the pattern's canonical code over the
+/// evaluator's own relation table followed by the window's two bounds: every
+/// league-extended transfer variant shares most of its sub-patterns, so most
+/// leverage probes are repeats. Probes are source-connected, so equal codes
+/// mean equal patterns. Validation runs serially, so nothing here needs a
+/// lock.
 class FreqEvaluator {
  public:
   FreqEvaluator(const EntityRegistry* registry, const RevisionStore* store,
@@ -30,17 +35,21 @@ class FreqEvaluator {
         seed_type_(seed_type) {}
 
   Result<double> operator()(const Pattern& pattern, const TimeWindow& window) {
-    std::string key = pattern.CanonicalKey();
-    key += '@';
-    key += std::to_string(window.begin);
-    key += ':';
-    key += std::to_string(window.end);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
+    for (const AbstractAction& a : pattern.actions()) {
+      relations_.Intern(a.relation);
+    }
+    const bool coded = pattern.CanonicalCode(relations_, &code_);
+    WICLEAN_CHECK(coded);
+    code_.push_back(static_cast<uint64_t>(window.begin));
+    code_.push_back(static_cast<uint64_t>(window.end));
+    const uint64_t hash = HashWords(code_);
+    const CodeTable::Id id = memo_.Find(code_, hash);
+    if (id != CodeTable::kAbsent) return frequencies_[id];
     WICLEAN_ASSIGN_OR_RETURN(
         double f, miner_->EvaluateFrequency(seed_type_, pattern, window,
                                             IndexFor(window)));
-    memo_.emplace(std::move(key), f);
+    memo_.Insert(code_, hash);
+    frequencies_.push_back(f);
     return f;
   }
 
@@ -63,7 +72,10 @@ class FreqEvaluator {
   const RevisionStore* store_;
   const PatternMiner* miner_;
   TypeId seed_type_;
-  std::map<std::string, double> memo_;
+  RelationTable relations_;
+  std::vector<uint64_t> code_;       // scratch: the probe's memo key
+  CodeTable memo_;                   // (code, window) keys
+  std::vector<double> frequencies_;  // by memo_ id
   std::map<std::pair<Timestamp, Timestamp>, ActionIndex> indexes_;
 };
 
@@ -75,8 +87,7 @@ class FreqEvaluator {
 /// place and returns true; returns false when the pattern is a window
 /// artifact.
 Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
-                           Timestamp min_width, double support_fraction,
-                           Timestamp max_pattern_window, double threshold,
+                           Timestamp min_width, double threshold,
                            MinedPattern* mp) {
   WICLEAN_ASSIGN_OR_RETURN(std::vector<PatternMiner::RealizationSpan> spans,
                            probes.Realizations(mp->pattern, mp->window));
@@ -107,7 +118,8 @@ Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
         start = window.end - half - step;
       }
     }
-    if (best_freq < support_fraction * freq) break;  // cannot localize further
+    // Cannot localize further.
+    if (best_freq < kSubwindowSupportFraction * freq) break;
     window = best;
     freq = best_freq;
   }
@@ -115,7 +127,7 @@ Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
   // frequency; 10% slack absorbs boundary effects. Window artifacts lose far
   // more than 10% when localized.
   if (freq < 0.9 * threshold) return false;
-  if (window.width() > max_pattern_window) return false;  // not localizable
+  if (window.width() > kMaxPatternWindow) return false;  // not localizable
   mp->window = window;
   mp->frequency = freq;
   return true;
@@ -123,9 +135,8 @@ Result<bool> TightenWindow(FreqEvaluator& probes, size_t seed_count,
 
 /// Tests every 2-partition of the pattern's actions into source-connected
 /// sub-patterns; returns false (artifact) when some partition's phi
-/// coefficient falls below `min_phi`.
-Result<bool> PassesLeverage(FreqEvaluator& freq_of, double min_phi,
-                            const MinedPattern& mp) {
+/// coefficient falls below kMinPartitionPhi.
+Result<bool> PassesLeverage(FreqEvaluator& freq_of, const MinedPattern& mp) {
   const size_t n = mp.pattern.num_actions();
   if (n < 2 || n > 16) return true;
   for (uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
@@ -150,7 +161,7 @@ Result<bool> PassesLeverage(FreqEvaluator& freq_of, double min_phi,
     double variance = fa * (1 - fa) * fb * (1 - fb);
     if (variance < 1e-6) continue;  // a near-constant side cannot discriminate
     double phi = (mp.frequency - fa * fb) / std::sqrt(variance);
-    if (phi < min_phi) return false;
+    if (phi < kMinPartitionPhi) return false;
   }
   return true;
 }
@@ -262,7 +273,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   // lowers the threshold (false).
   bool widen_next = true;
   // Quiet-round counter for the early-termination patience (see
-  // WindowSearchOptions::refine_patience).
+  // kRefinePatience).
   size_t quiet_rounds = 0;
 
   // Validation probes (tightening spans, leverage sub-pattern frequencies)
@@ -291,7 +302,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
                    ? lowest_threshold * options_.relative_threshold
                    : lowest_threshold);
 
-  for (size_t round = 0; round < options_.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRefinementRounds; ++round) {
     Timer round_timer;
     MinerOptions miner_options = options_.miner;
     miner_options.frequency_threshold = threshold;
@@ -367,14 +378,11 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
           WICLEAN_ASSIGN_OR_RETURN(
               genuine,
               TightenWindow(freq_of, seed_count, options_.min_window_width,
-                            options_.subwindow_support_fraction,
-                            options_.max_pattern_window, threshold, &mp));
+                            threshold, &mp));
         }
         if (genuine && options_.leverage_validation &&
             mp.pattern.num_actions() > 1) {
-          WICLEAN_ASSIGN_OR_RETURN(
-              genuine,
-              PassesLeverage(freq_of, options_.min_partition_phi, mp));
+          WICLEAN_ASSIGN_OR_RETURN(genuine, PassesLeverage(freq_of, mp));
         }
         if (!genuine) {
           rejected_keys.insert(std::move(key));
@@ -391,7 +399,8 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
           WICLEAN_ASSIGN_OR_RETURN(
               dp.relatives,
               miner.MineRelative(wr.context.get(), seed_type, mp,
-                                 options_.relative_threshold));
+                                 options_.relative_threshold,
+                                 &result.total_stats));
         }
         dp.mined = mp;
         result.patterns.push_back(std::move(dp));
@@ -407,7 +416,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
     // new patterns (or while nothing at all was found), within the parameter
     // bounds and the early-termination patience.
     quiet_rounds = new_patterns > 0 ? 0 : quiet_rounds + 1;
-    if (quiet_rounds >= options_.refine_patience && !result.patterns.empty()) {
+    if (quiet_rounds >= kRefinePatience && !result.patterns.empty()) {
       break;
     }
 

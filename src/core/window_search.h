@@ -20,6 +20,37 @@ struct RefinePolicy {
   double threshold_reduction = 0.2;
 };
 
+/// Window tightening (WindowSearchOptions::subwindow_validation) shrinks a
+/// pattern's window to its best half-width sub-window as long as that
+/// sub-window retains at least this fraction of the current frequency. The
+/// fraction is above 0.5 so that a genuinely wide pattern — events uniform
+/// over its true window, each half holding about half the support — *stalls*
+/// (and is reported at its real width) instead of being squeezed into a
+/// half-window and failing the threshold re-check.
+inline constexpr double kSubwindowSupportFraction = 0.6;
+
+/// Partition-correlation bound (WindowSearchOptions::leverage_validation):
+/// for every way of splitting a discovered pattern into two source-connected
+/// sub-patterns A and B, the phi coefficient between "seed realizes A" and
+/// "seed realizes B" must reach this bound. Conjunctions of *independent*
+/// events (a player who happened to both win an award and be loaned out in
+/// the same window) sit at phi ≈ 0 and are rejected; real patterns are
+/// near-perfectly correlated (all edits come from the same real-world event,
+/// phi ≈ 1). Phi, unlike raw leverage, stays discriminative for
+/// high-frequency patterns whose leverage ceiling is compressed.
+inline constexpr double kMinPartitionPhi = 0.5;
+
+/// Early-termination patience: the search stops once this many consecutive
+/// refinement rounds discover nothing new (and something has been found).
+/// It covers two full window+threshold alternation cycles, so one quiet
+/// parameter step does not cut the ladder short; Table 1's small-step
+/// policies terminate early through exactly this mechanism.
+inline constexpr size_t kRefinePatience = 4;
+
+/// Safety valve against degenerate refine policies: the most refinement
+/// rounds one search runs.
+inline constexpr size_t kMaxRefinementRounds = 20;
+
 /// Options of the full window-and-pattern search.
 struct WindowSearchOptions {
   /// Initial (minimal) window width; the system default is two weeks.
@@ -41,53 +72,25 @@ struct WindowSearchOptions {
 
   /// Window tightening / validation. A pattern first discovered at a widened
   /// window is re-localized: as long as some half-width sliding sub-window
-  /// retains at least `subwindow_support_fraction` of the current frequency,
+  /// retains at least kSubwindowSupportFraction of the current frequency,
   /// the pattern's window shrinks to the best sub-window (down to the minimal
   /// width). The pattern is accepted only if its frequency in the final
-  /// tight window still clears the discovery threshold. This (a) rejects
+  /// tight window still clears the discovery threshold, and only if that
+  /// window is at most kMaxPatternWindow wide: conjunctions of unrelated
+  /// events glued through a shared non-seed entity (which the leverage test
+  /// cannot split) only co-occur across the whole timeline. This (a) rejects
   /// window artifacts — conjunctions of independent events that only
   /// "co-occur" because the window grew past both — and (b) reports each
   /// pattern with its actual time window rather than the coarse ladder
   /// window.
-  /// The support fraction is above 0.5 so that a genuinely wide pattern —
-  /// events uniform over its true window, each half holding about half the
-  /// support — *stalls* (and is reported at its real width) instead of being
-  /// squeezed into a half-window and failing the threshold re-check.
   bool subwindow_validation = true;
-  double subwindow_support_fraction = 0.6;
 
-  /// A pattern whose realizations cannot be localized into a window of at
-  /// most this width is rejected: the paper's genuine patterns live in
-  /// windows of "hours to months", while conjunctions of unrelated events
-  /// glued through a shared non-seed entity (which the leverage test cannot
-  /// split) only co-occur across the whole timeline.
-  Timestamp max_pattern_window = 8 * kSecondsPerWeek;
-
-  /// Partition-correlation validation: for every way of splitting a
-  /// discovered pattern into two source-connected sub-patterns A and B, the
-  /// phi coefficient between "seed realizes A" and "seed realizes B" must
-  /// reach this bound. Conjunctions of *independent* events (a player who
-  /// happened to both win an award and be loaned out in the same window) sit
-  /// at phi ≈ 0 and are rejected; real patterns are near-perfectly
-  /// correlated (all edits come from the same real-world event, phi ≈ 1).
-  /// Phi, unlike raw leverage, stays discriminative for high-frequency
-  /// patterns whose leverage ceiling is compressed.
+  /// Partition-correlation validation against kMinPartitionPhi.
   bool leverage_validation = true;
-  double min_partition_phi = 0.5;
 
   /// Windows are processed in parallel on this many threads (§4.3: windows
   /// are non-overlapping, so processing is embarrassingly parallel).
   size_t num_threads = 1;
-
-  /// Early-termination patience: the search stops once this many consecutive
-  /// refinement rounds discover nothing new (and something has been found).
-  /// The default covers two full window+threshold alternation cycles, so one
-  /// quiet parameter step does not cut the ladder short; Table 1's
-  /// small-step policies terminate early through exactly this mechanism.
-  size_t refine_patience = 4;
-
-  /// Safety valve against degenerate refine policies.
-  size_t max_rounds = 20;
 };
 
 /// One pattern discovered by the search, with the parameters that found it.
@@ -113,6 +116,7 @@ struct WindowSearchResult {
   /// threshold).
   std::vector<DiscoveredPattern> patterns;
   std::vector<RefinementRound> rounds;
+  /// The counters of every MineWindow and MineRelative call of the search.
   MineWindowStats total_stats;
 };
 

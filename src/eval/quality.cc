@@ -220,7 +220,7 @@ Result<ErrorDetectionReport> EvaluateErrorDetection(
         WICLEAN_ASSIGN_OR_RETURN(
             double sub_freq,
             miner.EvaluateFrequency(seed_type_of(mp), *sub, mp.window));
-        if (mp.frequency < options.aggregate_support_ratio * sub_freq) {
+        if (mp.frequency < kAggregateSupportRatio * sub_freq) {
           stats.in_aggregate = false;
         }
       }

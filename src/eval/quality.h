@@ -54,7 +54,7 @@ struct PatternErrorStats {
   size_t corrected = 0;
   size_t remaining = 0;
   size_t remaining_true = 0;  // expert-verified (= injected, uncorrected)
-  bool in_aggregate = true;   // see aggregate_support_ratio
+  bool in_aggregate = true;   // see kAggregateSupportRatio
 };
 
 /// Domain-level error-detection results (§6.3 "Discovered patterns and
@@ -73,16 +73,17 @@ struct ErrorDetectionReport {
   double verified_pct = 0;
 };
 
+/// A discovered pattern is kept out of the domain aggregate when some
+/// source-connected proper sub-pattern of it has materially larger frequency
+/// in the same window (frequency ratio below this bound). Such patterns
+/// describe sub-populations — the paper's cross-league relative pattern is
+/// the canonical case — whose partial realizations are expected (a
+/// same-league transfer is not an error), so the paper reports them
+/// separately rather than in the domain totals.
+inline constexpr double kAggregateSupportRatio = 0.8;
+
 struct ErrorEvaluationOptions {
   PartialDetectorOptions detector;
-  /// A discovered pattern is kept out of the domain aggregate when some
-  /// source-connected proper sub-pattern of it has materially larger
-  /// frequency in the same window (frequency ratio below this bound). Such
-  /// patterns describe sub-populations — the paper's cross-league relative
-  /// pattern is the canonical case — whose partial realizations are expected
-  /// (a same-league transfer is not an error), so the paper reports them
-  /// separately rather than in the domain totals.
-  double aggregate_support_ratio = 0.8;
   /// Miner options used for the sub-pattern frequency probes; should match
   /// the options the patterns were mined with.
   MinerOptions miner;

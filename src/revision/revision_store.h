@@ -80,7 +80,7 @@ std::vector<Action> ReduceActions(const std::vector<Action>& actions);
 /// Order-sensitive fingerprint of every log of entities [0, num_entities):
 /// two stores digest equal iff each entity's log holds the same actions in
 /// the same order. The differential backbone of the WCAL replay tests and
-/// bench/actionlog_coldstart ("replay-of-log == direct XML ingest").
+/// the end-to-end benchmark's "replay-of-log == direct XML ingest" checks.
 uint64_t StoreDigest(const RevisionStore& store, EntityId num_entities);
 
 }  // namespace wiclean

@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "dump/fault_injection.h"
 #include "dump/ingest.h"
 #include "dump/page_source.h"
 #include "dump/pipeline.h"
 #include "dump/quarantine.h"
 #include "synth/dump_render.h"
 #include "synth/synthesizer.h"
+#include "tests/support/fault_injection.h"
 
 namespace wiclean {
 namespace {

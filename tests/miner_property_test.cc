@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/miner.h"
@@ -132,6 +133,37 @@ TEST_P(MinerPropertyTest, RealizationSpansLieInsideWindow) {
       EXPECT_TRUE(transfer_window_.Contains(s.tmin));
       EXPECT_TRUE(transfer_window_.Contains(s.tmax));
       EXPECT_LE(s.tmax - s.tmin, miner.options().max_realization_span);
+    }
+  }
+}
+
+TEST_P(MinerPropertyTest, PatternsKeepStructuralRules) {
+  // Rules no option relaxes, for every mined and relative pattern: no two
+  // actions share (source variable, op, relation), and no pattern has more
+  // than kMaxPatternVars variables.
+  PatternMiner miner(world_->registry.get(), &world_->store, Options());
+  const TypeId seed = world_->types.soccer_player;
+  Result<MineWindowResult> result = miner.MineWindow(seed, transfer_window_);
+  ASSERT_TRUE(result.ok());
+  std::vector<Pattern> patterns;
+  for (const MinedPattern& mp : result->all_frequent) {
+    patterns.push_back(mp.pattern);
+  }
+  for (const MinedPattern& mp : result->most_specific) {
+    Result<std::vector<RelativePattern>> relatives =
+        miner.MineRelative(result->context.get(), seed, mp, 0.6);
+    ASSERT_TRUE(relatives.ok()) << relatives.status().ToString();
+    for (const RelativePattern& rp : *relatives) {
+      patterns.push_back(rp.pattern);
+    }
+  }
+  for (const Pattern& p : patterns) {
+    const std::string text = p.ToString(*world_->taxonomy);
+    EXPECT_LE(p.num_vars(), kMaxPatternVars) << text;
+    std::set<std::tuple<int, EditOp, std::string>> edges;
+    for (const AbstractAction& a : p.actions()) {
+      EXPECT_TRUE(edges.emplace(a.source_var, a.op, a.relation).second)
+          << "parallel edge in " << text;
     }
   }
 }

@@ -234,6 +234,35 @@ TEST_F(MinerTest, RelativeMiningFindsLeagueExtension) {
   EXPECT_TRUE(found) << "league extension not found as relative pattern";
 }
 
+TEST_F(MinerTest, EachCallCountsItsOwnEvaluations) {
+  // A fresh mine, relative mining from its join pattern and a resumed mine
+  // at a lower threshold share one context. Each call counts exactly the
+  // evaluations it adds to the context's cache.
+  PatternMiner high(registry_.get(), &store_, Options(0.7));
+  Result<MineWindowResult> first = high.MineWindow(player_, window_);
+  ASSERT_TRUE(first.ok());
+  MiningContext* context = first->context.get();
+  EXPECT_EQ(first->stats.candidates_considered, context->evaluated.size());
+
+  const MinedPattern* pair = FindByKey(first->most_specific, JoinPair());
+  ASSERT_NE(pair, nullptr);
+  size_t before = context->evaluated.size();
+  MineWindowStats relative;
+  ASSERT_TRUE(
+      high.MineRelative(context, player_, *pair, 0.7, &relative).ok());
+  EXPECT_GT(relative.candidates_considered, 0u);
+  EXPECT_EQ(relative.candidates_considered,
+            context->evaluated.size() - before);
+
+  before = context->evaluated.size();
+  PatternMiner low(registry_.get(), &store_, Options(0.3));
+  Result<MineWindowResult> second =
+      low.MineWindow(player_, window_, first->context);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->stats.candidates_considered,
+            context->evaluated.size() - before);
+}
+
 TEST_F(MinerTest, RelativeMiningValidatesInputs) {
   PatternMiner miner(registry_.get(), &store_, Options(0.7));
   Result<MineWindowResult> result = miner.MineWindow(player_, window_);

@@ -201,6 +201,36 @@ TEST_F(WindowSearchTest, RepeatedRunsAgree) {
   ExpectSameResult(*first, *second);
 }
 
+TEST_F(WindowSearchTest, RelativeMiningIsCounted) {
+  // One round (neither parameter can move): the frequent stage is the same
+  // with or without relative mining, so the relative stage's evaluations
+  // must show up on top of it.
+  WindowSearchOptions options = Options();
+  options.max_window_width = options.min_window_width;
+  options.initial_threshold = 0.6;
+  options.min_threshold = options.initial_threshold;
+  options.mine_relative = false;
+  WindowSearch without(world_->registry.get(), &world_->store, options);
+  options.mine_relative = true;
+  WindowSearch with(world_->registry.get(), &world_->store, options);
+  Result<WindowSearchResult> a =
+      without.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  Result<WindowSearchResult> b =
+      with.Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->rounds.size(), 1u);
+  ASSERT_EQ(b->rounds.size(), 1u);
+  size_t relatives = 0;
+  for (const DiscoveredPattern& dp : b->patterns) {
+    relatives += dp.relatives.size();
+  }
+  ASSERT_GT(relatives, 0u);
+  EXPECT_GT(b->total_stats.candidates_considered,
+            a->total_stats.candidates_considered);
+  EXPECT_EQ(b->total_stats.entities_ingested,
+            a->total_stats.entities_ingested);
+}
+
 TEST_F(WindowSearchTest, TighteningLocalizesWindows) {
   // With tightening, discovered windows should be at most the generator's
   // event span (two or four weeks) even when discovery happened at a wide
@@ -210,7 +240,7 @@ TEST_F(WindowSearchTest, TighteningLocalizesWindows) {
       search.Run(world_->types.soccer_player, 0, kSecondsPerYear);
   ASSERT_TRUE(result.ok());
   for (const DiscoveredPattern& dp : result->patterns) {
-    EXPECT_LE(dp.mined.window.width(), 8 * kSecondsPerWeek)
+    EXPECT_LE(dp.mined.window.width(), kMaxPatternWindow)
         << dp.mined.pattern.ToString(*world_->taxonomy);
   }
 }
