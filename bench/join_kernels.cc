@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,18 +37,9 @@ constexpr size_t kNumVars = 3;
 constexpr int64_t kHorizon = 100000;
 constexpr int kReps = 7;
 
-rel::Schema VarSchema(size_t num_vars) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{"v" + std::to_string(i), rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
+// Realization tables: kNumVars variable columns, then tmin, tmax.
 rel::Table RandomRealizationTable(Rng* rng, size_t rows, int64_t domain) {
-  rel::Table t(VarSchema(kNumVars));
+  rel::Table t(kNumVars + 2);
   std::vector<int64_t> row(kNumVars + 2);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < kNumVars; ++c) {
@@ -61,12 +53,9 @@ rel::Table RandomRealizationTable(Rng* rng, size_t rows, int64_t domain) {
   return t;
 }
 
+// Action tables: (u, v, t).
 rel::Table RandomActionTable(Rng* rng, size_t rows, int64_t domain) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  rel::Table t(schema);
+  rel::Table t(3);
   for (size_t r = 0; r < rows; ++r) {
     t.AppendInt64Row({static_cast<int64_t>(rng->NextBelow(domain)),
                       static_cast<int64_t>(rng->NextBelow(domain)),
@@ -87,14 +76,11 @@ double MeasureBest(Fn&& fn) {
   return best;
 }
 
-std::vector<std::string> SortedRowList(const rel::Table& t) {
-  std::vector<std::string> rows;
+std::vector<std::vector<std::optional<int64_t>>> SortedRowList(
+    const rel::Table& t) {
+  std::vector<std::vector<std::optional<int64_t>>> rows;
   rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (const rel::Value& v : t.RowValues(r)) key += v.ToString() + "|";
-    rows.push_back(std::move(key));
-  }
+  for (size_t r = 0; r < t.num_rows(); ++r) rows.push_back(t.RowValues(r));
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -156,7 +142,7 @@ rel::Table UnfusedPipeline(const rel::Table& left, const rel::Table& right,
           ? MustTable(rel::ReferenceHashJoin(left, right, spec), "ref join")
           : MustTable(rel::HashJoin(left, right, spec), "hash join");
   const size_t n = rspec.num_left_vars;
-  rel::Table realization(VarSchema(n + 1));
+  rel::Table realization(n + 3);
   std::vector<int64_t> row(n + 3);
   for (size_t r = 0; r < joined.num_rows(); ++r) {
     int64_t t = joined.column(n + 4).Int64At(r);
@@ -212,16 +198,14 @@ SizeResult RunSize(size_t rows) {
   });
 
   // Fused operator vs the old materialize-everything pipeline.
-  rel::Table fused = MustTable(
-      JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec), "fused");
+  rel::Table fused = MustTable(JoinRealizations(left, right, rspec), "fused");
   rel::Table unfused =
       UnfusedPipeline(left, right, spec, rspec, /*reference_kernels=*/true);
   Require(SortedAssignmentWidths(fused) == SortedAssignmentWidths(unfused),
           "fused vs unfused assignment/span agreement");
   out.fused_output_rows = fused.num_rows();
   out.fused_seconds = MeasureBest([&] {
-    rel::Table t = MustTable(
-        JoinRealizations(left, right, VarSchema(kNumVars + 1), rspec), "fused");
+    rel::Table t = MustTable(JoinRealizations(left, right, rspec), "fused");
   });
   out.unfused_seconds = MeasureBest([&] {
     rel::Table t =

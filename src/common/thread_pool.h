@@ -12,10 +12,12 @@
 
 namespace wiclean {
 
-/// Fixed-size worker pool used to parallelize per-window and per-type work in
-/// the mining pipeline (the paper's "embarrassingly parallel" decomposition of
-/// non-overlapping time windows, §4.3/§6.2) and the parse/diff stage of the
-/// dump-ingestion pipeline (dump/pipeline.h).
+/// Fixed-size worker pool. Mining uses it in two places: WindowSearch::Run
+/// mines the non-overlapping windows of a round concurrently (the paper's
+/// "embarrassingly parallel" decomposition, §4.3/§6.2), and PatternMiner
+/// evaluates the candidates of one expansion generation concurrently. It
+/// also runs the parse/diff stage of the dump-ingestion pipeline
+/// (dump/pipeline.h).
 ///
 /// Tasks are plain std::function<void()>; results flow through captured state
 /// owned by the caller. Wait() blocks until every submitted task has finished.

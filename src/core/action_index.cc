@@ -21,20 +21,6 @@ std::string AbstractActionKey::Encode() const {
   return out;
 }
 
-namespace {
-
-rel::Table NewRealizationTable() {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  // Timestamp of the reduced action. The mining joins reference only u/v;
-  // the time column feeds realization-span computation (window tightening).
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  return rel::Table(schema);
-}
-
-}  // namespace
-
 ActionIndex::ActionIndex(const EntityRegistry* registry,
                          const RevisionStore* store, const TimeWindow& window,
                          int max_abstraction_lift)
@@ -68,7 +54,7 @@ rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
   if (u_binding == kInvalidEntityId && v_binding == kInvalidEntityId) {
     return uvt;
   }
-  rel::Table out(uvt.schema());
+  rel::Table out(uvt.num_columns());
   for (size_t r = 0; r < uvt.num_rows(); ++r) {
     if (u_binding != kInvalidEntityId &&
         uvt.column(0).Int64At(r) != u_binding) {
@@ -108,7 +94,7 @@ AbstractActionEntry& ActionIndex::EntryFor(const LookupKey& key) {
   AbstractActionEntry& entry =
       entries_
           .emplace(std::move(encoded),
-                   AbstractActionEntry(std::move(full), NewRealizationTable()))
+                   AbstractActionEntry(std::move(full), rel::Table(3)))
           .first->second;
   entry.relation_id = relations_.Intern(key.relation);
   LookupKey stored = key;

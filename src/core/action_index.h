@@ -38,8 +38,10 @@ struct AbstractActionKey {
 };
 
 /// One abstract action together with its realization relation for a window:
-/// a table ("u", "v", "t") of the concrete (source, target) entity pairs
-/// whose reduced edit realizes the key, plus the edit's timestamp.
+/// a three-column table (u, v, t) of the concrete (source, target) entity
+/// pairs whose reduced edit realizes the key, plus the edit's timestamp. The
+/// mining joins reference only u and v; t feeds realization-span computation
+/// (window tightening).
 struct AbstractActionEntry {
   AbstractActionKey key;
   relational::Table realizations;
@@ -171,7 +173,7 @@ class ActionIndex {
   std::unordered_map<LookupKey, AbstractActionEntry*, LookupKeyHash> lookup_;
 };
 
-/// Filters a ("u", "v", "t") action-realization table down to rows whose
+/// Filters a (u, v, t) action-realization table down to rows whose
 /// endpoints match the given value bindings (§7 value-specific patterns);
 /// kInvalidEntityId means unconstrained. Returns the input unchanged when
 /// both bindings are free.

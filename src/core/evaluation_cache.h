@@ -99,7 +99,9 @@ class EvaluationCache {
     /// extension is coded without building it.
     std::vector<uint32_t> relations;
     std::string key;                 // pattern.CanonicalKey()
-    relational::Table realizations;  // columns v0..vN, tmin, tmax
+    /// One realization per row, by position: column k binds pattern
+    /// variable k (k < num_vars), then the realization's tmin and tmax.
+    relational::Table realizations;
   };
 
   struct State {

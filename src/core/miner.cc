@@ -58,19 +58,6 @@ std::string MineWindowStats::ToString() const {
 
 namespace {
 
-/// Mining realization tables carry one int64 column per pattern variable
-/// ("v0".."vN") plus the realization's running time span ("tmin", "tmax").
-rel::Schema RealizationSchema(size_t num_vars) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{"v" + std::to_string(i),
-                               rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
 /// The error for an admission below the realization cache floor: a pattern
 /// admitted there would have no cached realization table to expand from.
 Status AdmissionBelowFloor(double admission, double floor) {
@@ -367,7 +354,6 @@ class PatternMiner::Impl {
         if (hash_join) {
           WICLEAN_RETURN_IF_ERROR(
               PrepareLeftKeys(base, first, &candidates, &left_keys));
-          RealizationSchemaOf(p.num_vars() + 1);
         }
       }
       if (hash_join && !candidates.empty()) {
@@ -528,7 +514,7 @@ class PatternMiner::Impl {
       if (id == EvaluationCache::kAbsent) {
         // Distinct variables bind distinct entities: drop self-link rows.
         // Rows carry the action timestamp as a [t, t] span.
-        rel::Table realization(RealizationSchemaOf(2));
+        rel::Table realization(4);  // v0, v1, tmin, tmax
         const rel::Table& src = entry.realizations;
         for (size_t r = 0; r < src.num_rows(); ++r) {
           int64_t su = src.column(0).Int64At(r);
@@ -672,7 +658,7 @@ class PatternMiner::Impl {
       rspec.dedup_keep_tightest = true;
       const std::optional<PreparedActionSide>& side =
           glue_target < 0 ? slot.fresh_side : slot.glued_side;
-      WICLEAN_CHECK(side.has_value() && new_vars < schemas_.size());
+      WICLEAN_CHECK(side.has_value());
       WICLEAN_RETURN_IF_ERROR(ProbeRealizations(base.realizations,
                                                 left_keys[c.left_keys], *side,
                                                 rspec, &scratch.rows));
@@ -691,8 +677,8 @@ class PatternMiner::Impl {
       if (out->frequency >= options_.realization_cache_min_frequency) {
         WICLEAN_ASSIGN_OR_RETURN(
             rel::Table realization,
-            AssembleRealizations(base.realizations, *side, schemas_[new_vars],
-                                 rspec, scratch.rows));
+            AssembleRealizations(base.realizations, *side, rspec,
+                                 scratch.rows));
         WICLEAN_RETURN_IF_ERROR(
             KeepExtension(c, entry, std::move(realization), out));
       }
@@ -716,7 +702,7 @@ class PatternMiner::Impl {
       // Joined layout: v0..v(n-1), tmin, tmax, u, v, t. Recompute the
       // span, prune realizations wider than any reportable pattern window,
       // and keep the tightest witness per variable assignment.
-      rel::Table realization(RealizationSchema(new_vars));
+      rel::Table realization(new_vars + 2);
       std::vector<int64_t> row(new_vars + 2);
       for (size_t r = 0; r < joined.num_rows(); ++r) {
         int64_t t = joined.column(n + 4).Int64At(r);
@@ -834,16 +820,6 @@ class PatternMiner::Impl {
     return CountDistinctSeedSources(&sources);
   }
 
-  /// The realization schema of `width` variables, built once per width.
-  /// Serial callers only: it may grow schemas_, which candidate evaluations
-  /// read concurrently.
-  const rel::Schema& RealizationSchemaOf(size_t width) {
-    while (schemas_.size() <= width) {
-      schemas_.push_back(RealizationSchema(schemas_.size()));
-    }
-    return schemas_[width];
-  }
-
   /// Algorithm 1 lines 4-8: ingest revision histories of any new entity type
   /// appearing in an admitted pattern. Returns true if anything new arrived.
   bool IngestPendingTypes() {
@@ -879,8 +855,6 @@ class PatternMiner::Impl {
   std::vector<EntityId> code_bindings_;
   std::vector<CodedAction> code_actions_;
   std::vector<uint64_t> code_;
-  /// schemas_[w] = RealizationSchema(w); see RealizationSchemaOf.
-  std::vector<rel::Schema> schemas_;
   /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
   /// here so it is never shared with window-level pools.
   std::unique_ptr<ThreadPool> pool_;
@@ -1042,19 +1016,8 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   // running [tmin, tmax] span of the realization's edits.
   std::vector<int> var_col(pattern.num_vars(), -1);
   const AbstractAction& first = pattern.actions()[order[0]];
-  auto make_schema = [](size_t bound_vars) {
-    rel::Schema schema;
-    for (size_t i = 0; i < bound_vars; ++i) {
-      schema.AddField(rel::Field{"c" + std::to_string(i),
-                                 rel::DataType::kInt64});
-    }
-    schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-    schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-    return schema;
-  };
-
   size_t bound_vars = 2;
-  rel::Table acc(make_schema(bound_vars));
+  rel::Table acc(bound_vars + 2);
   if (const rel::Table* r0 = realizations_of(order[0])) {
     for (size_t r = 0; r < r0->num_rows(); ++r) {
       int64_t u = r0->column(0).Int64At(r);
@@ -1070,7 +1033,7 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
     const AbstractAction& a = pattern.actions()[order[step]];
     const rel::Table* ra = realizations_of(order[step]);
     if (ra == nullptr) {
-      acc = rel::Table(acc.schema());
+      acc = rel::Table(acc.num_columns());
       break;
     }
     bool fresh = var_col[a.target_var] < 0;
@@ -1091,10 +1054,8 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
           }
         }
       }
-      const size_t new_bound = bound_vars + (fresh ? 1 : 0);
-      WICLEAN_ASSIGN_OR_RETURN(
-          rel::Table next,
-          JoinRealizations(acc, *ra, make_schema(new_bound), rspec));
+      WICLEAN_ASSIGN_OR_RETURN(rel::Table next,
+                               JoinRealizations(acc, *ra, rspec));
       if (fresh) {
         var_col[a.target_var] = static_cast<int>(bound_vars);
         ++bound_vars;
@@ -1129,7 +1090,7 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
       var_col[a.target_var] = static_cast<int>(bound_vars);
       ++bound_vars;
     }
-    rel::Table next(make_schema(bound_vars));
+    rel::Table next(bound_vars + 2);
     std::vector<int64_t> row(bound_vars + 2);
     for (size_t r = 0; r < joined->num_rows(); ++r) {
       for (size_t c = 0; c < span_col; ++c) {

@@ -1,6 +1,7 @@
 #include "core/partial.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/action_index.h"
 #include "relational/ops.h"
@@ -23,30 +24,6 @@ std::string PartialRealization::Signature() const {
   return out;
 }
 
-namespace {
-
-/// Accumulated relation schema: one nullable int64 column per pattern
-/// variable ("x<k>", coalesced bindings), then one (u, v) column pair per
-/// already-processed action ("a<i>_u", "a<i>_v") that records which concrete
-/// action realization (if any) supports the row.
-rel::Schema AccSchema(const Pattern& pattern,
-                      const std::vector<size_t>& processed) {
-  rel::Schema schema;
-  for (size_t k = 0; k < pattern.num_vars(); ++k) {
-    schema.AddField(rel::Field{"x" + std::to_string(k),
-                               rel::DataType::kInt64});
-  }
-  for (size_t i : processed) {
-    schema.AddField(rel::Field{"a" + std::to_string(i) + "_u",
-                               rel::DataType::kInt64});
-    schema.AddField(rel::Field{"a" + std::to_string(i) + "_v",
-                               rel::DataType::kInt64});
-  }
-  return schema;
-}
-
-}  // namespace
-
 Result<PartialUpdateReport> DetectPartialsFromRealizations(
     const Pattern& pattern, const TimeWindow& window,
     const TypeTaxonomy& taxonomy,
@@ -60,13 +37,9 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
 
   const size_t num_vars = pattern.num_vars();
 
-  // Empty two-column relation used when an abstract action has no
+  // Empty (u, v, t) relation used when an abstract action has no
   // realizations at all in this window.
-  rel::Schema uv_schema;
-  uv_schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  uv_schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  uv_schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  const rel::Table empty_uv(uv_schema);
+  const rel::Table empty_uv(3);
 
   std::vector<rel::Table> bound_tables;  // filtered copies for bound vars
   bound_tables.reserve(pattern.num_actions());
@@ -81,21 +54,25 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
     return bound_tables.back();
   };
 
-  // Seed the accumulator with the first action's realizations (line 6).
+  // The accumulated relation: one nullable column per pattern variable
+  // (coalesced bindings), then one (u, v) column pair per already-processed
+  // action, in processing order, that records which concrete action
+  // realization (if any) supports the row. Seed it with the first action's
+  // realizations (line 6).
   std::vector<size_t> processed = {order[0]};
-  rel::Table acc(AccSchema(pattern, processed));
+  rel::Table acc(num_vars + 2);
   {
     const AbstractAction& a0 = pattern.actions()[order[0]];
     const rel::Table& r0 = action_realizations(order[0]);
+    std::vector<std::optional<int64_t>> row(num_vars + 2);
     for (size_t r = 0; r < r0.num_rows(); ++r) {
       int64_t u = r0.column(0).Int64At(r);
       int64_t v = r0.column(1).Int64At(r);
       if (u == v) continue;  // distinct variables bind distinct entities
-      std::vector<rel::Value> row(num_vars + 2, rel::Value::Null());
-      row[a0.source_var] = rel::Value::Int64(u);
-      row[a0.target_var] = rel::Value::Int64(v);
-      row[num_vars] = rel::Value::Int64(u);
-      row[num_vars + 1] = rel::Value::Int64(v);
+      row[a0.source_var] = u;
+      row[a0.target_var] = v;
+      row[num_vars] = u;
+      row[num_vars + 1] = v;
       acc.AppendRow(row);
     }
   }
@@ -136,35 +113,34 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
 
     // Coalesce variable bindings and append this action's (u, v) attributes
     // (the paper keeps "the attributes of original action relations ... to
-    // record which missing updates cause null values").
-    std::vector<size_t> new_processed = processed;
-    new_processed.push_back(ai);
-    rel::Table next(AccSchema(pattern, new_processed));
+    // record which missing updates cause null values"). Column-at-a-time:
+    // only the action's source and target columns coalesce; every other
+    // column is copied whole.
     const size_t lhs_width = acc.num_columns();
-    for (size_t r = 0; r < joined.num_rows(); ++r) {
-      std::vector<rel::Value> row;
-      row.reserve(next.num_columns());
-      rel::Value u = joined.column(lhs_width).ValueAt(r);
-      rel::Value v = joined.column(lhs_width + 1).ValueAt(r);
-      for (size_t k = 0; k < num_vars; ++k) {
-        rel::Value binding = joined.column(k).ValueAt(r);
-        if (binding.is_null() && static_cast<int>(k) == a.source_var) {
-          binding = u;
-        }
-        if (binding.is_null() && static_cast<int>(k) == a.target_var) {
-          binding = v;
-        }
-        row.push_back(std::move(binding));
+    const rel::Column& u = joined.column(lhs_width);
+    const rel::Column& v = joined.column(lhs_width + 1);
+    std::vector<rel::Column> cols;
+    cols.reserve(lhs_width + 2);
+    for (size_t k = 0; k < lhs_width; ++k) {
+      const rel::Column& binding = joined.column(k);
+      const rel::Column* fill = nullptr;
+      if (static_cast<int>(k) == a.source_var) fill = &u;
+      if (static_cast<int>(k) == a.target_var) fill = &v;
+      if (fill == nullptr) {
+        cols.push_back(binding);
+        continue;
       }
-      for (size_t c = num_vars; c < lhs_width; ++c) {
-        row.push_back(joined.column(c).ValueAt(r));
+      rel::Column coalesced;
+      coalesced.Reserve(joined.num_rows());
+      for (size_t r = 0; r < joined.num_rows(); ++r) {
+        coalesced.AppendFrom(binding.IsNull(r) ? *fill : binding, r);
       }
-      row.push_back(std::move(u));
-      row.push_back(std::move(v));
-      next.AppendRow(row);
+      cols.push_back(std::move(coalesced));
     }
-    acc = std::move(next);
-    processed = std::move(new_processed);
+    cols.push_back(u);
+    cols.push_back(v);
+    acc = rel::Table::FromColumns(std::move(cols));
+    processed.push_back(ai);
     var_known[a.target_var] = 1;
   }
 
@@ -175,7 +151,7 @@ Result<PartialUpdateReport> DetectPartialsFromRealizations(
   WICLEAN_ASSIGN_OR_RETURN(rel::Table dedup,
                            rel::DistinctProject(acc, all_cols));
 
-  // Map action index -> its "a<i>_u" column.
+  // Map action index -> its u column.
   std::vector<size_t> action_u_col(pattern.num_actions(), 0);
   for (size_t pos = 0; pos < processed.size(); ++pos) {
     action_u_col[processed[pos]] = num_vars + 2 * pos;

@@ -19,11 +19,6 @@ Status ValidateActionTable(const rel::Table& right) {
     return Status::InvalidArgument(
         "action realization table must be (u, v, t)");
   }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    if (right.column(c).type() != rel::DataType::kInt64) {
-      return Status::InvalidArgument("realization tables must be all-int64");
-    }
-  }
   return Status::OK();
 }
 
@@ -35,11 +30,6 @@ Status ValidateRealizationInputs(const rel::Table& left,
         "left realization table width != num_left_vars + 2");
   }
   WICLEAN_RETURN_IF_ERROR(ValidateActionTable(right));
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    if (left.column(c).type() != rel::DataType::kInt64) {
-      return Status::InvalidArgument("realization tables must be all-int64");
-    }
-  }
   if (spec.glue_source_col >= spec.num_left_vars) {
     return Status::InvalidArgument("glue_source_col out of range");
   }
@@ -90,10 +80,9 @@ Result<std::vector<uint64_t>> HashRealizationKeys(const rel::Table& left,
     keys.push_back(static_cast<size_t>(glue_target_col));
   }
   for (size_t c : keys) {
-    if (c >= left.num_columns() ||
-        left.column(c).type() != rel::DataType::kInt64) {
+    if (c >= left.num_columns()) {
       return Status::InvalidArgument(
-          "realization join key column out of range or not int64");
+          "realization join key column out of range");
     }
   }
   std::vector<uint64_t> hashes;
@@ -222,16 +211,11 @@ Status ProbeRealizations(const rel::Table& left,
 
 Result<rel::Table> AssembleRealizations(const rel::Table& left,
                                         const PreparedActionSide& prepared,
-                                        rel::Schema schema,
                                         const RealizationJoinSpec& spec,
                                         const RealizationRows& rows) {
   const size_t n = spec.num_left_vars;
   const bool fresh = spec.glue_target_col < 0;
   const size_t out_vars = n + (fresh ? 1 : 0);
-  if (schema.num_fields() != out_vars + 2) {
-    return Status::InvalidArgument(
-        "output schema width != output vars + tmin + tmax");
-  }
   if (left.num_columns() != n + 2) {
     return Status::InvalidArgument(
         "left realization table width != num_left_vars + 2");
@@ -245,38 +229,36 @@ Result<rel::Table> AssembleRealizations(const rel::Table& left,
   std::vector<rel::Column> cols;
   cols.reserve(out_vars + 2);
   for (size_t c = 0; c < n; ++c) {
-    rel::Column col(rel::DataType::kInt64);
+    rel::Column col;
     col.AppendGather(left.column(c), rows.lrows);
     cols.push_back(std::move(col));
   }
   if (fresh) {
-    rel::Column col(rel::DataType::kInt64);
+    rel::Column col;
     col.AppendGather(prepared.table().column(1), rows.rrows);
     cols.push_back(std::move(col));
   }
-  rel::Column tmin_col(rel::DataType::kInt64);
+  rel::Column tmin_col;
   tmin_col.AppendInt64Bulk(rows.tmins);
   cols.push_back(std::move(tmin_col));
-  rel::Column tmax_col(rel::DataType::kInt64);
+  rel::Column tmax_col;
   tmax_col.AppendInt64Bulk(rows.tmaxs);
   cols.push_back(std::move(tmax_col));
-  return rel::Table::FromColumns(std::move(schema), std::move(cols));
+  return rel::Table::FromColumns(std::move(cols));
 }
 
 Result<rel::Table> JoinRealizations(const rel::Table& left,
                                     const std::vector<uint64_t>& left_hashes,
                                     const PreparedActionSide& prepared,
-                                    rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
   thread_local RealizationRows rows;
   WICLEAN_RETURN_IF_ERROR(
       ProbeRealizations(left, left_hashes, prepared, spec, &rows));
-  return AssembleRealizations(left, prepared, std::move(schema), spec, rows);
+  return AssembleRealizations(left, prepared, spec, rows);
 }
 
 Result<rel::Table> JoinRealizations(const rel::Table& left,
                                     const rel::Table& right,
-                                    rel::Schema schema,
                                     const RealizationJoinSpec& spec) {
   WICLEAN_RETURN_IF_ERROR(ValidateRealizationInputs(left, right, spec));
   WICLEAN_ASSIGN_OR_RETURN(
@@ -285,8 +267,7 @@ Result<rel::Table> JoinRealizations(const rel::Table& left,
   WICLEAN_ASSIGN_OR_RETURN(
       std::vector<uint64_t> left_hashes,
       HashRealizationKeys(left, spec.glue_source_col, spec.glue_target_col));
-  return JoinRealizations(left, left_hashes, prepared, std::move(schema),
-                          spec);
+  return JoinRealizations(left, left_hashes, prepared, spec);
 }
 
 rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {
@@ -347,17 +328,17 @@ rel::Table DedupKeepTightest(const rel::Table& input, size_t num_vars) {
   std::vector<rel::Column> cols;
   cols.reserve(num_vars + 2);
   for (size_t c = 0; c < num_vars; ++c) {
-    rel::Column col(rel::DataType::kInt64);
+    rel::Column col;
     col.AppendGather(input.column(c), rep);
     cols.push_back(std::move(col));
   }
-  rel::Column tmin_col(rel::DataType::kInt64);
+  rel::Column tmin_col;
   tmin_col.AppendInt64Bulk(tmins);
   cols.push_back(std::move(tmin_col));
-  rel::Column tmax_col(rel::DataType::kInt64);
+  rel::Column tmax_col;
   tmax_col.AppendInt64Bulk(tmaxs);
   cols.push_back(std::move(tmax_col));
-  return rel::Table::FromColumns(input.schema(), std::move(cols));
+  return rel::Table::FromColumns(std::move(cols));
 }
 
 }  // namespace wiclean

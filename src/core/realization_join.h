@@ -17,9 +17,9 @@ namespace wiclean {
 /// reportable window, and optionally deduplicate by variable assignment —
 /// all in one pass, without materializing the wide join output.
 ///
-/// Left layout (the miner's invariant): `num_left_vars` int64 variable
-/// columns, then int64 "tmin", "tmax". Right layout: int64 (u, v, t) — one
-/// action occurrence per row. All cells are non-null by construction.
+/// Left layout (the miner's invariant): `num_left_vars` variable columns,
+/// then tmin, tmax. Right layout: (u, v, t) — one action occurrence per row.
+/// All cells are non-null by construction.
 struct RealizationJoinSpec {
   /// Number of variable columns on the left (left width = num_left_vars + 2).
   size_t num_left_vars = 0;
@@ -47,7 +47,7 @@ struct RealizationJoinSpec {
 /// stay unmodified. Read-only once built, so concurrent joins may share it.
 class PreparedActionSide {
  public:
-  /// Checks that `actions` is an all-int64 (u, v, t) table and builds the
+  /// Checks that `actions` is a three-column (u, v, t) table and builds the
   /// hash table on its key columns.
   [[nodiscard]] static Result<PreparedActionSide> Build(
       const relational::Table& actions, bool glued_target);
@@ -109,29 +109,26 @@ struct RealizationRows {
 
 /// Gathers the output table of a ProbeRealizations call with the same
 /// inputs. Output layout: left variable columns in order, then — with a
-/// fresh target — the bound v column, then "tmin", "tmax"; `schema` must
-/// describe exactly that shape.
+/// fresh target — the bound v column, then tmin, tmax.
 [[nodiscard]] Result<relational::Table> AssembleRealizations(
     const relational::Table& left, const PreparedActionSide& right,
-    relational::Schema schema, const RealizationJoinSpec& spec,
-    const RealizationRows& rows);
+    const RealizationJoinSpec& spec, const RealizationRows& rows);
 
 /// ProbeRealizations followed by AssembleRealizations. The result is
 /// deterministic and byte-identical to the unfused join + filter +
 /// DedupKeepTightest composition.
 [[nodiscard]] Result<relational::Table> JoinRealizations(
     const relational::Table& left, const std::vector<uint64_t>& left_hashes,
-    const PreparedActionSide& right, relational::Schema schema,
-    const RealizationJoinSpec& spec);
+    const PreparedActionSide& right, const RealizationJoinSpec& spec);
 
 /// One-shot form: prepares both sides of this one join, then runs the
 /// prepared-input kernel above.
 [[nodiscard]] Result<relational::Table> JoinRealizations(
     const relational::Table& left, const relational::Table& right,
-    relational::Schema schema, const RealizationJoinSpec& spec);
+    const RealizationJoinSpec& spec);
 
-/// Deduplicates an all-int64 realization table (num_vars variable columns +
-/// tmin + tmax) by variable assignment, keeping the tightest span per
+/// Deduplicates a realization table (num_vars variable columns + tmin +
+/// tmax) by variable assignment, keeping the tightest span per
 /// assignment in first-occurrence order. Flat-hash-table implementation on
 /// columnar data; output is identical to the test oracle
 /// ReferenceDedupKeepTightest (tests/support/reference_dedup.h).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <mutex>
-#include <set>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -14,6 +13,18 @@
 namespace wiclean {
 namespace {
 
+/// Writes the canonical code of the source-connected `pattern` to *code over
+/// `relations`, interning its relations first. Equal codes over one table
+/// mean equal patterns.
+void InternedCode(const Pattern& pattern, RelationTable* relations,
+                  std::vector<uint64_t>* code) {
+  for (const AbstractAction& a : pattern.actions()) {
+    relations->Intern(a.relation);
+  }
+  const bool coded = pattern.CanonicalCode(*relations, code);
+  WICLEAN_CHECK(coded);
+}
+
 /// Validation probes of one WindowSearch::Run (window tightening + leverage
 /// partitions). Each probed window gets one ActionIndex, shared by every
 /// probe in it: a probe ingests only the pattern variable types no earlier
@@ -22,24 +33,20 @@ namespace {
 /// superset invariant (action_index.h) keeps each probe's realizations
 /// exactly those of a fresh index. Frequencies are additionally memoized per
 /// (pattern, window), keyed by the pattern's canonical code over the
-/// evaluator's own relation table followed by the window's two bounds: every
+/// search's relation table followed by the window's two bounds: every
 /// league-extended transfer variant shares most of its sub-patterns, so most
-/// leverage probes are repeats. Probes are source-connected, so equal codes
-/// mean equal patterns. Validation runs serially, so nothing here needs a
-/// lock.
+/// leverage probes are repeats. Validation runs serially, so nothing here
+/// needs a lock.
 class FreqEvaluator {
  public:
   FreqEvaluator(const EntityRegistry* registry, const RevisionStore* store,
-                const PatternMiner* miner, TypeId seed_type)
+                const PatternMiner* miner, TypeId seed_type,
+                RelationTable* relations)
       : registry_(registry), store_(store), miner_(miner),
-        seed_type_(seed_type) {}
+        seed_type_(seed_type), relations_(relations) {}
 
   Result<double> operator()(const Pattern& pattern, const TimeWindow& window) {
-    for (const AbstractAction& a : pattern.actions()) {
-      relations_.Intern(a.relation);
-    }
-    const bool coded = pattern.CanonicalCode(relations_, &code_);
-    WICLEAN_CHECK(coded);
+    InternedCode(pattern, relations_, &code_);
     code_.push_back(static_cast<uint64_t>(window.begin));
     code_.push_back(static_cast<uint64_t>(window.end));
     const uint64_t hash = HashWords(code_);
@@ -72,7 +79,7 @@ class FreqEvaluator {
   const RevisionStore* store_;
   const PatternMiner* miner_;
   TypeId seed_type_;
-  RelationTable relations_;
+  RelationTable* relations_;         // the search's
   std::vector<uint64_t> code_;       // scratch: the probe's memo key
   CodeTable memo_;                   // (code, window) keys
   std::vector<double> frequencies_;  // by memo_ id
@@ -264,8 +271,12 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       "WindowSearchOptions::min_threshold", options_.min_threshold));
 
   WindowSearchResult result;
-  std::set<std::string> seen_keys;      // reported patterns
-  std::set<std::string> rejected_keys;  // validation-rejected artifacts
+  // Pattern identity across the whole search: canonical codes over one
+  // relation table, shared with the validation probes' memo.
+  RelationTable relations;
+  CodeTable seen;      // reported patterns
+  CodeTable rejected;  // validation-rejected artifacts
+  std::vector<uint64_t> code;  // scratch
 
   Timestamp width = options_.min_window_width;
   double threshold = options_.initial_threshold;
@@ -280,7 +291,8 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   // are threshold-independent, so one evaluator — its per-window indexes and
   // frequency memo — serves all rounds.
   PatternMiner probe_miner(registry_, store_, options_.miner);
-  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type);
+  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type,
+                        &relations);
   const size_t seed_count = registry_->CountEntitiesOfType(seed_type);
 
   // Context cache: re-examining the same window at a lower threshold reuses
@@ -355,9 +367,13 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       // shadowing get their turn.
       std::vector<MinedPattern> pool;
       for (MinedPattern& mp : wr.all_frequent) {
-        if (rejected_keys.count(mp.pattern.CanonicalKey()) == 0) {
-          pool.push_back(std::move(mp));
+        if (rejected.size() > 0) {
+          InternedCode(mp.pattern, &relations, &code);
+          if (rejected.Find(code, HashWords(code)) != CodeTable::kAbsent) {
+            continue;
+          }
         }
+        pool.push_back(std::move(mp));
       }
       std::vector<const Pattern*> pool_patterns;
       pool_patterns.reserve(pool.size());
@@ -369,8 +385,13 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       // shadowing its generalizations, false rejects it as an artifact.
       auto validate = [&](size_t pi) -> Result<bool> {
         MinedPattern& mp = pool[pi];
-        std::string key = mp.pattern.CanonicalKey();
-        if (seen_keys.count(key) > 0) return true;  // already reported
+        // `code` stays this pattern's until the next validate call: the
+        // probes below keep their own scratch.
+        InternedCode(mp.pattern, &relations, &code);
+        const uint64_t hash = HashWords(code);
+        if (seen.Find(code, hash) != CodeTable::kAbsent) {
+          return true;  // already reported
+        }
 
         bool genuine = true;
         if (options_.subwindow_validation &&
@@ -385,11 +406,11 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
           WICLEAN_ASSIGN_OR_RETURN(genuine, PassesLeverage(freq_of, mp));
         }
         if (!genuine) {
-          rejected_keys.insert(std::move(key));
+          rejected.Insert(code, hash);
           return false;
         }
 
-        seen_keys.insert(std::move(key));
+        seen.Insert(code, hash);
         ++new_patterns;
         DiscoveredPattern dp;
         dp.window_width = width;

@@ -27,17 +27,10 @@ void HashRowsForKeys(const Table& t, const std::vector<size_t>& cols,
   for (size_t c : cols) {
     const Column& col = t.column(c);
     const uint8_t* ok = col.validity().data();
-    if (col.type() == DataType::kInt64) {
-      const int64_t* data = col.int64_data().data();
-      for (size_t r = 0; r < n; ++r) {
-        uint64_t cell = ok[r] ? MixInt64(data[r]) : kNullCellHash;
-        (*hashes)[r] = HashCombine((*hashes)[r], cell);
-      }
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        uint64_t cell = ok[r] ? Fnv1a64(col.StringAt(r)) : kNullCellHash;
-        (*hashes)[r] = HashCombine((*hashes)[r], cell);
-      }
+    const int64_t* data = col.int64_data().data();
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t cell = ok[r] ? MixInt64(data[r]) : kNullCellHash;
+      (*hashes)[r] = HashCombine((*hashes)[r], cell);
     }
     if (valid != nullptr) {
       for (size_t r = 0; r < n; ++r) (*valid)[r] &= ok[r];

@@ -42,9 +42,8 @@ inline uint64_t MixInt64(int64_t v) {
 inline constexpr uint64_t kNullCellHash = 0x9ae16a3b2f90404fULL;
 
 /// Computes one combined 64-bit hash per row over the `cols` of `t`,
-/// column-at-a-time: one type dispatch per column, contiguous scans over
-/// Column::int64_data() and the validity mask, instead of per-cell boxed
-/// dispatch per probe.
+/// column-at-a-time: contiguous scans over Column::int64_data() and the
+/// validity mask.
 ///
 /// Two modes:
 ///  - `valid != nullptr` (join mode): (*valid)[r] is 1 iff every key cell of

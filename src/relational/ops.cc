@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "common/strings.h"
 #include "relational/join_hash_table.h"
 
 namespace wiclean::relational {
@@ -12,40 +11,27 @@ namespace {
 // nested-loop oracle, which deliberately stays row-at-a-time.
 bool CellsSqlEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   if (a.IsNull(ra) || b.IsNull(rb)) return false;
-  if (a.type() != b.type()) return false;
-  if (a.type() == DataType::kInt64) return a.Int64At(ra) == b.Int64At(rb);
-  return a.StringAt(ra) == b.StringAt(rb);
+  return a.Int64At(ra) == b.Int64At(rb);
 }
 
 // Structural equality (null == null); for dedup keys.
 bool CellsStructEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   bool an = a.IsNull(ra), bn = b.IsNull(rb);
   if (an || bn) return an && bn;
-  return CellsSqlEqual(a, ra, b, rb);
+  return a.Int64At(ra) == b.Int64At(rb);
 }
 
 Status ValidateSpec(const Table& left, const Table& right,
                     const JoinSpec& spec) {
-  auto check_pair = [&](const std::pair<size_t, size_t>& p,
-                        const char* kind) -> Status {
-    if (p.first >= left.num_columns() || p.second >= right.num_columns()) {
-      return Status::InvalidArgument(std::string(kind) +
-                                     " column index out of range");
+  auto in_range = [&](const std::vector<std::pair<size_t, size_t>>& pairs) {
+    for (const auto& [lc, rc] : pairs) {
+      if (lc >= left.num_columns() || rc >= right.num_columns()) return false;
     }
-    if (left.column(p.first).type() != right.column(p.second).type()) {
-      return Status::InvalidArgument(std::string(kind) +
-                                     " columns have mismatched types");
-    }
-    return Status::OK();
+    return true;
   };
-  for (const auto& p : spec.equal_cols) {
-    WICLEAN_RETURN_IF_ERROR(check_pair(p, "equality"));
-  }
-  for (const auto& p : spec.not_equal_cols) {
-    WICLEAN_RETURN_IF_ERROR(check_pair(p, "inequality"));
-  }
-  for (const auto& p : spec.wildcard_equal_cols) {
-    WICLEAN_RETURN_IF_ERROR(check_pair(p, "wildcard equality"));
+  if (!in_range(spec.equal_cols) || !in_range(spec.not_equal_cols) ||
+      !in_range(spec.wildcard_equal_cols)) {
+    return Status::InvalidArgument("join column index out of range");
   }
   return Status::OK();
 }
@@ -81,9 +67,7 @@ bool PairMatches(const Table& left, size_t lrow, const Table& right,
 }
 
 // Columnar verifier for hash-probe candidates: resolves column payload
-// pointers and types once per join, so per-candidate work on int64 columns is
-// raw array compares (the realization-table fast path) instead of per-cell
-// dispatch through boxed Values.
+// pointers once per join, so per-candidate work is raw array compares.
 class PairPredicate {
  public:
   PairPredicate(const Table& left, const Table& right, const JoinSpec& spec)
@@ -92,17 +76,8 @@ class PairPredicate {
                    const std::pair<size_t, size_t>& p) {
       const Column& lc = left.column(p.first);
       const Column& rc = right.column(p.second);
-      ColPair cp;
-      cp.lc = &lc;
-      cp.rc = &rc;
-      cp.ints = lc.type() == DataType::kInt64;
-      if (cp.ints) {
-        cp.li = lc.int64_data().data();
-        cp.ri = rc.int64_data().data();
-      }
-      cp.lv = lc.validity().data();
-      cp.rv = rc.validity().data();
-      out->push_back(cp);
+      out->push_back(ColPair{lc.int64_data().data(), rc.int64_data().data(),
+                             lc.validity().data(), rc.validity().data()});
     };
     for (const auto& p : spec.equal_cols) add(&equal_, p);
     for (const auto& p : spec.wildcard_equal_cols) add(&wildcard_, p);
@@ -113,30 +88,18 @@ class PairPredicate {
     // Equality columns: both cells are non-null here — null-keyed rows never
     // enter the build side and are skipped on probe.
     for (const ColPair& p : equal_) {
-      if (p.ints) {
-        if (p.li[l] != p.ri[r]) return false;
-      } else if (p.lc->StringAt(l) != p.rc->StringAt(r)) {
-        return false;
-      }
+      if (p.li[l] != p.ri[r]) return false;
     }
     for (const ColPair& p : wildcard_) {
       if (!p.lv[l] || !p.rv[r]) continue;  // wildcard: null matches
-      if (p.ints) {
-        if (p.li[l] != p.ri[r]) return false;
-      } else if (p.lc->StringAt(l) != p.rc->StringAt(r)) {
-        return false;
-      }
+      if (p.li[l] != p.ri[r]) return false;
     }
     for (const ColPair& p : not_equal_) {
       if (!p.lv[l] || !p.rv[r]) {
         if (!null_inequality_passes_) return false;
         continue;
       }
-      if (p.ints) {
-        if (p.li[l] == p.ri[r]) return false;
-      } else if (p.lc->StringAt(l) == p.rc->StringAt(r)) {
-        return false;
-      }
+      if (p.li[l] == p.ri[r]) return false;
     }
     return true;
   }
@@ -145,28 +108,23 @@ class PairPredicate {
   /// issued for whole probe batches so the (random-access) column loads of
   /// several candidate rows are in flight before their predicates run.
   void PrefetchRight(size_t r) const {
-    for (const ColPair& p : equal_) {
-      if (p.ints) WC_PREFETCH_READ(&p.ri[r]);
-    }
+    for (const ColPair& p : equal_) WC_PREFETCH_READ(&p.ri[r]);
     for (const ColPair& p : wildcard_) {
       WC_PREFETCH_READ(&p.rv[r]);
-      if (p.ints) WC_PREFETCH_READ(&p.ri[r]);
+      WC_PREFETCH_READ(&p.ri[r]);
     }
     for (const ColPair& p : not_equal_) {
       WC_PREFETCH_READ(&p.rv[r]);
-      if (p.ints) WC_PREFETCH_READ(&p.ri[r]);
+      WC_PREFETCH_READ(&p.ri[r]);
     }
   }
 
  private:
   struct ColPair {
-    const Column* lc = nullptr;
-    const Column* rc = nullptr;
-    const int64_t* li = nullptr;
-    const int64_t* ri = nullptr;
-    const uint8_t* lv = nullptr;
-    const uint8_t* rv = nullptr;
-    bool ints = false;
+    const int64_t* li;
+    const int64_t* ri;
+    const uint8_t* lv;
+    const uint8_t* rv;
   };
 
   std::vector<ColPair> equal_;
@@ -267,9 +225,8 @@ Result<HashJoinResult> HashJoinCore(const Table& left, const Table& right,
   std::vector<uint32_t> lrows, rrows;
   ProbeAll(build, lhash, lvalid, matches, &lrows, &rrows);
 
-  HashJoinResult result{Table(ConcatSchemas(left.schema(), right.schema())),
-                        {},
-                        {}};
+  HashJoinResult result{
+      Table(left.num_columns() + right.num_columns()), {}, {}};
   result.output.AppendConcatGather(left, lrows, right, rrows);
   if (track_matches) {
     result.left_matched.assign(left.num_rows(), 0);
@@ -301,7 +258,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
 Result<Table> NestedLoopJoin(const Table& left, const Table& right,
                              const JoinSpec& spec) {
   WICLEAN_RETURN_IF_ERROR(ValidateSpec(left, right, spec));
-  Table out(ConcatSchemas(left.schema(), right.schema()));
+  Table out(left.num_columns() + right.num_columns());
   for (size_t l = 0; l < left.num_rows(); ++l) {
     for (size_t r = 0; r < right.num_rows(); ++r) {
       if (PairMatches(left, l, right, r, spec)) {
@@ -316,7 +273,7 @@ Result<Table> FullOuterJoin(const Table& left, const Table& right,
                             const JoinSpec& spec) {
   WICLEAN_RETURN_IF_ERROR(ValidateSpec(left, right, spec));
 
-  Table out(ConcatSchemas(left.schema(), right.schema()));
+  Table out(left.num_columns() + right.num_columns());
   std::vector<uint8_t> left_matched(left.num_rows(), 0);
   std::vector<uint8_t> right_matched(right.num_rows(), 0);
 
@@ -351,62 +308,14 @@ Result<Table> FullOuterJoin(const Table& left, const Table& right,
   return out;
 }
 
-Table Filter(const Table& input,
-             const std::function<bool(const Table&, size_t)>& keep) {
-  std::vector<uint32_t> rows;
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    if (keep(input, r)) rows.push_back(static_cast<uint32_t>(r));
-  }
-  return input.GatherRows(rows);
-}
-
-Table FilterRowsWithNull(const Table& input) {
-  return Filter(input,
-                [](const Table& t, size_t r) { return t.RowHasNull(r); });
-}
-
-namespace {
-
-Result<Schema> ProjectedSchema(const Table& input,
-                               const std::vector<size_t>& cols,
-                               const std::vector<std::string>& names) {
-  if (!names.empty() && names.size() != cols.size()) {
-    return Status::InvalidArgument("names/cols size mismatch in Project");
-  }
-  Schema schema;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (cols[i] >= input.num_columns()) {
-      return Status::InvalidArgument("Project column index out of range");
-    }
-    const Field& f = input.schema().field(cols[i]);
-    schema.AddField(
-        Field{names.empty() ? f.name : names[i], f.type});
-  }
-  return schema;
-}
-
-}  // namespace
-
-Result<Table> Project(const Table& input, const std::vector<size_t>& cols,
-                      const std::vector<std::string>& names) {
-  WICLEAN_ASSIGN_OR_RETURN(Schema schema, ProjectedSchema(input, cols, names));
-  if (cols.empty()) {
-    // Degenerate zero-column projection: preserve the row count.
-    Table out(schema);
-    for (size_t r = 0; r < input.num_rows(); ++r) out.AppendRow({});
-    return out;
-  }
-  // Whole-column copies — no per-cell boxing.
-  std::vector<Column> out_cols;
-  out_cols.reserve(cols.size());
-  for (size_t c : cols) out_cols.push_back(input.column(c));
-  return Table::FromColumns(std::move(schema), std::move(out_cols));
-}
-
 Result<Table> DistinctProject(const Table& input,
-                              const std::vector<size_t>& cols,
-                              const std::vector<std::string>& names) {
-  WICLEAN_ASSIGN_OR_RETURN(Schema schema, ProjectedSchema(input, cols, names));
+                              const std::vector<size_t>& cols) {
+  for (size_t c : cols) {
+    if (c >= input.num_columns()) {
+      return Status::InvalidArgument(
+          "DistinctProject column index out of range");
+    }
+  }
 
   // Group rows by hash over the projected columns (nulls hash as a fixed
   // sentinel so null == null for dedup), then keep each row iff no earlier
@@ -440,11 +349,11 @@ Result<Table> DistinctProject(const Table& input,
   std::vector<Column> out_cols;
   out_cols.reserve(cols.size());
   for (size_t c : cols) {
-    Column col(input.column(c).type());
+    Column col;
     col.AppendGather(input.column(c), keep);
     out_cols.push_back(std::move(col));
   }
-  return Table::FromColumns(std::move(schema), std::move(out_cols));
+  return Table::FromColumns(std::move(out_cols));
 }
 
 Result<size_t> CountDistinct(const Table& input, size_t col) {
@@ -452,32 +361,12 @@ Result<size_t> CountDistinct(const Table& input, size_t col) {
     return Status::InvalidArgument("CountDistinct column index out of range");
   }
   const Column& c = input.column(col);
-  if (c.type() == DataType::kInt64) {
-    std::unordered_set<int64_t> seen;
-    seen.reserve(input.num_rows() * 2);
-    for (size_t r = 0; r < input.num_rows(); ++r) {
-      if (!c.IsNull(r)) seen.insert(c.Int64At(r));
-    }
-    return seen.size();
-  }
-  std::unordered_set<std::string> seen;
+  std::unordered_set<int64_t> seen;
+  seen.reserve(input.num_rows() * 2);
   for (size_t r = 0; r < input.num_rows(); ++r) {
-    if (!c.IsNull(r)) seen.insert(c.StringAt(r));
+    if (!c.IsNull(r)) seen.insert(c.Int64At(r));
   }
   return seen.size();
-}
-
-Status AppendAll(Table* dst, const Table& src) {
-  if (dst->num_columns() != src.num_columns()) {
-    return Status::InvalidArgument("AppendAll: column count mismatch");
-  }
-  for (size_t i = 0; i < dst->num_columns(); ++i) {
-    if (dst->column(i).type() != src.column(i).type()) {
-      return Status::InvalidArgument("AppendAll: column type mismatch");
-    }
-  }
-  dst->AppendAllRows(src);
-  return Status::OK();
 }
 
 }  // namespace wiclean::relational

@@ -1,18 +1,19 @@
 #include "relational/table.h"
 
-#include <algorithm>
+#include "common/logging.h"
 
 namespace wiclean::relational {
 
-Table::Table(Schema schema) : schema_(std::move(schema)) {
-  columns_.reserve(schema_.num_fields());
-  for (const Field& f : schema_.fields()) columns_.emplace_back(f.type);
-}
-
-void Table::AppendRow(const std::vector<Value>& row) {
+void Table::AppendRow(const std::vector<std::optional<int64_t>>& row) {
   WICLEAN_CHECK(row.size() == columns_.size())
-      << "row width " << row.size() << " vs schema " << columns_.size();
-  for (size_t i = 0; i < row.size(); ++i) columns_[i].AppendValue(row[i]);
+      << "row width " << row.size() << " vs table " << columns_.size();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].has_value()) {
+      columns_[i].AppendInt64(*row[i]);
+    } else {
+      columns_[i].AppendNull();
+    }
+  }
   ++num_rows_;
 }
 
@@ -49,38 +50,14 @@ void Table::AppendConcatRows(const Table& left, size_t lrow, const Table& right,
   ++num_rows_;
 }
 
-Table Table::FromColumns(Schema schema, std::vector<Column> columns) {
-  Table out(Schema{});
-  WICLEAN_CHECK(schema.num_fields() == columns.size());
-  for (size_t i = 0; i < columns.size(); ++i) {
-    WICLEAN_CHECK(columns[i].type() == schema.field(i).type);
-    WICLEAN_CHECK(columns[i].size() == columns[0].size());
+Table Table::FromColumns(std::vector<Column> columns) {
+  Table out(0);
+  for (const Column& c : columns) {
+    WICLEAN_CHECK(c.size() == columns[0].size());
   }
-  out.schema_ = std::move(schema);
   out.num_rows_ = columns.empty() ? 0 : columns[0].size();
   out.columns_ = std::move(columns);
   return out;
-}
-
-void Table::ReserveRows(size_t n) {
-  for (Column& c : columns_) c.Reserve(n);
-}
-
-Table Table::GatherRows(const std::vector<uint32_t>& rows) const {
-  Table out(schema_);
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    out.columns_[i].AppendGather(columns_[i], rows);
-  }
-  out.num_rows_ = rows.size();
-  return out;
-}
-
-void Table::AppendAllRows(const Table& other) {
-  WICLEAN_CHECK(other.num_columns() == num_columns());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    columns_[i].AppendColumn(other.columns_[i]);
-  }
-  num_rows_ += other.num_rows_;
 }
 
 void Table::AppendConcatGather(const Table& left,
@@ -118,8 +95,8 @@ size_t Table::ApproxBytes() const {
   return bytes;
 }
 
-std::vector<Value> Table::RowValues(size_t row) const {
-  std::vector<Value> out;
+std::vector<std::optional<int64_t>> Table::RowValues(size_t row) const {
+  std::vector<std::optional<int64_t>> out;
   out.reserve(columns_.size());
   for (const Column& c : columns_) out.push_back(c.ValueAt(row));
   return out;
@@ -130,36 +107,6 @@ bool Table::RowHasNull(size_t row) const {
     if (c.IsNull(row)) return true;
   }
   return false;
-}
-
-std::string Table::ToString(size_t max_rows) const {
-  std::string out = schema_.ToString();
-  out += "\n";
-  size_t shown = std::min(max_rows, num_rows_);
-  for (size_t r = 0; r < shown; ++r) {
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (c > 0) out += " | ";
-      out += columns_[c].ValueAt(r).ToString();
-    }
-    out += "\n";
-  }
-  if (shown < num_rows_) {
-    out += "... (" + std::to_string(num_rows_ - shown) + " more rows)\n";
-  }
-  return out;
-}
-
-Schema ConcatSchemas(const Schema& left, const Schema& right) {
-  Schema out = left;
-  for (const Field& f : right.fields()) {
-    Field g = f;
-    if (out.HasField(g.name)) g.name += "_r";
-    // A pathological schema could still collide ("x", "x_r", "x" on the
-    // right); keep suffixing until unique.
-    while (out.HasField(g.name)) g.name += "_r";
-    out.AddField(std::move(g));
-  }
-  return out;
 }
 
 }  // namespace wiclean::relational

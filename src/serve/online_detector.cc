@@ -10,19 +10,6 @@ namespace wiclean {
 
 namespace rel = ::wiclean::relational;
 
-namespace {
-
-/// Same ("u", "v", "t") layout as core/action_index.cc's realization tables.
-rel::Table NewRealizationTable() {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  return rel::Table(schema);
-}
-
-}  // namespace
-
 OnlineDetector::OnlineDetector(const EntityRegistry* registry,
                                OnlineDetectorOptions options)
     : registry_(registry),
@@ -146,8 +133,8 @@ Status OnlineDetector::Finalize(PatternState* state,
   // logs group by edge before collapsing, so single-edge reduction is
   // equivalent), then fan the net actions out to the pattern actions they
   // realize.
-  std::vector<rel::Table> tables(pattern.num_actions(),
-                                 NewRealizationTable());
+  // One (u, v, t) table per pattern action, as in core/action_index.h.
+  std::vector<rel::Table> tables(pattern.num_actions(), rel::Table(3));
   for (auto& [key, buffer] : state->edges) {
     std::stable_sort(buffer.begin(), buffer.end(),
                      [](const SeqAction& a, const SeqAction& b) {

@@ -57,13 +57,18 @@ execute_process(
     --taxonomy ${WORK_DIR}/taxonomy.tsv
     --alignment ${WORK_DIR}/alignment.tsv
     --seed-type soccer_player --threshold 0.8
-    --csv ${WORK_DIR}/signals.csv
+    --csv ${WORK_DIR}/signals.csv --max-print 2
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "detect failed: ${out}${err}")
 endif()
-if(NOT out MATCHES "potential error")
+if(NOT out MATCHES "pattern\\(s\\) scanned, ([0-9]+) potential error")
   message(FATAL_ERROR "detect summary missing: ${out}")
+endif()
+# --max-print 2 prints two signals, then counts every signal it left out.
+math(EXPR unprinted "${CMAKE_MATCH_1} - 2")
+if(NOT out MATCHES "\\.\\.\\. \\(${unprinted} more; use --csv to export all\\)")
+  message(FATAL_ERROR "detect --max-print 2: expected ${unprinted} more: ${out}")
 endif()
 file(READ ${WORK_DIR}/signals.csv csv)
 if(NOT csv MATCHES "pattern,window_begin_day")

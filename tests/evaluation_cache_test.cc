@@ -143,9 +143,7 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
     if (i % 3 == 0) {
       Pattern p;
       p.AddVar(static_cast<TypeId>(i));
-      relational::Schema schema;
-      schema.AddField(relational::Field{"v0", relational::DataType::kInt64});
-      relational::Table table(schema);
+      relational::Table table(1);
       table.AppendInt64Row({i});
       std::string key = p.CanonicalKey();
       cache.Keep(id, EvaluationCache::Realized{std::move(p), {}, std::move(key),

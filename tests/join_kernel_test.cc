@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -29,27 +30,17 @@ namespace {
 
 namespace rel = ::wiclean::relational;
 
-// Mixed-type table: two int64 columns, one string column, one more int64 —
-// each cell null with probability null_pct/100.
-rel::Table RandomMixedTable(Rng* rng, size_t rows, int64_t domain,
-                            uint64_t null_pct) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"a", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"b", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"s", rel::DataType::kString});
-  schema.AddField(rel::Field{"c", rel::DataType::kInt64});
-  rel::Table t(schema);
+// Four-column table, each cell null with probability null_pct/100.
+rel::Table RandomTable(Rng* rng, size_t rows, int64_t domain,
+                       uint64_t null_pct) {
+  rel::Table t(4);
+  std::vector<std::optional<int64_t>> row(4);
   for (size_t r = 0; r < rows; ++r) {
-    std::vector<rel::Value> row;
-    for (size_t c = 0; c < 4; ++c) {
+    for (std::optional<int64_t>& cell : row) {
       if (rng->NextBelow(100) < null_pct) {
-        row.push_back(rel::Value::Null());
-      } else if (c == 2) {
-        row.push_back(rel::Value::String(
-            "s" + std::to_string(rng->NextBelow(domain))));
+        cell = std::nullopt;
       } else {
-        row.push_back(rel::Value::Int64(
-            static_cast<int64_t>(rng->NextBelow(domain))));
+        cell = static_cast<int64_t>(rng->NextBelow(domain));
       }
     }
     t.AppendRow(row);
@@ -57,26 +48,25 @@ rel::Table RandomMixedTable(Rng* rng, size_t rows, int64_t domain,
   return t;
 }
 
-// Row renderings in table order (exact, order-sensitive comparison).
-std::vector<std::string> RowList(const rel::Table& t) {
-  std::vector<std::string> rows;
+using Row = std::vector<std::optional<int64_t>>;
+
+// Rows in table order (exact, order-sensitive comparison).
+std::vector<Row> RowList(const rel::Table& t) {
+  std::vector<Row> rows;
   rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (const rel::Value& v : t.RowValues(r)) key += v.ToString() + "|";
-    rows.push_back(std::move(key));
-  }
+  for (size_t r = 0; r < t.num_rows(); ++r) rows.push_back(t.RowValues(r));
   return rows;
 }
 
-std::vector<std::string> SortedRowList(const rel::Table& t) {
-  std::vector<std::string> rows = RowList(t);
+std::vector<Row> SortedRowList(const rel::Table& t) {
+  std::vector<Row> rows = RowList(t);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-// The join specs exercised against every random table pair: int64 and string
-// equality keys, inequalities, wildcards, and the null-tolerant mode.
+// The join specs exercised against every random table pair: single and
+// composite equality keys, inequalities, wildcards, and the null-tolerant
+// mode.
 std::vector<rel::JoinSpec> SpecZoo() {
   std::vector<rel::JoinSpec> specs;
   rel::JoinSpec s;
@@ -84,9 +74,9 @@ std::vector<rel::JoinSpec> SpecZoo() {
   specs.push_back(s);
   s.equal_cols = {{0, 0}, {1, 1}};
   specs.push_back(s);
-  s.equal_cols = {{2, 2}};  // string key
+  s.equal_cols = {{2, 2}};
   specs.push_back(s);
-  s.equal_cols = {{0, 0}, {2, 2}};  // mixed int64 + string key
+  s.equal_cols = {{0, 0}, {2, 2}};
   specs.push_back(s);
   s = rel::JoinSpec{};
   s.equal_cols = {{0, 0}};
@@ -116,9 +106,8 @@ class JoinKernelTest : public ::testing::TestWithParam<KernelCase> {};
 TEST_P(JoinKernelTest, HashJoinMatchesNestedLoopExactly) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
-  rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+  rel::Table left = RandomTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table right = RandomTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (const rel::JoinSpec& spec : SpecZoo()) {
     Result<rel::Table> h = rel::HashJoin(left, right, spec);
     Result<rel::Table> n = rel::NestedLoopJoin(left, right, spec);
@@ -133,9 +122,8 @@ TEST_P(JoinKernelTest, HashJoinMatchesNestedLoopExactly) {
 TEST_P(JoinKernelTest, HashJoinMatchesMultimapReferenceAsBag) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0x1234abcd);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
-  rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+  rel::Table left = RandomTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table right = RandomTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (const rel::JoinSpec& spec : SpecZoo()) {
     Result<rel::Table> h = rel::HashJoin(left, right, spec);
     Result<rel::Table> ref = rel::ReferenceHashJoin(left, right, spec);
@@ -150,9 +138,8 @@ TEST_P(JoinKernelTest, HashJoinMatchesMultimapReferenceAsBag) {
 TEST_P(JoinKernelTest, FullOuterJoinMatchesExhaustivePath) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0x77);
-  rel::Table left = RandomMixedTable(&rng, c.left_rows, c.domain, c.null_pct);
-  rel::Table right =
-      RandomMixedTable(&rng, c.right_rows, c.domain, c.null_pct);
+  rel::Table left = RandomTable(&rng, c.left_rows, c.domain, c.null_pct);
+  rel::Table right = RandomTable(&rng, c.right_rows, c.domain, c.null_pct);
   for (rel::JoinSpec spec : SpecZoo()) {
     spec.prefer_nested_loop = false;
     Result<rel::Table> fast = rel::FullOuterJoin(left, right, spec);
@@ -169,7 +156,7 @@ TEST_P(JoinKernelTest, FullOuterJoinMatchesExhaustivePath) {
 TEST_P(JoinKernelTest, DistinctProjectKeepsFirstOccurrences) {
   const KernelCase& c = GetParam();
   Rng rng(c.seed ^ 0xbeef);
-  rel::Table input = RandomMixedTable(&rng, c.left_rows, 3, c.null_pct);
+  rel::Table input = RandomTable(&rng, c.left_rows, 3, c.null_pct);
 
   std::vector<size_t> cols = {0, 2};
   Result<rel::Table> fast = rel::DistinctProject(input, cols);
@@ -177,10 +164,9 @@ TEST_P(JoinKernelTest, DistinctProjectKeepsFirstOccurrences) {
 
   // Naive order-preserving reference: linear scan over kept rows with
   // null == null semantics.
-  Result<rel::Table> projected = rel::Project(input, cols);
-  ASSERT_TRUE(projected.ok());
-  std::vector<std::string> keep;
-  for (const std::string& row : RowList(*projected)) {
+  std::vector<Row> keep;
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    const Row row = {input.column(0).ValueAt(r), input.column(2).ValueAt(r)};
     if (std::find(keep.begin(), keep.end(), row) == keep.end()) {
       keep.push_back(row);
     }
@@ -202,20 +188,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Realization-table kernels.
 
-rel::Schema VarSchema(size_t num_vars, const char* prefix) {
-  rel::Schema schema;
-  for (size_t i = 0; i < num_vars; ++i) {
-    schema.AddField(rel::Field{prefix + std::to_string(i),
-                               rel::DataType::kInt64});
-  }
-  schema.AddField(rel::Field{"tmin", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"tmax", rel::DataType::kInt64});
-  return schema;
-}
-
+// Realization tables: num_vars variable columns, then tmin, tmax.
 rel::Table RandomRealizationTable(Rng* rng, size_t rows, size_t num_vars,
                                   int64_t domain, int64_t horizon) {
-  rel::Table t(VarSchema(num_vars, "v"));
+  rel::Table t(num_vars + 2);
   std::vector<int64_t> row(num_vars + 2);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < num_vars; ++c) {
@@ -232,11 +208,7 @@ rel::Table RandomRealizationTable(Rng* rng, size_t rows, size_t num_vars,
 
 rel::Table RandomActionTable(Rng* rng, size_t rows, int64_t domain,
                              int64_t horizon) {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  rel::Table t(schema);
+  rel::Table t(3);  // u, v, t
   for (size_t r = 0; r < rows; ++r) {
     t.AppendInt64Row({static_cast<int64_t>(rng->NextBelow(domain)),
                       static_cast<int64_t>(rng->NextBelow(domain)),
@@ -267,7 +239,7 @@ rel::Table OracleJoinRealizations(const rel::Table& left,
   EXPECT_TRUE(joined.ok());
 
   const size_t out_vars = n + (fresh ? 1 : 0);
-  rel::Table realization(VarSchema(out_vars, "v"));
+  rel::Table realization(out_vars + 2);
   std::vector<int64_t> row(out_vars + 2);
   for (size_t r = 0; r < joined->num_rows(); ++r) {
     int64_t t = joined->column(n + 4).Int64At(r);
@@ -343,10 +315,7 @@ TEST_P(RealizationJoinTest, FusedMatchesUnfusedPipelineExactly) {
       for (bool dedup : {false, true}) {
         rs.max_span = max_span;
         rs.dedup_keep_tightest = dedup;
-        const size_t out_vars =
-            c.num_vars + (rs.glue_target_col < 0 ? 1 : 0);
-        Result<rel::Table> fused =
-            JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+        Result<rel::Table> fused = JoinRealizations(left, right, rs);
         ASSERT_TRUE(fused.ok());
         rel::Table oracle = OracleJoinRealizations(left, right, rs);
         EXPECT_EQ(RowList(*fused), RowList(oracle))
@@ -397,14 +366,11 @@ TEST_P(RealizationJoinTest, PreparedInputsMatchOneShotAndNestedLoop) {
       for (bool dedup : {false, true}) {
         rs.max_span = max_span;
         rs.dedup_keep_tightest = dedup;
-        const size_t out_vars =
-            c.num_vars + (rs.glue_target_col < 0 ? 1 : 0);
-        Result<rel::Table> prepared = JoinRealizations(
-            left, keys->second, side, VarSchema(out_vars, "v"), rs);
-        Result<rel::Table> one_shot =
-            JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+        Result<rel::Table> prepared =
+            JoinRealizations(left, keys->second, side, rs);
+        Result<rel::Table> one_shot = JoinRealizations(left, right, rs);
         ASSERT_TRUE(prepared.ok() && one_shot.ok());
-        const std::vector<std::string> rows = RowList(*prepared);
+        const std::vector<Row> rows = RowList(*prepared);
         EXPECT_EQ(rows, RowList(*one_shot))
             << "seed " << c.seed << " glue " << rs.glue_source_col << "/"
             << rs.glue_target_col << " max_span " << max_span;
@@ -428,17 +394,12 @@ TEST(PreparedRealizationJoinTest, RejectsMismatchedInputs) {
   Result<PreparedActionSide> fresh = PreparedActionSide::Build(right, false);
   Result<PreparedActionSide> glued = PreparedActionSide::Build(right, true);
   ASSERT_TRUE(keys.ok() && fresh.ok() && glued.ok());
-  EXPECT_TRUE(
-      JoinRealizations(left, *keys, *glued, VarSchema(2, "v"), spec).ok());
+  EXPECT_TRUE(JoinRealizations(left, *keys, *glued, spec).ok());
   // A fresh-target side for a glued spec, and a short hash vector.
-  EXPECT_EQ(JoinRealizations(left, *keys, *fresh, VarSchema(2, "v"), spec)
-                .status()
-                .code(),
+  EXPECT_EQ(JoinRealizations(left, *keys, *fresh, spec).status().code(),
             StatusCode::kInvalidArgument);
   std::vector<uint64_t> short_keys(keys->begin(), keys->end() - 1);
-  EXPECT_EQ(JoinRealizations(left, short_keys, *glued, VarSchema(2, "v"), spec)
-                .status()
-                .code(),
+  EXPECT_EQ(JoinRealizations(left, short_keys, *glued, spec).status().code(),
             StatusCode::kInvalidArgument);
   // Not a (u, v, t) table; a key column out of range.
   EXPECT_FALSE(PreparedActionSide::Build(left, false).ok());
@@ -457,8 +418,6 @@ TEST(RealizationScratchTest, LargeThenSmallJoinsMatchFreshReferences) {
   RealizationRows reused;
   auto check = [&](const rel::Table& left, const rel::Table& right,
                    const RealizationJoinSpec& rs, const std::string& what) {
-    const size_t out_vars =
-        rs.num_left_vars + (rs.glue_target_col < 0 ? 1 : 0);
     Result<PreparedActionSide> side =
         PreparedActionSide::Build(right, rs.glue_target_col >= 0);
     Result<std::vector<uint64_t>> keys =
@@ -466,19 +425,17 @@ TEST(RealizationScratchTest, LargeThenSmallJoinsMatchFreshReferences) {
     ASSERT_TRUE(side.ok() && keys.ok()) << what;
     ASSERT_TRUE(ProbeRealizations(left, *keys, *side, rs, &reused).ok())
         << what;
-    Result<rel::Table> assembled = AssembleRealizations(
-        left, *side, VarSchema(out_vars, "v"), rs, reused);
-    Result<rel::Table> wrapped =
-        JoinRealizations(left, *keys, *side, VarSchema(out_vars, "v"), rs);
+    Result<rel::Table> assembled =
+        AssembleRealizations(left, *side, rs, reused);
+    Result<rel::Table> wrapped = JoinRealizations(left, *keys, *side, rs);
     ASSERT_TRUE(assembled.ok() && wrapped.ok()) << what;
-    std::vector<std::string> fresh_rows;
+    std::vector<Row> fresh_rows;
     std::thread fresh([&] {
-      Result<rel::Table> one_shot =
-          JoinRealizations(left, right, VarSchema(out_vars, "v"), rs);
+      Result<rel::Table> one_shot = JoinRealizations(left, right, rs);
       if (one_shot.ok()) fresh_rows = RowList(*one_shot);
     });
     fresh.join();
-    const std::vector<std::string> rows = RowList(*assembled);
+    const std::vector<Row> rows = RowList(*assembled);
     EXPECT_EQ(rows.size(), reused.size()) << what;
     EXPECT_EQ(rows, RowList(*wrapped)) << what;
     EXPECT_EQ(rows, fresh_rows) << what;

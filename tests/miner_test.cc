@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -458,6 +459,16 @@ std::vector<std::string> RelationNames(const MiningContext& context) {
   return names;
 }
 
+/// Every cell of `t` (empty = null), row by row, after one row holding the
+/// column count: equal results mean equal tables.
+std::vector<std::vector<std::optional<int64_t>>> Cells(
+    const relational::Table& t) {
+  std::vector<std::vector<std::optional<int64_t>>> rows = {
+      {static_cast<int64_t>(t.num_columns())}};
+  for (size_t r = 0; r < t.num_rows(); ++r) rows.push_back(t.RowValues(r));
+  return rows;
+}
+
 /// (key, frequency, support) of each mined pattern, in output order.
 std::vector<std::tuple<std::string, double, size_t>> PatternSignature(
     const std::vector<MinedPattern>& ps) {
@@ -519,8 +530,8 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
             << key;
       }
       EXPECT_EQ(got.context->Find(kept), id) << key;
-      EXPECT_EQ(state.realized->realizations.ToString(1 << 20),
-                other.realized->realizations.ToString(1 << 20))
+      EXPECT_EQ(Cells(state.realized->realizations),
+                Cells(other.realized->realizations))
           << key;
       kept_bytes += state.realized->realizations.ApproxBytes();
     } else {
@@ -979,8 +990,8 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
       // Both keep the table, or neither does.
       ASSERT_EQ(state.realized == nullptr, other.realized == nullptr) << key;
       if (state.realized != nullptr) {
-        EXPECT_EQ(state.realized->realizations.ToString(1 << 20),
-                  other.realized->realizations.ToString(1 << 20))
+        EXPECT_EQ(Cells(state.realized->realizations),
+                  Cells(other.realized->realizations))
             << key;
       }
     }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "relational/ops.h"
@@ -14,11 +16,7 @@ namespace wiclean::relational {
 namespace {
 
 Table RandomTable(Rng* rng, size_t rows, size_t cols, int64_t domain) {
-  Schema schema;
-  for (size_t c = 0; c < cols; ++c) {
-    schema.AddField(Field{"c" + std::to_string(c), DataType::kInt64});
-  }
-  Table t(schema);
+  Table t(cols);
   std::vector<int64_t> row(cols);
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < cols; ++c) {
@@ -29,13 +27,11 @@ Table RandomTable(Rng* rng, size_t rows, size_t cols, int64_t domain) {
   return t;
 }
 
-std::multiset<std::string> RowBag(const Table& t) {
-  std::multiset<std::string> bag;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::string key;
-    for (const Value& v : t.RowValues(r)) key += v.ToString() + "|";
-    bag.insert(std::move(key));
-  }
+using Row = std::vector<std::optional<int64_t>>;
+
+std::multiset<Row> RowBag(const Table& t) {
+  std::multiset<Row> bag;
+  for (size_t r = 0; r < t.num_rows(); ++r) bag.insert(t.RowValues(r));
   return bag;
 }
 
@@ -80,9 +76,9 @@ TEST_P(JoinAgreementTest, OuterJoinContainsInnerJoin) {
   ASSERT_TRUE(outer.ok());
 
   // Every inner row appears in the outer result; the rest have nulls.
-  std::multiset<std::string> inner_bag = RowBag(*inner);
-  std::multiset<std::string> outer_bag = RowBag(*outer);
-  for (const std::string& row : inner_bag) {
+  std::multiset<Row> inner_bag = RowBag(*inner);
+  std::multiset<Row> outer_bag = RowBag(*outer);
+  for (const Row& row : inner_bag) {
     EXPECT_GT(outer_bag.count(row), 0u);
   }
   size_t padded = 0;

@@ -6,20 +6,6 @@ namespace wiclean {
 
 namespace rel = ::wiclean::relational;
 
-namespace {
-
-rel::Table NewRealizationTable() {
-  rel::Schema schema;
-  schema.AddField(rel::Field{"u", rel::DataType::kInt64});
-  schema.AddField(rel::Field{"v", rel::DataType::kInt64});
-  // Timestamp of the reduced action. The mining joins reference only u/v;
-  // the time column feeds realization-span computation (window tightening).
-  schema.AddField(rel::Field{"t", rel::DataType::kInt64});
-  return rel::Table(schema);
-}
-
-}  // namespace
-
 ReferenceActionIndex::ReferenceActionIndex(const EntityRegistry* registry,
                                            const RevisionStore* store,
                                            const TimeWindow& window,
@@ -75,7 +61,7 @@ void ReferenceActionIndex::IngestAction(const Action& action) {
       if (it == entries_.end()) {
         it = entries_
                  .emplace(std::move(encoded),
-                          AbstractActionEntry(key, NewRealizationTable()))
+                          AbstractActionEntry(key, rel::Table(3)))
                  .first;
       }
       it->second.realizations.AppendInt64Row(

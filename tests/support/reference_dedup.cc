@@ -45,7 +45,7 @@ rel::Table ReferenceDedupKeepTightest(const rel::Table& input,
       rows.push_back(row);
     }
   }
-  rel::Table out(input.schema());
+  rel::Table out(width);
   for (const std::vector<int64_t>& kept : rows) out.AppendInt64Row(kept);
   return out;
 }

@@ -7,30 +7,26 @@
 namespace wiclean::relational {
 namespace {
 
-// This file is the old row-at-a-time hash join, preserved unchanged when the
-// columnar kernels replaced it in ops.cc. Do not "optimize" it — its value is
+// This file is the old row-at-a-time hash join, preserved when the columnar
+// kernels replaced it in ops.cc (only its string and column-type branches
+// went when tables became int64-only). Do not "optimize" it — its value is
 // being the known-good baseline the fast path is differenced against.
 
 // Hash of one cell; nulls get a fixed sentinel (they never *match*, but they
 // must hash consistently for dedup).
 uint64_t CellHash(const Column& col, size_t row) {
   if (col.IsNull(row)) return 0x9ae16a3b2f90404fULL;
-  if (col.type() == DataType::kInt64) {
-    uint64_t x = static_cast<uint64_t>(col.Int64At(row));
-    // splitmix-style finalizer for avalanche on small ids.
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-  return Fnv1a64(col.StringAt(row));
+  uint64_t x = static_cast<uint64_t>(col.Int64At(row));
+  // splitmix-style finalizer for avalanche on small ids.
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 // SQL equality of two cells (false when either is null).
 bool CellsSqlEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   if (a.IsNull(ra) || b.IsNull(rb)) return false;
-  if (a.type() != b.type()) return false;
-  if (a.type() == DataType::kInt64) return a.Int64At(ra) == b.Int64At(rb);
-  return a.StringAt(ra) == b.StringAt(rb);
+  return a.Int64At(ra) == b.Int64At(rb);
 }
 
 Status ValidateSpec(const Table& left, const Table& right,
@@ -40,10 +36,6 @@ Status ValidateSpec(const Table& left, const Table& right,
     if (p.first >= left.num_columns() || p.second >= right.num_columns()) {
       return Status::InvalidArgument(std::string(kind) +
                                      " column index out of range");
-    }
-    if (left.column(p.first).type() != right.column(p.second).type()) {
-      return Status::InvalidArgument(std::string(kind) +
-                                     " columns have mismatched types");
     }
     return Status::OK();
   };
@@ -124,7 +116,7 @@ Result<Table> ReferenceHashJoin(const Table& left, const Table& right,
     if (!has_null_key) build.emplace(RowKeyHash(right, r, rkeys), r);
   }
 
-  Table out(ConcatSchemas(left.schema(), right.schema()));
+  Table out(left.num_columns() + right.num_columns());
   for (size_t l = 0; l < left.num_rows(); ++l) {
     uint64_t h = RowKeyHash(left, l, lkeys);
     auto [lo, hi] = build.equal_range(h);

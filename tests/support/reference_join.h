@@ -6,7 +6,7 @@
 namespace wiclean::relational {
 
 /// The pre-columnar hash join, kept verbatim as a differential-testing and
-/// benchmarking reference: std::unordered_multimap build side, per-row boxed
+/// benchmarking reference: std::unordered_multimap build side, per-row
 /// key hashing, and row-at-a-time AppendConcatRows output. Semantics are
 /// identical to HashJoin except that output order within one left row follows
 /// multimap equal_range order, which is unspecified — compare results as

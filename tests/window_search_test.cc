@@ -87,6 +87,53 @@ TEST_F(WindowSearchTest, PatternsDedupedAcrossRounds) {
   }
 }
 
+TEST_F(WindowSearchTest, RejectedArtifactsStayRejectedAcrossRounds) {
+  // A one-round search shows what the first round of the full search
+  // rejects: without validation every pool root is reported, and a root that
+  // the validated round does not report was validated and rejected (a pool
+  // only loses members to rejection, so a root stays a root). On this world
+  // rounds at 0.3 reject artifacts; rounds at 0.4 and above reject none.
+  WindowSearchOptions full_options = Options();
+  full_options.initial_threshold = 0.3;
+  WindowSearchOptions one_round = full_options;
+  one_round.max_window_width = one_round.min_window_width;
+  one_round.min_threshold = one_round.initial_threshold;
+  one_round.mine_relative = false;
+  WindowSearchOptions unvalidated = one_round;
+  unvalidated.subwindow_validation = false;
+  unvalidated.leverage_validation = false;
+  Result<WindowSearchResult> validated_round =
+      WindowSearch(world_->registry.get(), &world_->store, one_round)
+          .Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  Result<WindowSearchResult> roots =
+      WindowSearch(world_->registry.get(), &world_->store, unvalidated)
+          .Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_TRUE(validated_round.ok() && roots.ok());
+  std::set<std::string> kept;
+  for (const DiscoveredPattern& dp : validated_round->patterns) {
+    kept.insert(dp.mined.pattern.CanonicalKey());
+  }
+  std::set<std::string> rejected;
+  for (const DiscoveredPattern& dp : roots->patterns) {
+    const std::string key = dp.mined.pattern.CanonicalKey();
+    if (kept.count(key) == 0) rejected.insert(key);
+  }
+  ASSERT_FALSE(rejected.empty());
+
+  // The full search's first round is that round. Its later rounds mine the
+  // same patterns again, at wider windows and lower thresholds; none of the
+  // rejected ones may come back.
+  Result<WindowSearchResult> full =
+      WindowSearch(world_->registry.get(), &world_->store, full_options)
+          .Run(world_->types.soccer_player, 0, kSecondsPerYear);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->rounds.size(), 1u);
+  for (const DiscoveredPattern& dp : full->patterns) {
+    EXPECT_EQ(rejected.count(dp.mined.pattern.CanonicalKey()), 0u)
+        << dp.mined.pattern.ToString(*world_->taxonomy);
+  }
+}
+
 TEST_F(WindowSearchTest, WindowlessPatternsAreMissed) {
   WindowSearch search(world_->registry.get(), &world_->store, Options());
   Result<WindowSearchResult> result =

@@ -371,10 +371,11 @@ int PrintReports(const LoadedCorpus& corpus,
   std::printf("%zu pattern(s) scanned, %zu potential error(s)\n",
               reports.size(), total_signals);
   size_t max_print = static_cast<size_t>(args.GetInt("max-print", 20));
-  size_t printed = 0;
+  size_t shown = 0;
   for (const PartialUpdateReport& report : reports) {
     for (const PartialRealization& pr : report.partials) {
-      if (printed++ >= max_print) break;
+      if (shown == max_print) break;
+      ++shown;
       std::printf("  potential error in %s:",
                   report.window.ToString().c_str());
       for (size_t mi : pr.missing_actions) {
@@ -392,9 +393,9 @@ int PrintReports(const LoadedCorpus& corpus,
       std::printf("\n");
     }
   }
-  if (printed > max_print) {
+  if (shown < total_signals) {
     std::printf("  ... (%zu more; use --csv to export all)\n",
-                printed - max_print);
+                total_signals - shown);
   }
   return 0;
 }
