@@ -14,6 +14,13 @@
 // ingests every revision log up front (including cinema, politics and
 // background noise, whose abstractions inflate the candidate space), while
 // PM only follows types reachable through frequent patterns.
+//
+// The paper's counts are of evaluated candidates, with no Apriori pruning.
+// Here a candidate is either evaluated or pruned (skipped because a cached
+// sub-pattern bounds it below the realization cache floor), so the table
+// prints both and their sum; the ratio compares the sums. A pruned
+// extension is counted at each skip, so the sum can exceed what an unpruned
+// miner evaluates, which finds some of those patterns cached.
 
 #include <cstdio>
 
@@ -54,8 +61,9 @@ int main(int argc, char** argv) {
   base.max_abstraction_lift = 1;
   base.max_pattern_actions = 4;
 
-  std::printf("%-12s %12s %14s %12s %10s\n", "variant", "candidates",
-              "logs ingested", "actions", "patterns");
+  std::printf("%-12s %10s %8s %10s %14s %12s %10s\n", "variant",
+              "evaluated", "pruned", "candidates", "logs ingested", "actions",
+              "patterns");
   size_t candidates[2] = {0, 0};
   int i = 0;
   for (GraphStrategy strategy :
@@ -69,13 +77,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    candidates[i++] = result->stats.candidates_considered;
-    std::printf("%-12s %12zu %14zu %12zu %10zu\n",
+    const MineWindowStats& stats = result->stats;
+    candidates[i] = stats.candidates_considered + stats.candidates_pruned;
+    std::printf("%-12s %10zu %8zu %10zu %14zu %12zu %10zu\n",
                 strategy == GraphStrategy::kIncremental ? "PM" : "PM-inc",
-                result->stats.candidates_considered,
-                result->stats.entities_ingested,
-                result->stats.actions_ingested,
-                result->most_specific.size());
+                stats.candidates_considered, stats.candidates_pruned,
+                candidates[i++], stats.entities_ingested,
+                stats.actions_ingested, result->most_specific.size());
   }
   if (candidates[0] > 0) {
     std::printf("\nPM-inc / PM candidate ratio: %.2fx (paper: ~4.2x)\n",

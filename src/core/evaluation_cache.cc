@@ -18,6 +18,20 @@ inline size_t FibonacciSlot(uint64_t value, int shift) {
   return static_cast<size_t>((value * 0x9e3779b97f4a7c15ULL) >> shift);
 }
 
+/// An ExtensionBounds key as two words, and the slot they hash to.
+uint64_t HeadOf(const ExtensionBounds::Key& key) {
+  return uint64_t{key.base} << 32 | key.action;
+}
+
+uint64_t GlueOf(const ExtensionBounds::Key& key) {
+  return uint64_t{static_cast<uint32_t>(key.glue_source)} << 32 |
+         static_cast<uint32_t>(key.glue_target);
+}
+
+size_t BoundSlot(uint64_t head, uint64_t glue, int shift) {
+  return FibonacciSlot(head ^ (glue * 0xbf58476d1ce4e5b9ULL), shift);
+}
+
 }  // namespace
 
 bool PairHashSet::Contains(uint64_t value) const {
@@ -106,6 +120,59 @@ void CodeTable::Grow() {
     size_t s = FibonacciSlot(entries_[id].hash, shift_);
     while (slots_[s] != kAbsent) s = (s + 1) & mask;
     slots_[s] = id;
+  }
+}
+
+void ExtensionBounds::SyncTo(size_t index_state, uint32_t cache_size) {
+  if (index_state == index_state_) return;
+  index_state_ = index_state;
+  first_id_ = cache_size;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
+}
+
+const double* ExtensionBounds::Find(const Key& key) const {
+  if (slots_.empty()) return nullptr;
+  const uint64_t head = HeadOf(key);
+  const uint64_t glue = GlueOf(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = BoundSlot(head, glue, shift_);; s = (s + 1) & mask) {
+    const Slot& slot = slots_[s];
+    if (slot.head == kEmpty) return nullptr;
+    if (slot.head == head && slot.glue == glue) return &slot.bound;
+  }
+}
+
+void ExtensionBounds::Record(const Key& key, double bound) {
+  WICLEAN_CHECK(key.base != CodeTable::kAbsent);
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const uint64_t head = HeadOf(key);
+  const uint64_t glue = GlueOf(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = BoundSlot(head, glue, shift_);; s = (s + 1) & mask) {
+    Slot& slot = slots_[s];
+    if (slot.head == kEmpty) {
+      slot = Slot{head, glue, bound};
+      ++size_;
+      return;
+    }
+    if (slot.head == head && slot.glue == glue) {
+      slot.bound = std::min(slot.bound, bound);
+      return;
+    }
+  }
+}
+
+void ExtensionBounds::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.head == kEmpty) continue;
+    size_t s = BoundSlot(slot.head, slot.glue, shift_);
+    while (slots_[s].head != kEmpty) s = (s + 1) & mask;
+    slots_[s] = slot;
   }
 }
 

@@ -75,6 +75,54 @@ class CodeTable {
   int shift_ = 64;               // 64 - log2(slots_.size())
 };
 
+/// Upper bounds on the frequency of pattern extensions, all measured at one
+/// index state, for the miner's Apriori pruning. An extension is keyed by
+/// (base cache id, action slot, glue source, glue target), where the action
+/// slot is the action's position in the index's entry order. Only ingestion
+/// changes that order, so SyncTo forgets every bound when the index state
+/// moves. Open addressing with linear probing over one flat slot array.
+class ExtensionBounds {
+ public:
+  struct Key {
+    uint32_t base = 0;  // cache id of the extended pattern
+    uint32_t action = 0;
+    int32_t glue_source = 0;
+    int32_t glue_target = -1;  // -1 = fresh target variable
+  };
+
+  /// Makes `index_state` (ActionIndex::num_actions_ingested) current. When it
+  /// differs from the state the bounds were measured at, forgets them all and
+  /// notes `cache_size`: cache ids from there on are evaluated at it.
+  void SyncTo(size_t index_state, uint32_t cache_size);
+
+  /// The first cache id evaluated at the current index state.
+  uint32_t first_id() const { return first_id_; }
+
+  /// The bound recorded for `key`, or null.
+  const double* Find(const Key& key) const;
+
+  /// Records `bound` for `key`, keeping the lower of two records.
+  void Record(const Key& key, double bound);
+
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};  // no base id is ~0
+  struct Slot {
+    uint64_t head = kEmpty;  // base << 32 | action
+    uint64_t glue = 0;       // glue source << 32 | glue target
+    double bound = 0;
+  };
+
+  void Grow();
+
+  std::vector<Slot> slots_;  // power-of-two capacity, at most half full
+  int shift_ = 64;           // 64 - log2(capacity)
+  size_t size_ = 0;
+  size_t index_state_ = 0;
+  uint32_t first_id_ = 0;
+};
+
 /// The miner's cache of evaluated patterns, keyed by canonical code
 /// (Pattern::CanonicalCode over the mining context's relation table).
 /// Entries are numbered by insertion order; ids stay valid for the cache's
@@ -102,6 +150,10 @@ class EvaluationCache {
     /// One realization per row, by position: column k binds pattern
     /// variable k (k < num_vars), then the realization's tmin and tmax.
     relational::Table realizations;
+    /// The kept pattern this one extends by its last action, whose table
+    /// `realizations` was joined from; kAbsent for a singleton. pattern
+    /// numbers its variables as the parent does, plus at most one.
+    Id parent = kAbsent;
   };
 
   struct State {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +40,7 @@ std::string WorkingSetProfile::ToJson() const {
 
 void MineWindowStats::Accumulate(const MineWindowStats& other) {
   candidates_considered += other.candidates_considered;
+  candidates_pruned += other.candidates_pruned;
   entities_ingested += other.entities_ingested;
   actions_ingested += other.actions_ingested;
   abstract_actions += other.abstract_actions;
@@ -50,6 +52,7 @@ void MineWindowStats::Accumulate(const MineWindowStats& other) {
 
 std::string MineWindowStats::ToString() const {
   return "candidates=" + std::to_string(candidates_considered) +
+         " pruned=" + std::to_string(candidates_pruned) +
          " entities=" + std::to_string(entities_ingested) +
          " actions=" + std::to_string(actions_ingested) +
          " abstract_actions=" + std::to_string(abstract_actions) +
@@ -226,6 +229,7 @@ class PatternMiner::Impl {
   /// its left-side join keys among the generation's prepared inputs.
   struct ExtensionCandidate {
     const Realized* base = nullptr;
+    Id base_id = EvaluationCache::kAbsent;
     size_t action = 0;  // index into ExpandAll's action snapshot
     int glue_source = 0;
     int glue_target = -1;  // -1 = fresh target variable
@@ -235,10 +239,12 @@ class PatternMiner::Impl {
   /// One enumerated extension as the commit replays it, in enumeration
   /// order: the cache id its code had when the generation was enumerated,
   /// or else (cached == kAbsent) the generation's one evaluation of its
-  /// code — which is also the index of that code in generation_.
+  /// code — which is also the index of that code in generation_; and the
+  /// key its bound is recorded under should it fall below the floor.
   struct Enumerated {
     Id cached = EvaluationCache::kAbsent;
     Id evaluation = 0;
+    ExtensionBounds::Key key;
   };
 
   /// One abstract action of the index snapshot an ExpandAll call works on,
@@ -249,6 +255,10 @@ class PatternMiner::Impl {
   struct ActionSlot {
     const AbstractActionEntry* entry = nullptr;
     uint64_t key_hash = 0;  // Fnv1a64 of the entry's encoded key
+    /// The frequency of the entry's singleton pattern if cached, else
+    /// infinity; looked up the first time a candidate glues the entry at its
+    /// source variable.
+    std::optional<double> root_frequency;
     std::optional<PreparedActionSide> fresh_side;
     std::optional<PreparedActionSide> glued_side;
   };
@@ -272,23 +282,30 @@ class PatternMiner::Impl {
   ///
   /// Parallel structure: the worklist is processed in generations — all
   /// untested pairs of the patterns admitted so far are enumerated (marking
-  /// them tested) and each extension is coded serially from its base and
-  /// the new action, without building it. An extension whose code is
-  /// already cached, or already enumerated in this generation, is not
-  /// evaluated; every other one joins the generation's candidate list. The
-  /// shared join inputs are prepared serially (one left key-hash vector per
-  /// base pattern and glue columns, one action side per action and key
-  /// shape), every candidate is evaluated as a pure task against those
-  /// read-only inputs (per-task result slots, no shared writes), and the
-  /// enumerated extensions commit serially in enumeration order: a cached
-  /// one re-admits its state, the first of a code inserts the evaluation,
-  /// and a later duplicate re-admits what the first inserted without being
-  /// counted. A candidate's base pattern is always from an earlier
-  /// generation, so evaluations never depend on same-generation commits. The
-  /// admitted worklist, cache contents, and every stats counter are
-  /// therefore identical at any MinerOptions::num_threads.
+  /// them tested). An extension that PruneBound proves below the
+  /// realization cache floor is skipped there, uncoded and unevaluated;
+  /// every other one is coded serially from its base and the new action,
+  /// without building it. An extension whose code is already cached, or
+  /// already enumerated in this generation, is not evaluated; every other
+  /// one joins the generation's candidate list. The shared join inputs are
+  /// prepared serially (one left key-hash vector per base pattern and glue
+  /// columns, one action side per action and key shape), every candidate is
+  /// evaluated as a pure task against those read-only inputs (per-task
+  /// result slots, no shared writes), and the enumerated extensions commit
+  /// serially in enumeration order: a cached one re-admits its state, the
+  /// first of a code inserts the evaluation, and a later duplicate re-admits
+  /// what the first inserted without being counted. The commit also records
+  /// each below-floor extension's frequency in ctx_->bounds, where rule S
+  /// of PruneBound reads it. A candidate's base pattern is always from an
+  /// earlier generation, so evaluations and prune checks never depend on
+  /// same-generation commits. The admitted worklist, cache contents, and
+  /// every stats counter are therefore identical at any
+  /// MinerOptions::num_threads.
   Status ExpandAll(double admission, Worklist* admitted, PairHashSet* tested,
                    bool mark_frequent) {
+    ExtensionBounds& bounds = ctx_->bounds;
+    bounds.SyncTo(ctx_->index.num_actions_ingested(),
+                  static_cast<uint32_t>(ctx_->evaluated.size()));
     if (mark_frequent) {
       WICLEAN_RETURN_IF_ERROR(ScanSingletons(admission, admitted, tested));
     }
@@ -346,9 +363,18 @@ class PatternMiner::Impl {
           if (!tested->Insert(pair_key)) continue;
           const AbstractActionEntry& entry = *actions[ai].entry;
           pair_extensions.clear();
-          CollectPair(base, has_seed_var, ai, entry, &pair_extensions);
+          CollectPair(base, id, has_seed_var, ai, entry, &pair_extensions);
           for (const ExtensionCandidate& c : pair_extensions) {
-            enumerated.push_back(Enumerate(c, entry, &candidates));
+            const ExtensionBounds::Key key{id, static_cast<uint32_t>(ai),
+                                           c.glue_source, c.glue_target};
+            if (std::optional<double> bound = PruneBound(c, &actions[ai])) {
+              ++stats_->candidates_pruned;
+              bounds.Record(key, *bound);
+              continue;
+            }
+            Enumerated e = Enumerate(c, entry, &candidates);
+            e.key = key;
+            enumerated.push_back(e);
           }
         }
         if (hash_join) {
@@ -387,6 +413,13 @@ class PatternMiner::Impl {
             committed[e.evaluation] = id;
           }
         }
+        // Ids from first_id() on were evaluated at this index state; an
+        // older cache hit bounds nothing now.
+        const double frequency = ctx_->evaluated.state(id).frequency;
+        if (frequency < options_.realization_cache_min_frequency &&
+            id >= bounds.first_id()) {
+          bounds.Record(e.key, frequency);
+        }
         WICLEAN_RETURN_IF_ERROR(
             MaybeAdmit(id, admission, admitted, mark_frequent));
       }
@@ -406,6 +439,55 @@ class PatternMiner::Impl {
       code_actions_.push_back(
           CodedAction{a.op, a.source_var, base.relations[i], a.target_var});
     }
+  }
+
+  /// Apriori pruning: a bound below the realization cache floor on the
+  /// frequency of extension `c`, read from one cached sub-pattern, or
+  /// nullopt. Nothing is coded per candidate. Frequency only falls as a
+  /// pattern grows, so
+  ///   - rule R: an action glued at the source variable is bounded by its
+  ///     singleton, whose support counts seed sources only — all ingested
+  ///     before the first expansion, so it never goes stale;
+  ///   - rule S: when the base extends its parent (Realized::parent) and `c`
+  ///     glues to the parent's variables only, dropping the base's last
+  ///     action leaves the parent's extension by the same action and gluing.
+  ///     Its bound counts when recorded at this index state: ingestion grows
+  ///     the action tables, and the cache keeps what it measured.
+  std::optional<double> PruneBound(const ExtensionCandidate& c,
+                                   ActionSlot* slot) {
+    const double floor = options_.realization_cache_min_frequency;
+    const Realized& base = *c.base;
+    if (c.glue_source == base.pattern.source_var()) {
+      if (!slot->root_frequency.has_value()) {
+        SingletonCode(*slot->entry);
+        const Id root = ctx_->evaluated.Find(code_, HashWords(code_));
+        slot->root_frequency =
+            root == EvaluationCache::kAbsent
+                ? std::numeric_limits<double>::infinity()
+                : ctx_->evaluated.state(root).frequency;
+      }
+      if (*slot->root_frequency < floor) return *slot->root_frequency;
+    }
+    if (base.parent == EvaluationCache::kAbsent) return std::nullopt;
+    const int parent_vars = static_cast<int>(
+        ctx_->evaluated.state(base.parent).realized->pattern.num_vars());
+    if (c.glue_source >= parent_vars || c.glue_target >= parent_vars) {
+      return std::nullopt;
+    }
+    const double* sibling = ctx_->bounds.Find(
+        {base.parent, static_cast<uint32_t>(c.action), c.glue_source,
+         c.glue_target});
+    if (sibling != nullptr && *sibling < floor) return *sibling;
+    return std::nullopt;
+  }
+
+  /// Writes the canonical code of `entry`'s singleton pattern
+  /// {op (source_type#0, relation, target_type#1)}, source #0, to code_.
+  void SingletonCode(const AbstractActionEntry& entry) {
+    const TypeId types[] = {entry.key.source_type, entry.key.target_type};
+    const EntityId bindings[] = {kInvalidEntityId, kInvalidEntityId};
+    const CodedAction action{entry.key.op, 0, entry.relation_id, 1};
+    CanonicalCodeOf(PatternShape{types, bindings, 0, {&action, 1}}, &code_);
   }
 
   /// Codes extension `c` of the SetCodeBase pattern by `entry`, without
@@ -504,11 +586,7 @@ class PatternMiner::Impl {
           HashCombine(Fnv1a64("\x1e singleton"), Fnv1a64(action_key));
       if (!tested->Insert(singleton_marker)) continue;
 
-      // {op (source_type#0, relation, target_type#1)}, source #0.
-      const TypeId types[] = {entry.key.source_type, entry.key.target_type};
-      const EntityId bindings[] = {kInvalidEntityId, kInvalidEntityId};
-      const CodedAction action{entry.key.op, 0, entry.relation_id, 1};
-      CanonicalCodeOf(PatternShape{types, bindings, 0, {&action, 1}}, &code_);
+      SingletonCode(entry);
       const uint64_t hash = HashWords(code_);
       Id id = ctx_->evaluated.Find(code_, hash);
       if (id == EvaluationCache::kAbsent) {
@@ -539,7 +617,8 @@ class PatternMiner::Impl {
           WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
           std::string key = p.CanonicalKey();
           kept.emplace(Realized{std::move(p), {entry.relation_id},
-                                std::move(key), std::move(realization)});
+                                std::move(key), std::move(realization),
+                                EvaluationCache::kAbsent});
         }
         id = RecordEvaluated(code_, hash, std::move(kept), support, frequency);
       }
@@ -566,7 +645,8 @@ class PatternMiner::Impl {
   /// Candidates are appended in exactly the order the serial code evaluated
   /// them — the commit step replays this order, which is what keeps parallel
   /// runs byte-identical.
-  void CollectPair(const Realized& base, bool has_seed_var, size_t action,
+  void CollectPair(const Realized& base, Id base_id, bool has_seed_var,
+                   size_t action,
                    const AbstractActionEntry& entry,
                    std::vector<ExtensionCandidate>* out) const {
     const Pattern& p = base.pattern;
@@ -591,12 +671,12 @@ class PatternMiner::Impl {
           !options_.allow_multiple_seed_vars && has_seed_var &&
           taxonomy_->Comparable(entry.key.target_type, seed_type_);
       if (p.num_vars() < kMaxPatternVars && !fresh_seed_var_blocked) {
-        out->push_back(ExtensionCandidate{&base, action, i, -1});
+        out->push_back(ExtensionCandidate{&base, base_id, action, i, -1});
       }
       // Option B: glue the target onto each compatible existing variable.
       for (int k = 0; k < static_cast<int>(p.num_vars()); ++k) {
         if (k == i || p.var_type(k) != entry.key.target_type) continue;
-        out->push_back(ExtensionCandidate{&base, action, i, k});
+        out->push_back(ExtensionCandidate{&base, base_id, action, i, k});
       }
     }
   }
@@ -735,8 +815,11 @@ class PatternMiner::Impl {
   static Status KeepExtension(const ExtensionCandidate& c,
                               const AbstractActionEntry& entry,
                               rel::Table realization, CandidateResult* out) {
-    Realized& kept = out->kept.emplace(Realized{
-        c.base->pattern, c.base->relations, {}, std::move(realization)});
+    Realized& kept = out->kept.emplace(Realized{c.base->pattern,
+                                                c.base->relations,
+                                                {},
+                                                std::move(realization),
+                                                c.base_id});
     const int target = c.glue_target >= 0
                            ? c.glue_target
                            : kept.pattern.AddVar(entry.key.target_type);

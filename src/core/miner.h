@@ -90,6 +90,9 @@ struct MinerOptions {
   /// admissions at 0.5 of that, so the default fits the default search;
   /// WindowSearch lowers it to its own lowest admission when configured
   /// below that. Bounds the memory of wide-window, low-threshold rounds.
+  /// It is also the bar for Apriori pruning: an extension that a cached
+  /// sub-pattern bounds below it is skipped unevaluated
+  /// (MineWindowStats::candidates_pruned), so a floor of 0 prunes nothing.
   double realization_cache_min_frequency = 0.1;
 
   /// Mining-internal parallelism: candidate evaluations within one expansion
@@ -152,6 +155,10 @@ struct WorkingSetProfile {
 /// candidate experiment): each call counts only its own work.
 struct MineWindowStats {
   size_t candidates_considered = 0;  // patterns whose frequency was evaluated
+  /// Enumerated extensions skipped unevaluated because a cached sub-pattern
+  /// bounds their frequency below the realization cache floor. Counts each
+  /// skip, including ones whose pattern an unpruned run would find cached.
+  size_t candidates_pruned = 0;
   size_t entities_ingested = 0;      // revision logs read ("related entities")
   size_t actions_ingested = 0;       // reduced actions processed
   size_t abstract_actions = 0;       // distinct abstract-action entries
@@ -190,6 +197,10 @@ class MiningContext {
   /// Pairs that can yield no candidate (no variable of the action's source
   /// type, or a pattern at max_pattern_actions) are never entered.
   PairHashSet tested;
+  /// Frequency bounds of the below-floor extensions enumerated at the
+  /// index's current state (evaluated, found cached or pruned), which prune
+  /// their kept siblings' extensions (PatternMiner, rule S).
+  ExtensionBounds bounds;
 };
 
 /// Result of mining one window.

@@ -133,6 +133,8 @@ Status WriteSearchReportJson(const WindowSearchResult& result,
   w.BeginObject();
   w.Key("candidates_considered");
   w.Int(static_cast<int64_t>(result.total_stats.candidates_considered));
+  w.Key("candidates_pruned");
+  w.Int(static_cast<int64_t>(result.total_stats.candidates_pruned));
   w.Key("entities_ingested");
   w.Int(static_cast<int64_t>(result.total_stats.entities_ingested));
   w.Key("actions_ingested");

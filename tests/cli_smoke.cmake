@@ -225,6 +225,34 @@ endif()
 if(NOT err MATCHES "--allowed-skew must be >= 0")
   message(FATAL_ERROR "serve --allowed-skew -1: unexpected error: ${err}")
 endif()
+# Numeric flags take the whole value or fail naming the flag: a negative
+# --max-print used to wrap and print every signal, a non-numeric one read as
+# 0, and a negative --max-revision-bytes silently lifted the cap.
+foreach(bad
+    "--max-print;-1;--max-print must be >= 0, got -1"
+    "--max-print;abc;--max-print must be an integer, got 'abc'"
+    "--max-print;5x;--max-print must be an integer, got '5x'"
+    "--max-print;99999999999999999999;--max-print is out of range"
+    "--max-revision-bytes;-5;--max-revision-bytes must be >= 0, got -5"
+    "--threshold;0.5x;--threshold must be a number, got '0.5x'")
+  list(GET bad 0 flag)
+  list(GET bad 1 value)
+  list(GET bad 2 expected)
+  execute_process(
+    COMMAND ${WICLEAN} detect
+      --dump ${WORK_DIR}/dump.xml
+      --taxonomy ${WORK_DIR}/taxonomy.tsv
+      --alignment ${WORK_DIR}/alignment.tsv
+      --seed-type soccer_player --threshold 0.8 ${flag} ${value}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET
+    TIMEOUT 60)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "detect ${flag} ${value} should fail")
+  endif()
+  if(NOT err MATCHES "${expected}")
+    message(FATAL_ERROR "detect ${flag} ${value}: unexpected error: ${rc} ${err}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${WICLEAN} bogus-subcommand
   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)

@@ -197,5 +197,54 @@ TEST(CodeTableTest, ClearForgetsCodesAndRenumbers) {
   }
 }
 
+TEST(ExtensionBoundsTest, KeysAreToldApartAndKeepTheLowerBound) {
+  ExtensionBounds bounds;
+  bounds.SyncTo(7, 3);
+  EXPECT_EQ(bounds.first_id(), 3u);
+  // Keys differing in one field each, glue target -1 included, through
+  // several growths of the slot array.
+  std::vector<ExtensionBounds::Key> keys;
+  for (uint32_t base = 0; base < 40; ++base) {
+    for (uint32_t action = 0; action < 5; ++action) {
+      for (int32_t source = 0; source < 3; ++source) {
+        for (int32_t target = -1; target < 2; ++target) {
+          keys.push_back({base, action, source, target});
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(bounds.Find(keys[i]), nullptr);
+    bounds.Record(keys[i], static_cast<double>(i));
+  }
+  EXPECT_EQ(bounds.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const double* bound = bounds.Find(keys[i]);
+    ASSERT_NE(bound, nullptr);
+    EXPECT_EQ(*bound, static_cast<double>(i));
+  }
+  // A second record of a key keeps the lower bound.
+  bounds.Record(keys[5], 100.0);
+  bounds.Record(keys[6], 0.5);
+  EXPECT_EQ(*bounds.Find(keys[5]), 5.0);
+  EXPECT_EQ(*bounds.Find(keys[6]), 0.5);
+  EXPECT_EQ(bounds.size(), keys.size());
+
+  // Syncing to the same state keeps everything; a new state forgets it all
+  // and notes the cache size it starts at.
+  bounds.SyncTo(7, 50);
+  EXPECT_EQ(bounds.first_id(), 3u);
+  EXPECT_NE(bounds.Find(keys[0]), nullptr);
+  bounds.SyncTo(9, 50);
+  EXPECT_EQ(bounds.first_id(), 50u);
+  EXPECT_EQ(bounds.size(), 0u);
+  for (const ExtensionBounds::Key& key : keys) {
+    EXPECT_EQ(bounds.Find(key), nullptr);
+  }
+  bounds.Record(keys[1], 0.25);
+  EXPECT_EQ(*bounds.Find(keys[1]), 0.25);
+  EXPECT_EQ(bounds.Find(keys[2]), nullptr);
+}
+
 }  // namespace
 }  // namespace wiclean

@@ -1,7 +1,8 @@
 // Property-style sweeps of Algorithm 1 invariants over randomized synthetic
 // worlds: engine/strategy agreement, frequency antitonicity along the
-// specificity order, realization-derived frequency consistency, and
-// reduction/window coherence.
+// specificity order, realization-derived frequency consistency,
+// reduction/window coherence, and Apriori pruning agreeing with the unpruned
+// mine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/miner.h"
+#include "core/window_search.h"
 #include "synth/synthesizer.h"
 
 namespace wiclean {
@@ -187,6 +189,135 @@ TEST_P(MinerPropertyTest, DisjointWindowsMineIndependently) {
   EXPECT_EQ(Keys(b1->most_specific), Keys(b2->most_specific));
 }
 
+/// Each pattern with its frequency and support, in output order.
+std::string Describe(const std::vector<MinedPattern>& ps,
+                     const TypeTaxonomy& taxonomy) {
+  std::string out;
+  for (const MinedPattern& mp : ps) {
+    out += mp.pattern.ToString(taxonomy) + " f=" +
+           std::to_string(mp.frequency) + " s=" + std::to_string(mp.support) +
+           "\n";
+  }
+  return out;
+}
+
+std::string Describe(const std::vector<RelativePattern>& ps,
+                     const TypeTaxonomy& taxonomy) {
+  std::string out;
+  for (const RelativePattern& rp : ps) {
+    out += rp.pattern.ToString(taxonomy) +
+           " rf=" + std::to_string(rp.relative_frequency) +
+           " s=" + std::to_string(rp.support) + "\n";
+  }
+  return out;
+}
+
+/// A mine's reported patterns, then the relative refinements (rel 0.5) of
+/// every most specific pattern whose relative admission clears `floor`.
+std::string DescribeMine(const PatternMiner& miner, TypeId seed,
+                         const MineWindowResult& r, double floor,
+                         const TypeTaxonomy& taxonomy) {
+  std::string out = Describe(r.all_frequent, taxonomy) + "--\n" +
+                    Describe(r.most_specific, taxonomy) + "--\n";
+  for (const MinedPattern& mp : r.most_specific) {
+    if (0.5 * mp.frequency < floor) continue;
+    Result<std::vector<RelativePattern>> refined =
+        miner.MineRelative(r.context.get(), seed, mp, 0.5);
+    EXPECT_TRUE(refined.ok()) << refined.status().ToString();
+    if (refined.ok()) out += Describe(*refined, taxonomy) + "--\n";
+  }
+  return out;
+}
+
+/// Every discovered pattern of a window search with its window, frequency,
+/// round and relative refinements.
+std::string Describe(const WindowSearchResult& r,
+                     const TypeTaxonomy& taxonomy) {
+  std::string out;
+  for (const DiscoveredPattern& dp : r.patterns) {
+    out += dp.mined.pattern.ToString(taxonomy) + " " +
+           dp.mined.window.ToString() +
+           " f=" + std::to_string(dp.mined.frequency) +
+           " s=" + std::to_string(dp.mined.support) +
+           " tau=" + std::to_string(dp.threshold) + "\n" +
+           Describe(dp.relatives, taxonomy);
+  }
+  return out;
+}
+
+/// Apriori pruning skips only candidates a cached sub-pattern bounds below
+/// the realization cache floor, and no admission reads those. So mining at
+/// the default floor and at floor 0 (nothing below it, so nothing pruned)
+/// reports the same patterns in the same order, the same relative
+/// refinements and the same window-search result.
+TEST_P(MinerPropertyTest, PruningMatchesUnprunedMine) {
+  const TypeId seed = world_->types.soccer_player;
+  const TypeTaxonomy& taxonomy = *world_->taxonomy;
+  MinerOptions unpruned_options = Options();
+  unpruned_options.realization_cache_min_frequency = 0;
+  const PatternMiner pruned(world_->registry.get(), &world_->store,
+                            Options());
+  const PatternMiner unpruned(world_->registry.get(), &world_->store,
+                              unpruned_options);
+  Result<MineWindowResult> p = pruned.MineWindow(seed, transfer_window_);
+  Result<MineWindowResult> u = unpruned.MineWindow(seed, transfer_window_);
+  ASSERT_TRUE(p.ok() && u.ok());
+  EXPECT_EQ(u->stats.candidates_pruned, 0u);
+  EXPECT_LE(p->stats.candidates_considered, u->stats.candidates_considered);
+  const double floor = Options().realization_cache_min_frequency;
+  EXPECT_EQ(DescribeMine(pruned, seed, *p, floor, taxonomy),
+            DescribeMine(unpruned, seed, *u, floor, taxonomy));
+
+  WindowSearchOptions search_options;
+  search_options.miner = Options();
+  WindowSearchOptions unpruned_search = search_options;
+  unpruned_search.miner.realization_cache_min_frequency = 0;
+  Result<WindowSearchResult> ps =
+      WindowSearch(world_->registry.get(), &world_->store, search_options)
+          .Run(seed, 0, kSecondsPerYear);
+  Result<WindowSearchResult> us =
+      WindowSearch(world_->registry.get(), &world_->store, unpruned_search)
+          .Run(seed, 0, kSecondsPerYear);
+  ASSERT_TRUE(ps.ok() && us.ok());
+  EXPECT_GT(ps->total_stats.candidates_pruned, 0u);
+  EXPECT_EQ(us->total_stats.candidates_pruned, 0u);
+  EXPECT_EQ(Describe(*ps, taxonomy), Describe(*us, taxonomy));
+}
+
+/// The same for a context mined at 0.8 and then reused at 0.4: bounds
+/// recorded by the first mine prune the second only while the index is
+/// unchanged, and the reused mine reports what the unpruned one does.
+TEST_P(MinerPropertyTest, PruningMatchesUnprunedMineOnReusedContext) {
+  const TypeId seed = world_->types.soccer_player;
+  const TypeTaxonomy& taxonomy = *world_->taxonomy;
+  auto mine_twice = [&](double floor) {
+    MinerOptions high = Options();
+    high.frequency_threshold = 0.8;
+    high.realization_cache_min_frequency = floor;
+    MinerOptions low = high;
+    low.frequency_threshold = 0.4;
+    const PatternMiner high_miner(world_->registry.get(), &world_->store,
+                                  high);
+    const PatternMiner low_miner(world_->registry.get(), &world_->store, low);
+    Result<MineWindowResult> first =
+        high_miner.MineWindow(seed, transfer_window_);
+    EXPECT_TRUE(first.ok());
+    if (!first.ok()) return std::string();
+    Result<MineWindowResult> second =
+        low_miner.MineWindow(seed, transfer_window_, first->context);
+    EXPECT_TRUE(second.ok());
+    if (!second.ok()) return std::string();
+    const double kDefaultFloor = MinerOptions().realization_cache_min_frequency;
+    std::string out =
+        DescribeMine(high_miner, seed, *first, kDefaultFloor, taxonomy);
+    out += "==\n";
+    out += DescribeMine(low_miner, seed, *second, kDefaultFloor, taxonomy);
+    return out;
+  };
+  EXPECT_EQ(mine_twice(MinerOptions().realization_cache_min_frequency),
+            mine_twice(0));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MinerPropertyTest,
     ::testing::Values(SweepCase{11, 60, 0.5}, SweepCase{12, 60, 0.3},
@@ -262,13 +393,7 @@ TEST(RelationIdOrderTest, MinedResultIgnoresRelationIdOrder) {
     Result<std::vector<RelativePattern>> refined = miner.MineRelative(
         r.context.get(), seed, r.most_specific.front(), 0.5);
     EXPECT_TRUE(refined.ok()) << refined.status().ToString();
-    std::string out;
-    for (const RelativePattern& rp : *refined) {
-      out += rp.pattern.ToString(taxonomy) +
-             " rf=" + std::to_string(rp.relative_frequency) +
-             " s=" + std::to_string(rp.support) + "\n";
-    }
-    return out;
+    return Describe(*refined, taxonomy);
   };
   const std::string expected_relative = relative(*natural);
   EXPECT_EQ(relative(ascending), expected_relative);

@@ -49,6 +49,7 @@
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -116,17 +117,57 @@ class Args {
     return it->second;
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
+  /// The number --key holds, or `fallback` when absent. InvalidArgument
+  /// when the whole value is not one decimal number, or is out of range.
+  Result<double> GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0') {
+      return Status::InvalidArgument("--" + key + " must be a number, got '" +
+                                     text + "'");
+    }
+    if (errno == ERANGE) {
+      return Status::InvalidArgument("--" + key + " is out of range: '" +
+                                     text + "'");
+    }
+    return value;
   }
 
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  /// The integer --key holds, or `fallback` when absent. InvalidArgument
+  /// when the whole value is not one base-10 integer, or lies outside
+  /// [min, max]. Flags that hold a count or a size pass min = 0.
+  Result<int64_t> GetInt(
+      const std::string& key, int64_t fallback,
+      int64_t min = std::numeric_limits<int64_t>::min(),
+      int64_t max = std::numeric_limits<int64_t>::max()) const {
     auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0') {
+      return Status::InvalidArgument("--" + key +
+                                     " must be an integer, got '" + text +
+                                     "'");
+    }
+    if (errno == ERANGE) {
+      return Status::InvalidArgument("--" + key + " is out of range: '" +
+                                     text + "'");
+    }
+    if (value < min) {
+      return Status::InvalidArgument("--" + key + " must be >= " +
+                                     std::to_string(min) + ", got " + text);
+    }
+    if (value > max) {
+      return Status::InvalidArgument("--" + key + " must be <= " +
+                                     std::to_string(max) + ", got " + text);
+    }
+    return static_cast<int64_t>(value);
   }
 
  private:
@@ -171,10 +212,7 @@ Result<IngestArgs> ParseIngestArgs(const Args& args) {
   // --threads N fans the parse/diff (or block-decode) stage out across N
   // pipeline workers; the resulting store is identical to a sequential
   // ingest (ordered merge).
-  int64_t threads = args.GetInt("threads", 1);
-  if (threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
+  WICLEAN_ASSIGN_OR_RETURN(int64_t threads, args.GetInt("threads", 1, 1));
   parsed.num_threads = static_cast<size_t>(threads);
 
   // --on-error selects the fault policy; strict (the default) fails fast.
@@ -195,14 +233,21 @@ Result<IngestArgs> ParseIngestArgs(const Args& args) {
         "--on-error must be strict, skip, or quarantine (got '" + on_error +
         "')");
   }
-  parsed.limits.max_revision_bytes =
-      static_cast<size_t>(args.GetInt("max-revision-bytes", 0));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_revision_bytes,
+                           args.GetInt("max-revision-bytes", 0, 0));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_revisions_per_page,
+                           args.GetInt("max-revisions-per-page", 0, 0));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_actions_per_page,
+                           args.GetInt("max-actions-per-page", 0, 0));
+  WICLEAN_ASSIGN_OR_RETURN(
+      int64_t max_infobox_depth,
+      args.GetInt("max-infobox-depth", 0, 0, std::numeric_limits<int>::max()));
+  parsed.limits.max_revision_bytes = static_cast<size_t>(max_revision_bytes);
   parsed.limits.max_revisions_per_page =
-      static_cast<size_t>(args.GetInt("max-revisions-per-page", 0));
+      static_cast<size_t>(max_revisions_per_page);
   parsed.limits.max_actions_per_page =
-      static_cast<size_t>(args.GetInt("max-actions-per-page", 0));
-  parsed.limits.max_infobox_nesting_depth =
-      static_cast<int>(args.GetInt("max-infobox-depth", 0));
+      static_cast<size_t>(max_actions_per_page);
+  parsed.limits.max_infobox_nesting_depth = static_cast<int>(max_infobox_depth);
   return parsed;
 }
 
@@ -297,34 +342,37 @@ Result<LoadedCorpus> LoadCorpus(const Args& args,
   return corpus;
 }
 
+/// Runs the window search the flags configure. When `provenance` is given,
+/// records the mining options in it for a snapshot of the result.
 Result<WindowSearchResult> RunSearch(const LoadedCorpus& corpus,
-                                     const Args& args) {
+                                     const Args& args,
+                                     SnapshotProvenance* provenance = nullptr) {
   WindowSearchOptions options;
-  options.initial_threshold = args.GetDouble("threshold", 0.7);
+  WICLEAN_ASSIGN_OR_RETURN(options.initial_threshold,
+                           args.GetDouble("threshold", 0.7));
   // Checked before the casts: a negative --max-actions would wrap to no cap.
-  const int64_t lift = args.GetInt("abstraction-lift", 1);
-  if (lift < 0 || lift > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("--abstraction-lift must be >= 0, got " +
-                                   std::to_string(lift));
-  }
-  const int64_t max_actions = args.GetInt("max-actions", 6);
-  if (max_actions < 1) {
-    return Status::InvalidArgument("--max-actions must be >= 1, got " +
-                                   std::to_string(max_actions));
-  }
+  WICLEAN_ASSIGN_OR_RETURN(
+      int64_t lift,
+      args.GetInt("abstraction-lift", 1, 0, std::numeric_limits<int>::max()));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_actions,
+                           args.GetInt("max-actions", 6, 1));
   options.miner.max_abstraction_lift = static_cast<int>(lift);
   options.miner.max_pattern_actions = static_cast<size_t>(max_actions);
   // Mining-internal parallelism (candidate evaluation); output is invariant
   // under this knob. Distinct from --threads, which parallelizes ingest.
-  int64_t mine_threads = args.GetInt("mine-threads", 1);
-  if (mine_threads < 1) {
-    return Status::InvalidArgument("--mine-threads must be >= 1");
-  }
+  WICLEAN_ASSIGN_OR_RETURN(int64_t mine_threads,
+                           args.GetInt("mine-threads", 1, 1));
   options.miner.num_threads = static_cast<size_t>(mine_threads);
   options.miner.profile_workingset =
       args.Get("profile-workingset", "") == "1" ||
       args.Get("profile-workingset", "") == "true";
   options.mine_relative = true;
+  if (provenance != nullptr) {
+    provenance->frequency_threshold = options.initial_threshold;
+    provenance->max_abstraction_lift = static_cast<int32_t>(lift);
+    provenance->max_pattern_actions = static_cast<uint64_t>(max_actions);
+    provenance->mine_relative = options.mine_relative;
+  }
   WindowSearch search(corpus.registry.get(), &corpus.store, options);
   return search.Run(corpus.seed_type, corpus.begin, corpus.end);
 }
@@ -363,14 +411,13 @@ std::vector<std::pair<Action, uint64_t>> BuildCanonicalFeed(
 
 int PrintReports(const LoadedCorpus& corpus,
                  const std::vector<PartialUpdateReport>& reports,
-                 const Args& args) {
+                 size_t max_print) {
   size_t total_signals = 0;
   for (const PartialUpdateReport& report : reports) {
     total_signals += report.partials.size();
   }
   std::printf("%zu pattern(s) scanned, %zu potential error(s)\n",
               reports.size(), total_signals);
-  size_t max_print = static_cast<size_t>(args.GetInt("max-print", 20));
   size_t shown = 0;
   for (const PartialUpdateReport& report : reports) {
     for (const PartialRealization& pr : report.partials) {
@@ -434,21 +481,17 @@ int RunPack(const Args& args) {
   if (!corpus.ok()) return Fail(corpus.status());
   Result<std::string> out_path = args.Require("out");
   if (!out_path.ok()) return Fail(out_path.status());
-  Result<WindowSearchResult> result = RunSearch(*corpus, args);
+  Result<int64_t> created_unix = args.GetInt("created-unix", 0);
+  if (!created_unix.ok()) return Fail(created_unix.status());
+  PatternSnapshot snapshot;
+  Result<WindowSearchResult> result =
+      RunSearch(*corpus, args, &snapshot.provenance);
   if (!result.ok()) return Fail(result.status());
 
-  PatternSnapshot snapshot;
   snapshot.provenance.corpus_id =
       args.Get("corpus-id", args.Get("dump", ""));
   snapshot.provenance.tool = "wiclean pack";
-  snapshot.provenance.created_unix = args.GetInt("created-unix", 0);
-  snapshot.provenance.frequency_threshold =
-      args.GetDouble("threshold", 0.7);
-  snapshot.provenance.max_abstraction_lift =
-      static_cast<int32_t>(args.GetInt("abstraction-lift", 1));
-  snapshot.provenance.max_pattern_actions =
-      static_cast<uint64_t>(args.GetInt("max-actions", 6));
-  snapshot.provenance.mine_relative = true;
+  snapshot.provenance.created_unix = *created_unix;
   for (const DiscoveredPattern& dp : result->patterns) {
     snapshot.patterns.push_back(StoredPattern{dp.mined.pattern,
                                               dp.mined.window,
@@ -472,38 +515,46 @@ int RunPack(const Args& args) {
 /// classic one-shot session; --tenants staggers additional sessions along
 /// the feed, and --reload hot-swaps further snapshot files mid-feed (tenants
 /// opened later pin the newer epoch — in-flight ones are untouched).
-int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
-              const Args& args) {
+struct OnlineArgs {
   DetectorServiceOptions options;
-  int64_t feed_threads = args.GetInt("feed-threads", 1);
-  if (feed_threads < 1) {
-    return Fail(Status::InvalidArgument("--feed-threads must be >= 1"));
-  }
+  size_t num_tenants = 1;
+  size_t max_print = 20;
+};
+
+Result<OnlineArgs> ParseOnlineArgs(const Args& args) {
+  OnlineArgs parsed;
+  DetectorServiceOptions& options = parsed.options;
+  WICLEAN_ASSIGN_OR_RETURN(int64_t feed_threads,
+                           args.GetInt("feed-threads", 1, 1));
   options.shards_per_tenant = static_cast<size_t>(feed_threads);
-  options.detector.allowed_skew = args.GetInt("allowed-skew", 0);
-  if (options.detector.allowed_skew < 0) {
-    return Fail(Status::InvalidArgument("--allowed-skew must be >= 0"));
-  }
-  options.detector.detector.max_abstraction_lift =
-      snapshot.provenance.max_abstraction_lift;
-  int64_t max_tenants = args.GetInt("max-tenants", 64);
-  if (max_tenants < 1) {
-    return Fail(Status::InvalidArgument("--max-tenants must be >= 1"));
-  }
+  WICLEAN_ASSIGN_OR_RETURN(options.detector.allowed_skew,
+                           args.GetInt("allowed-skew", 0, 0));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_tenants,
+                           args.GetInt("max-tenants", 64, 1));
   options.max_tenants = static_cast<size_t>(max_tenants);
   // Default 0 = block on backpressure: the faithful batch-replay mode. A
   // positive deadline turns sustained overload into explicit shed events.
-  options.feed_deadline_ms = args.GetInt("feed-deadline-ms", 0);
-  int64_t queue_capacity = args.GetInt("queue-capacity", 256);
-  if (queue_capacity < 1) {
-    return Fail(Status::InvalidArgument("--queue-capacity must be >= 1"));
-  }
+  WICLEAN_ASSIGN_OR_RETURN(options.feed_deadline_ms,
+                           args.GetInt("feed-deadline-ms", 0));
+  WICLEAN_ASSIGN_OR_RETURN(int64_t queue_capacity,
+                           args.GetInt("queue-capacity", 256, 1));
   options.tenant_queue_capacity = static_cast<size_t>(queue_capacity);
+  WICLEAN_ASSIGN_OR_RETURN(int64_t num_tenants, args.GetInt("tenants", 1, 1));
+  parsed.num_tenants = static_cast<size_t>(num_tenants);
+  WICLEAN_ASSIGN_OR_RETURN(int64_t max_print,
+                           args.GetInt("max-print", 20, 0));
+  parsed.max_print = static_cast<size_t>(max_print);
+  return parsed;
+}
 
-  int64_t num_tenants = args.GetInt("tenants", 1);
-  if (num_tenants < 1) {
-    return Fail(Status::InvalidArgument("--tenants must be >= 1"));
-  }
+int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
+              const Args& args) {
+  Result<OnlineArgs> online = ParseOnlineArgs(args);
+  if (!online.ok()) return Fail(online.status());
+  DetectorServiceOptions& options = online->options;
+  options.detector.detector.max_abstraction_lift =
+      snapshot.provenance.max_abstraction_lift;
+  const size_t num_tenants = online->num_tenants;
   std::vector<std::string> reload_paths;
   for (const std::string& part : SplitString(args.Get("reload", ""), ',')) {
     if (!part.empty()) reload_paths.push_back(part);
@@ -524,9 +575,9 @@ int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
     uint64_t shed = 0;
   };
   std::vector<OpenTenant> tenants;
-  std::vector<size_t> open_at(static_cast<size_t>(num_tenants), 0);
+  std::vector<size_t> open_at(num_tenants, 0);
   for (size_t i = 0; i < open_at.size(); ++i) {
-    open_at[i] = feed.size() * i / static_cast<size_t>(num_tenants);
+    open_at[i] = feed.size() * i / num_tenants;
   }
   std::vector<size_t> reload_at(reload_paths.size(), 0);
   for (size_t j = 0; j < reload_paths.size(); ++j) {
@@ -636,7 +687,7 @@ int RunOnline(const LoadedCorpus& corpus, const PatternSnapshot& snapshot,
     if (alert.report.pattern.num_actions() < 2) continue;
     reports.push_back(alert.report);
   }
-  int rc = PrintReports(corpus, reports, args);
+  int rc = PrintReports(corpus, reports, online->max_print);
   if (rc != 0) return rc;
   ReportProvenance provenance = ToReportProvenance(snapshot.provenance);
   return WriteOptionalOutputs(corpus, reports, &provenance, args);
@@ -664,11 +715,17 @@ int RunSynth(const Args& args) {
                                  ": " + ec.message()));
   }
 
+  Result<int64_t> seeds = args.GetInt("seeds", 300, 0);
+  if (!seeds.ok()) return Fail(seeds.status());
+  Result<int64_t> years =
+      args.GetInt("years", 2, 0, std::numeric_limits<int>::max());
+  if (!years.ok()) return Fail(years.status());
+  Result<int64_t> rng_seed = args.GetInt("rng-seed", 42, 0);
+  if (!rng_seed.ok()) return Fail(rng_seed.status());
   SynthOptions options;
-  options.seed_entities =
-      static_cast<size_t>(args.GetInt("seeds", 300));
-  options.years = static_cast<int>(args.GetInt("years", 2));
-  options.rng_seed = static_cast<uint64_t>(args.GetInt("rng-seed", 42));
+  options.seed_entities = static_cast<size_t>(*seeds);
+  options.years = static_cast<int>(*years);
+  options.rng_seed = static_cast<uint64_t>(*rng_seed);
   std::string domains = args.Get("domains", "soccer");
   options.soccer = domains.find("soccer") != std::string::npos;
   options.cinema = domains.find("cinema") != std::string::npos;
@@ -734,9 +791,10 @@ int RunIngest(const Args& args) {
     return Fail(Status::Internal("cannot write " + *out_path));
   }
 
+  Result<int64_t> block_actions = args.GetInt("block-actions", 4096, 0);
+  if (!block_actions.ok()) return Fail(block_actions.status());
   ActionLogWriterOptions writer_options;
-  writer_options.target_block_actions =
-      static_cast<size_t>(args.GetInt("block-actions", 4096));
+  writer_options.target_block_actions = static_cast<size_t>(*block_actions);
   ActionLogWriter writer(&out_file, writer_options);
   if (!writer.status().ok()) return Fail(writer.status());
 
@@ -826,6 +884,9 @@ int RunMine(const Args& args) {
 }
 
 int RunDetect(const Args& args) {
+  // Checked before the corpus loads, so a bad value fails fast.
+  Result<int64_t> max_print = args.GetInt("max-print", 20, 0);
+  if (!max_print.ok()) return Fail(max_print.status());
   std::string patterns_path = args.Get("patterns", "");
   std::string online = args.Get("online", "");
   bool use_online = online == "1" || online == "true";
@@ -846,17 +907,11 @@ int RunDetect(const Args& args) {
     if (!loaded.ok()) return Fail(loaded.status());
     snapshot = std::move(loaded).value();
   } else {
-    Result<WindowSearchResult> result = RunSearch(*corpus, args);
+    Result<WindowSearchResult> result =
+        RunSearch(*corpus, args, &snapshot.provenance);
     if (!result.ok()) return Fail(result.status());
     snapshot.provenance.corpus_id = args.Get("dump", "");
     snapshot.provenance.tool = "wiclean detect";
-    snapshot.provenance.frequency_threshold =
-        args.GetDouble("threshold", 0.7);
-    snapshot.provenance.max_abstraction_lift =
-        static_cast<int32_t>(args.GetInt("abstraction-lift", 1));
-    snapshot.provenance.max_pattern_actions =
-        static_cast<uint64_t>(args.GetInt("max-actions", 6));
-    snapshot.provenance.mine_relative = true;
     for (const DiscoveredPattern& dp : result->patterns) {
       snapshot.patterns.push_back(
           StoredPattern{dp.mined.pattern, dp.mined.window,
@@ -868,9 +923,7 @@ int RunDetect(const Args& args) {
 
   PartialDetectorOptions detector_options;
   detector_options.max_abstraction_lift =
-      patterns_path.empty()
-          ? static_cast<int>(args.GetInt("abstraction-lift", 1))
-          : snapshot.provenance.max_abstraction_lift;
+      snapshot.provenance.max_abstraction_lift;
   PartialUpdateDetector detector(corpus->registry.get(), &corpus->store,
                                  detector_options);
 
@@ -883,7 +936,7 @@ int RunDetect(const Args& args) {
     reports.push_back(std::move(report).value());
   }
 
-  int rc = PrintReports(*corpus, reports, args);
+  int rc = PrintReports(*corpus, reports, static_cast<size_t>(*max_print));
   if (rc != 0) return rc;
   ReportProvenance provenance = ToReportProvenance(snapshot.provenance);
   return WriteOptionalOutputs(*corpus, reports, &provenance, args);
