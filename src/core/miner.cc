@@ -85,6 +85,16 @@ Status AdmittedWithoutRealization(double admission) {
   return Status::InvalidArgument(text);
 }
 
+/// InvalidArgument unless `context` was mined for `seed_type`: its cached
+/// frequencies count that type's seeds and would misreport any other.
+Status CheckContextSeedType(const MiningContext& context, TypeId seed_type,
+                            const TypeTaxonomy& taxonomy) {
+  if (context.seed_type == seed_type) return Status::OK();
+  return Status::InvalidArgument("mining context belongs to seed type '" +
+                                 taxonomy.Name(context.seed_type) +
+                                 "', not '" + taxonomy.Name(seed_type) + "'");
+}
+
 }  // namespace
 
 /// All mining logic for one (seed type, window) pair. Owns nothing; mutates
@@ -979,9 +989,13 @@ Result<MineWindowResult> PatternMiner::MineWindow(
         "seed type '" + registry_->taxonomy().Name(seed_type) +
         "' has no entities");
   }
-  if (reuse != nullptr && !(reuse->index.window() == window)) {
-    return Status::InvalidArgument(
-        "reused mining context belongs to a different window");
+  if (reuse != nullptr) {
+    WICLEAN_RETURN_IF_ERROR(
+        CheckContextSeedType(*reuse, seed_type, registry_->taxonomy()));
+    if (!(reuse->index.window() == window)) {
+      return Status::InvalidArgument(
+          "reused mining context belongs to a different window");
+    }
   }
   WICLEAN_RETURN_IF_ERROR(CheckUnitThreshold(
       "MinerOptions::frequency_threshold", options_.frequency_threshold));
@@ -1003,8 +1017,8 @@ Result<MineWindowResult> PatternMiner::MineWindow(
   result.context =
       reuse != nullptr
           ? std::move(reuse)
-          : std::make_shared<MiningContext>(registry_, store_, window,
-                                            options_);
+          : std::make_shared<MiningContext>(registry_, store_, seed_type,
+                                            window, options_);
   Impl impl(registry_, store_, options_, result.context.get(), seed_type,
             &result.stats);
   WICLEAN_RETURN_IF_ERROR(impl.MineFrequent());
@@ -1231,6 +1245,8 @@ PatternMiner::MineValueSpecific(const MiningContext& context,
   if (min_value_share <= 0 || min_value_share > 1) {
     return Status::InvalidArgument("value share must be in (0, 1]");
   }
+  WICLEAN_RETURN_IF_ERROR(
+      CheckContextSeedType(context, seed_type, registry_->taxonomy()));
   const EvaluationCache::Id id = context.Find(base.pattern);
   if (id == EvaluationCache::kAbsent) {
     return Status::InvalidArgument(
@@ -1295,6 +1311,8 @@ Result<std::vector<RelativePattern>> PatternMiner::MineRelative(
   if (context == nullptr) {
     return Status::InvalidArgument("MineRelative requires a mining context");
   }
+  WICLEAN_RETURN_IF_ERROR(
+      CheckContextSeedType(*context, seed_type, registry_->taxonomy()));
   if (rel_threshold <= 0 || rel_threshold > 1) {
     return Status::InvalidArgument("relative threshold must be in (0, 1]");
   }

@@ -172,15 +172,22 @@ struct MineWindowStats {
   std::string ToString() const;
 };
 
-/// Internal per-window state retained across the frequent and relative mining
-/// stages: the incremental ActionIndex plus a cache of every evaluated
-/// pattern (the paper's "caching of computed frequencies/realization tables,
-/// to be reused if the same patterns are later re-examined").
+/// Internal per-(seed type, window) state retained across the frequent and
+/// relative mining stages: the incremental ActionIndex plus a cache of every
+/// evaluated pattern (the paper's "caching of computed frequencies/
+/// realization tables, to be reused if the same patterns are later
+/// re-examined"). Cached frequencies count seeds of `seed_type`, so
+/// PatternMiner rejects a context used for any other seed type.
 class MiningContext {
  public:
   MiningContext(const EntityRegistry* registry, const RevisionStore* store,
-                const TimeWindow& window, const MinerOptions& options)
-      : index(registry, store, window, options.max_abstraction_lift) {}
+                TypeId seed_type, const TimeWindow& window,
+                const MinerOptions& options)
+      : seed_type(seed_type),
+        index(registry, store, window, options.max_abstraction_lift) {}
+
+  /// The type whose seeds every cached frequency counts.
+  const TypeId seed_type;
 
   /// The cache id of `pattern`'s evaluation, coded through index's relation
   /// table, or EvaluationCache::kAbsent.
@@ -230,17 +237,19 @@ class PatternMiner {
 
   /// Mines the most specific frequent patterns of `window` w.r.t. `seed_type`.
   ///
-  /// Passing `reuse` (a context produced by a previous MineWindow call on the
-  /// *same window*, typically at a higher threshold) resumes from its cached
-  /// realization tables and frequencies instead of starting over — the
-  /// paper's "caching of the computed frequencies/realization tables, to be
-  /// reused if the same patterns are later re-examined with different
-  /// thresholds". Stats in the result cover only the incremental work.
+  /// Passing `reuse` (a context produced by a previous MineWindow call for
+  /// the *same seed type and window*, typically at a higher threshold)
+  /// resumes from its cached realization tables and frequencies instead of
+  /// starting over — the paper's "caching of the computed frequencies/
+  /// realization tables, to be reused if the same patterns are later
+  /// re-examined with different thresholds". Stats in the result cover only
+  /// the incremental work.
   ///
   /// InvalidArgument when frequency_threshold is outside (0, 1] or below
   /// realization_cache_min_frequency, when max_pattern_actions < 1 or
-  /// max_abstraction_lift < 0, or when `reuse` holds an admissible pattern
-  /// without its table (it was cached under a higher floor).
+  /// max_abstraction_lift < 0, when `reuse` belongs to another seed type or
+  /// window, or when `reuse` holds an admissible pattern without its table
+  /// (it was cached under a higher floor).
   [[nodiscard]] Result<MineWindowResult> MineWindow(
       TypeId seed_type, const TimeWindow& window,
       std::shared_ptr<MiningContext> reuse = nullptr) const;
@@ -303,6 +312,7 @@ class PatternMiner {
   /// non-source variable of `base` (a pattern mined in `context`), finds the
   /// concrete entities accounting for at least `min_value_share` of the
   /// base's realizations, and emits the correspondingly bound patterns.
+  /// InvalidArgument when `context` was mined for another seed type.
   [[nodiscard]] Result<std::vector<ValueSpecificPattern>> MineValueSpecific(
       const MiningContext& context, TypeId seed_type, const MinedPattern& base,
       double min_value_share) const;
@@ -312,9 +322,10 @@ class PatternMiner {
   /// call that produced `context`). Expansion continues from base's cached
   /// realization with admission threshold rel_threshold * frequency(base);
   /// InvalidArgument when that admission is below
-  /// MinerOptions::realization_cache_min_frequency. When `stats` is given,
-  /// this call's counters (evaluations, mining time, working-set bytes and
-  /// tables) are added to it; the ingest and level gauges are MineWindow's.
+  /// MinerOptions::realization_cache_min_frequency, or when `context` was
+  /// mined for another seed type. When `stats` is given, this call's
+  /// counters (evaluations, mining time, working-set bytes and tables) are
+  /// added to it; the ingest and level gauges are MineWindow's.
   [[nodiscard]] Result<std::vector<RelativePattern>> MineRelative(
       MiningContext* context, TypeId seed_type, const MinedPattern& base,
       double rel_threshold, MineWindowStats* stats = nullptr) const;

@@ -275,33 +275,34 @@ Status ParseRevision(StreamCursor* cur, DumpRevision* rev) {
   return cur->Expect("</revision>");
 }
 
-/// Parses everything of a <page> element after its title. Split out so the
-/// caller can annotate truncation errors with the page title.
+/// Parses everything of a <page> element after its title into *page,
+/// reusing its revisions and their string capacity, then trims revisions to
+/// the count parsed. Split out so the caller can annotate truncation errors
+/// with the page title.
 Status ParsePageBody(StreamCursor* cur, DumpPage* page) {
   WICLEAN_ASSIGN_OR_RETURN(page->page_id, ParseXmlInt(cur, "<id>", "</id>"));
+  size_t parsed = 0;
   while (cur->Consume("<revision>")) {
-    WICLEAN_RETURN_IF_ERROR(
-        ParseRevision(cur, &page->revisions.emplace_back()));
+    if (parsed == page->revisions.size()) page->revisions.emplace_back();
+    WICLEAN_RETURN_IF_ERROR(ParseRevision(cur, &page->revisions[parsed++]));
   }
-  WICLEAN_RETURN_IF_ERROR(cur->Expect("</page>"));
-  return Status::OK();
+  page->revisions.resize(parsed);
+  return cur->Expect("</page>");
 }
 
-Result<DumpPage> ParsePageElement(StreamCursor* cur) {
-  DumpPage page;
+/// Parses one <page> element into the caller's *page (its storage reused);
+/// after an error *page is unspecified.
+Status ParsePageElement(StreamCursor* cur, DumpPage* page) {
   WICLEAN_RETURN_IF_ERROR(cur->Expect("<title>"));
-  WICLEAN_RETURN_IF_ERROR(cur->ReadUnescapedUntil("</title>", &page.title));
-  Status status = ParsePageBody(cur, &page);
-  if (!status.ok()) {
-    // A truncation detected once the title is known names the page it cut:
-    // "truncated dump at byte N ..., inside page 'title'".
-    if (status.code() == StatusCode::kDataLoss) {
-      return Status::DataLoss(status.message() + ", inside page '" +
-                              page.title + "'");
-    }
-    return status;
+  WICLEAN_RETURN_IF_ERROR(cur->ReadUnescapedUntil("</title>", &page->title));
+  Status status = ParsePageBody(cur, page);
+  // A truncation detected once the title is known names the page it cut:
+  // "truncated dump at byte N ..., inside page 'title'".
+  if (status.code() == StatusCode::kDataLoss) {
+    return Status::DataLoss(status.message() + ", inside page '" +
+                            page->title + "'");
   }
-  return page;
+  return status;
 }
 
 }  // namespace
@@ -355,9 +356,8 @@ Result<bool> DumpPageStream::Next(DumpPage* page) {
     }
     return fail(std::move(status));
   }
-  Result<DumpPage> parsed = ParsePageElement(&s.cursor);
-  if (!parsed.ok()) return fail(parsed.status());
-  *page = std::move(parsed).value();
+  status = ParsePageElement(&s.cursor, page);
+  if (!status.ok()) return fail(std::move(status));
   s.cursor.Compact();
   return true;
 }

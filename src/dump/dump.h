@@ -105,6 +105,12 @@ class DumpPageStream {
   /// or Corruption/DataLoss on malformed input. After false or an error,
   /// further calls keep returning the same outcome — unless Resync() below
   /// clears the error by skipping past the damaged region.
+  ///
+  /// *page may hold an earlier page: its revisions and string capacity are
+  /// reused, so a caller that recycles one DumpPage parses without
+  /// allocating once its buffers have grown. On true every field is
+  /// overwritten and revisions is trimmed to the page's count; after an
+  /// error *page is unspecified (but valid to pass again).
   [[nodiscard]] Result<bool> Next(DumpPage* page);
 
   /// Degraded-mode recovery: after Next() returned an error, discards input

@@ -22,6 +22,11 @@ class PageSource {
   /// Fills *page with the next page and returns true; returns false at end
   /// of stream; returns an error status on malformed input. After false or
   /// an error, further calls repeat the same outcome.
+  ///
+  /// *page may hold a page from an earlier call, which the pipeline hands
+  /// back to recycle its storage: on true every field must be overwritten
+  /// (revisions trimmed to the new page's count); after an error *page is
+  /// unspecified, and the caller may only pass it again.
   [[nodiscard]] virtual Result<bool> Next(DumpPage* page) = 0;
 
   /// Degraded-mode recovery hook: after Next() returned an error, skip past

@@ -161,7 +161,9 @@ struct WorkItem {
 
 /// What the reader hands the workers per queue item: up to
 /// kIngestHandoffPages consecutive items, so queue traffic and worker
-/// wake-ups are paid per batch, not per page.
+/// wake-ups are paid per batch, not per page. A parsed batch comes back to
+/// the reader as a spare, and the reader parses its next pages into the same
+/// items, so page text is allocated and freed on the reader thread only.
 using WorkBatch = std::vector<WorkItem>;
 
 /// Shared state of one parallel run: the reorder buffer, the merged
@@ -172,6 +174,9 @@ using WorkBatch = std::vector<WorkItem>;
 /// matter which worker finished first). The reader thread accumulates its
 /// own read_seconds locally and folds it in once at the end, so the only
 /// cross-thread traffic is through mu (and the relaxed parse counter).
+/// Spent batches travel back through mu as well: a worker parks its parsed
+/// batch in `spare` in the critical section that merges it, and the reader
+/// takes one when it waits for room in the page budget.
 struct MergeState {
   Mutex mu;
   // Signalled when pages merge or the run fails; the reader waits on it for
@@ -183,6 +188,8 @@ struct MergeState {
   uint64_t next_sequence WC_GUARDED_BY(mu) = 0;
   IngestStats stats WC_GUARDED_BY(mu);
   Status first_error WC_GUARDED_BY(mu);
+  // Parsed batches whose page storage the reader may refill.
+  std::vector<WorkBatch> spare WC_GUARDED_BY(mu);
   std::atomic<int64_t> parse_micros{0};
   int64_t merge_micros WC_GUARDED_BY(mu) = 0;
 };
@@ -199,7 +206,11 @@ Result<IngestStats> RunParallel(PageSource* source,
                                 kBatch);
   // Pages read but not yet merged never exceed this: the queue's pages plus
   // one batch in each worker's hands. Finished batches parked behind a slow
-  // one count too, so the reorder buffer cannot grow past it either.
+  // one count too, so the reorder buffer cannot grow past it either. Spare
+  // batches stay within it as well: the reader allocates a batch only when
+  // no spare is left, that is when every other batch is queued or being
+  // parsed and so holds pages the budget counts. (A resync that cuts a batch
+  // short can leave more, smaller batches; each still holds at most kBatch.)
   const uint64_t page_budget =
       options.queue_capacity + options.num_threads * kBatch;
   MergeState state;
@@ -246,9 +257,9 @@ Result<IngestStats> RunParallel(PageSource* source,
           record_error(std::move(failed));
           return;
         }
-        work.clear();  // release the page texts before merging
 
         MutexLock lock(&state.mu);
+        state.spare.push_back(std::move(work));  // its pages, for the reader
         state.pending.emplace(first_sequence, std::move(parsed));
         // Flush the contiguous run now available, in sequence order. Skip
         // batches pass through the same merge (so counters and quarantine
@@ -285,29 +296,46 @@ Result<IngestStats> RunParallel(PageSource* source,
   // item so the stream continues.
   uint64_t sequence = 0;
   double read_seconds = 0.0;  // reader-local; folded into stats at the end
-  WorkBatch open;
+  WorkBatch open;      // a fresh or spare batch; items [0, filled) are read
+  size_t filled = 0;
   // Hands the open batch to the workers; false once the run is cancelled.
   auto flush = [&] {
-    if (open.empty()) return true;
+    if (filled == 0) return true;
+    open.resize(filled);  // a short batch drops the spare items it did not use
     const bool pushed = queue.Push(std::move(open));
     open = WorkBatch();
+    filled = 0;
     return pushed;
   };
-  // Blocks until a full batch more fits in the page budget; false once the
-  // run has failed.
+  // Blocks until a full batch more fits in the page budget, then opens a
+  // spare batch if a worker has handed one back; false once the run has
+  // failed.
   auto wait_for_budget = [&] {
     MutexLock lock(&state.mu);
     while (state.first_error.ok() &&
            sequence + kBatch - state.next_sequence > page_budget) {
       state.merged.Wait(&state.mu);
     }
-    return state.first_error.ok();
+    if (!state.first_error.ok()) return false;
+    if (open.empty() && !state.spare.empty()) {
+      open = std::move(state.spare.back());
+      state.spare.pop_back();
+    }
+    return true;
+  };
+  // The item to fill next: a spare one while the open batch has any left.
+  // Reserving a full batch up front keeps items in place while it grows.
+  auto next_item = [&]() -> WorkItem& {
+    if (filled == open.size()) {
+      open.reserve(kBatch);
+      open.emplace_back();
+    }
+    return open[filled];
   };
   for (bool at_end = false; !at_end;) {
-    if (open.empty() && !wait_for_budget()) break;
-    WorkItem item;
+    if (filled == 0 && !wait_for_budget()) break;
     Timer read_timer;
-    Result<bool> more = source->Next(&item.page);
+    Result<bool> more = source->Next(&next_item().page);
     read_seconds += read_timer.ElapsedSeconds();
     if (more.ok() && !*more) break;
     if (!more.ok()) {
@@ -328,12 +356,12 @@ Result<IngestStats> RunParallel(PageSource* source,
         record_error(skip.status());
         break;
       }
-      item.batch = std::move(skip).value();
-      item.resolved = true;
+      next_item().batch = std::move(skip).value();
     }
+    WorkItem& item = next_item();
     item.sequence = sequence++;
-    open.push_back(std::move(item));
-    if (open.size() == kBatch && !flush()) break;
+    item.resolved = !more.ok();
+    if (++filled == kBatch && !flush()) break;
   }
   flush();  // the tail batch; a no-op once the run is cancelled
   queue.Close();

@@ -1,7 +1,8 @@
 #include "revision/revision_store.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -103,62 +104,47 @@ bool RevisionStore::TimeSpan(Timestamp* begin, Timestamp* end) const {
 }
 
 std::vector<Action> ReduceActions(const std::vector<Action>& actions) {
-  // Edge key -> chronological op sequence. std::map on a composite string key
-  // keeps per-edge grouping simple; reduction inputs are one window of one
-  // entity set, so sizes are modest.
-  struct EdgeState {
-    std::vector<std::pair<Timestamp, EditOp>> ops;
-    size_t first_seen = 0;  // index into `actions` for stable output order
-    EntityId subject;
-    std::string relation;
-    EntityId object;
-  };
-  std::map<std::string, EdgeState> edges;
+  // One stable sort of action indices by (subject, object, relation, time)
+  // makes each edge's edits one chronological run, ties in input order.
+  std::vector<size_t> order(actions.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    const Action& a = actions[x];
+    const Action& b = actions[y];
+    if (a.subject != b.subject) return a.subject < b.subject;
+    if (a.object != b.object) return a.object < b.object;
+    if (int c = a.relation.compare(b.relation); c != 0) return c < 0;
+    return a.time < b.time;
+  });
 
-  for (size_t i = 0; i < actions.size(); ++i) {
-    const Action& a = actions[i];
-    std::string key = std::to_string(a.subject) + '\0' + a.relation + '\0' +
-                      std::to_string(a.object);
-    auto [it, inserted] = edges.emplace(std::move(key), EdgeState{});
-    EdgeState& st = it->second;
-    if (inserted) {
-      st.first_seen = i;
-      st.subject = a.subject;
-      st.relation = a.relation;
-      st.object = a.object;
+  // Each surviving edge as (its first index in `actions`, its last edit).
+  std::vector<std::pair<size_t, size_t>> survivors;
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const Action& first = actions[order[begin]];
+    size_t first_seen = order[begin];
+    for (end = begin + 1; end < order.size(); ++end) {
+      const Action& a = actions[order[end]];
+      if (a.subject != first.subject || a.object != first.object ||
+          a.relation != first.relation) {
+        break;
+      }
+      first_seen = std::min(first_seen, order[end]);
     }
-    st.ops.emplace_back(a.time, a.op);
-  }
-
-  std::vector<std::pair<size_t, Action>> survivors;
-  for (auto& [key, st] : edges) {
-    std::stable_sort(
-        st.ops.begin(), st.ops.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
     // Initial presence: if the first recorded op is a removal, the edge must
-    // have existed before the window; if an addition, it did not.
-    bool initial_present = st.ops.front().second == EditOp::kRemove;
-    bool present = initial_present;
-    Timestamp last_time = 0;
-    for (const auto& [t, op] : st.ops) {
-      present = (op == EditOp::kAdd);
-      last_time = t;
-    }
-    if (present == initial_present) continue;  // edits fully cancelled
-    Action net;
-    net.op = present ? EditOp::kAdd : EditOp::kRemove;
-    net.subject = st.subject;
-    net.relation = st.relation;
-    net.object = st.object;
-    net.time = last_time;
-    survivors.emplace_back(st.first_seen, std::move(net));
+    // have existed before the window; if an addition, it did not. The net
+    // action, when presence changed, is exactly the last edit.
+    const bool initial_present = first.op == EditOp::kRemove;
+    const size_t last = order[end - 1];
+    const bool present = actions[last].op == EditOp::kAdd;
+    if (present != initial_present) survivors.emplace_back(first_seen, last);
   }
 
-  std::sort(survivors.begin(), survivors.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(survivors.begin(), survivors.end());
   std::vector<Action> out;
   out.reserve(survivors.size());
-  for (auto& [idx, a] : survivors) out.push_back(std::move(a));
+  for (const auto& [first_seen, last] : survivors) {
+    out.push_back(actions[last]);
+  }
   return out;
 }
 

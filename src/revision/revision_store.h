@@ -75,6 +75,10 @@ class RevisionStore {
 /// This also tolerates noisy logs (duplicate adds, deletes of absent edges):
 /// initial edge presence is inferred from the first recorded op, and only a
 /// net presence change emits an action.
+///
+/// One stable sort of action indices groups the edges; no per-action key is
+/// built. The string-keyed original is the test oracle
+/// tests/support/reference_reduce.h.
 std::vector<Action> ReduceActions(const std::vector<Action>& actions);
 
 /// Order-sensitive fingerprint of every log of entities [0, num_entities):

@@ -128,6 +128,30 @@ if(NOT ingest_json MATCHES "\"action_log\"")
   message(FATAL_ERROR "ingest stats JSON malformed")
 endif()
 
+# The parallel ingest writes the same WCAL bytes: pages travel to the
+# workers in batches whose page storage the reader recycles, and the merge
+# restores source order, so nothing may depend on the worker count.
+foreach(threads 1 4)
+  execute_process(
+    COMMAND ${WICLEAN} ingest
+      --dump ${WORK_DIR}/dump.xml
+      --taxonomy ${WORK_DIR}/taxonomy.tsv
+      --alignment ${WORK_DIR}/alignment.tsv
+      --out ${WORK_DIR}/actions_t${threads}.wcal
+      --threads ${threads}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ingest --threads ${threads} failed: ${out}${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/actions_t1.wcal ${WORK_DIR}/actions_t4.wcal
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ingest --threads 4 WCAL differs from --threads 1")
+endif()
+
 execute_process(
   COMMAND ${WICLEAN} mine
     --action-log ${WORK_DIR}/actions.wcal

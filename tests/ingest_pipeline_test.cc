@@ -1,12 +1,14 @@
 // Tests for the staged ingestion pipeline (dump/pipeline.h): determinism
 // across worker counts, the in-memory PageSource, custom sinks, error
 // propagation through the parallel path, and the batched reader-to-worker
-// hand-off (its page bound and sequence order around region skips).
+// hand-off (its page bound, sequence order around region skips, and the
+// recycling of parsed batches' page storage).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <string>
@@ -227,12 +229,15 @@ TEST(IngestPipelineTest, StageTimingsArePopulated) {
 }
 
 /// Pages pulled from a source and merged into a sink, shared by the two
-/// counting wrappers below. The reader thread alone writes `pulled` and
-/// `max_in_flight`; merging workers bump `merged`.
+/// counting wrappers below. The reader thread alone writes `pulled`,
+/// `max_in_flight` and `buffers`; merging workers bump `merged`.
 struct InFlightCounter {
   std::atomic<size_t> pulled{0};
   std::atomic<size_t> merged{0};
   size_t max_in_flight = 0;
+  // Every DumpPage the pipeline asked the source to fill: its page storage,
+  // spare batches included.
+  std::set<const DumpPage*> buffers;
 };
 
 class CountingPageSource : public PageSource {
@@ -241,6 +246,7 @@ class CountingPageSource : public PageSource {
       : inner_(inner), counter_(counter) {}
 
   Result<bool> Next(DumpPage* page) override {
+    counter_->buffers.insert(page);
     Result<bool> more = inner_->Next(page);
     if (more.ok() && *more) {
       const size_t pulled = ++counter_->pulled;
@@ -302,6 +308,10 @@ TEST(IngestPipelineTest, PagesInFlightStayWithinCapacityPlusWorkerBatches) {
       EXPECT_EQ(counter.merged.load(), counter.pulled.load());
       EXPECT_GT(counter.pulled.load(), 4 * kIngestHandoffPages);
       EXPECT_LE(counter.max_in_flight,
+                capacity + threads * kIngestHandoffPages);
+      // Spent batches come back to the reader, so page storage stays within
+      // the same bound however many pages pass through.
+      EXPECT_LE(counter.buffers.size(),
                 capacity + threads * kIngestHandoffPages);
       EXPECT_EQ(Fingerprint(store, n), Fingerprint(sequential, n));
     }
@@ -367,6 +377,160 @@ TEST(IngestPipelineTest, RegionSkipMidBatchIsByteIdenticalAtAnyWidth) {
       EXPECT_EQ(records[i].reason, base_records[i].reason);
       EXPECT_EQ(records[i].detail, base_records[i].detail);
       EXPECT_EQ(records[i].raw, base_records[i].raw);
+    }
+  }
+}
+
+/// The synth corpus as pages ordered by revision count, then total text,
+/// both descending: each recycled page buffer is refilled by a page with no
+/// more revisions than the one it held, and mostly shorter texts, so stale
+/// revisions or text tails would show.
+std::vector<DumpPage> ShrinkingPages(const Corpus& corpus) {
+  Result<std::vector<DumpPage>> rendered =
+      RenderDumpPages(corpus.world, 0, kSecondsPerYear);
+  EXPECT_TRUE(rendered.ok());
+  std::vector<DumpPage> pages = std::move(rendered).value();
+  auto text_bytes = [](const DumpPage& page) {
+    size_t bytes = 0;
+    for (const DumpRevision& rev : page.revisions) bytes += rev.text.size();
+    return bytes;
+  };
+  std::stable_sort(pages.begin(), pages.end(),
+                   [&](const DumpPage& a, const DumpPage& b) {
+                     if (a.revisions.size() != b.revisions.size()) {
+                       return a.revisions.size() > b.revisions.size();
+                     }
+                     return text_bytes(a) > text_bytes(b);
+                   });
+  return pages;
+}
+
+std::string ToXml(const std::vector<DumpPage>& pages) {
+  std::ostringstream out;
+  DumpWriter writer(&out);
+  writer.Begin();
+  for (const DumpPage& page : pages) writer.WritePage(page);
+  EXPECT_TRUE(writer.End().ok());
+  return out.str();
+}
+
+TEST(IngestPipelineTest, RecycledPageParsesLikeAFreshOne) {
+  Corpus corpus = MakeCorpus(20, 13);
+  const std::vector<DumpPage> pages = ShrinkingPages(corpus);
+  ASSERT_GT(pages.size(), 2u);
+  ASSERT_GT(pages.front().revisions.size(), pages.back().revisions.size());
+  std::istringstream in(ToXml(pages));
+  DumpPageStream stream(&in);
+  DumpPage page;  // one buffer for the whole dump
+  for (const DumpPage& expected : pages) {
+    Result<bool> more = stream.Next(&page);
+    ASSERT_TRUE(more.ok() && *more) << expected.title;
+    EXPECT_EQ(PageToXml(page), PageToXml(expected));
+  }
+  Result<bool> done = stream.Next(&page);
+  ASSERT_TRUE(done.ok());
+  EXPECT_FALSE(*done);
+}
+
+TEST(IngestPipelineTest, RecycledBuffersMatchSequentialAroundCorruptRegions) {
+  Corpus corpus = MakeCorpus(40, 17);
+  const size_t n = corpus.world.registry->size();
+  std::vector<DumpPage> pages = ShrinkingPages(corpus);
+  ASSERT_GT(pages.size(), 6 * kIngestHandoffPages);
+  ASSERT_GT(pages.front().revisions.size(), pages.back().revisions.size());
+  // Reject the longest tenth of the revision texts, so revision skips (whose
+  // quarantine records carry the text) come from recycled buffers too.
+  std::vector<size_t> sizes;
+  for (const DumpPage& page : pages) {
+    for (const DumpRevision& rev : page.revisions) {
+      sizes.push_back(rev.text.size());
+    }
+  }
+  std::sort(sizes.begin(), sizes.end());
+  const size_t max_revision_bytes = sizes[sizes.size() * 9 / 10];
+
+  // Garbage in front of page 13 and a mangled page 29, both mid-batch.
+  static_assert(13 % kIngestHandoffPages != 0);
+  static_assert(29 % kIngestHandoffPages != 0);
+  std::string xml = ToXml(pages);
+  auto page_start = [&xml](size_t index) {
+    size_t pos = xml.find("<page>");
+    for (size_t i = 0; i < index; ++i) pos = xml.find("<page>", pos + 1);
+    return pos;
+  };
+  const size_t mangled = xml.find("<title>", page_start(29));
+  ASSERT_NE(mangled, std::string::npos);
+  xml.replace(mangled, 7, "<tiXle>");
+  xml.insert(page_start(13), "@@not-xml@@");
+
+  for (ErrorPolicy policy : {ErrorPolicy::kSkip, ErrorPolicy::kQuarantine}) {
+    const bool quarantining = policy == ErrorPolicy::kQuarantine;
+    auto options_for = [&](size_t threads, size_t capacity,
+                           QuarantineSink* quarantine) {
+      IngestOptions options;
+      options.num_threads = threads;
+      options.queue_capacity = capacity;
+      options.on_error = policy;
+      options.quarantine = quarantine;
+      options.limits.max_revision_bytes = max_revision_bytes;
+      return options;
+    };
+    // What survives is exactly the pages minus the mangled one, which the
+    // in-memory source serves with no parser buffer in between.
+    RevisionStore expected;
+    {
+      std::vector<DumpPage> survivors = pages;
+      survivors.erase(survivors.begin() + 29);
+      VectorPageSource source(std::move(survivors));
+      RevisionStoreSink sink(&expected);
+      MemoryQuarantineSink ignored;
+      ASSERT_TRUE(RunIngestPipeline(&source, *corpus.world.registry, &sink,
+                                    options_for(1, 64, &ignored))
+                      .ok());
+    }
+
+    IngestStats base;
+    std::vector<QuarantineRecord> base_records;
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (size_t capacity : {1u, 4u, 64u}) {
+        if (threads == 1 && capacity != 64) continue;  // capacity unused
+        SCOPED_TRACE((quarantining ? "quarantine" : "skip") +
+                     std::string(" threads ") + std::to_string(threads) +
+                     " capacity " + std::to_string(capacity));
+        MemoryQuarantineSink quarantine;
+        RevisionStore store;
+        std::istringstream in(xml);
+        Result<IngestStats> stats =
+            IngestDump(&in, *corpus.world.registry, &store,
+                       options_for(threads, capacity, &quarantine));
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(Fingerprint(store, n), Fingerprint(expected, n));
+        if (threads == 1) {
+          base = *stats;
+          base_records = quarantine.records();
+          EXPECT_EQ(stats->regions_skipped, 2u);
+          EXPECT_GT(stats->revisions_skipped, 0u);
+          EXPECT_EQ(base_records.empty(), !quarantining);
+          continue;
+        }
+        EXPECT_EQ(stats->pages, base.pages);
+        EXPECT_EQ(stats->revisions, base.revisions);
+        EXPECT_EQ(stats->actions, base.actions);
+        EXPECT_EQ(stats->regions_skipped, base.regions_skipped);
+        EXPECT_EQ(stats->revisions_skipped, base.revisions_skipped);
+        EXPECT_EQ(stats->quarantined, base.quarantined);
+        EXPECT_EQ(stats->skipped_by_reason, base.skipped_by_reason);
+        const std::vector<QuarantineRecord>& records = quarantine.records();
+        ASSERT_EQ(records.size(), base_records.size());
+        for (size_t i = 0; i < records.size(); ++i) {
+          EXPECT_EQ(records[i].sequence, base_records[i].sequence);
+          EXPECT_EQ(records[i].reason, base_records[i].reason);
+          EXPECT_EQ(records[i].title, base_records[i].title);
+          EXPECT_EQ(records[i].revision_id, base_records[i].revision_id);
+          EXPECT_EQ(records[i].detail, base_records[i].detail);
+          EXPECT_EQ(records[i].raw, base_records[i].raw);
+        }
+      }
     }
   }
 }

@@ -371,7 +371,7 @@ TEST(RelationIdOrderTest, MinedResultIgnoresRelationIdOrder) {
 
   auto mine_with = [&](const std::vector<std::string>& order) {
     auto context = std::make_shared<MiningContext>(
-        world->registry.get(), &world->store, window, options);
+        world->registry.get(), &world->store, seed, window, options);
     for (const std::string& name : order) context->index.InternRelation(name);
     Result<MineWindowResult> r = miner.MineWindow(seed, window, context);
     EXPECT_TRUE(r.ok()) << r.status().ToString();

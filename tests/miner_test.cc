@@ -733,6 +733,55 @@ TEST(MinerCacheFloorTest, SynthWorldCacheFloorChangesOnlyWhatIsCached) {
   }
 }
 
+/// A context caches frequencies that count one seed type's seeds. Reused for
+/// another type, it used to report the first type's patterns (mining
+/// soccer_player, then film_actor on its context, listed football_player
+/// patterns as film_actor results); every entry point now rejects it.
+TEST(MinerContextTest, RejectsContextOfAnotherSeedType) {
+  SynthOptions so;
+  so.seed_entities = 30;
+  so.years = 1;
+  so.rng_seed = 5;
+  so.soccer = true;
+  so.cinema = true;
+  Result<SynthWorld> world = Synthesize(so);
+  ASSERT_TRUE(world.ok());
+  const TypeId soccer = world->types.soccer_player;
+  const TypeId film = world->types.film_actor;
+  const TimeWindow window = world->WindowOf(16);
+  MinerOptions o;
+  o.frequency_threshold = 0.3;
+  PatternMiner miner(world->registry.get(), &world->store, o);
+
+  Result<MineWindowResult> mined = miner.MineWindow(soccer, window);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  ASSERT_FALSE(mined->most_specific.empty());
+  EXPECT_EQ(mined->context->seed_type, soccer);
+
+  Result<MineWindowResult> reused =
+      miner.MineWindow(film, window, mined->context);
+  ASSERT_FALSE(reused.ok());
+  EXPECT_EQ(reused.status().code(), StatusCode::kInvalidArgument);
+  const MinedPattern& base = mined->most_specific.front();
+  Result<std::vector<RelativePattern>> relative =
+      miner.MineRelative(mined->context.get(), film, base, 0.5);
+  ASSERT_FALSE(relative.ok());
+  EXPECT_EQ(relative.status().code(), StatusCode::kInvalidArgument);
+  Result<std::vector<PatternMiner::ValueSpecificPattern>> values =
+      miner.MineValueSpecific(*mined->context, film, base, 0.5);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+
+  // The same context still serves its own type, and a fresh context serves
+  // the other one.
+  EXPECT_TRUE(miner.MineWindow(soccer, window, mined->context).ok());
+  EXPECT_TRUE(
+      miner.MineRelative(mined->context.get(), soccer, base, 0.5).ok());
+  Result<MineWindowResult> film_mined = miner.MineWindow(film, window);
+  ASSERT_TRUE(film_mined.ok()) << film_mined.status().ToString();
+  EXPECT_EQ(film_mined->context->seed_type, film);
+}
+
 /// Apriori pruning on a synthesized soccer world, as deep as the e2ebench
 /// pipeline mines (6 actions). The cache keeps nothing of a below-floor
 /// candidate but its count, and pruning skips most of them unevaluated:

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "revision/revision_store.h"
 #include "revision/window.h"
+#include "tests/support/reference_reduce.h"
 
 namespace wiclean {
 namespace {
@@ -209,6 +210,28 @@ TEST(ReduceTest, IdempotentProperty) {
     std::vector<Action> once = ReduceActions(soup);
     std::vector<Action> twice = ReduceActions(once);
     EXPECT_EQ(once, twice);
+  }
+}
+
+TEST(ReduceTest, MatchesStringKeyedReference) {
+  // Differential check against the string-keyed original: random logs with
+  // re-adds and re-removes, many equal timestamps (tie order is input order),
+  // several relations, and ids whose decimal and numeric orders differ.
+  const std::vector<std::string> relations = {"r", "s", "rs", "current_club"};
+  const std::vector<EntityId> ids = {1, 2, 9, 10, 11, 100};
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<Action> log;
+    const size_t n = rng.NextBelow(80);
+    for (size_t i = 0; i < n; ++i) {
+      log.push_back(MakeAction(
+          rng.NextBernoulli(0.5) ? EditOp::kAdd : EditOp::kRemove,
+          ids[rng.NextBelow(3)], relations[rng.NextBelow(relations.size())],
+          ids[rng.NextBelow(ids.size())],
+          static_cast<Timestamp>(rng.NextBelow(trial % 2 == 0 ? 4 : 1000))));
+    }
+    EXPECT_EQ(ReduceActions(log), ReferenceReduceActions(log));
   }
 }
 
