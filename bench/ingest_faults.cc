@@ -53,7 +53,7 @@ std::string Fingerprint(const RevisionStore& store, size_t num_entities) {
     out += "e" + std::to_string(i) + ":";
     for (const Action& a : log) {
       out += (a.op == EditOp::kAdd ? "+" : "-");
-      out += std::to_string(a.subject) + "," + a.relation + "," +
+      out += std::to_string(a.subject) + "," + a.relation.name() + "," +
              std::to_string(a.object) + "@" + std::to_string(a.time) + ";";
     }
     out += "\n";

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       for (size_t mi : partial.missing_actions) {
         const AbstractAction& a = dp.mined.pattern.actions()[mi];
         std::printf(" [%s%s]", a.op == EditOp::kAdd ? "+" : "-",
-                    a.relation.c_str());
+                    a.relation.name().c_str());
       }
       std::printf("\n");
     }

@@ -34,7 +34,7 @@ int main() {
   RevisionStore store;
   auto edit = [&](EditOp op, EntityId subject, const char* relation,
                   EntityId object, Timestamp t) {
-    store.Add(Action{op, subject, relation, object, t});
+    store.Add(Action{op, relation, subject, object, t});
   };
   Timestamp h = kSecondsPerHour;
   edit(EditOp::kAdd, neymar, "current_club", psg, 1 * h);
@@ -109,7 +109,7 @@ int main() {
       for (size_t mi : partial.missing_actions) {
         const AbstractAction& a = mp.pattern.actions()[mi];
         std::printf(" [%s %s]", a.op == EditOp::kAdd ? "+" : "-",
-                    a.relation.c_str());
+                    a.relation.name().c_str());
       }
       std::printf("\n");
     }

@@ -1,6 +1,5 @@
 #include "core/action_index.h"
 
-#include <functional>
 #include <utility>
 
 #include "common/hash.h"
@@ -15,7 +14,7 @@ std::string AbstractActionKey::Encode() const {
   out += ' ';
   out += std::to_string(source_type);
   out += ' ';
-  out += relation;
+  out += relation.name();
   out += ' ';
   out += std::to_string(target_type);
   return out;
@@ -36,9 +35,9 @@ size_t ActionIndex::AddEntities(const std::vector<EntityId>& entities) {
     ++ingested;
     // Reduce per entity: an entity's log holds all edits of its outgoing
     // links, so edge-level cancellation never spans entities.
-    std::vector<Action> reduced =
-        ReduceActions(store_->ActionsInWindow(e, window_));
-    for (const Action& a : reduced) IngestAction(a);
+    for (const Action& a : ReduceActions(store_->ActionsInWindow(e, window_))) {
+      IngestAction(a);
+    }
   }
   return ingested;
 }
@@ -69,37 +68,27 @@ rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
   return out;
 }
 
-size_t ActionIndex::LookupKeyHash::operator()(const LookupKey& k) const {
+size_t ActionIndex::KeyHash::operator()(const AbstractActionKey& k) const {
   const uint64_t types =
       static_cast<uint64_t>(static_cast<uint32_t>(k.source_type)) << 32 |
       static_cast<uint32_t>(k.target_type);
   return static_cast<size_t>(HashCombine(
-      HashCombine(k.relation_hash, types), static_cast<uint64_t>(k.op)));
+      HashCombine(k.relation.id(), types), static_cast<uint64_t>(k.op)));
 }
 
-const AbstractActionEntry* ActionIndex::Find(EditOp op, TypeId source_type,
-                                             std::string_view relation,
-                                             TypeId target_type) const {
-  auto it = lookup_.find(LookupKey{op, source_type, relation, target_type,
-                                   std::hash<std::string_view>{}(relation)});
+const AbstractActionEntry* ActionIndex::Find(
+    const AbstractActionKey& key) const {
+  auto it = lookup_.find(key);
   return it == lookup_.end() ? nullptr : it->second;
 }
 
-AbstractActionEntry& ActionIndex::EntryFor(const LookupKey& key) {
+AbstractActionEntry& ActionIndex::EntryFor(const AbstractActionKey& key) {
   auto it = lookup_.find(key);
   if (it != lookup_.end()) return *it->second;
-  AbstractActionKey full{key.op, key.source_type, std::string(key.relation),
-                         key.target_type};
-  std::string encoded = full.Encode();
   AbstractActionEntry& entry =
-      entries_
-          .emplace(std::move(encoded),
-                   AbstractActionEntry(std::move(full), rel::Table(3)))
+      entries_.emplace(key.Encode(), AbstractActionEntry(key, rel::Table(3)))
           .first->second;
-  entry.relation_id = relations_.Intern(key.relation);
-  LookupKey stored = key;
-  stored.relation = entry.key.relation;  // outlives the ingested action
-  lookup_.emplace(stored, &entry);
+  lookup_.emplace(key, &entry);
   return entry;
 }
 
@@ -113,8 +102,8 @@ void ActionIndex::IngestAction(const Action& action) {
   // Enumerate abstractions: every (ancestor-of-source x ancestor-of-target)
   // pair within the lift budget (§3: "the set of possible abstractions can be
   // computed by traversing the type hierarchy"), walking up the parents.
-  LookupKey key{action.op, kInvalidTypeId, action.relation, kInvalidTypeId,
-                std::hash<std::string_view>{}(action.relation)};
+  AbstractActionKey key{action.op, kInvalidTypeId, action.relation,
+                        kInvalidTypeId};
   TypeId src = src_type;
   for (int i = 0; i <= max_abstraction_lift_ && taxonomy.IsValid(src);
        ++i, src = taxonomy.Parent(src)) {

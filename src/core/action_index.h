@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -22,18 +21,16 @@ namespace wiclean {
 struct AbstractActionKey {
   EditOp op = EditOp::kAdd;
   TypeId source_type = kInvalidTypeId;
-  std::string relation;
+  Relation relation;
   TypeId target_type = kInvalidTypeId;
 
-  /// Stable map/set key.
+  /// Stable map/set key; spells the relation's name, so its order does not
+  /// depend on relation ids.
   std::string Encode() const;
 
   bool operator==(const AbstractActionKey& other) const {
     return op == other.op && source_type == other.source_type &&
            relation == other.relation && target_type == other.target_type;
-  }
-  bool operator<(const AbstractActionKey& other) const {
-    return Encode() < other.Encode();
   }
 };
 
@@ -45,8 +42,6 @@ struct AbstractActionKey {
 struct AbstractActionEntry {
   AbstractActionKey key;
   relational::Table realizations;
-  /// key.relation's id in the owning index's relation table.
-  uint32_t relation_id = 0;
 
   AbstractActionEntry(AbstractActionKey k, relational::Table t)
       : key(std::move(k)), realizations(std::move(t)) {}
@@ -112,51 +107,21 @@ class ActionIndex {
     return entries_;
   }
 
-  /// The entry of key (op, source_type, relation, target_type), or null;
-  /// no key is encoded.
-  const AbstractActionEntry* Find(EditOp op, TypeId source_type,
-                                  std::string_view relation,
-                                  TypeId target_type) const;
-
-  /// Ids of every relation an entry has named, interned as entries are
-  /// created (and by InternRelation); canonical codes of this index's
-  /// patterns number relations through it.
-  const RelationTable& relations() const { return relations_; }
-
-  /// Interns `name` ahead of any entry naming it. Ids are append-only, so
-  /// this never changes an id already given out; it only fixes which ids
-  /// later relations get.
-  uint32_t InternRelation(std::string_view name) {
-    return relations_.Intern(name);
-  }
+  /// The entry of `key`, or null; no key is encoded.
+  const AbstractActionEntry* Find(const AbstractActionKey& key) const;
 
   /// Cumulative ingestion counters.
   size_t num_entities_ingested() const { return ingested_.size(); }
   size_t num_actions_ingested() const { return num_actions_; }
 
  private:
-  /// An entry's key fields, with a view of the relation (into the action
-  /// being ingested for a probe, into the entry's own key once stored) and
-  /// that relation's hash, computed once per action.
-  struct LookupKey {
-    EditOp op;
-    TypeId source_type;
-    std::string_view relation;
-    TypeId target_type;
-    size_t relation_hash;
-
-    bool operator==(const LookupKey& other) const {
-      return op == other.op && source_type == other.source_type &&
-             target_type == other.target_type && relation == other.relation;
-    }
-  };
-  struct LookupKeyHash {
-    size_t operator()(const LookupKey& k) const;
+  struct KeyHash {
+    size_t operator()(const AbstractActionKey& k) const;
   };
 
   void IngestAction(const Action& action);
   /// The entry of `key`, created (and only then encoded) if absent.
-  AbstractActionEntry& EntryFor(const LookupKey& key);
+  AbstractActionEntry& EntryFor(const AbstractActionKey& key);
 
   const EntityRegistry* registry_;
   const RevisionStore* store_;
@@ -167,10 +132,9 @@ class ActionIndex {
   /// Types ingested through AddEntitiesOfType.
   std::unordered_set<TypeId> ingested_types_;
   size_t num_actions_ = 0;
-  RelationTable relations_;
   std::map<std::string, AbstractActionEntry> entries_;
-  /// Every entry of entries_ by its key fields (map nodes never move).
-  std::unordered_map<LookupKey, AbstractActionEntry*, LookupKeyHash> lookup_;
+  /// Every entry of entries_ by its key (map nodes never move).
+  std::unordered_map<AbstractActionKey, AbstractActionEntry*, KeyHash> lookup_;
 };
 
 /// Filters a (u, v, t) action-realization table down to rows whose

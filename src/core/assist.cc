@@ -55,7 +55,7 @@ std::string EditSuggestion::Describe(const EntityRegistry& registry) const {
       return "<some " + registry.taxonomy().Name(pattern.var_type(var)) + ">";
     };
     out += render(a.source_var);
-    out += " --" + a.relation + "--> ";
+    out += " --" + a.relation.name() + "--> ";
     out += render(a.target_var);
   }
   out += " (pattern completed by " +

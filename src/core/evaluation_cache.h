@@ -124,7 +124,7 @@ class ExtensionBounds {
 };
 
 /// The miner's cache of evaluated patterns, keyed by canonical code
-/// (Pattern::CanonicalCode over the mining context's relation table).
+/// (Pattern::CanonicalCode).
 /// Entries are numbered by insertion order; ids stay valid for the cache's
 /// lifetime.
 ///
@@ -143,9 +143,6 @@ class EvaluationCache {
   /// What the cache keeps of a state at or above the floor.
   struct Realized {
     Pattern pattern;
-    /// The relation id of each of pattern's actions, in action order, so an
-    /// extension is coded without building it.
-    std::vector<uint32_t> relations;
     std::string key;                 // pattern.CanonicalKey()
     /// One realization per row, by position: column k binds pattern
     /// variable k (k < num_vars), then the realization's tmin and tmax.

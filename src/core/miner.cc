@@ -274,7 +274,7 @@ class PatternMiner::Impl {
   };
 
   /// Output of one pure candidate evaluation. `kept` — the pattern, its
-  /// relation ids and key, and its realization table — is built only when
+  /// key, and its realization table — is built only when
   /// `frequency` reaches the realization cache floor, i.e. only when the
   /// cache will keep it.
   struct CandidateResult {
@@ -437,18 +437,13 @@ class PatternMiner::Impl {
     return Status::OK();
   }
 
-  /// Loads `base` — its variables and its actions over relation ids — as
-  /// the shape Enumerate extends.
+  /// Loads `base` — its variables and its actions — as the shape Enumerate
+  /// extends.
   void SetCodeBase(const Realized& base) {
     const Pattern& p = base.pattern;
     code_types_.assign(p.var_types().begin(), p.var_types().end());
     code_bindings_.assign(p.var_bindings().begin(), p.var_bindings().end());
-    code_actions_.clear();
-    for (size_t i = 0; i < p.num_actions(); ++i) {
-      const AbstractAction& a = p.actions()[i];
-      code_actions_.push_back(
-          CodedAction{a.op, a.source_var, base.relations[i], a.target_var});
-    }
+    code_actions_.assign(p.actions().begin(), p.actions().end());
   }
 
   /// Apriori pruning: a bound below the realization cache floor on the
@@ -496,7 +491,7 @@ class PatternMiner::Impl {
   void SingletonCode(const AbstractActionEntry& entry) {
     const TypeId types[] = {entry.key.source_type, entry.key.target_type};
     const EntityId bindings[] = {kInvalidEntityId, kInvalidEntityId};
-    const CodedAction action{entry.key.op, 0, entry.relation_id, 1};
+    const AbstractAction action{entry.key.op, 0, entry.key.relation, 1};
     CanonicalCodeOf(PatternShape{types, bindings, 0, {&action, 1}}, &code_);
   }
 
@@ -518,7 +513,8 @@ class PatternMiner::Impl {
       code_bindings_.push_back(kInvalidEntityId);
     }
     code_actions_.push_back(
-        CodedAction{entry.key.op, c.glue_source, entry.relation_id, target});
+        AbstractAction{entry.key.op, c.glue_source, entry.key.relation,
+                       target});
     CanonicalCodeOf(PatternShape{code_types_, code_bindings_,
                                  base.source_var(), code_actions_},
                     &code_);
@@ -626,8 +622,8 @@ class PatternMiner::Impl {
               p.AddAction(entry.key.op, u, entry.key.relation, v));
           WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
           std::string key = p.CanonicalKey();
-          kept.emplace(Realized{std::move(p), {entry.relation_id},
-                                std::move(key), std::move(realization),
+          kept.emplace(Realized{std::move(p), std::move(key),
+                                std::move(realization),
                                 EvaluationCache::kAbsent});
         }
         id = RecordEvaluated(code_, hash, std::move(kept), support, frequency);
@@ -703,7 +699,7 @@ class PatternMiner::Impl {
   /// Pure evaluation of one extension candidate: joins the base realization
   /// with the action realization and counts seed support. Reads shared
   /// immutable tables only, so any number of these run concurrently. The
-  /// extended pattern, its relation ids and its key are built only when the
+  /// extended pattern and its key are built only when the
   /// cache floor keeps it (KeepExtension). The PM path probes with
   /// the fused operator (join + span recompute + prune + dedup in one pass,
   /// no wide join materialized) into per-thread row buffers, counts support
@@ -821,21 +817,17 @@ class PatternMiner::Impl {
   }
 
   /// Builds what the cache keeps of candidate `c`: the extended pattern, its
-  /// relation ids, its key and `realization`.
+  /// key and `realization`.
   static Status KeepExtension(const ExtensionCandidate& c,
                               const AbstractActionEntry& entry,
                               rel::Table realization, CandidateResult* out) {
-    Realized& kept = out->kept.emplace(Realized{c.base->pattern,
-                                                c.base->relations,
-                                                {},
-                                                std::move(realization),
-                                                c.base_id});
+    Realized& kept = out->kept.emplace(Realized{
+        c.base->pattern, {}, std::move(realization), c.base_id});
     const int target = c.glue_target >= 0
                            ? c.glue_target
                            : kept.pattern.AddVar(entry.key.target_type);
     WICLEAN_RETURN_IF_ERROR(kept.pattern.AddAction(
         entry.key.op, c.glue_source, entry.key.relation, target));
-    kept.relations.push_back(entry.relation_id);
     kept.key = kept.pattern.CanonicalKey();
     return Status::OK();
   }
@@ -946,7 +938,7 @@ class PatternMiner::Impl {
   /// by one action per Enumerate, and the last code written.
   std::vector<TypeId> code_types_;
   std::vector<EntityId> code_bindings_;
-  std::vector<CodedAction> code_actions_;
+  std::vector<AbstractAction> code_actions_;
   std::vector<uint64_t> code_;
   /// Candidate-evaluation pool (MinerOptions::num_threads > 1 only). Owned
   /// here so it is never shared with window-level pools.
@@ -955,9 +947,7 @@ class PatternMiner::Impl {
 
 EvaluationCache::Id MiningContext::Find(const Pattern& pattern) const {
   std::vector<uint64_t> code;
-  if (!pattern.CanonicalCode(index.relations(), &code)) {
-    return EvaluationCache::kAbsent;
-  }
+  pattern.CanonicalCode(&code);
   return evaluated.Find(code, HashWords(code));
 }
 
@@ -1099,8 +1089,8 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
   auto realizations_of = [&](size_t ai) -> const rel::Table* {
     const AbstractAction& a = pattern.actions()[ai];
     const AbstractActionEntry* entry =
-        index->Find(a.op, pattern.var_type(a.source_var), a.relation,
-                    pattern.var_type(a.target_var));
+        index->Find({a.op, pattern.var_type(a.source_var), a.relation,
+                     pattern.var_type(a.target_var)});
     if (entry == nullptr) return nullptr;
     if (!pattern.HasBindings()) return &entry->realizations;
     bound_tables.push_back(FilterRealizationsByBindings(

@@ -189,12 +189,11 @@ class MiningContext {
   /// The type whose seeds every cached frequency counts.
   const TypeId seed_type;
 
-  /// The cache id of `pattern`'s evaluation, coded through index's relation
-  /// table, or EvaluationCache::kAbsent.
+  /// The cache id of `pattern`'s evaluation, or EvaluationCache::kAbsent.
   EvaluationCache::Id Find(const Pattern& pattern) const;
 
   ActionIndex index;
-  /// canonical pattern code (over index.relations()) -> evaluation result.
+  /// canonical pattern code -> evaluation result.
   /// Ids follow the serial commit order, the same at any thread count.
   /// Anything that must follow key order (seeding a reused context's
   /// frequent set) sorts explicitly by the kept states' keys.

@@ -207,8 +207,8 @@ Result<PartialUpdateReport> PartialUpdateDetector::Detect(
   auto realizations = [&](size_t i) -> const rel::Table* {
     const AbstractAction& a = pattern.actions()[i];
     const AbstractActionEntry* entry =
-        index.Find(a.op, pattern.var_type(a.source_var), a.relation,
-                   pattern.var_type(a.target_var));
+        index.Find({a.op, pattern.var_type(a.source_var), a.relation,
+                    pattern.var_type(a.target_var)});
     return entry == nullptr ? nullptr : &entry->realizations;
   };
   return DetectPartialsFromRealizations(pattern, window,

@@ -5,27 +5,11 @@
 #include <numeric>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace wiclean {
-
-uint32_t RelationTable::Intern(std::string_view name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  WICLEAN_CHECK(names_.size() < kMaxRelations);
-  const uint32_t id = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(names_.back(), id);
-  return id;
-}
-
-uint32_t RelationTable::Find(std::string_view name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kUnknown : it->second;
-}
 
 int Pattern::AddVar(TypeId type) {
   var_types_.push_back(type);
@@ -48,8 +32,8 @@ bool Pattern::HasBindings() const {
   return false;
 }
 
-Status Pattern::AddAction(EditOp op, int source_var,
-                          const std::string& relation, int target_var) {
+Status Pattern::AddAction(EditOp op, int source_var, Relation relation,
+                          int target_var) {
   if (source_var < 0 || static_cast<size_t>(source_var) >= var_types_.size() ||
       target_var < 0 || static_cast<size_t>(target_var) >= var_types_.size()) {
     return Status::InvalidArgument("abstract action references unknown var");
@@ -186,7 +170,7 @@ std::string Pattern::CanonicalKey() const {
       s.actions += ' ';
       append_token(a.source_var, &s.actions);
       s.actions += ' ';
-      s.actions += a.relation;
+      s.actions += a.relation.name();
       s.actions += ' ';
       append_token(a.target_var, &s.actions);
       s.spans.emplace_back(begin, s.actions.size() - begin);
@@ -222,8 +206,8 @@ std::string Pattern::CanonicalKey() const {
 
 namespace {
 
-/// Per-thread working buffers of CanonicalCodeOf and Pattern::CanonicalCode,
-/// cleared and never freed like CanonicalScratch.
+/// Per-thread working buffers of CanonicalCodeOf, cleared and never freed
+/// like CanonicalScratch.
 struct CodeScratch {
   std::vector<int> by_type;       // variables sorted by (type, index)
   std::vector<size_t> group_end;  // end of each same-type run of by_type
@@ -285,10 +269,10 @@ void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code) {
     }
     uint64_t* action_words = words + actions_at;
     for (size_t i = 0; i < m; ++i) {
-      const CodedAction& a = shape.actions[i];
-      WICLEAN_CHECK(a.relation < RelationTable::kMaxRelations);
+      const AbstractAction& a = shape.actions[i];
+      WICLEAN_CHECK(a.relation.id() < uint32_t{1} << 31);
       action_words[i] = (a.op == EditOp::kAdd ? 0 : uint64_t{1} << 63) |
-                        uint64_t{a.relation} << 32 |
+                        uint64_t{a.relation.id()} << 32 |
                         uint64_t{s.perm[a.source_var]} << 16 |
                         s.perm[a.target_var];
     }
@@ -312,18 +296,9 @@ void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code) {
   code->insert(code->end(), s.best.begin(), s.best.end());
 }
 
-bool Pattern::CanonicalCode(const RelationTable& relations,
-                            std::vector<uint64_t>* code) const {
-  thread_local std::vector<CodedAction> coded;
-  coded.clear();
-  for (const AbstractAction& a : actions_) {
-    const uint32_t id = relations.Find(a.relation);
-    if (id == RelationTable::kUnknown) return false;
-    coded.push_back(CodedAction{a.op, a.source_var, id, a.target_var});
-  }
+void Pattern::CanonicalCode(std::vector<uint64_t>* code) const {
   CanonicalCodeOf(
-      PatternShape{var_types_, var_bindings_, source_var_, coded}, code);
-  return true;
+      PatternShape{var_types_, var_bindings_, source_var_, actions_}, code);
 }
 
 std::string Pattern::ToString(const TypeTaxonomy& taxonomy) const {
@@ -342,7 +317,7 @@ std::string Pattern::ToString(const TypeTaxonomy& taxonomy) const {
     out += " (";
     out += var_name(a.source_var);
     out += ", ";
-    out += a.relation;
+    out += a.relation.name();
     out += ", ";
     out += var_name(a.target_var);
     out += ")";
@@ -508,15 +483,13 @@ SpecializationOrder::SpecializationOrder(std::vector<const Pattern*> patterns,
       taxonomy_(&taxonomy),
       masks_(patterns_.size(), 0),
       labels_(patterns_.size()) {
-  // Interns every (op, relation) pair as a small label, so signatures compare
-  // as sorted integer sets.
-  std::unordered_map<std::string_view, uint32_t> relation_ids;
+  // Each (op, relation) pair is a small label, so signatures compare as
+  // sorted integer sets.
   for (size_t i = 0; i < patterns_.size(); ++i) {
     std::vector<uint32_t>& labels = labels_[i];
     for (const AbstractAction& a : patterns_[i]->actions()) {
-      const uint32_t next = static_cast<uint32_t>(relation_ids.size());
-      const uint32_t rel = relation_ids.emplace(a.relation, next).first->second;
-      const uint32_t label = 2 * rel + (a.op == EditOp::kAdd ? 0 : 1);
+      const uint32_t label =
+          2 * a.relation.id() + (a.op == EditOp::kAdd ? 0 : 1);
       labels.push_back(label);
       masks_[i] |= uint64_t{1} << (label % 64);
     }

@@ -2,11 +2,8 @@
 #define WICLEAN_CORE_PATTERN_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -22,7 +19,7 @@ namespace wiclean {
 struct AbstractAction {
   EditOp op = EditOp::kAdd;
   int source_var = -1;
-  std::string relation;
+  Relation relation;
   int target_var = -1;
 
   bool operator==(const AbstractAction& other) const {
@@ -31,54 +28,15 @@ struct AbstractAction {
   }
 };
 
-/// Dense integer ids for relation labels, numbered in first-interned order —
-/// the relation field of a canonical code (Pattern::CanonicalCode).
-/// Append-only, so an id never changes once given out. Ids follow whatever
-/// order the labels arrived in, not their names, so no output order may be
-/// derived from them.
-class RelationTable {
- public:
-  static constexpr uint32_t kUnknown = ~uint32_t{0};
-  /// Ids fit the 31-bit relation field of a code word.
-  static constexpr size_t kMaxRelations = size_t{1} << 31;
-
-  /// The id of `name`, given the next free id if it is new.
-  uint32_t Intern(std::string_view name);
-  /// The id of `name`, or kUnknown.
-  uint32_t Find(std::string_view name) const;
-
-  size_t size() const { return names_.size(); }
-  const std::string& name(uint32_t id) const { return names_[id]; }
-
- private:
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-
-  std::vector<std::string> names_;  // by id
-  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> ids_;
-};
-
-/// An abstract action with its relation as a RelationTable id.
-struct CodedAction {
-  EditOp op = EditOp::kAdd;
-  int source_var = -1;
-  uint32_t relation = 0;
-  int target_var = -1;
-};
-
 /// What a canonical code encodes: a pattern's variables (types and value
 /// bindings, one entry per variable), its source variable (-1 for none) and
-/// its actions over relation ids. Lets callers code a pattern they have not
-/// built (the miner codes each candidate from its base and the new action).
+/// its actions. Lets callers code a pattern they have not built (the miner
+/// codes each candidate from its base and the new action).
 struct PatternShape {
   std::span<const TypeId> var_types;
   std::span<const EntityId> var_bindings;
   int source_var = -1;
-  std::span<const CodedAction> actions;
+  std::span<const AbstractAction> actions;
 };
 
 /// Variables a code can number: endpoints take 16 bits of an action word.
@@ -92,13 +50,15 @@ inline constexpr size_t kMaxCodeVars = size_t{1} << 16;
 ///   - the n variable types in (type, index) order, two per word;
 ///   - the renamed source id + 1 (0 = no source);
 ///   - when bound, each new id's binding (kInvalidEntityId when free);
-///   - the m action words, sorted, each op << 63 | relation << 32 |
+///   - the m action words, sorted, each op << 63 | relation id << 32 |
 ///     source << 16 | target over the renamed endpoints.
 /// Every field has its own width and the sizes come first, so equal codes
 /// mean equal renamed patterns at any size: for source-connected patterns
 /// (everything the miner builds) equal codes ⇔ equal keys. The key omits
-/// variables no action or source names; the code does not. Dies past
-/// kMaxCodeVars variables or 2^32 - 1 actions.
+/// variables no action or source names; the code does not. Relation ids are
+/// process-wide (revision/relation.h), so codes compare across contexts;
+/// their order is the ids' and means nothing beyond equality. Dies past
+/// kMaxCodeVars variables, 2^32 - 1 actions or relation id 2^31.
 void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code);
 
 /// A connected update pattern (§3): a set of abstract actions over typed
@@ -119,8 +79,8 @@ class Pattern {
   int AddVar(TypeId type);
 
   /// Adds an abstract action between existing variables.
-  [[nodiscard]] Status AddAction(EditOp op, int source_var, const std::string& relation,
-                   int target_var);
+  [[nodiscard]] Status AddAction(EditOp op, int source_var, Relation relation,
+                                 int target_var);
 
   /// Designates the distinguished source variable (w.r.t. the seed type).
   [[nodiscard]] Status SetSourceVar(int var);
@@ -161,12 +121,8 @@ class Pattern {
   /// byte-identical. Identity alone is cheaper as CanonicalCode.
   std::string CanonicalKey() const;
 
-  /// The canonical code (CanonicalCodeOf) of this pattern, with relations
-  /// numbered by `relations`, written to *code. False, leaving *code
-  /// unspecified, when some relation has no id there: no pattern coded
-  /// through that table can then equal this one.
-  [[nodiscard]] bool CanonicalCode(const RelationTable& relations,
-                                   std::vector<uint64_t>* code) const;
+  /// Writes the canonical code (CanonicalCodeOf) of this pattern to *code.
+  void CanonicalCode(std::vector<uint64_t>* code) const;
 
   /// Human-readable rendering using taxonomy type names, e.g.
   ///   "{+ (soccer_player#0, current_club, club#1)}, source=soccer_player#0".
@@ -229,7 +185,8 @@ class SpecializationOrder {
   const TypeTaxonomy* taxonomy_;
   /// One bit per (op, relation) label, modulo 64: a cheap subset test first.
   std::vector<uint64_t> masks_;
-  /// Sorted distinct (op, relation) labels per pattern.
+  /// Sorted distinct (op, relation) labels, 2 * relation id + op, per
+  /// pattern.
   std::vector<std::vector<uint32_t>> labels_;
 };
 

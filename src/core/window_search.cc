@@ -6,24 +6,11 @@
 #include <mutex>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace wiclean {
 namespace {
-
-/// Writes the canonical code of the source-connected `pattern` to *code over
-/// `relations`, interning its relations first. Equal codes over one table
-/// mean equal patterns.
-void InternedCode(const Pattern& pattern, RelationTable* relations,
-                  std::vector<uint64_t>* code) {
-  for (const AbstractAction& a : pattern.actions()) {
-    relations->Intern(a.relation);
-  }
-  const bool coded = pattern.CanonicalCode(*relations, code);
-  WICLEAN_CHECK(coded);
-}
 
 /// Validation probes of one WindowSearch::Run (window tightening + leverage
 /// partitions). Each probed window gets one ActionIndex, shared by every
@@ -32,21 +19,19 @@ void InternedCode(const Pattern& pattern, RelationTable* relations,
 /// abstracting every entity of every variable type again. The index's
 /// superset invariant (action_index.h) keeps each probe's realizations
 /// exactly those of a fresh index. Frequencies are additionally memoized per
-/// (pattern, window), keyed by the pattern's canonical code over the
-/// search's relation table followed by the window's two bounds: every
-/// league-extended transfer variant shares most of its sub-patterns, so most
-/// leverage probes are repeats. Validation runs serially, so nothing here
-/// needs a lock.
+/// (pattern, window), keyed by the pattern's canonical code followed by the
+/// window's two bounds: every league-extended transfer variant shares most
+/// of its sub-patterns, so most leverage probes are repeats. Validation runs
+/// serially, so nothing here needs a lock.
 class FreqEvaluator {
  public:
   FreqEvaluator(const EntityRegistry* registry, const RevisionStore* store,
-                const PatternMiner* miner, TypeId seed_type,
-                RelationTable* relations)
+                const PatternMiner* miner, TypeId seed_type)
       : registry_(registry), store_(store), miner_(miner),
-        seed_type_(seed_type), relations_(relations) {}
+        seed_type_(seed_type) {}
 
   Result<double> operator()(const Pattern& pattern, const TimeWindow& window) {
-    InternedCode(pattern, relations_, &code_);
+    pattern.CanonicalCode(&code_);
     code_.push_back(static_cast<uint64_t>(window.begin));
     code_.push_back(static_cast<uint64_t>(window.end));
     const uint64_t hash = HashWords(code_);
@@ -79,7 +64,6 @@ class FreqEvaluator {
   const RevisionStore* store_;
   const PatternMiner* miner_;
   TypeId seed_type_;
-  RelationTable* relations_;         // the search's
   std::vector<uint64_t> code_;       // scratch: the probe's memo key
   CodeTable memo_;                   // (code, window) keys
   std::vector<double> frequencies_;  // by memo_ id
@@ -271,9 +255,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       "WindowSearchOptions::min_threshold", options_.min_threshold));
 
   WindowSearchResult result;
-  // Pattern identity across the whole search: canonical codes over one
-  // relation table, shared with the validation probes' memo.
-  RelationTable relations;
+  // Pattern identity across the whole search: canonical codes.
   CodeTable seen;      // reported patterns
   CodeTable rejected;  // validation-rejected artifacts
   std::vector<uint64_t> code;  // scratch
@@ -291,8 +273,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
   // are threshold-independent, so one evaluator — its per-window indexes and
   // frequency memo — serves all rounds.
   PatternMiner probe_miner(registry_, store_, options_.miner);
-  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type,
-                        &relations);
+  FreqEvaluator freq_of(registry_, store_, &probe_miner, seed_type);
   const size_t seed_count = registry_->CountEntitiesOfType(seed_type);
 
   // Context cache: re-examining the same window at a lower threshold reuses
@@ -368,7 +349,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
       std::vector<MinedPattern> pool;
       for (MinedPattern& mp : wr.all_frequent) {
         if (rejected.size() > 0) {
-          InternedCode(mp.pattern, &relations, &code);
+          mp.pattern.CanonicalCode(&code);
           if (rejected.Find(code, HashWords(code)) != CodeTable::kAbsent) {
             continue;
           }
@@ -387,7 +368,7 @@ Result<WindowSearchResult> WindowSearch::Run(TypeId seed_type,
         MinedPattern& mp = pool[pi];
         // `code` stays this pattern's until the next validate call: the
         // probes below keep their own scratch.
-        InternedCode(mp.pattern, &relations, &code);
+        mp.pattern.CanonicalCode(&code);
         const uint64_t hash = HashWords(code);
         if (seen.Find(code, hash) != CodeTable::kAbsent) {
           return true;  // already reported

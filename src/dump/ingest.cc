@@ -219,7 +219,7 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
       Action action;
       action.op = op;
       action.subject = subject_id;
-      action.relation = std::string(link.relation);
+      action.relation = link.relation;
       action.object = object_id;
       action.time = rev.timestamp;
       batch.actions.push_back(std::move(action));

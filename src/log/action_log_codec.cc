@@ -186,8 +186,8 @@ Status ReadActionLogSection(std::string_view bytes, uint64_t offset,
 }
 
 BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
-                             std::vector<std::string>* dictionary,
-                             std::unordered_map<std::string, uint32_t>* ids,
+                             std::vector<Relation>* dictionary,
+                             std::unordered_map<Relation, uint32_t>* ids,
                              std::string* out) {
   BlockMeta meta;
   meta.action_count = actions.size();
@@ -216,7 +216,7 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
   AppendU32(out, dict_base);
   AppendU32(out, static_cast<uint32_t>(dictionary->size()) - dict_base);
   for (size_t i = dict_base; i < dictionary->size(); ++i) {
-    AppendLenString(out, (*dictionary)[i]);
+    AppendLenString(out, (*dictionary)[i].name());
   }
 
   std::vector<uint8_t> ops((actions.size() + 7) / 8, 0);
@@ -241,7 +241,7 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
 }
 
 Status DecodeBlockPayload(std::string_view payload,
-                          const std::vector<std::string>& relations,
+                          std::span<const Relation> relations,
                           const BlockMeta* meta, std::vector<Action>* out) {
   ByteReader r(payload);
   EntityId min_subject = 0;
@@ -281,7 +281,7 @@ Status DecodeBlockPayload(std::string_view payload,
   std::string delta;
   for (uint32_t i = 0; i < delta_count; ++i) {
     WICLEAN_RETURN_IF_ERROR(r.ReadLenString(&delta));
-    if (delta != relations[dict_base + i]) {
+    if (delta != relations[dict_base + i].name()) {
       return Status::DataLoss(
           "action log block: dictionary delta disagrees with the index");
     }
@@ -344,7 +344,7 @@ Status DecodeBlockPayload(std::string_view payload,
     a.relation = relations[relation_ids[i]];
     a.object = objects[i];
     a.time = times[i];
-    out->push_back(std::move(a));
+    out->push_back(a);
   }
   return Status::OK();
 }
@@ -359,7 +359,7 @@ void EncodeIndexPayload(const ActionLogIndex& index, std::string* out) {
   }
   AppendU64(out, index.total_actions);
   AppendU64(out, index.relations.size());
-  for (const std::string& rel : index.relations) AppendLenString(out, rel);
+  for (Relation rel : index.relations) AppendLenString(out, rel.name());
 }
 
 Status DecodeIndexPayload(std::string_view payload, ActionLogIndex* index) {
@@ -404,10 +404,10 @@ Status DecodeIndexPayload(std::string_view payload, ActionLogIndex* index) {
   }
   index->relations.clear();
   index->relations.reserve(static_cast<size_t>(relation_count));
+  std::string rel;
   for (uint64_t i = 0; i < relation_count; ++i) {
-    std::string rel;
     WICLEAN_RETURN_IF_ERROR(r.ReadLenString(&rel));
-    index->relations.push_back(std::move(rel));
+    index->relations.emplace_back(rel);
   }
   if (!r.AtEnd()) {
     return Status::DataLoss("action log index: trailing bytes");

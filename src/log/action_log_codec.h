@@ -1,6 +1,7 @@
 #ifndef WICLEAN_LOG_ACTION_LOG_CODEC_H_
 #define WICLEAN_LOG_ACTION_LOG_CODEC_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,13 +36,13 @@ void AppendActionLogSection(std::string* out, uint32_t tag,
                                           uint64_t* end)
     WC_UNTRUSTED WC_BORROWED_VIEW;
 
-/// Encodes one block payload for `actions` (must be non-empty), interning
-/// relations not yet in `ids` by appending them to *dictionary and
-/// assigning the next id. Returns the block's metadata with offset = 0
-/// (the writer fills in the real file offset when framing the section).
+/// Encodes one block payload for `actions` (must be non-empty), giving
+/// relations not yet in `ids` the next dictionary id by appending them to
+/// *dictionary. Returns the block's metadata with offset = 0 (the writer
+/// fills in the real file offset when framing the section).
 BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
-                             std::vector<std::string>* dictionary,
-                             std::unordered_map<std::string, uint32_t>* ids,
+                             std::vector<Relation>* dictionary,
+                             std::unordered_map<Relation, uint32_t>* ids,
                              std::string* out);
 
 /// Decodes a (CRC-verified) block payload, appending its actions to *out.
@@ -50,7 +51,7 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
 /// disagrees with the index fails cleanly instead of mislabeling actions.
 /// When `meta` is non-null, the block's span/count header must match it.
 [[nodiscard]] Status DecodeBlockPayload(std::string_view payload,
-                                        const std::vector<std::string>& relations,
+                                        std::span<const Relation> relations,
                                         const BlockMeta* meta,
                                         std::vector<Action>* out) WC_UNTRUSTED;
 

@@ -76,12 +76,12 @@ struct BlockMeta {
 };
 
 /// The decoded index section: the block table plus the full relation
-/// dictionary (relation id -> string, ids assigned in first-seen order
-/// across the whole log).
+/// dictionary (dictionary id -> relation, ids assigned in first-seen order
+/// across the whole log). Decoding interns each name once.
 struct ActionLogIndex {
   std::vector<BlockMeta> blocks;
   uint64_t total_actions = 0;
-  std::vector<std::string> relations;
+  std::vector<Relation> relations;
 };
 
 }  // namespace wiclean

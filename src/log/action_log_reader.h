@@ -59,8 +59,8 @@ class ActionLogReader {
   const BlockMeta& block(size_t i) const { return index_.blocks[i]; }
   uint64_t total_actions() const { return index_.total_actions; }
 
-  /// The full interned-relation dictionary, in id order.
-  const std::vector<std::string>& relations() const {
+  /// The full relation dictionary, in dictionary id order.
+  const std::vector<Relation>& relations() const {
     return index_.relations;
   }
 

@@ -67,8 +67,8 @@ class ActionLogWriter : public ActionSink {
   bool finished_ = false;
 
   std::vector<Action> pending_;
-  std::vector<std::string> dictionary_;
-  std::unordered_map<std::string, uint32_t> dictionary_ids_;
+  std::vector<Relation> dictionary_;
+  std::unordered_map<Relation, uint32_t> dictionary_ids_;
   ActionLogIndex index_;
   uint64_t offset_ = 0;  // bytes written so far
   double write_seconds_ = 0.0;

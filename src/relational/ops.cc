@@ -1,6 +1,5 @@
 #include "relational/ops.h"
 
-#include <unordered_set>
 
 #include "relational/join_hash_table.h"
 
@@ -354,19 +353,6 @@ Result<Table> DistinctProject(const Table& input,
     out_cols.push_back(std::move(col));
   }
   return Table::FromColumns(std::move(out_cols));
-}
-
-Result<size_t> CountDistinct(const Table& input, size_t col) {
-  if (col >= input.num_columns()) {
-    return Status::InvalidArgument("CountDistinct column index out of range");
-  }
-  const Column& c = input.column(col);
-  std::unordered_set<int64_t> seen;
-  seen.reserve(input.num_rows() * 2);
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    if (!c.IsNull(r)) seen.insert(c.Int64At(r));
-  }
-  return seen.size();
 }
 
 }  // namespace wiclean::relational

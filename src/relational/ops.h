@@ -73,10 +73,6 @@ struct JoinSpec {
 [[nodiscard]] Result<Table> DistinctProject(const Table& input,
                                             const std::vector<size_t>& cols);
 
-/// Number of distinct non-null values in column `col` — the SQL
-/// COUNT(DISTINCT source_var) used to compute pattern frequency (§4.2).
-[[nodiscard]] Result<size_t> CountDistinct(const Table& input, size_t col);
-
 }  // namespace wiclean::relational
 
 #endif  // WICLEAN_RELATIONAL_OPS_H_

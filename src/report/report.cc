@@ -42,7 +42,7 @@ void PatternBody(JsonWriter* w, const Pattern& pattern,
     w->Key("source");
     w->Int(a.source_var);
     w->Key("relation");
-    w->String(a.relation);
+    w->String(a.relation.name());
     w->Key("target");
     w->Int(a.target_var);
     w->EndObject();
@@ -247,7 +247,7 @@ void DetectionReportBody(JsonWriter* w_ptr, const PartialUpdateReport& report,
         w.Null();
       }
       w.Key("relation");
-      w.String(a.relation);
+      w.String(a.relation.name());
       w.Key("object");
       if (pr.bindings[a.target_var].has_value()) {
         w.String(EntityName(&registry, *pr.bindings[a.target_var]));
@@ -350,7 +350,7 @@ Status WriteSignalsCsv(
             report->pattern.actions()[pr.missing_actions[i]];
         if (i > 0) missing += "; ";
         missing += a.op == EditOp::kAdd ? "+" : "-";
-        missing += a.relation;
+        missing += a.relation.name();
       }
       (*out) << CsvQuote(name) << ','
              << report->window.begin / kSecondsPerDay << ','

@@ -8,7 +8,7 @@ std::string Action::ToString() const {
   out += ", (";
   out += std::to_string(subject);
   out += ", ";
-  out += relation;
+  out += relation.name();
   out += ", ";
   out += std::to_string(object);
   out += "), t=";

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "graph/entity.h"
+#include "revision/relation.h"
 
 namespace wiclean {
 
@@ -30,11 +31,12 @@ inline EditOp InverseOp(EditOp op) {
 /// One revision-history row (§3, Figure 1): at time `time`, the article
 /// `subject` added (+) or removed (−) an outgoing link labeled `relation`
 /// pointing to article `object`. Actions always live in the revision log of
-/// their *subject* (outgoing-link ownership).
+/// their *subject* (outgoing-link ownership). The relation sits next to the
+/// op so the struct packs into 32 bytes.
 struct Action {
   EditOp op = EditOp::kAdd;
+  Relation relation;
   EntityId subject = kInvalidEntityId;
-  std::string relation;
   EntityId object = kInvalidEntityId;
   Timestamp time = 0;
 

@@ -63,28 +63,13 @@ const std::vector<Action>& RevisionStore::LogOf(EntityId entity) const {
   return it == logs_.end() ? *empty : it->second;
 }
 
-std::vector<Action> RevisionStore::ActionsInWindow(
+std::span<const Action> RevisionStore::ActionsInWindow(
     EntityId entity, const TimeWindow& window) const {
-  std::vector<Action> out;
   const std::vector<Action>& log = LogOf(entity);
-  auto first = std::lower_bound(
-      log.begin(), log.end(), window.begin,
-      [](const Action& a, Timestamp t) { return a.time < t; });
-  for (auto it = first; it != log.end() && it->time < window.end; ++it) {
-    out.push_back(*it);
-  }
-  return out;
-}
-
-std::vector<Action> RevisionStore::ActionsOfEntitiesInWindow(
-    const std::vector<EntityId>& entities, const TimeWindow& window) const {
-  std::vector<Action> out;
-  for (EntityId e : entities) {
-    std::vector<Action> part = ActionsInWindow(e, window);
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
+  const auto by_time = [](const Action& a, Timestamp t) { return a.time < t; };
+  auto first = std::lower_bound(log.begin(), log.end(), window.begin, by_time);
+  auto last = std::lower_bound(first, log.end(), window.end, by_time);
+  return {first, last};
 }
 
 bool RevisionStore::TimeSpan(Timestamp* begin, Timestamp* end) const {
@@ -103,9 +88,10 @@ bool RevisionStore::TimeSpan(Timestamp* begin, Timestamp* end) const {
   return any;
 }
 
-std::vector<Action> ReduceActions(const std::vector<Action>& actions) {
-  // One stable sort of action indices by (subject, object, relation, time)
-  // makes each edge's edits one chronological run, ties in input order.
+std::vector<Action> ReduceActions(std::span<const Action> actions) {
+  // One stable sort of action indices by (subject, object, relation id,
+  // time) makes each edge's edits one chronological run, ties in input
+  // order. Output follows first appearance, so id order never shows.
   std::vector<size_t> order(actions.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
@@ -113,7 +99,7 @@ std::vector<Action> ReduceActions(const std::vector<Action>& actions) {
     const Action& b = actions[y];
     if (a.subject != b.subject) return a.subject < b.subject;
     if (a.object != b.object) return a.object < b.object;
-    if (int c = a.relation.compare(b.relation); c != 0) return c < 0;
+    if (a.relation != b.relation) return a.relation.id() < b.relation.id();
     return a.time < b.time;
   });
 
@@ -160,7 +146,7 @@ uint64_t StoreDigest(const RevisionStore& store, EntityId num_entities) {
     for (const Action& a : log) {
       digest = HashCombine(digest, static_cast<uint64_t>(a.op));
       digest = HashCombine(digest, static_cast<uint64_t>(a.subject));
-      digest = HashCombine(digest, Fnv1a64(a.relation));
+      digest = HashCombine(digest, Fnv1a64(a.relation.name()));
       digest = HashCombine(digest, static_cast<uint64_t>(a.object));
       digest = HashCombine(digest, static_cast<uint64_t>(a.time));
     }

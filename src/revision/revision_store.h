@@ -1,6 +1,7 @@
 #ifndef WICLEAN_REVISION_REVISION_STORE_H_
 #define WICLEAN_REVISION_REVISION_STORE_H_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,20 +43,13 @@ class RevisionStore {
   /// Total number of recorded actions across all logs.
   size_t num_actions() const { return num_actions_; }
 
-  /// Number of entities that have a non-empty log.
-  size_t num_logged_entities() const { return logs_.size(); }
-
   /// The full log of one entity (empty vector if it has no edits).
   const std::vector<Action>& LogOf(EntityId entity) const;
 
-  /// All actions of `entity` with time in `window`.
-  std::vector<Action> ActionsInWindow(EntityId entity,
-                                      const TimeWindow& window) const;
-
-  /// Convenience: actions of every entity in `entities` within `window`,
-  /// concatenated (per-entity chronological order preserved).
-  std::vector<Action> ActionsOfEntitiesInWindow(
-      const std::vector<EntityId>& entities, const TimeWindow& window) const;
+  /// All actions of `entity` with time in `window`: a slice of its
+  /// time-sorted log, valid until the store next changes.
+  std::span<const Action> ActionsInWindow(EntityId entity,
+                                          const TimeWindow& window) const;
 
   /// Earliest and latest timestamps present in the store; returns false when
   /// the store is empty.
@@ -79,7 +73,7 @@ class RevisionStore {
 /// One stable sort of action indices groups the edges; no per-action key is
 /// built. The string-keyed original is the test oracle
 /// tests/support/reference_reduce.h.
-std::vector<Action> ReduceActions(const std::vector<Action>& actions);
+std::vector<Action> ReduceActions(std::span<const Action> actions);
 
 /// Order-sensitive fingerprint of every log of entities [0, num_entities):
 /// two stores digest equal iff each entity's log holds the same actions in

@@ -123,8 +123,9 @@ class OnlineDetector {
     Action action;
     uint64_t sequence = 0;
   };
-  /// Edge identity within a pattern's buffered state.
-  using EdgeKey = std::tuple<EntityId, std::string, EntityId>;
+  /// Edge identity within a pattern's buffered state; Relation's < orders by
+  /// name, so iteration order does not depend on relation ids.
+  using EdgeKey = std::tuple<EntityId, Relation, EntityId>;
 
   struct PatternState {
     uint32_t id = 0;  // index into the snapshot's pattern list

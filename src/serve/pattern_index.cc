@@ -25,30 +25,26 @@ Status PatternIndex::AddPattern(uint32_t pattern_id, const Pattern& pattern) {
     if (src >= (TypeId{1} << kTypeBits) || tgt >= (TypeId{1} << kTypeBits)) {
       return Status::InvalidArgument("type id too large for index key");
     }
-    uint32_t relation_id =
-        relation_ids_
-            .emplace(a.relation,
-                     static_cast<uint32_t>(relation_ids_.size()))
-            .first->second;
-    slots_[PackKey(relation_id, src, tgt)].push_back(
+    if (a.relation.id() >= kMaxRelationId) {
+      return Status::InvalidArgument("relation id too large for index key");
+    }
+    slots_[PackKey(a.relation, src, tgt)].push_back(
         PatternSlot{pattern_id, static_cast<uint32_t>(i)});
     ++num_slots_;
   }
   return Status::OK();
 }
 
-void PatternIndex::Lookup(TypeId subject_type, const std::string& relation,
+void PatternIndex::Lookup(TypeId subject_type, Relation relation,
                           TypeId object_type,
                           std::vector<PatternSlot>* out) const {
   out->clear();
   if (!taxonomy_->IsValid(subject_type) || !taxonomy_->IsValid(object_type) ||
       subject_type >= (TypeId{1} << kTypeBits) ||
-      object_type >= (TypeId{1} << kTypeBits)) {
+      object_type >= (TypeId{1} << kTypeBits) ||
+      relation.id() >= kMaxRelationId) {
     return;
   }
-  auto rel = relation_ids_.find(relation);
-  if (rel == relation_ids_.end()) return;
-
   // Mirror ActionIndex::IngestAction: a pattern action whose variable types
   // are among the first (lift + 1) ancestors of the concrete endpoint types
   // would have received this edit in its batch realization table. Walking
@@ -60,7 +56,7 @@ void PatternIndex::Lookup(TypeId subject_type, const std::string& relation,
     TypeId tgt = object_type;
     for (int j = 0; j <= max_abstraction_lift_ && tgt != kInvalidTypeId;
          ++j, tgt = taxonomy_->Parent(tgt)) {
-      auto it = slots_.find(PackKey(rel->second, src, tgt));
+      auto it = slots_.find(PackKey(relation, src, tgt));
       if (it == slots_.end()) continue;
       out->insert(out->end(), it->second.begin(), it->second.end());
     }

@@ -47,12 +47,11 @@ class PatternIndex {
   /// key, keys probed from most-specific to most-general types). Clears and
   /// fills `*out`; allocation-free when the caller reuses the vector, which
   /// is what keeps per-event dispatch cheaper than scanning every pattern.
-  void Lookup(TypeId subject_type, const std::string& relation,
-              TypeId object_type, std::vector<PatternSlot>* out) const;
+  void Lookup(TypeId subject_type, Relation relation, TypeId object_type,
+              std::vector<PatternSlot>* out) const;
 
   /// Convenience overload for tests and one-off callers.
-  std::vector<PatternSlot> Lookup(TypeId subject_type,
-                                  const std::string& relation,
+  std::vector<PatternSlot> Lookup(TypeId subject_type, Relation relation,
                                   TypeId object_type) const {
     std::vector<PatternSlot> out;
     Lookup(subject_type, relation, object_type, &out);
@@ -63,23 +62,23 @@ class PatternIndex {
   size_t num_slots() const { return num_slots_; }
 
  private:
-  /// Type ids are packed into 2x20 bits of the slot key; real taxonomies
-  /// have a few thousand types at most.
+  /// Type ids are packed into 2x20 bits of the slot key, the relation id
+  /// into the other 24; real taxonomies have a few thousand types at most.
   static constexpr int kTypeBits = 20;
+  static constexpr uint32_t kMaxRelationId = uint32_t{1}
+                                             << (64 - 2 * kTypeBits);
 
-  static uint64_t PackKey(uint32_t relation_id, TypeId source_type,
+  static uint64_t PackKey(Relation relation, TypeId source_type,
                           TypeId target_type) {
-    return (static_cast<uint64_t>(relation_id) << (2 * kTypeBits)) |
+    return (static_cast<uint64_t>(relation.id()) << (2 * kTypeBits)) |
            (static_cast<uint64_t>(source_type) << kTypeBits) |
            static_cast<uint64_t>(target_type);
   }
 
   const TypeTaxonomy* taxonomy_;
   int max_abstraction_lift_;
-  /// Relations are interned so the hot Lookup path hashes the relation
-  /// string once and probes the (lift+1)^2 type combinations with integer
-  /// keys — no string building per event.
-  std::unordered_map<std::string, uint32_t> relation_ids_;
+  /// Keyed by relation id and both types, so the hot Lookup path probes the
+  /// (lift+1)^2 type combinations with integer keys — no string per event.
   std::unordered_map<uint64_t, std::vector<PatternSlot>> slots_;
   size_t num_slots_ = 0;
 };

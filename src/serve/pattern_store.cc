@@ -1,15 +1,12 @@
 #include "serve/pattern_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/annotations.h"
+#include "common/file_commit.h"
 #include "common/hash.h"
 
 namespace wiclean {
@@ -206,7 +203,7 @@ Status EncodePattern(const StoredPattern& sp, const TypeTaxonomy& taxonomy,
   for (const AbstractAction& a : p.actions()) {
     AppendU8(out, a.op == EditOp::kAdd ? 0 : 1);
     AppendU32(out, static_cast<uint32_t>(a.source_var));
-    AppendString(out, a.relation);
+    AppendString(out, a.relation.name());
     AppendU32(out, static_cast<uint32_t>(a.target_var));
   }
   AppendI64(out, sp.window.begin);
@@ -416,59 +413,15 @@ Status SaveSnapshotFile(const PatternSnapshot& snapshot,
   std::string bytes;
   WICLEAN_RETURN_IF_ERROR(EncodeSnapshot(snapshot, taxonomy, &bytes));
 
-  // Atomic, durable publish: write everything to `path + ".tmp"`, fsync,
-  // rename over the final name, then fsync the parent directory. A crash
-  // mid-write leaves only the temp file behind — a serving reload watching
-  // `path` can never observe a half-written snapshot, and a stale temp from
-  // an earlier crash is simply overwritten. The directory fsync makes the
-  // rename itself durable: without it, power loss just after publish can
-  // resurface the old file (or none) even though rename already returned.
   const std::string tmp_path = path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                        0644);
-  if (fd < 0) {
-    return Status::Internal("cannot create snapshot temp file " + tmp_path);
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    std::remove(tmp_path.c_str());
+    return Status::Internal("failed writing snapshot temp file " + tmp_path);
   }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return Status::Internal("failed writing snapshot temp file " +
-                              tmp_path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("failed syncing snapshot temp file " + tmp_path);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("failed closing snapshot temp file " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("failed publishing snapshot file " + path);
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir_path =
-      slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int dir_fd = ::open(dir_path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) {
-    return Status::Internal("cannot open snapshot directory " + dir_path +
-                            " to sync the publish");
-  }
-  const int synced = ::fsync(dir_fd);
-  ::close(dir_fd);
-  if (synced != 0) {
-    return Status::Internal("failed syncing snapshot directory " + dir_path);
-  }
-  return Status::OK();
+  return CommitFile(tmp_path, path);
 }
 
 Result<PatternSnapshot> LoadSnapshotFile(const std::string& path,

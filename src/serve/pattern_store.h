@@ -78,7 +78,7 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 [[nodiscard]] Result<PatternSnapshot> DecodeSnapshot(
     std::string_view bytes, const TypeTaxonomy& taxonomy);
 
-/// Encode + atomically publish to a file: the bytes are written to
+/// Encode + atomically publish (CommitFile): the bytes are written to
 /// `path + ".tmp"`, fsynced, and renamed over `path`, so a reader (e.g. a
 /// serving reload) either sees the previous complete snapshot or the new
 /// one — never a torn write. The parent directory is fsynced after the

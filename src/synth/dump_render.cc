@@ -42,7 +42,7 @@ Result<DumpPage> RenderWithInitialLinks(const SynthWorld& world,
 
   for (const Action& a :
        world.store.ActionsInWindow(entity, TimeWindow{time_begin, time_end})) {
-    InfoboxLink link{a.relation, world.registry->Get(a.object).name};
+    InfoboxLink link{a.relation.name(), world.registry->Get(a.object).name};
     bool changed = a.op == EditOp::kAdd ? links.insert(link).second
                                         : links.erase(link) > 0;
     if (!changed) continue;  // no-op edit: no revision to record
@@ -50,7 +50,8 @@ Result<DumpPage> RenderWithInitialLinks(const SynthWorld& world,
     rev.revision_id = next_rev_id++;
     rev.timestamp = a.time;
     rev.contributor = "synth-editor";
-    rev.comment = (a.op == EditOp::kAdd ? "add " : "remove ") + a.relation;
+    rev.comment =
+        (a.op == EditOp::kAdd ? "add " : "remove ") + a.relation.name();
     rev.text = PageText(world, entity, links);
     page.revisions.push_back(std::move(rev));
   }

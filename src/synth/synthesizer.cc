@@ -423,7 +423,7 @@ class Generator {
     action.object = bindings[a.object_role];
     if (action.subject == action.object) return;
     bool exists =
-        graph_.HasEdge(action.subject, action.relation, action.object);
+        graph_.HasEdge(action.subject, action.relation.name(), action.object);
     if ((action.op == EditOp::kAdd) == exists) return;  // not applicable
     Timestamp span = window.width() - kSecondsPerDay;
     action.time = window.begin + rng_.NextBelow(static_cast<uint64_t>(span));
@@ -462,8 +462,9 @@ class Generator {
   bool Apply(const Action& action) {
     bool changed =
         action.op == EditOp::kAdd
-            ? graph_.AddEdge(action.subject, action.relation, action.object)
-            : graph_.RemoveEdge(action.subject, action.relation,
+            ? graph_.AddEdge(action.subject, action.relation.name(),
+                             action.object)
+            : graph_.RemoveEdge(action.subject, action.relation.name(),
                                 action.object);
     if (changed) world_.store.Add(action);
     return changed;
@@ -486,7 +487,7 @@ class Generator {
             std::to_string(rng_.NextBelow(std::max<size_t>(
                 1, options_.background_relation_count)));
         a.object = other;
-        a.op = graph_.HasEdge(e, a.relation, other) ? EditOp::kRemove
+        a.op = graph_.HasEdge(e, a.relation.name(), other) ? EditOp::kRemove
                                                     : EditOp::kAdd;
         a.time = window.begin +
                  rng_.NextBelow(static_cast<uint64_t>(window.width()));
@@ -508,7 +509,7 @@ class Generator {
         fix.time = window.begin +
                    rng_.NextBelow(static_cast<uint64_t>(window.width()));
         bool exists =
-            graph_.HasEdge(fix.subject, fix.relation, fix.object);
+            graph_.HasEdge(fix.subject, fix.relation.name(), fix.object);
         if ((fix.op == EditOp::kAdd) == exists) continue;  // moot by now
         Apply(fix);
         applied = true;

@@ -26,7 +26,7 @@ class ActionIndexTest : public ::testing::Test {
 
   void Add(EntityId subject, const std::string& relation, EntityId object,
            Timestamp time, EditOp op = EditOp::kAdd) {
-    store_.Add(Action{op, subject, relation, object, time});
+    store_.Add(Action{op, relation, subject, object, time});
   }
 
   TypeTaxonomy tax_;
@@ -162,10 +162,7 @@ void ExpectSameIndex(const ActionIndex& got, const ReferenceActionIndex& want) {
       EXPECT_EQ(rows.column(c).int64_data(), want_rows.column(c).int64_data())
           << key << " column " << c;
     }
-    EXPECT_EQ(got.Find(entry.key.op, entry.key.source_type, entry.key.relation,
-                       entry.key.target_type),
-              &entry)
-        << key;
+    EXPECT_EQ(got.Find(entry.key), &entry) << key;
     ++w;
   }
 }
@@ -211,7 +208,7 @@ TEST(ActionIndexOracleTest, MatchesReferenceIngestOnSynthWorlds) {
         if (window == world->YearWindow(0)) {
           EXPECT_FALSE(got.entries().empty());
         }
-        EXPECT_EQ(got.Find(EditOp::kAdd, 0, "no_such_relation", 0), nullptr);
+        EXPECT_EQ(got.Find({EditOp::kAdd, 0, "no_such_relation", 0}), nullptr);
       }
     }
   }

@@ -101,7 +101,7 @@ TEST(ActionLogRoundTripTest, SingleBlockPreservesEveryField) {
   EXPECT_EQ(reader->block(0).max_subject, 9);
   EXPECT_EQ(reader->block(0).action_count, actions.size());
   EXPECT_EQ(reader->relations(),
-            (std::vector<std::string>{"current_club", "manager"}));
+            (std::vector<Relation>{"current_club", "manager"}));
   EXPECT_EQ(DecodeAll(*reader), actions);
 }
 
@@ -119,7 +119,7 @@ TEST(ActionLogRoundTripTest, MultiBlockDictionaryDeltas) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ASSERT_EQ(reader->num_blocks(), 3u);
   EXPECT_EQ(reader->relations(),
-            (std::vector<std::string>{"rel_a", "rel_b"}));
+            (std::vector<Relation>{"rel_a", "rel_b"}));
   EXPECT_EQ(reader->total_actions(), 4u);
 
   // Blocks decode independently and in any order.

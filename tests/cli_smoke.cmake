@@ -152,6 +152,35 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ingest --threads 4 WCAL differs from --threads 1")
 endif()
 
+# A failed ingest leaves an earlier log at --out untouched and no temp file:
+# the log is written to <out>.tmp and committed over <out> only once
+# finished. A 1-byte revision cap under the strict policy fails on the first
+# revision.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E copy
+    ${WORK_DIR}/actions.wcal ${WORK_DIR}/actions_before.wcal)
+execute_process(
+  COMMAND ${WICLEAN} ingest
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --out ${WORK_DIR}/actions.wcal
+    --on-error strict --max-revision-bytes 1
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "ingest --max-revision-bytes 1 should fail: ${out}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/actions_before.wcal ${WORK_DIR}/actions.wcal
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "failed ingest changed the existing WCAL at --out")
+endif()
+if(EXISTS ${WORK_DIR}/actions.wcal.tmp)
+  message(FATAL_ERROR "failed ingest left ${WORK_DIR}/actions.wcal.tmp")
+endif()
+
 execute_process(
   COMMAND ${WICLEAN} mine
     --action-log ${WORK_DIR}/actions.wcal

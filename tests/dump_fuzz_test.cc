@@ -237,7 +237,7 @@ TEST_P(DumpFuzzTest, MutatedDumpUnderSkipPolicyAlwaysCompletes) {
       per_thread_stats[t] = *result;
       for (EntityId e = 0; e < 4; ++e) {
         for (const Action& a : store.LogOf(e)) {
-          fingerprints[t] += std::to_string(a.subject) + a.relation +
+          fingerprints[t] += std::to_string(a.subject) + a.relation.name() +
                              std::to_string(a.object) + "@" +
                              std::to_string(a.time) + ";";
         }

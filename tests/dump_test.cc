@@ -603,7 +603,7 @@ TEST(SynthDumpTest, DumpIngestReconstructsReducedActions) {
     ASSERT_EQ(expected.size(), got.size()) << "entity " << i;
     auto key = [](const Action& a) {
       return std::to_string(static_cast<int>(a.op)) + "|" +
-             std::to_string(a.subject) + "|" + a.relation + "|" +
+             std::to_string(a.subject) + "|" + a.relation.name() + "|" +
              std::to_string(a.object);
     };
     std::multiset<std::string> e_keys, g_keys;

@@ -146,7 +146,7 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
       relational::Table table(1);
       table.AppendInt64Row({i});
       std::string key = p.CanonicalKey();
-      cache.Keep(id, EvaluationCache::Realized{std::move(p), {}, std::move(key),
+      cache.Keep(id, EvaluationCache::Realized{std::move(p), std::move(key),
                                                std::move(table)});
       kept.push_back(cache.state(id).realized);
     }

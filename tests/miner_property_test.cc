@@ -162,7 +162,7 @@ TEST_P(MinerPropertyTest, PatternsKeepStructuralRules) {
   for (const Pattern& p : patterns) {
     const std::string text = p.ToString(*world_->taxonomy);
     EXPECT_LE(p.num_vars(), kMaxPatternVars) << text;
-    std::set<std::tuple<int, EditOp, std::string>> edges;
+    std::set<std::tuple<int, EditOp, Relation>> edges;
     for (const AbstractAction& a : p.actions()) {
       EXPECT_TRUE(edges.emplace(a.source_var, a.op, a.relation).second)
           << "parallel edge in " << text;
@@ -323,82 +323,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{11, 60, 0.5}, SweepCase{12, 60, 0.3},
                       SweepCase{13, 120, 0.5}, SweepCase{14, 120, 0.7},
                       SweepCase{15, 200, 0.4}, SweepCase{16, 80, 0.2}));
-
-/// Everything a MineWindowResult reports, as text: each pattern as written
-/// (its variable numbering included) with window, frequency and support, in
-/// output order, then every stats counter.
-std::string Describe(const MineWindowResult& r, const TypeTaxonomy& taxonomy) {
-  std::string out;
-  for (const auto* list : {&r.most_specific, &r.all_frequent}) {
-    for (const MinedPattern& mp : *list) {
-      out += mp.pattern.ToString(taxonomy) + " " + mp.window.ToString() +
-             " f=" + std::to_string(mp.frequency) +
-             " s=" + std::to_string(mp.support) + "\n";
-    }
-    out += "--\n";
-  }
-  return out + r.stats.ToString() + " " + r.stats.workingset.ToJson();
-}
-
-/// Relation ids number relations in whatever order a context first meets
-/// them; they key the evaluation cache and the pair-tested set but must
-/// never reach output. Mining one world with the context's relation table
-/// pre-filled in opposite name orders gives identical results, relative
-/// refinements included.
-TEST(RelationIdOrderTest, MinedResultIgnoresRelationIdOrder) {
-  SynthOptions synth;
-  synth.seed_entities = 60;
-  synth.years = 1;
-  synth.rng_seed = 12;
-  Result<SynthWorld> world = Synthesize(synth);
-  ASSERT_TRUE(world.ok());
-  const TypeId seed = world->types.soccer_player;
-  const TimeWindow window{224 * kSecondsPerDay, 238 * kSecondsPerDay};
-  MinerOptions options;
-  options.frequency_threshold = 0.3;
-  options.max_pattern_actions = 4;
-  options.profile_workingset = true;
-  PatternMiner miner(world->registry.get(), &world->store, options);
-
-  Result<MineWindowResult> natural = miner.MineWindow(seed, window);
-  ASSERT_TRUE(natural.ok()) << natural.status().ToString();
-  ASSERT_FALSE(natural->most_specific.empty());
-  std::vector<std::string> names;
-  const RelationTable& met = natural->context->index.relations();
-  for (uint32_t id = 0; id < met.size(); ++id) names.push_back(met.name(id));
-  ASSERT_GT(names.size(), 2u);
-  std::sort(names.begin(), names.end());
-
-  auto mine_with = [&](const std::vector<std::string>& order) {
-    auto context = std::make_shared<MiningContext>(
-        world->registry.get(), &world->store, seed, window, options);
-    for (const std::string& name : order) context->index.InternRelation(name);
-    Result<MineWindowResult> r = miner.MineWindow(seed, window, context);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return std::move(r).value();
-  };
-  const MineWindowResult ascending = mine_with(names);
-  const MineWindowResult descending =
-      mine_with(std::vector<std::string>(names.rbegin(), names.rend()));
-  ASSERT_EQ(ascending.context->index.relations().name(0), names.front());
-  ASSERT_EQ(descending.context->index.relations().name(0), names.back());
-
-  const TypeTaxonomy& taxonomy = world->registry->taxonomy();
-  const std::string expected = Describe(*natural, taxonomy);
-  EXPECT_EQ(Describe(ascending, taxonomy), expected);
-  EXPECT_EQ(Describe(descending, taxonomy), expected);
-
-  // Relative mining finds its base by code in each context.
-  auto relative = [&](const MineWindowResult& r) {
-    Result<std::vector<RelativePattern>> refined = miner.MineRelative(
-        r.context.get(), seed, r.most_specific.front(), 0.5);
-    EXPECT_TRUE(refined.ok()) << refined.status().ToString();
-    return Describe(*refined, taxonomy);
-  };
-  const std::string expected_relative = relative(*natural);
-  EXPECT_EQ(relative(ascending), expected_relative);
-  EXPECT_EQ(relative(descending), expected_relative);
-}
 
 }  // namespace
 }  // namespace wiclean

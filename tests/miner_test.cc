@@ -449,17 +449,6 @@ TEST_F(MinerTest, CandidateCountingIsPositive) {
   EXPECT_GT(result->stats.entities_ingested, 0u);
 }
 
-/// A context's relation names by id. Codes of two contexts compare directly
-/// only when these are equal.
-std::vector<std::string> RelationNames(const MiningContext& context) {
-  std::vector<std::string> names;
-  const RelationTable& relations = context.index.relations();
-  for (uint32_t id = 0; id < relations.size(); ++id) {
-    names.push_back(relations.name(id));
-  }
-  return names;
-}
-
 /// Every cell of `t` (empty = null), row by row, after one row holding the
 /// column count: equal results mean equal tables.
 std::vector<std::vector<std::optional<int64_t>>> Cells(
@@ -513,7 +502,6 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
   const EvaluationCache& got_cache = got.context->evaluated;
   const EvaluationCache& all_cache = all.context->evaluated;
   EXPECT_LE(got_cache.size(), all_cache.size());
-  ASSERT_EQ(RelationNames(*got.context), RelationNames(*all.context));
   for (EvaluationCache::Id id = 0; id < all_cache.size(); ++id) {
     if (got_cache.Find(all_cache.code(id), all_cache.hash(id)) ==
         EvaluationCache::kAbsent) {
@@ -535,17 +523,10 @@ void ExpectOnlyCacheDiffers(const MineWindowResult& all,
     ASSERT_NE(other.realized, nullptr) << key;
     if (state.frequency >= floor) {
       ASSERT_NE(state.realized, nullptr) << key;
-      // The kept pattern, its key, relation ids and code all agree.
+      // The kept pattern, its key and its code all agree.
       const Pattern& kept = state.realized->pattern;
       EXPECT_EQ(state.realized->key, kept.CanonicalKey()) << key;
       EXPECT_EQ(state.realized->key, other.realized->key) << key;
-      ASSERT_EQ(state.realized->relations.size(), kept.num_actions()) << key;
-      for (size_t a = 0; a < kept.num_actions(); ++a) {
-        EXPECT_EQ(got.context->index.relations().name(
-                      state.realized->relations[a]),
-                  kept.actions()[a].relation)
-            << key;
-      }
       EXPECT_EQ(got.context->Find(kept), id) << key;
       EXPECT_EQ(Cells(state.realized->realizations),
                 Cells(other.realized->realizations))
@@ -1116,7 +1097,6 @@ TEST(MinerPreparedInputsTest, SecondIngestRoundGrowsAPreparedEntry) {
     const EvaluationCache& cache = run->context->evaluated;
     const EvaluationCache& reference = nested.context->evaluated;
     ASSERT_EQ(cache.size(), reference.size());
-    ASSERT_EQ(RelationNames(*run->context), RelationNames(*nested.context));
     for (EvaluationCache::Id id = 0; id < cache.size(); ++id) {
       const std::string key = "entry " + std::to_string(id);
       const EvaluationCache::Id other_id =

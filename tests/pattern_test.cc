@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.h"
 #include "core/pattern.h"
 #include "synth/catalog.h"
@@ -321,8 +323,6 @@ TEST_F(PatternTest, CanonicalCodeEqualityMatchesReferenceKeyEquality) {
   Rng rng(2002);
   const std::vector<TypeId> types = {types_.soccer_player, types_.soccer_club,
                                      types_.soccer_league, types_.thing};
-  RelationTable relations;
-  for (const char* name : kCodeRelations) relations.Intern(name);
   size_t equal_pairs = 0;
   size_t distinct_pairs = 0;
   size_t source_moves = 0;
@@ -348,7 +348,7 @@ TEST_F(PatternTest, CanonicalCodeEqualityMatchesReferenceKeyEquality) {
     std::vector<std::vector<uint64_t>> codes(family.size());
     for (size_t i = 0; i < family.size(); ++i) {
       keys.push_back(ReferenceCanonicalKey(family[i]));
-      ASSERT_TRUE(family[i].CanonicalCode(relations, &codes[i]));
+      family[i].CanonicalCode(&codes[i]);
     }
     for (size_t i = 0; i < family.size(); ++i) {
       for (size_t j = i + 1; j < family.size(); ++j) {
@@ -367,21 +367,37 @@ TEST_F(PatternTest, CanonicalCodeEqualityMatchesReferenceKeyEquality) {
 
 TEST_F(PatternTest, CanonicalCodeNeedsEveryRelation) {
   Pattern transfer = Transfer(types_.soccer_player, types_.soccer_club);
-  RelationTable relations;
   std::vector<uint64_t> code;
-  relations.Intern("current_club");
-  EXPECT_FALSE(transfer.CanonicalCode(relations, &code));
-  relations.Intern("squad");
-  ASSERT_TRUE(transfer.CanonicalCode(relations, &code));
+  transfer.CanonicalCode(&code);
   // 3 variables, 4 actions: size word, two type words, the source word and
   // one word per action.
-  EXPECT_EQ(code.size(), 1u + 2u + 1u + 4u);
+  ASSERT_EQ(code.size(), 1u + 2u + 1u + 4u);
   EXPECT_EQ(code[0], uint64_t{3} << 32 | 4);
-  // Ids are interned once and never renumbered.
-  EXPECT_EQ(relations.Intern("squad"), 1u);
-  EXPECT_EQ(relations.Find("squad"), 1u);
-  EXPECT_EQ(relations.Find("in_league"), RelationTable::kUnknown);
-  EXPECT_EQ(relations.name(0), "current_club");
+  // Each action word carries its relation's process-wide id.
+  std::multiset<uint32_t> coded;
+  for (size_t w = 4; w < code.size(); ++w) {
+    coded.insert(static_cast<uint32_t>(code[w] >> 32) & 0x7fffffff);
+  }
+  const uint32_t club = Relation("current_club").id();
+  const uint32_t squad = Relation("squad").id();
+  EXPECT_EQ(coded, (std::multiset<uint32_t>{club, club, squad, squad}));
+  // Relabeling any one action changes the code.
+  for (size_t i = 0; i < transfer.num_actions(); ++i) {
+    Pattern relabeled;
+    for (TypeId t : transfer.var_types()) relabeled.AddVar(t);
+    for (size_t j = 0; j < transfer.num_actions(); ++j) {
+      const AbstractAction& a = transfer.actions()[j];
+      ASSERT_TRUE(relabeled
+                      .AddAction(a.op, a.source_var,
+                                 i == j ? Relation("in_league") : a.relation,
+                                 a.target_var)
+                      .ok());
+    }
+    ASSERT_TRUE(relabeled.SetSourceVar(transfer.source_var()).ok());
+    std::vector<uint64_t> other;
+    relabeled.CanonicalCode(&other);
+    EXPECT_NE(other, code) << "action " << i;
+  }
 }
 
 TEST_F(PatternTest, SpecializationOrderMatchesPairwiseChecks) {

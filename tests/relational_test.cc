@@ -186,15 +186,5 @@ TEST(DistinctProjectTest, NullsCompareEqualForDedup) {
   EXPECT_EQ(d->num_rows(), 1u);
 }
 
-TEST(CountDistinctTest, IgnoresNulls) {
-  Table t(2);
-  t.AppendRow({1, 1});
-  t.AppendRow({1, 2});
-  t.AppendRow({std::nullopt, 3});
-  EXPECT_EQ(*CountDistinct(t, 0), 1u);
-  EXPECT_EQ(*CountDistinct(t, 1), 3u);
-  EXPECT_FALSE(CountDistinct(t, 9).ok());
-}
-
 }  // namespace
 }  // namespace wiclean::relational

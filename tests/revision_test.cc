@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/rng.h"
 #include "revision/revision_store.h"
@@ -97,20 +98,14 @@ TEST(RevisionStoreTest, ActionsInWindowFiltersHalfOpen) {
   for (Timestamp t : {5, 10, 15, 20}) {
     store.Add(MakeAction(EditOp::kAdd, 1, "r", t, t));
   }
-  std::vector<Action> in = store.ActionsInWindow(1, TimeWindow{10, 20});
+  std::span<const Action> in = store.ActionsInWindow(1, TimeWindow{10, 20});
   ASSERT_EQ(in.size(), 2u);
   EXPECT_EQ(in[0].time, 10);
   EXPECT_EQ(in[1].time, 15);
-}
-
-TEST(RevisionStoreTest, ActionsOfEntitiesInWindow) {
-  RevisionStore store;
-  store.Add(MakeAction(EditOp::kAdd, 1, "r", 9, 5));
-  store.Add(MakeAction(EditOp::kAdd, 2, "r", 9, 6));
-  store.Add(MakeAction(EditOp::kAdd, 3, "r", 9, 7));
-  std::vector<Action> got =
-      store.ActionsOfEntitiesInWindow({1, 3}, TimeWindow{0, 10});
-  EXPECT_EQ(got.size(), 2u);
+  // A slice of the log itself, not a copy.
+  EXPECT_EQ(in.data(), store.LogOf(1).data() + 1);
+  EXPECT_TRUE(store.ActionsInWindow(1, TimeWindow{21, 30}).empty());
+  EXPECT_TRUE(store.ActionsInWindow(2, TimeWindow{0, 30}).empty());
 }
 
 TEST(RevisionStoreTest, TimeSpan) {

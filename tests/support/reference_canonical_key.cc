@@ -31,7 +31,7 @@ std::string EncodeUnder(const Pattern& p, const std::vector<int>& perm) {
     s += ' ';
     s += var_token(a.source_var);
     s += ' ';
-    s += a.relation;
+    s += a.relation.name();
     s += ' ';
     s += var_token(a.target_var);
     parts.push_back(std::move(s));

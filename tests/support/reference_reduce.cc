@@ -24,14 +24,14 @@ std::vector<Action> ReferenceReduceActions(const std::vector<Action>& actions) {
 
   for (size_t i = 0; i < actions.size(); ++i) {
     const Action& a = actions[i];
-    std::string key = std::to_string(a.subject) + '\0' + a.relation + '\0' +
-                      std::to_string(a.object);
+    std::string key = std::to_string(a.subject) + '\0' + a.relation.name() +
+                      '\0' + std::to_string(a.object);
     auto [it, inserted] = edges.emplace(std::move(key), EdgeState{});
     EdgeState& st = it->second;
     if (inserted) {
       st.first_seen = i;
       st.subject = a.subject;
-      st.relation = a.relation;
+      st.relation = a.relation.name();
       st.object = a.object;
     }
     st.ops.emplace_back(a.time, a.op);

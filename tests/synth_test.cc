@@ -215,8 +215,9 @@ TEST(SynthTest, PhantomEditsNeverRecorded) {
             [](const Action& a, const Action& b) { return a.time < b.time; });
   for (const Action& a : all) {
     bool changed = a.op == EditOp::kAdd
-                       ? graph.AddEdge(a.subject, a.relation, a.object)
-                       : graph.RemoveEdge(a.subject, a.relation, a.object);
+                       ? graph.AddEdge(a.subject, a.relation.name(), a.object)
+                       : graph.RemoveEdge(a.subject, a.relation.name(),
+                                          a.object);
     EXPECT_TRUE(changed) << "phantom edit: " << a.ToString();
   }
 }

@@ -65,7 +65,7 @@ TEST_F(WindowSearchTest, DiscoversWindowedPatternsAcrossRefinement) {
   std::set<std::string> relations_seen;
   for (const DiscoveredPattern& dp : result->patterns) {
     for (const AbstractAction& a : dp.mined.pattern.actions()) {
-      relations_seen.insert(a.relation);
+      relations_seen.insert(a.relation.name());
     }
     // Window tightening may re-localize with up to 10% boundary slack.
     EXPECT_GE(dp.mined.frequency, 0.9 * dp.threshold - 1e-9);

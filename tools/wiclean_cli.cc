@@ -61,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/file_commit.h"
 #include "common/json.h"
 #include "common/strings.h"
 #include "common/timer.h"
@@ -434,7 +435,7 @@ int PrintReports(const LoadedCorpus& corpus,
         };
         std::printf(" missing [%s %s --%s--> %s]",
                     a.op == EditOp::kAdd ? "+" : "-",
-                    name(a.source_var).c_str(), a.relation.c_str(),
+                    name(a.source_var).c_str(), a.relation.name().c_str(),
                     name(a.target_var).c_str());
       }
       std::printf("\n");
@@ -785,26 +786,38 @@ int RunIngest(const Args& args) {
   }
   Result<std::string> out_path = args.Require("out");
   if (!out_path.ok()) return Fail(out_path.status());
-  std::ofstream out_file(*out_path,
-                         std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!out_file) {
-    return Fail(Status::Internal("cannot write " + *out_path));
-  }
-
   Result<int64_t> block_actions = args.GetInt("block-actions", 4096, 0);
   if (!block_actions.ok()) return Fail(block_actions.status());
+
+  // The log is written to a temp file and committed over --out only once
+  // finished, so a failed ingest leaves an earlier log at --out intact.
+  const std::string tmp_path = *out_path + ".tmp";
+  std::ofstream out_file(tmp_path,
+                         std::ios::out | std::ios::trunc | std::ios::binary);
+  if (!out_file) {
+    return Fail(Status::Internal("cannot write " + tmp_path));
+  }
+  auto fail = [&](const Status& status) {
+    out_file.close();
+    std::remove(tmp_path.c_str());
+    return Fail(status);
+  };
   ActionLogWriterOptions writer_options;
   writer_options.target_block_actions = static_cast<size_t>(*block_actions);
   ActionLogWriter writer(&out_file, writer_options);
-  if (!writer.status().ok()) return Fail(writer.status());
+  if (!writer.status().ok()) return fail(writer.status());
 
   XmlPageSource source(&dump_file);
   Result<IngestStats> run =
       RunIngestPipeline(&source, *aligned->registry, &writer,
                         ingest_args->ToIngestOptions());
-  if (!run.ok()) return Fail(run.status());
+  if (!run.ok()) return fail(run.status());
   Status finished = writer.Finish();
-  if (!finished.ok()) return Fail(finished);
+  if (!finished.ok()) return fail(finished);
+  out_file.close();
+  if (!out_file) return fail(Status::Internal("cannot write " + tmp_path));
+  Status committed = CommitFile(tmp_path, *out_path);
+  if (!committed.ok()) return Fail(committed);
 
   IngestStats stats = std::move(run).value();
   stats.log_write_seconds = writer.write_seconds();
