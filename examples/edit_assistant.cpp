@@ -71,10 +71,13 @@ int main(int argc, char** argv) {
   // user is editing.
   EditAssistant assistant(world.registry.get(), &world.store,
                           AssistOptions{{3, true, 1}, 5});
+  std::vector<uint64_t> code, other;
   for (const PeriodicPattern& pp : periodic) {
     double freq = 0.5;
+    pp.pattern.CanonicalCode(&code);
     for (const auto& [pattern, f] : frequencies) {
-      if (pattern.CanonicalKey() == pp.pattern.CanonicalKey()) {
+      pattern.CanonicalCode(&other);
+      if (other == code) {
         freq = f;
         break;
       }

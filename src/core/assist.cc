@@ -1,27 +1,33 @@
 #include "core/assist.h"
 
 #include <algorithm>
-#include <map>
+
+#include "common/hash.h"
+#include "core/evaluation_cache.h"
 
 namespace wiclean {
 
 std::vector<PeriodicPattern> FindPeriodicPatterns(
     const std::vector<std::pair<Pattern, TimeWindow>>& discoveries,
     Timestamp tolerance) {
-  std::map<std::string, PeriodicPattern> by_key;
+  // One group per canonical code, in first-discovery order (code order
+  // follows relation ids, so it must not order the output).
+  CodeTable codes;
+  std::vector<PeriodicPattern> groups;
+  std::vector<uint64_t> code;
   for (const auto& [pattern, window] : discoveries) {
-    std::string key = pattern.CanonicalKey();
-    auto it = by_key.find(key);
-    if (it == by_key.end()) {
-      PeriodicPattern pp;
-      pp.pattern = pattern;
-      it = by_key.emplace(std::move(key), std::move(pp)).first;
+    pattern.CanonicalCode(&code);
+    const uint64_t hash = HashWords(code);
+    CodeTable::Id id = codes.Find(code, hash);
+    if (id == CodeTable::kAbsent) {
+      id = codes.Insert(code, hash);
+      groups.push_back(PeriodicPattern{pattern, {}, 0});
     }
-    it->second.occurrences.push_back(window);
+    groups[id].occurrences.push_back(window);
   }
 
   std::vector<PeriodicPattern> out;
-  for (auto& [key, pp] : by_key) {
+  for (PeriodicPattern& pp : groups) {
     if (pp.occurrences.size() < 2) continue;
     std::sort(pp.occurrences.begin(), pp.occurrences.end(),
               [](const TimeWindow& a, const TimeWindow& b) {

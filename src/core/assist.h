@@ -20,10 +20,11 @@ struct PeriodicPattern {
   Timestamp period = 0;                 // dominant gap between occurrences
 };
 
-/// Groups (pattern, window) discoveries by pattern identity and reports the
-/// patterns mined in two or more windows whose start-to-start gaps agree
-/// within `tolerance`. Discoveries typically come from running the window
-/// search on consecutive years of history.
+/// Groups (pattern, window) discoveries by pattern identity (canonical code)
+/// and reports the patterns mined in two or more windows whose
+/// start-to-start gaps agree within `tolerance`, in order of first discovery;
+/// each keeps its first discovery's spelling. Discoveries typically come from
+/// running the window search on consecutive years of history.
 std::vector<PeriodicPattern> FindPeriodicPatterns(
     const std::vector<std::pair<Pattern, TimeWindow>>& discoveries,
     Timestamp tolerance);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/pattern.h"
@@ -130,11 +129,10 @@ class ExtensionBounds {
 ///
 /// Layout: the codes sit in a CodeTable, each entry's state (frequency,
 /// support) in a parallel fixed-size record. Only states at or above the
-/// realization cache floor carry their Pattern, its string key and its
-/// realization table, in separate storage whose elements never move; a
-/// state below the floor is the bare record. The code is the identity: the
-/// string key is built for kept states only, because only their order is
-/// ever visible (a reused context seeds its worklist in key order).
+/// realization cache floor carry their Pattern and its realization table, in
+/// separate storage whose elements never move; a state below the floor is
+/// the bare record. The code is the identity and the id the order: a reused
+/// context seeds its worklist in id order, which is the serial commit order.
 class EvaluationCache {
  public:
   using Id = CodeTable::Id;
@@ -143,7 +141,6 @@ class EvaluationCache {
   /// What the cache keeps of a state at or above the floor.
   struct Realized {
     Pattern pattern;
-    std::string key;                 // pattern.CanonicalKey()
     /// One realization per row, by position: column k binds pattern
     /// variable k (k < num_vars), then the realization's tmin and tmax.
     relational::Table realizations;

@@ -137,19 +137,18 @@ class PatternMiner::Impl {
       const EvaluationCache::State& state = cache.state(id);
       if (state.support > 0 &&
           state.frequency >= options_.frequency_threshold) {
-        // Admission expands from the kept table (MaybeAdmit), and only kept
-        // states carry the key the seeding order needs.
+        // Admission expands from the kept table (MaybeAdmit).
         if (state.realized == nullptr) {
           return AdmittedWithoutRealization(options_.frequency_threshold);
         }
         seeded.push_back(id);
       }
     }
-    // Seed in key order, so reused contexts expand (and report) in the same
-    // order as a fresh run.
-    std::sort(seeded.begin(), seeded.end(), [&](Id a, Id b) {
-      return cache.state(a).realized->key < cache.state(b).realized->key;
-    });
+    // `seeded` is in cache-id order, the serial commit order of the earlier
+    // runs: the same at any thread count, at any cache floor (pruning skips
+    // only candidates below the floor, and no seeded state is below it) and
+    // for any relation-interning order (enumeration follows the index's
+    // name-ordered entries). DESIGN.md "Canonical-code contract".
     for (Id id : seeded) {
       WICLEAN_RETURN_IF_ERROR(MaybeAdmit(id, options_.frequency_threshold,
                                          &frequent_, /*mark_frequent=*/true));
@@ -273,10 +272,9 @@ class PatternMiner::Impl {
     std::optional<PreparedActionSide> glued_side;
   };
 
-  /// Output of one pure candidate evaluation. `kept` — the pattern, its
-  /// key, and its realization table — is built only when
-  /// `frequency` reaches the realization cache floor, i.e. only when the
-  /// cache will keep it.
+  /// Output of one pure candidate evaluation. `kept` — the pattern and its
+  /// realization table — is built only when `frequency` reaches the
+  /// realization cache floor, i.e. only when the cache will keep it.
   struct CandidateResult {
     std::optional<Realized> kept;
     size_t support = 0;
@@ -321,7 +319,7 @@ class PatternMiner::Impl {
     }
     // Snapshot the abstract actions with their key hashes computed once: the
     // pair-tested check below runs for every (pattern, action) combination,
-    // and re-hashing both strings each time dominated this loop. Pattern-key
+    // and re-hashing both strings each time dominated this loop. Pattern-code
     // hashes are stored with the cache entries. The index cannot grow during
     // expansion (ingest happens between ExpandAll rounds), so the snapshot —
     // and the action sides prepared from it — stay valid for this call only.
@@ -621,9 +619,7 @@ class PatternMiner::Impl {
           WICLEAN_RETURN_IF_ERROR(
               p.AddAction(entry.key.op, u, entry.key.relation, v));
           WICLEAN_RETURN_IF_ERROR(p.SetSourceVar(u));
-          std::string key = p.CanonicalKey();
-          kept.emplace(Realized{std::move(p), std::move(key),
-                                std::move(realization),
+          kept.emplace(Realized{std::move(p), std::move(realization),
                                 EvaluationCache::kAbsent});
         }
         id = RecordEvaluated(code_, hash, std::move(kept), support, frequency);
@@ -816,20 +812,18 @@ class PatternMiner::Impl {
     return Status::OK();
   }
 
-  /// Builds what the cache keeps of candidate `c`: the extended pattern, its
-  /// key and `realization`.
+  /// Builds what the cache keeps of candidate `c`: the extended pattern and
+  /// `realization`.
   static Status KeepExtension(const ExtensionCandidate& c,
                               const AbstractActionEntry& entry,
                               rel::Table realization, CandidateResult* out) {
-    Realized& kept = out->kept.emplace(Realized{
-        c.base->pattern, {}, std::move(realization), c.base_id});
+    Realized& kept = out->kept.emplace(
+        Realized{c.base->pattern, std::move(realization), c.base_id});
     const int target = c.glue_target >= 0
                            ? c.glue_target
                            : kept.pattern.AddVar(entry.key.target_type);
-    WICLEAN_RETURN_IF_ERROR(kept.pattern.AddAction(
-        entry.key.op, c.glue_source, entry.key.relation, target));
-    kept.key = kept.pattern.CanonicalKey();
-    return Status::OK();
+    return kept.pattern.AddAction(entry.key.op, c.glue_source,
+                                  entry.key.relation, target);
   }
 
   /// Stores one evaluation under `code` (hash = HashWords(code)) with its

@@ -194,9 +194,8 @@ class MiningContext {
 
   ActionIndex index;
   /// canonical pattern code -> evaluation result.
-  /// Ids follow the serial commit order, the same at any thread count.
-  /// Anything that must follow key order (seeding a reused context's
-  /// frequent set) sorts explicitly by the kept states' keys.
+  /// Ids follow the serial commit order, the same at any thread count; a
+  /// reused context seeds its frequent set in id order.
   EvaluationCache evaluated;
   /// Hashes of (pattern code, action key) pairs already expanded — tested[w]
   /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.

@@ -1,10 +1,8 @@
 #include "core/pattern.h"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 #include <span>
-#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -79,135 +77,9 @@ bool Pattern::IsConnected() const { return ConnectedFrom(source_var_); }
 
 namespace {
 
-/// Appends `v` in decimal, exactly as std::to_string writes it.
-void AppendDecimal(int64_t v, std::string* out) {
-  char buf[24];
-  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
-  out->append(buf, static_cast<size_t>(end - buf));
-}
-
-/// Per-thread working buffers of CanonicalKey. Every buffer is cleared, never
-/// freed, so once they have grown an encoding allocates nothing but the key
-/// it returns.
-struct CanonicalScratch {
-  std::vector<int> by_type;        // variables sorted by (type, index)
-  std::vector<size_t> group_end;   // end of each same-type run of by_type
-  std::vector<int> ids;            // ids[k] = new id of variable by_type[k]
-  std::vector<int> perm;           // perm[variable] = new id
-  std::string suffixes;            // ":type[=binding]" of every variable
-  std::vector<size_t> suffix_end;  // end of variable v's suffix
-  std::string actions;             // one permutation's action encodings
-  std::vector<std::pair<size_t, size_t>> spans;  // (begin, size) per action
-  std::vector<uint32_t> order;     // actions sorted by their encoding
-  std::string enc;                 // one permutation's full encoding
-};
-
-}  // namespace
-
-std::string Pattern::CanonicalKey() const {
-  // The key is the lexicographically smallest encoding over every
-  // type-preserving renaming of the variables. A variable's token is
-  // "<new id>:<type>[=<binding>]"; an action encodes as
-  // "<op> <source token> <relation> <target token>"; the pattern as
-  // "src=<source token>" followed by "|<action>" for each action in sorted
-  // order. New ids are dense in (type, index) order, so only permutations
-  // within a same-type group can change them.
-  thread_local CanonicalScratch s;
-  const size_t n = var_types_.size();
-
-  s.by_type.resize(n);
-  std::iota(s.by_type.begin(), s.by_type.end(), 0);
-  // By (type, index): the order a stable sort by type gives, without the
-  // temporary buffer std::stable_sort allocates on every call.
-  std::sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
-    return var_types_[a] != var_types_[b] ? var_types_[a] < var_types_[b]
-                                          : a < b;
-  });
-  s.group_end.clear();
-  for (size_t k = 0; k < n; ++k) {
-    if (k + 1 == n ||
-        var_types_[s.by_type[k + 1]] != var_types_[s.by_type[k]]) {
-      s.group_end.push_back(k + 1);
-    }
-  }
-  s.ids.resize(n);
-  std::iota(s.ids.begin(), s.ids.end(), 0);
-  s.perm.resize(n);
-
-  s.suffixes.clear();
-  s.suffix_end.resize(n);
-  for (size_t v = 0; v < n; ++v) {
-    s.suffixes += ':';
-    AppendDecimal(var_types_[v], &s.suffixes);
-    if (var_bindings_[v] != kInvalidEntityId) {
-      s.suffixes += '=';
-      AppendDecimal(var_bindings_[v], &s.suffixes);
-    }
-    s.suffix_end[v] = s.suffixes.size();
-  }
-  auto append_token = [&](int v, std::string* out) {
-    AppendDecimal(s.perm[v], out);
-    const size_t begin = v == 0 ? 0 : s.suffix_end[v - 1];
-    out->append(s.suffixes, begin, s.suffix_end[v] - begin);
-  };
-  auto part = [&](uint32_t i) {
-    return std::string_view(s.actions).substr(s.spans[i].first,
-                                              s.spans[i].second);
-  };
-
-  const size_t m = actions_.size();
-  s.order.resize(m);
-  std::string best;
-  bool first = true;
-  for (;;) {
-    for (size_t k = 0; k < n; ++k) s.perm[s.by_type[k]] = s.ids[k];
-
-    s.actions.clear();
-    s.spans.clear();
-    for (const AbstractAction& a : actions_) {
-      const size_t begin = s.actions.size();
-      s.actions += a.op == EditOp::kAdd ? '+' : '-';
-      s.actions += ' ';
-      append_token(a.source_var, &s.actions);
-      s.actions += ' ';
-      s.actions += a.relation.name();
-      s.actions += ' ';
-      append_token(a.target_var, &s.actions);
-      s.spans.emplace_back(begin, s.actions.size() - begin);
-    }
-    std::iota(s.order.begin(), s.order.end(), 0u);
-    std::sort(s.order.begin(), s.order.end(),
-              [&](uint32_t a, uint32_t b) { return part(a) < part(b); });
-    s.enc.clear();
-    if (source_var_ >= 0) {
-      s.enc += "src=";
-      append_token(source_var_, &s.enc);
-    }
-    for (uint32_t i : s.order) {
-      s.enc += '|';
-      s.enc += part(i);
-    }
-    if (first || s.enc < best) best.assign(s.enc);
-    first = false;
-
-    // Next renaming: an odometer over the per-group permutations, last group
-    // fastest. next_permutation restores a finished group to its sorted
-    // (identity) order and the carry moves on to the group before it.
-    bool advanced = false;
-    for (size_t g = s.group_end.size(); g-- > 0 && !advanced;) {
-      const size_t begin = g == 0 ? 0 : s.group_end[g - 1];
-      advanced = std::next_permutation(s.ids.begin() + begin,
-                                       s.ids.begin() + s.group_end[g]);
-    }
-    if (!advanced) break;
-  }
-  return best;
-}
-
-namespace {
-
-/// Per-thread working buffers of CanonicalCodeOf, cleared and never freed
-/// like CanonicalScratch.
+/// Per-thread working buffers of CanonicalCodeOf. Every buffer is cleared,
+/// never freed, so once they have grown, coding allocates nothing beyond
+/// growing the caller's *code.
 struct CodeScratch {
   std::vector<int> by_type;       // variables sorted by (type, index)
   std::vector<size_t> group_end;  // end of each same-type run of by_type
@@ -229,10 +101,14 @@ void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code) {
   bool bound = false;
   for (EntityId b : shape.var_bindings) bound = bound || b != kInvalidEntityId;
 
-  // New ids are dense in (type, index) order, as in CanonicalKey, so the
-  // sorted type list is the same for every renaming and is written once.
+  // The code is the smallest word sequence over every type-preserving
+  // renaming of the variables. New ids are dense in (type, index) order, so
+  // only permutations within a same-type group change them, and the sorted
+  // type list is the same for every renaming and is written once.
   s.by_type.resize(n);
   std::iota(s.by_type.begin(), s.by_type.end(), 0);
+  // By (type, index): the order a stable sort by type gives, without the
+  // temporary buffer std::stable_sort allocates on every call.
   std::sort(s.by_type.begin(), s.by_type.end(), [&](int a, int b) {
     return types[a] != types[b] ? types[a] < types[b] : a < b;
   });
@@ -284,7 +160,9 @@ void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code) {
     }
     first = false;
 
-    // Next renaming: the odometer of CanonicalKey.
+    // Next renaming: an odometer over the per-group permutations, last group
+    // fastest. next_permutation restores a finished group to its sorted
+    // (identity) order and the carry moves on to the group before it.
     bool advanced = false;
     for (size_t g = s.group_end.size(); g-- > 0 && !advanced;) {
       const size_t begin = g == 0 ? 0 : s.group_end[g - 1];

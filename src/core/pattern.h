@@ -43,9 +43,11 @@ struct PatternShape {
 inline constexpr size_t kMaxCodeVars = size_t{1} << 16;
 
 /// Writes the canonical code of `shape` to *code (replacing its contents):
-/// the identity Pattern::CanonicalKey realizes, as 64-bit words. Searches the
-/// same type-preserving renamings as CanonicalKey and keeps the smallest
-/// word sequence. Layout, for n variables and m actions:
+/// the one pattern identity of the library. Two patterns have equal codes
+/// iff they are the same up to a renaming of same-typed variables that
+/// keeps bindings and the source designation (§3). Exact: it tries every
+/// type-preserving renaming and keeps the smallest word sequence. Layout,
+/// for n variables and m actions:
 ///   - one size word: n << 32 | m, bit 63 set when some variable is bound;
 ///   - the n variable types in (type, index) order, two per word;
 ///   - the renamed source id + 1 (0 = no source);
@@ -53,18 +55,17 @@ inline constexpr size_t kMaxCodeVars = size_t{1} << 16;
 ///   - the m action words, sorted, each op << 63 | relation id << 32 |
 ///     source << 16 | target over the renamed endpoints.
 /// Every field has its own width and the sizes come first, so equal codes
-/// mean equal renamed patterns at any size: for source-connected patterns
-/// (everything the miner builds) equal codes ⇔ equal keys. The key omits
-/// variables no action or source names; the code does not. Relation ids are
-/// process-wide (revision/relation.h), so codes compare across contexts;
-/// their order is the ids' and means nothing beyond equality. Dies past
-/// kMaxCodeVars variables, 2^32 - 1 actions or relation id 2^31.
+/// mean equal renamed patterns at any size. Variables no action or source
+/// names count too. Relation ids are process-wide (revision/relation.h), so
+/// codes compare across contexts; but ids follow first-intern order, so
+/// code order means nothing beyond equality and must never order output.
+/// Dies past kMaxCodeVars variables, 2^32 - 1 actions or relation id 2^31.
 void CanonicalCodeOf(const PatternShape& shape, std::vector<uint64_t>* code);
 
 /// A connected update pattern (§3): a set of abstract actions over typed
 /// variables, with one distinguished *source* variable from which every other
 /// variable is reachable along action edges. Two patterns are identical up to
-/// isomorphism on same-typed variable names; CanonicalKey() realizes that
+/// isomorphism on same-typed variable names; CanonicalCode() realizes that
 /// equivalence.
 ///
 /// A variable may additionally be *value-bound* to a concrete entity (the
@@ -112,25 +113,13 @@ class Pattern {
   /// True iff ConnectedFrom(source_var()).
   bool IsConnected() const;
 
-  /// A string key identical for isomorphic patterns (same up to renaming of
-  /// variables, respecting types and the source designation). Computed by
-  /// trying every type-preserving variable permutation and keeping the
-  /// lexicographically smallest encoding, so it is exact. The exact bytes
-  /// are part of the contract: keys are also sort keys (a reused mining
-  /// context orders its worklist by them), so any rewrite must keep them
-  /// byte-identical. Identity alone is cheaper as CanonicalCode.
-  std::string CanonicalKey() const;
-
-  /// Writes the canonical code (CanonicalCodeOf) of this pattern to *code.
+  /// Writes the canonical code (CanonicalCodeOf) of this pattern to *code:
+  /// equal codes iff the patterns are isomorphic.
   void CanonicalCode(std::vector<uint64_t>* code) const;
 
   /// Human-readable rendering using taxonomy type names, e.g.
   ///   "{+ (soccer_player#0, current_club, club#1)}, source=soccer_player#0".
   std::string ToString(const TypeTaxonomy& taxonomy) const;
-
-  bool operator==(const Pattern& other) const {
-    return CanonicalKey() == other.CanonicalKey();
-  }
 
  private:
   std::vector<TypeId> var_types_;

@@ -111,7 +111,7 @@ struct RefinementRound {
 
 /// Output of WindowSearch::Run.
 struct WindowSearchResult {
-  /// Discovered most-specific patterns, deduplicated by canonical key across
+  /// Discovered most-specific patterns, deduplicated by canonical code across
   /// rounds (first discovery wins, i.e. the tightest window / highest
   /// threshold).
   std::vector<DiscoveredPattern> patterns;

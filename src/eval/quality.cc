@@ -1,16 +1,20 @@
 #include "eval/quality.h"
 
 #include <algorithm>
-#include <set>
+
+#include "common/hash.h"
+#include "core/evaluation_cache.h"
 
 namespace wiclean {
 namespace {
 
 bool Isomorphic(const Pattern& a, const Pattern& b,
                 const TypeTaxonomy& taxonomy) {
-  return a.CanonicalKey() == b.CanonicalKey() ||
-         (IsSpecializationOf(a, b, taxonomy) &&
-          IsSpecializationOf(b, a, taxonomy));
+  std::vector<uint64_t> code_a, code_b;
+  a.CanonicalCode(&code_a);
+  b.CanonicalCode(&code_b);
+  return code_a == code_b || (IsSpecializationOf(a, b, taxonomy) &&
+                              IsSpecializationOf(b, a, taxonomy));
 }
 
 bool Comparable(const Pattern& a, const Pattern& b,
@@ -33,16 +37,18 @@ PatternQualityReport EvaluatePatternQuality(
   // Deduplicated mined set: the discovered patterns plus their relative
   // refinements.
   std::vector<const Pattern*> mined_patterns;
-  std::set<std::string> seen;
+  CodeTable seen;
+  std::vector<uint64_t> code;
+  auto add_new = [&](const Pattern& p) {
+    p.CanonicalCode(&code);
+    const uint64_t hash = HashWords(code);
+    if (seen.Find(code, hash) != CodeTable::kAbsent) return;
+    seen.Insert(code, hash);
+    mined_patterns.push_back(&p);
+  };
   for (const DiscoveredPattern& d : mined) {
-    if (seen.insert(d.mined.pattern.CanonicalKey()).second) {
-      mined_patterns.push_back(&d.mined.pattern);
-    }
-    for (const RelativePattern& r : d.relatives) {
-      if (seen.insert(r.pattern.CanonicalKey()).second) {
-        mined_patterns.push_back(&r.pattern);
-      }
-    }
+    add_new(d.mined.pattern);
+    for (const RelativePattern& r : d.relatives) add_new(r.pattern);
   }
   report.mined_total = mined_patterns.size();
 

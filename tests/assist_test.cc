@@ -2,6 +2,7 @@
 
 #include "core/assist.h"
 #include "synth/catalog.h"
+#include "tests/support/reference_canonical_key.h"
 
 namespace wiclean {
 namespace {
@@ -60,20 +61,46 @@ class AssistTest : public ::testing::Test {
 
 TEST_F(AssistTest, FindPeriodicPatternsDetectsYearlyRepeat) {
   Pattern p = JoinPair();
+  // p spelled with its variables renamed (club first) and actions swapped.
+  Pattern renamed;
+  int c = renamed.AddVar(types_.soccer_club);
+  int pl = renamed.AddVar(types_.soccer_player);
+  ASSERT_TRUE(renamed.AddAction(EditOp::kAdd, c, "squad", pl).ok());
+  ASSERT_TRUE(renamed.AddAction(EditOp::kAdd, pl, "current_club", c).ok());
+  ASSERT_TRUE(renamed.SetSourceVar(pl).ok());
   Pattern other =
       TinyPattern(types_.soccer_player, types_.sports_award, "award_won");
+  // A second periodic pattern, discovered (in the input) before p.
+  Pattern injury =
+      TinyPattern(types_.soccer_player, types_.soccer_club, "on_injury_list");
 
   TimeWindow y0{15 * 2 * kSecondsPerWeek, 16 * 2 * kSecondsPerWeek};
   TimeWindow y1{y0.begin + kSecondsPerYear, y0.end + kSecondsPerYear};
   TimeWindow y2{y0.begin + 2 * kSecondsPerYear, y0.end + 2 * kSecondsPerYear};
   TimeWindow lone{0, 2 * kSecondsPerWeek};
+  TimeWindow spring{10 * kSecondsPerWeek, 12 * kSecondsPerWeek};
+  TimeWindow next_spring{spring.begin + kSecondsPerYear,
+                         spring.end + kSecondsPerYear};
 
   std::vector<PeriodicPattern> periodic = FindPeriodicPatterns(
-      {{p, y0}, {p, y1}, {p, y2}, {other, lone}}, kSecondsPerWeek);
-  ASSERT_EQ(periodic.size(), 1u);
-  EXPECT_EQ(periodic[0].pattern.CanonicalKey(), p.CanonicalKey());
-  EXPECT_EQ(periodic[0].occurrences.size(), 3u);
+      {{injury, next_spring},
+       {p, y0},
+       {renamed, y2},
+       {other, lone},
+       {p, y1},
+       {injury, spring}},
+      kSecondsPerWeek);
+  // Groups come out in order of first discovery, each with its first
+  // spelling and its occurrences sorted.
+  ASSERT_EQ(periodic.size(), 2u);
+  EXPECT_EQ(ReferenceCanonicalKey(periodic[0].pattern),
+            ReferenceCanonicalKey(injury));
+  EXPECT_EQ(periodic[0].occurrences,
+            (std::vector<TimeWindow>{spring, next_spring}));
   EXPECT_EQ(periodic[0].period, kSecondsPerYear);
+  EXPECT_EQ(periodic[1].pattern.actions(), p.actions());
+  EXPECT_EQ(periodic[1].occurrences, (std::vector<TimeWindow>{y0, y1, y2}));
+  EXPECT_EQ(periodic[1].period, kSecondsPerYear);
 }
 
 TEST_F(AssistTest, IrregularGapsAreNotPeriodic) {

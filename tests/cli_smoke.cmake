@@ -33,6 +33,36 @@ if(NOT json MATCHES "\"patterns\"")
   message(FATAL_ERROR "JSON report malformed")
 endif()
 
+# A report whose write fails leaves an earlier report at --json untouched
+# and no temp file: reports are written to <path>.tmp and committed over
+# <path> only once complete. A file-size limit of a few KB (SIGXFSZ ignored,
+# so the write fails with EFBIG) cuts the ~45 KB report short.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E copy
+    ${WORK_DIR}/report.json ${WORK_DIR}/report_before.json)
+execute_process(
+  COMMAND sh -c "trap '' XFSZ; ulimit -f 8; exec \"$0\" \"$@\""
+    ${WICLEAN} mine
+    --dump ${WORK_DIR}/dump.xml
+    --taxonomy ${WORK_DIR}/taxonomy.tsv
+    --alignment ${WORK_DIR}/alignment.tsv
+    --seed-type soccer_player --threshold 0.8
+    --json ${WORK_DIR}/report.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "mine --json under a file-size limit should fail: ${out}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/report_before.json ${WORK_DIR}/report.json
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "failed mine --json changed the existing report: ${err}")
+endif()
+if(EXISTS ${WORK_DIR}/report.json.tmp)
+  message(FATAL_ERROR "failed mine --json left ${WORK_DIR}/report.json.tmp")
+endif()
+
 # A threshold below 0.2 makes relative admissions (0.5 x base frequency)
 # fall below the miner's default realization cache floor of 0.1; the search
 # lowers the floor to match, so this corpus mines instead of failing with

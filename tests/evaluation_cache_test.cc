@@ -145,9 +145,8 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
       p.AddVar(static_cast<TypeId>(i));
       relational::Table table(1);
       table.AppendInt64Row({i});
-      std::string key = p.CanonicalKey();
-      cache.Keep(id, EvaluationCache::Realized{std::move(p), std::move(key),
-                                               std::move(table)});
+      cache.Keep(id,
+                 EvaluationCache::Realized{std::move(p), std::move(table)});
       kept.push_back(cache.state(id).realized);
     }
   }
@@ -165,7 +164,6 @@ TEST(EvaluationCacheTest, IdsVisitEachEntryOnceAndKeptStateIsStable) {
     }
     ASSERT_EQ(r, kept[id / 3]);
     EXPECT_EQ(r->pattern.var_type(0), static_cast<TypeId>(id));
-    EXPECT_EQ(r->key, r->pattern.CanonicalKey());
     EXPECT_EQ(r->realizations.column(0).Int64At(0), static_cast<int64_t>(id));
     ++with_table;
   }

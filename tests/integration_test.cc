@@ -11,6 +11,7 @@
 #include "eval/quality.h"
 #include "synth/dump_render.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_canonical_key.h"
 
 namespace wiclean {
 namespace {
@@ -129,10 +130,10 @@ TEST_F(IntegrationTest, DumpPipelineYieldsSamePatterns) {
 
   std::set<std::string> original_keys, redone_keys;
   for (const DiscoveredPattern& dp : search_result_->patterns) {
-    original_keys.insert(dp.mined.pattern.CanonicalKey());
+    original_keys.insert(ReferenceCanonicalKey(dp.mined.pattern));
   }
   for (const DiscoveredPattern& dp : redone->patterns) {
-    redone_keys.insert(dp.mined.pattern.CanonicalKey());
+    redone_keys.insert(ReferenceCanonicalKey(dp.mined.pattern));
   }
   EXPECT_EQ(original_keys, redone_keys);
 }

@@ -22,6 +22,7 @@
 #include "relational/ops.h"
 #include "relational/table.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_canonical_key.h"
 #include "tests/support/reference_dedup.h"
 #include "tests/support/reference_join.h"
 
@@ -551,7 +552,7 @@ std::vector<std::tuple<std::string, double, size_t>> Signature(
   std::vector<std::tuple<std::string, double, size_t>> out;
   out.reserve(ps.size());
   for (const MinedPattern& mp : ps) {
-    out.emplace_back(mp.pattern.CanonicalKey(), mp.frequency, mp.support);
+    out.emplace_back(ReferenceCanonicalKey(mp.pattern), mp.frequency, mp.support);
   }
   return out;
 }

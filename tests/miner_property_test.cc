@@ -15,6 +15,7 @@
 #include "core/miner.h"
 #include "core/window_search.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_canonical_key.h"
 
 namespace wiclean {
 namespace {
@@ -51,7 +52,7 @@ class MinerPropertyTest : public ::testing::TestWithParam<SweepCase> {
 
   static std::set<std::string> Keys(const std::vector<MinedPattern>& ps) {
     std::set<std::string> out;
-    for (const MinedPattern& mp : ps) out.insert(mp.pattern.CanonicalKey());
+    for (const MinedPattern& mp : ps) out.insert(ReferenceCanonicalKey(mp.pattern));
     return out;
   }
 
@@ -290,10 +291,12 @@ TEST_P(MinerPropertyTest, PruningMatchesUnprunedMine) {
 TEST_P(MinerPropertyTest, PruningMatchesUnprunedMineOnReusedContext) {
   const TypeId seed = world_->types.soccer_player;
   const TypeTaxonomy& taxonomy = *world_->taxonomy;
-  auto mine_twice = [&](double floor) {
+  const double kDefaultFloor = MinerOptions().realization_cache_min_frequency;
+  auto mine_twice = [&](double floor, size_t num_threads) {
     MinerOptions high = Options();
     high.frequency_threshold = 0.8;
     high.realization_cache_min_frequency = floor;
+    high.num_threads = num_threads;
     MinerOptions low = high;
     low.frequency_threshold = 0.4;
     const PatternMiner high_miner(world_->registry.get(), &world_->store,
@@ -307,15 +310,19 @@ TEST_P(MinerPropertyTest, PruningMatchesUnprunedMineOnReusedContext) {
         low_miner.MineWindow(seed, transfer_window_, first->context);
     EXPECT_TRUE(second.ok());
     if (!second.ok()) return std::string();
-    const double kDefaultFloor = MinerOptions().realization_cache_min_frequency;
     std::string out =
         DescribeMine(high_miner, seed, *first, kDefaultFloor, taxonomy);
     out += "==\n";
     out += DescribeMine(low_miner, seed, *second, kDefaultFloor, taxonomy);
     return out;
   };
-  EXPECT_EQ(mine_twice(MinerOptions().realization_cache_min_frequency),
-            mine_twice(0));
+  // The reused context seeds in cache-id order, which is the serial commit
+  // order: the spelled, ordered report is the same at any floor and at any
+  // number of evaluation threads.
+  const std::string reference = mine_twice(kDefaultFloor, 1);
+  EXPECT_EQ(reference, mine_twice(0, 1));
+  EXPECT_EQ(reference, mine_twice(kDefaultFloor, 4));
+  EXPECT_EQ(reference, mine_twice(0, 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(

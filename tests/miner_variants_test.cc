@@ -9,6 +9,7 @@
 
 #include "core/miner.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_canonical_key.h"
 
 namespace wiclean {
 namespace {
@@ -42,7 +43,7 @@ class MinerVariantsTest : public ::testing::Test {
 
   static std::set<std::string> Keys(const std::vector<MinedPattern>& ps) {
     std::set<std::string> out;
-    for (const MinedPattern& mp : ps) out.insert(mp.pattern.CanonicalKey());
+    for (const MinedPattern& mp : ps) out.insert(ReferenceCanonicalKey(mp.pattern));
     return out;
   }
 

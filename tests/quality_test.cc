@@ -123,9 +123,18 @@ TEST_F(QualityTest, RelativePatternsCountAsMined) {
 
 TEST_F(QualityTest, DuplicateMinedPatternsDeduplicated) {
   Pattern pair = JoinPair(types_.soccer_player, types_.soccer_club);
+  // The same pair spelled the other way round: club first, actions swapped.
+  Pattern respelled;
+  int c = respelled.AddVar(types_.soccer_club);
+  int pl = respelled.AddVar(types_.soccer_player);
+  ASSERT_TRUE(respelled.AddAction(EditOp::kAdd, c, "squad", pl).ok());
+  ASSERT_TRUE(respelled.AddAction(EditOp::kAdd, pl, "current_club", c).ok());
+  ASSERT_TRUE(respelled.SetSourceVar(pl).ok());
   PatternQualityReport q = EvaluatePatternQuality(
-      {Wrap(pair), Wrap(pair)}, {Expert(pair, "join")}, *taxonomy_);
+      {Wrap(pair), Wrap(pair), Wrap(respelled)}, {Expert(pair, "join")},
+      *taxonomy_);
   EXPECT_EQ(q.mined_total, 1u);
+  EXPECT_EQ(q.detected_experts, 1u);
 }
 
 TEST_F(QualityTest, EmptyInputsAreWellDefined) {

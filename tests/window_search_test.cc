@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/window_search.h"
 #include "synth/synthesizer.h"
+#include "tests/support/reference_canonical_key.h"
 #include "tests/support/reference_selection.h"
 
 namespace wiclean {
@@ -82,7 +83,7 @@ TEST_F(WindowSearchTest, PatternsDedupedAcrossRounds) {
   ASSERT_TRUE(result.ok());
   std::set<std::string> keys;
   for (const DiscoveredPattern& dp : result->patterns) {
-    EXPECT_TRUE(keys.insert(dp.mined.pattern.CanonicalKey()).second)
+    EXPECT_TRUE(keys.insert(ReferenceCanonicalKey(dp.mined.pattern)).second)
         << "duplicate pattern reported";
   }
 }
@@ -111,11 +112,11 @@ TEST_F(WindowSearchTest, RejectedArtifactsStayRejectedAcrossRounds) {
   ASSERT_TRUE(validated_round.ok() && roots.ok());
   std::set<std::string> kept;
   for (const DiscoveredPattern& dp : validated_round->patterns) {
-    kept.insert(dp.mined.pattern.CanonicalKey());
+    kept.insert(ReferenceCanonicalKey(dp.mined.pattern));
   }
   std::set<std::string> rejected;
   for (const DiscoveredPattern& dp : roots->patterns) {
-    const std::string key = dp.mined.pattern.CanonicalKey();
+    const std::string key = ReferenceCanonicalKey(dp.mined.pattern);
     if (kept.count(key) == 0) rejected.insert(key);
   }
   ASSERT_FALSE(rejected.empty());
@@ -129,7 +130,7 @@ TEST_F(WindowSearchTest, RejectedArtifactsStayRejectedAcrossRounds) {
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full->rounds.size(), 1u);
   for (const DiscoveredPattern& dp : full->patterns) {
-    EXPECT_EQ(rejected.count(dp.mined.pattern.CanonicalKey()), 0u)
+    EXPECT_EQ(rejected.count(ReferenceCanonicalKey(dp.mined.pattern)), 0u)
         << dp.mined.pattern.ToString(*world_->taxonomy);
   }
 }
@@ -191,7 +192,7 @@ void ExpectSameResult(const WindowSearchResult& a,
     const DiscoveredPattern& pa = a.patterns[i];
     const DiscoveredPattern& pb = b.patterns[i];
     SCOPED_TRACE("pattern #" + std::to_string(i));
-    EXPECT_EQ(pa.mined.pattern.CanonicalKey(), pb.mined.pattern.CanonicalKey());
+    EXPECT_EQ(ReferenceCanonicalKey(pa.mined.pattern), ReferenceCanonicalKey(pb.mined.pattern));
     EXPECT_EQ(pa.mined.window, pb.mined.window);
     EXPECT_EQ(pa.mined.frequency, pb.mined.frequency);
     EXPECT_EQ(pa.mined.support, pb.mined.support);
@@ -201,7 +202,7 @@ void ExpectSameResult(const WindowSearchResult& a,
     for (size_t r = 0; r < pa.relatives.size(); ++r) {
       const RelativePattern& ra = pa.relatives[r];
       const RelativePattern& rb = pb.relatives[r];
-      EXPECT_EQ(ra.pattern.CanonicalKey(), rb.pattern.CanonicalKey());
+      EXPECT_EQ(ReferenceCanonicalKey(ra.pattern), ReferenceCanonicalKey(rb.pattern));
       EXPECT_EQ(ra.relative_frequency, rb.relative_frequency);
       EXPECT_EQ(ra.frequency, rb.frequency);
       EXPECT_EQ(ra.support, rb.support);
@@ -426,7 +427,7 @@ TEST(DominationReleaseTest, OnDemandMatchesEagerGraphOnRandomPools) {
     for (size_t k = 0; k < 4 * wanted && pool.size() < wanted; ++k) {
       Pattern p = RandomSelectionPattern(&rng, targets, player);
       if (p.num_actions() == 0) continue;
-      if (keys.insert(p.CanonicalKey()).second) pool.push_back(std::move(p));
+      if (keys.insert(ReferenceCanonicalKey(p)).second) pool.push_back(std::move(p));
     }
     std::vector<const Pattern*> ptrs;
     for (const Pattern& p : pool) ptrs.push_back(&p);

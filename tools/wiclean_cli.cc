@@ -180,6 +180,25 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Writes the file at `path` through `<path>.tmp`: `write(std::ostream*)`
+/// fills the temp file, which CommitFile publishes over `path` only once
+/// `write` succeeded and the stream closed cleanly. On any failure the temp
+/// file is removed and an earlier file at `path` is left as it was.
+template <typename Write>
+Status WriteFileAtomically(const std::string& path, Write write) {
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream f(tmp_path, std::ios::out | std::ios::trunc | std::ios::binary);
+  if (!f) return Status::Internal("cannot write " + tmp_path);
+  Status status = write(static_cast<std::ostream*>(&f));
+  f.close();
+  if (status.ok() && !f) status = Status::Internal("write failed: " + path);
+  if (!status.ok()) {
+    std::remove(tmp_path.c_str());
+    return status;
+  }
+  return CommitFile(tmp_path, path);
+}
+
 /// Shared loading for mine/detect: taxonomy + alignment + dump -> store.
 struct LoadedCorpus {
   std::unique_ptr<TypeTaxonomy> taxonomy;
@@ -454,23 +473,22 @@ int WriteOptionalOutputs(const LoadedCorpus& corpus,
                          const Args& args) {
   std::string json_path = args.Get("json", "");
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    if (!f) return Fail(Status::Internal("cannot write " + json_path));
-    Status status = WriteDetectionReportsJson(reports, *corpus.taxonomy,
-                                              *corpus.registry, &f,
-                                              provenance);
+    Status status = WriteFileAtomically(json_path, [&](std::ostream* out) {
+      return WriteDetectionReportsJson(reports, *corpus.taxonomy,
+                                       *corpus.registry, out, provenance);
+    });
     if (!status.ok()) return Fail(status);
     std::printf("JSON report written to %s\n", json_path.c_str());
   }
   std::string csv_path = args.Get("csv", "");
   if (!csv_path.empty()) {
-    std::ofstream f(csv_path);
-    if (!f) return Fail(Status::Internal("cannot write " + csv_path));
     std::vector<std::pair<const PartialUpdateReport*, std::string>> rows;
     for (const PartialUpdateReport& report : reports) {
       rows.push_back({&report, report.pattern.ToString(*corpus.taxonomy)});
     }
-    Status status = WriteSignalsCsv(rows, *corpus.registry, &f);
+    Status status = WriteFileAtomically(csv_path, [&](std::ostream* out) {
+      return WriteSignalsCsv(rows, *corpus.registry, out);
+    });
     if (!status.ok()) return Fail(status);
     std::printf("CSV written to %s\n", csv_path.c_str());
   }
@@ -791,86 +809,77 @@ int RunIngest(const Args& args) {
 
   // The log is written to a temp file and committed over --out only once
   // finished, so a failed ingest leaves an earlier log at --out intact.
-  const std::string tmp_path = *out_path + ".tmp";
-  std::ofstream out_file(tmp_path,
-                         std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!out_file) {
-    return Fail(Status::Internal("cannot write " + tmp_path));
-  }
-  auto fail = [&](const Status& status) {
-    out_file.close();
-    std::remove(tmp_path.c_str());
-    return Fail(status);
-  };
   ActionLogWriterOptions writer_options;
   writer_options.target_block_actions = static_cast<size_t>(*block_actions);
-  ActionLogWriter writer(&out_file, writer_options);
-  if (!writer.status().ok()) return fail(writer.status());
+  IngestStats stats;
+  uint64_t actions_written = 0;
+  Status written =
+      WriteFileAtomically(*out_path, [&](std::ostream* out) -> Status {
+    ActionLogWriter writer(out, writer_options);
+    WICLEAN_RETURN_IF_ERROR(writer.status());
+    XmlPageSource source(&dump_file);
+    WICLEAN_ASSIGN_OR_RETURN(
+        stats, RunIngestPipeline(&source, *aligned->registry, &writer,
+                                 ingest_args->ToIngestOptions()));
+    WICLEAN_RETURN_IF_ERROR(writer.Finish());
+    stats.log_write_seconds = writer.write_seconds();
+    stats.log_blocks = writer.blocks_written();
+    actions_written = writer.actions_written();
+    return Status::OK();
+  });
+  if (!written.ok()) return Fail(written);
 
-  XmlPageSource source(&dump_file);
-  Result<IngestStats> run =
-      RunIngestPipeline(&source, *aligned->registry, &writer,
-                        ingest_args->ToIngestOptions());
-  if (!run.ok()) return fail(run.status());
-  Status finished = writer.Finish();
-  if (!finished.ok()) return fail(finished);
-  out_file.close();
-  if (!out_file) return fail(Status::Internal("cannot write " + tmp_path));
-  Status committed = CommitFile(tmp_path, *out_path);
-  if (!committed.ok()) return Fail(committed);
-
-  IngestStats stats = std::move(run).value();
-  stats.log_write_seconds = writer.write_seconds();
-  stats.log_blocks = writer.blocks_written();
   std::fprintf(stderr, "ingested (%zu thread%s): %s\n",
                ingest_args->num_threads,
                ingest_args->num_threads == 1 ? "" : "s",
                stats.ToString().c_str());
   std::printf("wrote %llu action(s) in %llu block(s) to %s\n",
-              static_cast<unsigned long long>(writer.actions_written()),
-              static_cast<unsigned long long>(writer.blocks_written()),
+              static_cast<unsigned long long>(actions_written),
+              static_cast<unsigned long long>(stats.log_blocks),
               out_path->c_str());
 
   std::string stats_json = args.Get("stats-json", "");
   if (!stats_json.empty()) {
-    std::ofstream f(stats_json);
-    if (!f) return Fail(Status::Internal("cannot write " + stats_json));
-    JsonWriter w(&f, /*pretty=*/true);
-    w.BeginObject();
-    w.Key("action_log");
-    w.String(*out_path);
-    w.Key("threads");
-    w.Int(static_cast<int64_t>(ingest_args->num_threads));
-    w.Key("pages");
-    w.Int(static_cast<int64_t>(stats.pages));
-    w.Key("revisions");
-    w.Int(static_cast<int64_t>(stats.revisions));
-    w.Key("actions");
-    w.Int(static_cast<int64_t>(stats.actions));
-    w.Key("unknown_pages");
-    w.Int(static_cast<int64_t>(stats.unknown_pages));
-    w.Key("unresolved_links");
-    w.Int(static_cast<int64_t>(stats.unresolved_links));
-    w.Key("pages_skipped");
-    w.Int(static_cast<int64_t>(stats.pages_skipped));
-    w.Key("revisions_skipped");
-    w.Int(static_cast<int64_t>(stats.revisions_skipped));
-    w.Key("regions_skipped");
-    w.Int(static_cast<int64_t>(stats.regions_skipped));
-    w.Key("quarantined");
-    w.Int(static_cast<int64_t>(stats.quarantined));
-    w.Key("log_blocks");
-    w.Int(static_cast<int64_t>(stats.log_blocks));
-    w.Key("read_seconds");
-    w.Number(stats.read_seconds);
-    w.Key("parse_seconds");
-    w.Number(stats.parse_seconds);
-    w.Key("merge_seconds");
-    w.Number(stats.merge_seconds);
-    w.Key("log_write_seconds");
-    w.Number(stats.log_write_seconds);
-    w.EndObject();
-    if (!f.good()) return Fail(Status::Internal("write failed: " + stats_json));
+    Status status =
+        WriteFileAtomically(stats_json, [&](std::ostream* out) -> Status {
+      JsonWriter w(out, /*pretty=*/true);
+      w.BeginObject();
+      w.Key("action_log");
+      w.String(*out_path);
+      w.Key("threads");
+      w.Int(static_cast<int64_t>(ingest_args->num_threads));
+      w.Key("pages");
+      w.Int(static_cast<int64_t>(stats.pages));
+      w.Key("revisions");
+      w.Int(static_cast<int64_t>(stats.revisions));
+      w.Key("actions");
+      w.Int(static_cast<int64_t>(stats.actions));
+      w.Key("unknown_pages");
+      w.Int(static_cast<int64_t>(stats.unknown_pages));
+      w.Key("unresolved_links");
+      w.Int(static_cast<int64_t>(stats.unresolved_links));
+      w.Key("pages_skipped");
+      w.Int(static_cast<int64_t>(stats.pages_skipped));
+      w.Key("revisions_skipped");
+      w.Int(static_cast<int64_t>(stats.revisions_skipped));
+      w.Key("regions_skipped");
+      w.Int(static_cast<int64_t>(stats.regions_skipped));
+      w.Key("quarantined");
+      w.Int(static_cast<int64_t>(stats.quarantined));
+      w.Key("log_blocks");
+      w.Int(static_cast<int64_t>(stats.log_blocks));
+      w.Key("read_seconds");
+      w.Number(stats.read_seconds);
+      w.Key("parse_seconds");
+      w.Number(stats.parse_seconds);
+      w.Key("merge_seconds");
+      w.Number(stats.merge_seconds);
+      w.Key("log_write_seconds");
+      w.Number(stats.log_write_seconds);
+      w.EndObject();
+      return Status::OK();
+    });
+    if (!status.ok()) return Fail(status);
     std::printf("stats JSON written to %s\n", stats_json.c_str());
   }
   return 0;
@@ -886,10 +895,10 @@ int RunMine(const Args& args) {
 
   std::string json_path = args.Get("json", "");
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    if (!f) return Fail(Status::Internal("cannot write " + json_path));
-    Status status = WriteSearchReportJson(*result, *corpus->taxonomy,
-                                          corpus->registry.get(), &f);
+    Status status = WriteFileAtomically(json_path, [&](std::ostream* out) {
+      return WriteSearchReportJson(*result, *corpus->taxonomy,
+                                   corpus->registry.get(), out);
+    });
     if (!status.ok()) return Fail(status);
     std::printf("JSON report written to %s\n", json_path.c_str());
   }
