@@ -1,5 +1,8 @@
 #include "common/hash.h"
 
+#include <array>
+#include <cstddef>
+
 namespace wiclean {
 
 uint64_t Fnv1a64(std::string_view text) {
@@ -26,23 +29,54 @@ uint64_t HashWords(std::span<const uint64_t> words) {
   return h ^ (h >> 31);
 }
 
-uint32_t Crc32(std::string_view bytes) {
-  // Standard IEEE reflected CRC-32, table computed on first use.
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
+namespace {
+
+/// Slicing-by-8 tables for the IEEE reflected polynomial: kCrcTables[0] is
+/// the classic bytewise table, and kCrcTables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight table lookups advance the CRC by eight
+/// input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    return t;
-  }();
-  uint32_t crc = 0xffffffffu;
-  for (char ch : bytes) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xff] ^ (crc >> 8);
+    t[0][i] = c;
   }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Little-endian load by byte composition (one mov on little-endian hosts).
+uint32_t LoadU32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view bytes) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
+  uint32_t crc = 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadU32(p) ^ crc;
+    const uint32_t hi = LoadU32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

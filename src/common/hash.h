@@ -26,7 +26,8 @@ uint64_t HashCombine(uint64_t a, uint64_t b);
 uint64_t HashWords(std::span<const uint64_t> words);
 
 /// CRC-32 (IEEE, reflected) — the payload checksum of the WCPS pattern
-/// snapshot and WCAL action-log containers.
+/// snapshot and WCAL action-log containers. Slicing-by-8: eight bytes per
+/// step through compile-time tables, the same values as the bytewise form.
 uint32_t Crc32(std::string_view bytes);
 
 /// splitmix64 step: advances *state and returns a well-distributed 64-bit

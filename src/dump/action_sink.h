@@ -57,7 +57,7 @@ class RevisionStoreSink : public ActionSink {
   explicit RevisionStoreSink(RevisionStore* store) : store_(store) {}
 
   [[nodiscard]] Status Append(PageActions&& batch) override {
-    store_->AddBatch(std::move(batch.actions));
+    store_->AddBatch(batch.actions);
     return Status::OK();
   }
 

@@ -1,7 +1,6 @@
 #include "log/action_log_codec.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/annotations.h"
 #include "common/hash.h"
@@ -12,9 +11,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Primitive little-endian encoding, following serve/pattern_store.cc: fixed
 // width values are composed byte by byte so the format is host-endianness
-// independent. This file is the one other module (besides the snapshot
-// store) allowed raw byte blits — the lint raw-memcpy rule names it — and
-// uses that license exactly once, for the ops bitset.
+// independent. The lint raw-memcpy rule exempts this file, but it blits no
+// bytes: the ops bitset is read bit by bit from the verified payload.
 // ---------------------------------------------------------------------------
 
 void AppendU32(std::string* out, uint32_t v) {
@@ -51,6 +49,19 @@ uint64_t ZigZagEncode(int64_t v) {
 
 int64_t ZigZagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+/// Delta arithmetic wraps in two's complement: the delta between any two
+/// int64 values, and the sum a corrupt delta produces on decode, are
+/// defined, and adding back a wrapped delta restores the value.
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
 }
 
 /// Bounds-checked sequential reader over an immutable byte span; every Read*
@@ -94,20 +105,33 @@ class ByteReader {
   }
 
   [[nodiscard]] Status ReadVarint(uint64_t* v) WC_UNTRUSTED {
-    uint64_t out = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (AtEnd()) return Truncated("varint");
-      uint8_t byte = static_cast<uint8_t>(bytes_[pos_++]);
-      out |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        // Reject non-canonical padding like 0x80 0x00 — the writer never
-        // emits it, so accepting it would let distinct bytes decode equal.
-        if (byte == 0 && shift != 0) {
-          return Status::DataLoss("action log: non-canonical varint");
-        }
-        *v = out;
-        return Status::OK();
+    if (NextVarint(v)) return Status::OK();
+    return VarintError();
+  }
+
+  /// The column loops' varint read: false on failure, with VarintError()
+  /// naming the cause, so a Status is built only when decoding fails.
+  bool NextVarint(uint64_t* v) WC_UNTRUSTED {
+    if (pos_ < bytes_.size()) {
+      const uint8_t byte = static_cast<uint8_t>(bytes_[pos_]);
+      if (byte < 0x80) {  // one byte: the common delta
+        ++pos_;
+        *v = byte;
+        return true;
       }
+    }
+    return NextVarintSlow(v);
+  }
+
+  /// The error of the last failed NextVarint.
+  Status VarintError() const {
+    switch (varint_error_) {
+      case VarintFault::kTruncated:
+        return Truncated("varint");
+      case VarintFault::kNonCanonical:
+        return Status::DataLoss("action log: non-canonical varint");
+      case VarintFault::kTooLong:
+        break;
     }
     return Status::DataLoss("action log: varint longer than 10 bytes");
   }
@@ -132,6 +156,32 @@ class ByteReader {
   }
 
  private:
+  enum class VarintFault : uint8_t { kTruncated, kNonCanonical, kTooLong };
+
+  bool NextVarintSlow(uint64_t* v) {
+    uint64_t out = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (AtEnd()) return VarintFails(VarintFault::kTruncated);
+      uint8_t byte = static_cast<uint8_t>(bytes_[pos_++]);
+      out |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        // Reject non-canonical padding like 0x80 0x00 — the writer never
+        // emits it, so accepting it would let distinct bytes decode equal.
+        if (byte == 0 && shift != 0) {
+          return VarintFails(VarintFault::kNonCanonical);
+        }
+        *v = out;
+        return true;
+      }
+    }
+    return VarintFails(VarintFault::kTooLong);
+  }
+
+  bool VarintFails(VarintFault fault) {
+    varint_error_ = fault;
+    return false;
+  }
+
   static Status Truncated(const char* what) {
     return Status::DataLoss(std::string("action log truncated reading ") +
                             what);
@@ -139,6 +189,7 @@ class ByteReader {
 
   std::string_view bytes_;
   size_t pos_ = 0;
+  VarintFault varint_error_ = VarintFault::kTruncated;
 };
 
 void AppendLenString(std::string* out, std::string_view s) {
@@ -227,14 +278,14 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
 
   EntityId prev_subject = meta.min_subject;
   for (const Action& a : actions) {
-    AppendVarint(out, ZigZagEncode(a.subject - prev_subject));
+    AppendVarint(out, ZigZagEncode(WrappingSub(a.subject, prev_subject)));
     prev_subject = a.subject;
   }
   for (uint32_t id : relation_ids) AppendVarint(out, id);
   for (const Action& a : actions) AppendVarint(out, ZigZagEncode(a.object));
   Timestamp prev_time = 0;
   for (const Action& a : actions) {
-    AppendVarint(out, ZigZagEncode(a.time - prev_time));
+    AppendVarint(out, ZigZagEncode(WrappingSub(a.time, prev_time)));
     prev_time = a.time;
   }
   return meta;
@@ -288,63 +339,56 @@ Status DecodeBlockPayload(std::string_view payload,
   }
   const uint32_t dict_end = dict_base + delta_count;
 
-  std::string_view ops_span;
-  const size_t ops_bytes = (static_cast<size_t>(count) + 7) / 8;
-  WICLEAN_RETURN_IF_ERROR(r.ReadSpan(ops_bytes, &ops_span));
-  std::vector<uint8_t> ops(ops_bytes);
-  // Byte blit of the CRC-verified bitset; this file holds the lint
-  // raw-memcpy exemption for exactly this kind of bulk column copy.
-  std::memcpy(ops.data(), ops_span.data(), ops_bytes);
+  std::string_view ops;
+  WICLEAN_RETURN_IF_ERROR(
+      r.ReadSpan((static_cast<size_t>(count) + 7) / 8, &ops));
 
-  std::vector<EntityId> subjects(count);
+  // Each column decodes straight into the Action fields of the appended
+  // range; any failure truncates *out back to its entry size.
+  const size_t base = out->size();
+  out->resize(base + count);
+  std::span<Action> actions(out->data() + base, count);
+  const auto fail = [&](Status status) {
+    out->resize(base);
+    return status;
+  };
+  for (uint32_t i = 0; i < count; ++i) {
+    actions[i].op = (static_cast<uint8_t>(ops[i / 8]) >> (i % 8)) & 1
+                        ? EditOp::kRemove
+                        : EditOp::kAdd;
+  }
+  uint64_t raw = 0;
   EntityId prev_subject = min_subject;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(r.ReadVarint(&raw));
-    prev_subject += ZigZagDecode(raw);
+  for (Action& a : actions) {
+    if (!r.NextVarint(&raw)) return fail(r.VarintError());
+    prev_subject = WrappingAdd(prev_subject, ZigZagDecode(raw));
     if (prev_subject < min_subject || prev_subject > max_subject) {
-      return Status::DataLoss(
-          "action log block: subject outside the declared span");
+      return fail(Status::DataLoss(
+          "action log block: subject outside the declared span"));
     }
-    subjects[i] = prev_subject;
+    a.subject = prev_subject;
   }
-  std::vector<uint32_t> relation_ids(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(r.ReadVarint(&raw));
+  for (Action& a : actions) {
+    if (!r.NextVarint(&raw)) return fail(r.VarintError());
     if (raw >= dict_end) {
-      return Status::DataLoss(
-          "action log block: relation id beyond the dictionary");
+      return fail(Status::DataLoss(
+          "action log block: relation id beyond the dictionary"));
     }
-    relation_ids[i] = static_cast<uint32_t>(raw);
+    a.relation = relations[raw];
   }
-  std::vector<EntityId> objects(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(r.ReadVarint(&raw));
-    objects[i] = ZigZagDecode(raw);
+  for (Action& a : actions) {
+    if (!r.NextVarint(&raw)) return fail(r.VarintError());
+    a.object = ZigZagDecode(raw);
   }
-  std::vector<Timestamp> times(count);
   Timestamp prev_time = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t raw = 0;
-    WICLEAN_RETURN_IF_ERROR(r.ReadVarint(&raw));
-    prev_time += ZigZagDecode(raw);
-    times[i] = prev_time;
+  for (Action& a : actions) {
+    if (!r.NextVarint(&raw)) return fail(r.VarintError());
+    prev_time = WrappingAdd(prev_time, ZigZagDecode(raw));
+    a.time = prev_time;
   }
   if (!r.AtEnd()) {
-    return Status::DataLoss("action log block: trailing bytes after columns");
-  }
-
-  out->reserve(out->size() + count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Action a;
-    a.op = (ops[i / 8] >> (i % 8)) & 1 ? EditOp::kRemove : EditOp::kAdd;
-    a.subject = subjects[i];
-    a.relation = relations[relation_ids[i]];
-    a.object = objects[i];
-    a.time = times[i];
-    out->push_back(a);
+    return fail(
+        Status::DataLoss("action log block: trailing bytes after columns"));
   }
   return Status::OK();
 }

@@ -50,6 +50,8 @@ BlockMeta EncodeBlockPayload(const std::vector<Action>& actions,
 /// dictionary delta is cross-checked against it, so a block whose interning
 /// disagrees with the index fails cleanly instead of mislabeling actions.
 /// When `meta` is non-null, the block's span/count header must match it.
+/// Each column decodes straight into the appended Actions; on failure *out
+/// is truncated back to its entry size, so it is left unchanged.
 [[nodiscard]] Status DecodeBlockPayload(std::string_view payload,
                                         std::span<const Relation> relations,
                                         const BlockMeta* meta,

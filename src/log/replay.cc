@@ -1,7 +1,6 @@
 #include "log/replay.h"
 
 #include <atomic>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -64,69 +63,89 @@ void AccumulateReplayStats(const PageActions& batch, IngestStats* stats) {
   stats->actions += batch.actions.size();
 }
 
+/// Decodes block `block` into a batch. A failed decode under a degraded
+/// policy becomes the block's skip batch; under kStrict it is returned.
+Status DecodeBatch(const ActionLogReader& reader, size_t block,
+                   const ReplayOptions& options, PageActions* batch) {
+  batch->sequence = block;
+  batch->known_page = true;
+  Status decoded = reader.DecodeBlock(block, &batch->actions);
+  if (decoded.ok() || options.on_error == ErrorPolicy::kStrict) {
+    return decoded;
+  }
+  *batch = MakeBlockSkip(reader, block, decoded,
+                         options.on_error == ErrorPolicy::kQuarantine);
+  return Status::OK();
+}
+
+/// Folds one batch into `stats`, writes its quarantine records and appends
+/// it to the sink: the in-order merge step of both replays.
+Status MergeBatch(PageActions batch, ActionSink* sink,
+                  const ReplayOptions& options, IngestStats* stats) {
+  AccumulateReplayStats(batch, stats);
+  for (const QuarantineRecord& record : batch.quarantine) {
+    // Losing the quarantine channel is fatal.
+    WICLEAN_RETURN_IF_ERROR(options.quarantine->Write(record));
+  }
+  if (batch.skipped) return Status::OK();
+  return sink->Append(std::move(batch));
+}
+
 Result<IngestStats> ReplaySequential(const ActionLogReader& reader,
                                      ActionSink* sink,
                                      const ReplayOptions& options,
                                      const std::vector<size_t>& selected) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
   IngestStats stats;
   for (size_t block : selected) {
     Timer read_timer;
     PageActions batch;
-    batch.sequence = block;
-    batch.known_page = true;
-    Status decoded = reader.DecodeBlock(block, &batch.actions);
+    Status decoded = DecodeBatch(reader, block, options, &batch);
     stats.log_read_seconds += read_timer.ElapsedSeconds();
-    if (!decoded.ok()) {
-      if (!degraded) return decoded;
-      batch = MakeBlockSkip(reader, block, decoded, quarantining);
-    }
+    if (!decoded.ok()) return decoded;
 
     Timer replay_timer;
-    AccumulateReplayStats(batch, &stats);
-    Status status = Status::OK();
-    for (const QuarantineRecord& record : batch.quarantine) {
-      status = options.quarantine->Write(record);
-      if (!status.ok()) break;  // losing the quarantine channel is fatal
-    }
-    if (status.ok() && !batch.skipped) {
-      status = sink->Append(std::move(batch));
-    }
+    Status merged = MergeBatch(std::move(batch), sink, options, &stats);
     stats.log_replay_seconds += replay_timer.ElapsedSeconds();
-    if (!status.ok()) return status;
+    if (!merged.ok()) return merged;
   }
   return stats;
 }
 
-/// Shared state of a parallel replay: the reorder buffer keyed by position
-/// in `selected`, the merged counters, and the first error — the same shape
-/// as the ingestion pipeline's MergeState (dump/pipeline.cc), proven
-/// data-race-free by the -Werror=thread-safety build.
-struct ReplayMergeState {
+/// One selected block as a worker hands it over: its batch, or its
+/// strict-policy decode error.
+struct DecodedBlock {
+  bool landed = false;
+  Status status;
+  PageActions batch;
+};
+
+/// What a parallel replay's workers hand the calling thread, by position
+/// in `selected`. Proven data-race-free by the -Werror=thread-safety build.
+struct ReplayHandoff {
   Mutex mu;
-  std::map<size_t, PageActions> pending WC_GUARDED_BY(mu);
-  size_t next_position WC_GUARDED_BY(mu) = 0;
-  IngestStats stats WC_GUARDED_BY(mu);
-  Status first_error WC_GUARDED_BY(mu);
+  CondVar landed_cv;  // signalled when a position lands
+  std::vector<DecodedBlock> blocks WC_GUARDED_BY(mu);
   std::atomic<int64_t> read_micros{0};
-  int64_t replay_micros WC_GUARDED_BY(mu) = 0;
 };
 
 Result<IngestStats> ReplayParallel(const ActionLogReader& reader,
                                    ActionSink* sink,
                                    const ReplayOptions& options,
                                    const std::vector<size_t>& selected) {
-  const bool degraded = options.on_error != ErrorPolicy::kStrict;
-  const bool quarantining = options.on_error == ErrorPolicy::kQuarantine;
-  ReplayMergeState state;
-  // Work dispensing needs no queue: blocks are already materialized in the
-  // mapped file, so workers pull the next position from a counter and the
-  // reorder buffer bounds skew on its own (a fast worker parks its batch
-  // and moves on).
+  ReplayHandoff handoff;
+  {
+    MutexLock lock(&handoff.mu);
+    handoff.blocks.resize(selected.size());
+  }
+  // Workers only decode: blocks are already materialized in the mapped
+  // file, so they pull the next position from a counter. The calling thread
+  // merges every batch in position order, identical to the sequential
+  // replay's visit order, so the sink and the store it fills stay on one
+  // thread: merging on whichever worker holds the lock moves the store
+  // between cores, which cost more CPU than parallel decode saved
+  // (EXPERIMENTS.md "WCAL replay at decode speed").
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
-
   ThreadPool pool(options.num_threads);
   for (size_t w = 0; w < options.num_threads; ++w) {
     pool.Submit([&] {
@@ -134,65 +153,48 @@ Result<IngestStats> ReplayParallel(const ActionLogReader& reader,
         if (failed.load(std::memory_order_acquire)) return;
         const size_t position = next.fetch_add(1, std::memory_order_relaxed);
         if (position >= selected.size()) return;
-        const size_t block = selected[position];
-
         Timer read_timer;
         PageActions batch;
-        batch.sequence = block;
-        batch.known_page = true;
-        Status decoded = reader.DecodeBlock(block, &batch.actions);
-        state.read_micros.fetch_add(
+        Status decoded =
+            DecodeBatch(reader, selected[position], options, &batch);
+        handoff.read_micros.fetch_add(
             static_cast<int64_t>(read_timer.ElapsedSeconds() * 1e6),
             std::memory_order_relaxed);
-        if (!decoded.ok()) {
-          if (!degraded) {
-            MutexLock lock(&state.mu);
-            if (state.first_error.ok()) state.first_error = decoded;
-            failed.store(true, std::memory_order_release);
-            return;
-          }
-          batch = MakeBlockSkip(reader, block, decoded, quarantining);
-        }
-
-        MutexLock lock(&state.mu);
-        state.pending.emplace(position, std::move(batch));
-        // Flush the contiguous run, in position order — identical to the
-        // sequential replay's visit order.
-        while (!state.pending.empty() && state.first_error.ok()) {
-          auto front = state.pending.begin();
-          if (front->first != state.next_position) break;
-          Timer replay_timer;
-          AccumulateReplayStats(front->second, &state.stats);
-          Status status = Status::OK();
-          for (const QuarantineRecord& record : front->second.quarantine) {
-            status = options.quarantine->Write(record);
-            if (!status.ok()) break;
-          }
-          if (status.ok() && !front->second.skipped) {
-            status = sink->Append(std::move(front->second));
-          }
-          state.replay_micros +=
-              static_cast<int64_t>(replay_timer.ElapsedSeconds() * 1e6);
-          state.pending.erase(front);
-          ++state.next_position;
-          if (!status.ok()) {
-            state.first_error = std::move(status);
-            failed.store(true, std::memory_order_release);
-          }
-        }
-        if (!state.first_error.ok()) return;
+        // A failed decode stops workers claiming further positions; every
+        // earlier one is already claimed, so the merge reaches this one and
+        // reports it, as the sequential replay would.
+        if (!decoded.ok()) failed.store(true, std::memory_order_release);
+        MutexLock lock(&handoff.mu);
+        handoff.blocks[position] = {true, std::move(decoded), std::move(batch)};
+        handoff.landed_cv.NotifyOne();
       }
     });
   }
-  pool.Wait();
 
-  MutexLock lock(&state.mu);
-  if (!state.first_error.ok()) return state.first_error;
-  state.stats.log_read_seconds =
-      static_cast<double>(state.read_micros.load()) / 1e6;
-  state.stats.log_replay_seconds =
-      static_cast<double>(state.replay_micros) / 1e6;
-  return std::move(state.stats);
+  IngestStats stats;
+  Status status = Status::OK();
+  for (size_t position = 0; position < selected.size() && status.ok();
+       ++position) {
+    DecodedBlock block;
+    {
+      MutexLock lock(&handoff.mu);
+      while (!handoff.blocks[position].landed) {
+        handoff.landed_cv.Wait(&handoff.mu);
+      }
+      block = std::move(handoff.blocks[position]);
+    }
+    status = std::move(block.status);
+    if (!status.ok()) break;
+    Timer replay_timer;
+    status = MergeBatch(std::move(block.batch), sink, options, &stats);
+    stats.log_replay_seconds += replay_timer.ElapsedSeconds();
+  }
+  failed.store(true, std::memory_order_release);
+  pool.Wait();
+  if (!status.ok()) return status;
+  stats.log_read_seconds =
+      static_cast<double>(handoff.read_micros.load()) / 1e6;
+  return stats;
 }
 
 }  // namespace

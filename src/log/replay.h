@@ -15,8 +15,9 @@ namespace wiclean {
 /// wikitext, no diffing — just block decode + store append).
 struct ReplayOptions {
   /// Block-decode workers. 1 (default) replays synchronously; with N > 1
-  /// blocks decode in parallel and merge into the sink in block order, so
-  /// the resulting store is byte-identical at any thread count.
+  /// blocks decode in parallel and the calling thread merges them into the
+  /// sink in block order, so the resulting store, and the error a strict
+  /// replay returns, are identical at any thread count.
   size_t num_threads = 1;
 
   /// What a corrupt block does. kStrict (default) fails the replay on the
@@ -45,7 +46,7 @@ struct ReplayOptions {
                                                   ActionSink* sink,
                                                   const ReplayOptions& options = {});
 
-/// Convenience: opens `path` (mmap), replays into `store` via bulk columnar
+/// Convenience: opens `path` (mmap), replays into `store` via bulk
 /// append (RevisionStore::AddBatch).
 [[nodiscard]] Result<IngestStats> ReplayActionLogFile(
     const std::string& path, RevisionStore* store,

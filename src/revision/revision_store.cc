@@ -1,57 +1,117 @@
 #include "revision/revision_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/logging.h"
 
 namespace wiclean {
 
+namespace {
+
+constexpr size_t kInitialSlots = 64;
+
+bool ByTime(const Action& a, const Action& b) { return a.time < b.time; }
+
+/// Fibonacci hashing: the top bits of id * 2^64/phi pick the home slot.
+size_t HomeSlot(EntityId entity, int shift) {
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(entity) * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
+}  // namespace
+
+uint32_t RevisionStore::Find(EntityId entity) const {
+  if (slots_.empty()) return kAbsent;
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = HomeSlot(entity, shift_);; s = (s + 1) & mask) {
+    const uint32_t index = slots_[s];
+    if (index == kAbsent || logs_[index].entity == entity) return index;
+  }
+}
+
+uint32_t RevisionStore::FindOrInsert(EntityId entity) {
+  if (2 * (logs_.size() + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t s = HomeSlot(entity, shift_);
+  for (; slots_[s] != kAbsent; s = (s + 1) & mask) {
+    if (logs_[slots_[s]].entity == entity) return slots_[s];
+  }
+  WICLEAN_CHECK(logs_.size() < kAbsent);
+  slots_[s] = static_cast<uint32_t>(logs_.size());
+  logs_.push_back(Log{entity, {}});
+  return slots_[s];
+}
+
+void RevisionStore::Grow() {
+  slots_.assign(slots_.empty() ? kInitialSlots : 2 * slots_.size(), kAbsent);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t i = 0; i < logs_.size(); ++i) {
+    size_t s = HomeSlot(logs_[i].entity, shift_);
+    while (slots_[s] != kAbsent) s = (s + 1) & mask;
+    slots_[s] = i;
+  }
+}
+
 void RevisionStore::Add(Action action) {
-  std::vector<Action>& log = logs_[action.subject];
+  std::vector<Action>& log = logs_[FindOrInsert(action.subject)].actions;
   // Insert keeping chronological order; appends are O(1) for in-order feeds.
-  auto pos = std::upper_bound(
-      log.begin(), log.end(), action,
-      [](const Action& a, const Action& b) { return a.time < b.time; });
+  auto pos = std::upper_bound(log.begin(), log.end(), action, ByTime);
   log.insert(pos, std::move(action));
   ++num_actions_;
 }
 
-void RevisionStore::AddBatch(std::vector<Action> actions) {
+void RevisionStore::AddBatch(std::span<const Action> actions) {
   // Equivalent to Add() per action: Add inserts at upper_bound by time, so an
   // existing entry always precedes an equal-time newcomer, and two newcomers
-  // keep their batch order. Appending the suffix, stable_sort-ing it by time,
-  // then inplace_merge-ing (which is stable and keeps left-range elements
-  // first on ties) reproduces exactly that order in one merge per log.
-  std::vector<std::pair<EntityId, size_t>> touched;  // subject -> old log size
-  for (Action& action : actions) {
-    std::vector<Action>& log = logs_[action.subject];
-    if (touched.empty() || touched.back().first != action.subject) {
-      touched.emplace_back(action.subject, log.size());
+  // keep their batch order. A time-sorted run that starts no earlier than
+  // its log's last action therefore just appends. Any other run is appended
+  // too and its log noted with its size before the run; afterwards each
+  // noted suffix is stable_sort-ed by time and inplace_merge-d (stable,
+  // left range first on ties) into the sorted prefix, one merge per log.
+  std::vector<std::pair<uint32_t, size_t>> touched;  // log -> sorted prefix
+  for (auto run = actions.begin(); run != actions.end();) {
+    const EntityId subject = run->subject;
+    const auto end = std::find_if(run + 1, actions.end(), [&](const Action& a) {
+      return a.subject != subject;
+    });
+    const uint32_t index = FindOrInsert(subject);
+    std::vector<Action>& log = logs_[index].actions;
+    if (!std::is_sorted(run, end, ByTime) ||
+        (!log.empty() && ByTime(*run, log.back()))) {
+      touched.emplace_back(index, log.size());
     }
-    log.push_back(std::move(action));
+    log.insert(log.end(), run, end);
+    run = end;
   }
   num_actions_ += actions.size();
-  // A subject may recur non-contiguously in `actions`; only the first record
-  // per subject holds the true pre-batch size, so dedup keeping the first.
-  std::stable_sort(
-      touched.begin(), touched.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  touched.erase(std::unique(touched.begin(), touched.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first == b.first;
-                            }),
-                touched.end());
-  const auto by_time = [](const Action& a, const Action& b) {
-    return a.time < b.time;
-  };
-  for (const auto& [subject, old_size] : touched) {
-    std::vector<Action>& log = logs_[subject];
-    auto mid = log.begin() + static_cast<ptrdiff_t>(old_size);
-    std::stable_sort(mid, log.end(), by_time);
-    if (mid != log.begin() && !by_time(*mid, *(mid - 1))) continue;  // in order
-    std::inplace_merge(log.begin(), mid, log.end(), by_time);
+  // A subject may recur non-contiguously in `actions`. A log noted twice
+  // keeps its first record: everything after it is the unsorted suffix. Logs
+  // are numbered in first-touch order, so a strictly increasing list has no
+  // repeat and needs no sort.
+  if (std::adjacent_find(touched.begin(), touched.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first >= b.first;
+                         }) != touched.end()) {
+    std::stable_sort(
+        touched.begin(), touched.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    touched.erase(std::unique(touched.begin(), touched.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.first == b.first;
+                              }),
+                  touched.end());
+  }
+  for (const auto& [index, sorted_size] : touched) {
+    std::vector<Action>& log = logs_[index].actions;
+    auto mid = log.begin() + static_cast<ptrdiff_t>(sorted_size);
+    std::stable_sort(mid, log.end(), ByTime);
+    if (mid != log.begin() && !ByTime(*mid, *(mid - 1))) continue;  // in order
+    std::inplace_merge(log.begin(), mid, log.end(), ByTime);
   }
 }
 
@@ -59,8 +119,8 @@ const std::vector<Action>& RevisionStore::LogOf(EntityId entity) const {
   // Intentional static-lifetime leak: avoids a destructor at exit.
   static const std::vector<Action>* empty =
       new std::vector<Action>();  // lint:allow(raw-new)
-  auto it = logs_.find(entity);
-  return it == logs_.end() ? *empty : it->second;
+  const uint32_t index = Find(entity);
+  return index == kAbsent ? *empty : logs_[index].actions;
 }
 
 std::span<const Action> RevisionStore::ActionsInWindow(
@@ -74,7 +134,8 @@ std::span<const Action> RevisionStore::ActionsInWindow(
 
 bool RevisionStore::TimeSpan(Timestamp* begin, Timestamp* end) const {
   bool any = false;
-  for (const auto& [entity, log] : logs_) {
+  for (const Log& entry : logs_) {
+    const std::vector<Action>& log = entry.actions;
     if (log.empty()) continue;
     if (!any) {
       *begin = log.front().time;
@@ -135,7 +196,7 @@ std::vector<Action> ReduceActions(std::span<const Action> actions) {
 }
 
 uint64_t StoreDigest(const RevisionStore& store, EntityId num_entities) {
-  // Walk entities in id order (not unordered_map order) so the digest is a
+  // Walk entities in id order (not first-touch order) so the digest is a
   // pure function of log contents.
   uint64_t digest = Fnv1a64("wiclean-store-digest");
   for (EntityId e = 0; e < num_entities; ++e) {

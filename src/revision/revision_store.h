@@ -1,8 +1,8 @@
 #ifndef WICLEAN_REVISION_REVISION_STORE_H_
 #define WICLEAN_REVISION_REVISION_STORE_H_
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -20,10 +20,15 @@ namespace wiclean {
 /// entity set, instead of materializing one big edits graph — that asymmetry
 /// is the PM vs PM−inc experiment.
 ///
+/// Logs sit in one vector in first-touch order, found through a flat
+/// open-addressing table from entity id to log index. Nothing is sized by an
+/// id's value, so any int64 subject, negative or huge, costs one log.
+///
 /// Thread-safety: build-then-read. Add is not synchronized — the parallel
-/// ingestion pipeline (dump/pipeline.h) serializes all Add calls through its
-/// ordered merge stage, and the mining side only reads. Concurrent const
-/// queries are safe once building is done.
+/// ingestion pipeline (dump/pipeline.h) and the parallel WCAL replay
+/// (log/replay.h) serialize all Add/AddBatch calls through their ordered
+/// merge, and the mining side only reads. Concurrent const queries are safe
+/// once building is done.
 class RevisionStore {
  public:
   RevisionStore() = default;
@@ -32,18 +37,21 @@ class RevisionStore {
   /// are allowed; logs are kept sorted by timestamp (stable for ties).
   void Add(Action action);
 
-  /// Bulk columnar append: records every action of `actions`, producing a
-  /// store identical to calling Add() once per action in order, but with one
-  /// stable merge per touched log instead of one binary-search insert per
-  /// action. This is the append path of the WCAL replay (log/replay.h) and
-  /// the pipeline's RevisionStoreSink, where actions arrive in large
-  /// page/block batches.
-  void AddBatch(std::vector<Action> actions);
+  /// Bulk append: records every action of `actions`, producing a store
+  /// identical to calling Add() once per action in order, ties included.
+  /// Each maximal same-subject run costs one lookup and one append; a run
+  /// that is time-sorted and starts no earlier than its log's last action
+  /// is then done. Other runs are stable-sorted and merged into their log
+  /// once per log, after the whole batch is appended. This is the append
+  /// path of the WCAL replay (log/replay.h) and the pipeline's
+  /// RevisionStoreSink, where actions arrive in large page/block batches.
+  void AddBatch(std::span<const Action> actions);
 
   /// Total number of recorded actions across all logs.
   size_t num_actions() const { return num_actions_; }
 
-  /// The full log of one entity (empty vector if it has no edits).
+  /// The full log of one entity (empty vector if it has no edits), valid
+  /// until the store next changes.
   const std::vector<Action>& LogOf(EntityId entity) const;
 
   /// All actions of `entity` with time in `window`: a slice of its
@@ -56,7 +64,23 @@ class RevisionStore {
   bool TimeSpan(Timestamp* begin, Timestamp* end) const;
 
  private:
-  std::unordered_map<EntityId, std::vector<Action>> logs_;
+  static constexpr uint32_t kAbsent = ~uint32_t{0};
+
+  struct Log {
+    EntityId entity = kInvalidEntityId;
+    std::vector<Action> actions;
+  };
+
+  /// The index of `entity`'s log, or kAbsent.
+  uint32_t Find(EntityId entity) const;
+  /// The index of `entity`'s log, appending an empty one when absent.
+  uint32_t FindOrInsert(EntityId entity);
+  void Grow();
+
+  std::vector<Log> logs_;        // first-touch order
+  std::vector<uint32_t> slots_;  // log indices or kAbsent; power of two,
+                                 // at most half full
+  int shift_ = 64;               // 64 - log2(slots_.size())
   size_t num_actions_ = 0;
 };
 

@@ -14,6 +14,36 @@ foreach(f dump.xml taxonomy.tsv alignment.tsv)
   endif()
 endforeach()
 
+# A synth whose write fails leaves the earlier world's three files as they
+# were and no temp file: all three are written to <name>.tmp and committed
+# only once every one closed cleanly. A 32 KB file-size limit (SIGXFSZ
+# ignored, so the write fails with EFBIG) fits a 200-seed world's taxonomy
+# and alignment but cuts its dump short.
+foreach(f dump.xml taxonomy.tsv alignment.tsv)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E copy ${WORK_DIR}/${f} ${WORK_DIR}/${f}.before)
+endforeach()
+execute_process(
+  COMMAND sh -c "trap '' XFSZ; ulimit -f 64; exec \"$0\" \"$@\""
+    ${WICLEAN} synth --out-dir ${WORK_DIR} --seeds 200 --years 1
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "synth under a file-size limit should fail: ${out}")
+endif()
+foreach(f dump.xml taxonomy.tsv alignment.tsv)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+      ${WORK_DIR}/${f}.before ${WORK_DIR}/${f}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "failed synth changed the existing ${f}: ${err}")
+  endif()
+  if(EXISTS ${WORK_DIR}/${f}.tmp)
+    message(FATAL_ERROR "failed synth left ${WORK_DIR}/${f}.tmp")
+  endif()
+  file(REMOVE ${WORK_DIR}/${f}.before)
+endforeach()
+
 execute_process(
   COMMAND ${WICLEAN} mine
     --dump ${WORK_DIR}/dump.xml

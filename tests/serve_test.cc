@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "core/partial.h"
 #include "core/window_search.h"
 #include "report/report.h"
@@ -148,12 +147,6 @@ TEST_F(PatternStoreTest, EncodeRejectsInvalidType) {
   ASSERT_TRUE(tiny.AddRoot("thing").ok());
   std::string bytes;
   EXPECT_FALSE(EncodeSnapshot(snapshot, tiny, &bytes).ok());
-}
-
-TEST(Crc32Test, MatchesKnownVector) {
-  // The IEEE CRC-32 check value for "123456789".
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32(""), 0u);
 }
 
 TEST(PatternStoreFileTest, SaveLoadRoundTrip) {

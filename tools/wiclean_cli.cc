@@ -180,23 +180,28 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Writes the file at `path` through `<path>.tmp`: `write(std::ostream*)`
-/// fills the temp file, which CommitFile publishes over `path` only once
-/// `write` succeeded and the stream closed cleanly. On any failure the temp
-/// file is removed and an earlier file at `path` is left as it was.
+/// Fills `<path>.tmp` through `write(std::ostream*)`. OK only when `write`
+/// succeeded and the stream closed cleanly; on any failure the temp file is
+/// removed. `path` itself is not touched.
 template <typename Write>
-Status WriteFileAtomically(const std::string& path, Write write) {
+Status WriteTempFile(const std::string& path, Write write) {
   const std::string tmp_path = path + ".tmp";
   std::ofstream f(tmp_path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!f) return Status::Internal("cannot write " + tmp_path);
   Status status = write(static_cast<std::ostream*>(&f));
   f.close();
   if (status.ok() && !f) status = Status::Internal("write failed: " + path);
-  if (!status.ok()) {
-    std::remove(tmp_path.c_str());
-    return status;
-  }
-  return CommitFile(tmp_path, path);
+  if (!status.ok()) std::remove(tmp_path.c_str());
+  return status;
+}
+
+/// Writes the file at `path` through `<path>.tmp` (WriteTempFile), which
+/// CommitFile publishes over `path` only once it is complete. On any failure
+/// the temp file is removed and an earlier file at `path` is left as it was.
+template <typename Write>
+Status WriteFileAtomically(const std::string& path, Write write) {
+  WICLEAN_RETURN_IF_ERROR(WriteTempFile(path, write));
+  return CommitFile(path + ".tmp", path);
 }
 
 /// Shared loading for mine/detect: taxonomy + alignment + dump -> store.
@@ -754,31 +759,35 @@ int RunSynth(const Args& args) {
   Result<SynthWorld> world = Synthesize(options);
   if (!world.ok()) return Fail(world.status());
 
-  std::string base = *out_dir + "/";
-  {
-    std::ofstream f(base + "taxonomy.tsv");
-    if (!f) return Fail(Status::Internal("cannot write " + base +
-                                         "taxonomy.tsv"));
-    Status status = WriteTaxonomy(*world->taxonomy, &f);
-    if (!status.ok()) return Fail(status);
+  // The three files are one world: each goes to its temp file first, and
+  // they are committed only once all three closed cleanly, so a failed run
+  // leaves an earlier world's files as they were and no temp file.
+  const std::string base = *out_dir + "/";
+  const std::string paths[] = {base + "taxonomy.tsv", base + "alignment.tsv",
+                               base + "dump.xml"};
+  Status status = WriteTempFile(paths[0], [&](std::ostream* out) {
+    return WriteTaxonomy(*world->taxonomy, out);
+  });
+  if (status.ok()) {
+    status = WriteTempFile(paths[1], [&](std::ostream* out) {
+      return WriteAlignment(*world->registry, out);
+    });
   }
-  {
-    std::ofstream f(base + "alignment.tsv");
-    if (!f) return Fail(Status::Internal("cannot write " + base +
-                                         "alignment.tsv"));
-    Status status = WriteAlignment(*world->registry, &f);
-    if (!status.ok()) return Fail(status);
+  if (status.ok()) {
+    status = WriteTempFile(paths[2], [&](std::ostream* out) {
+      return WriteDump(*world, 0,
+                       static_cast<Timestamp>(options.years) * kSecondsPerYear,
+                       out);
+    });
   }
-  {
-    std::ofstream f(base + "dump.xml");
-    if (!f) return Fail(Status::Internal("cannot write " + base +
-                                         "dump.xml"));
-    Status status = WriteDump(*world, 0,
-                              static_cast<Timestamp>(options.years) *
-                                  kSecondsPerYear,
-                              &f);
-    if (!status.ok()) return Fail(status);
+  for (const std::string& path : paths) {
+    if (status.ok()) {
+      status = CommitFile(path + ".tmp", path);
+    } else {
+      std::remove((path + ".tmp").c_str());
+    }
   }
+  if (!status.ok()) return Fail(status);
   std::printf("wrote %staxonomy.tsv, %salignment.tsv, %sdump.xml\n",
               base.c_str(), base.c_str(), base.c_str());
   std::printf("try: wiclean mine --dump %sdump.xml --taxonomy %staxonomy.tsv "
