@@ -8,16 +8,12 @@ namespace wiclean {
 
 namespace rel = ::wiclean::relational;
 
-std::string AbstractActionKey::Encode() const {
-  std::string out;
-  out += op == EditOp::kAdd ? '+' : '-';
-  out += ' ';
-  out += std::to_string(source_type);
-  out += ' ';
-  out += relation.name();
-  out += ' ';
-  out += std::to_string(target_type);
-  return out;
+size_t AbstractActionKeyHash::operator()(const AbstractActionKey& k) const {
+  const uint64_t types =
+      static_cast<uint64_t>(static_cast<uint32_t>(k.source_type)) << 32 |
+      static_cast<uint32_t>(k.target_type);
+  return static_cast<size_t>(HashCombine(
+      HashCombine(k.relation.id(), types), static_cast<uint64_t>(k.op)));
 }
 
 ActionIndex::ActionIndex(const EntityRegistry* registry,
@@ -68,54 +64,30 @@ rel::Table FilterRealizationsByBindings(const rel::Table& uvt,
   return out;
 }
 
-size_t ActionIndex::KeyHash::operator()(const AbstractActionKey& k) const {
-  const uint64_t types =
-      static_cast<uint64_t>(static_cast<uint32_t>(k.source_type)) << 32 |
-      static_cast<uint32_t>(k.target_type);
-  return static_cast<size_t>(HashCombine(
-      HashCombine(k.relation.id(), types), static_cast<uint64_t>(k.op)));
-}
-
 const AbstractActionEntry* ActionIndex::Find(
     const AbstractActionKey& key) const {
-  auto it = lookup_.find(key);
-  return it == lookup_.end() ? nullptr : it->second;
-}
-
-AbstractActionEntry& ActionIndex::EntryFor(const AbstractActionKey& key) {
-  auto it = lookup_.find(key);
-  if (it != lookup_.end()) return *it->second;
-  AbstractActionEntry& entry =
-      entries_.emplace(key.Encode(), AbstractActionEntry(key, rel::Table(3)))
-          .first->second;
-  lookup_.emplace(key, &entry);
-  return entry;
+  auto it = ids_.find(key);
+  return it == ids_.end() ? nullptr : &entries_[it->second];
 }
 
 void ActionIndex::IngestAction(const Action& action) {
-  const TypeTaxonomy& taxonomy = registry_->taxonomy();
   const TypeId src_type = registry_->TypeOf(action.subject);
   const TypeId dst_type = registry_->TypeOf(action.object);
   if (src_type == kInvalidTypeId || dst_type == kInvalidTypeId) return;
   ++num_actions_;
-
-  // Enumerate abstractions: every (ancestor-of-source x ancestor-of-target)
-  // pair within the lift budget (§3: "the set of possible abstractions can be
-  // computed by traversing the type hierarchy"), walking up the parents.
   AbstractActionKey key{action.op, kInvalidTypeId, action.relation,
                         kInvalidTypeId};
-  TypeId src = src_type;
-  for (int i = 0; i <= max_abstraction_lift_ && taxonomy.IsValid(src);
-       ++i, src = taxonomy.Parent(src)) {
-    key.source_type = src;
-    TypeId dst = dst_type;
-    for (int j = 0; j <= max_abstraction_lift_ && taxonomy.IsValid(dst);
-         ++j, dst = taxonomy.Parent(dst)) {
-      key.target_type = dst;
-      EntryFor(key).realizations.AppendInt64Row(
-          {action.subject, action.object, action.time});
-    }
-  }
+  ForEachAbstraction(
+      registry_->taxonomy(), src_type, dst_type, max_abstraction_lift_,
+      [&](TypeId src, TypeId dst) {
+        key.source_type = src;
+        key.target_type = dst;
+        auto [it, added] =
+            ids_.try_emplace(key, static_cast<EntryId>(entries_.size()));
+        if (added) entries_.emplace_back(key, rel::Table(3));
+        entries_[it->second].realizations.AppendInt64Row(
+            {action.subject, action.object, action.time});
+      });
 }
 
 }  // namespace wiclean

@@ -2,8 +2,7 @@
 #define WICLEAN_CORE_ACTION_INDEX_H_
 
 #include <cstddef>
-#include <map>
-#include <string>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "relational/table.h"
 #include "revision/revision_store.h"
 #include "revision/window.h"
+#include "taxonomy/taxonomy.h"
 
 namespace wiclean {
 
@@ -24,15 +24,40 @@ struct AbstractActionKey {
   Relation relation;
   TypeId target_type = kInvalidTypeId;
 
-  /// Stable map/set key; spells the relation's name, so its order does not
-  /// depend on relation ids.
-  std::string Encode() const;
-
   bool operator==(const AbstractActionKey& other) const {
     return op == other.op && source_type == other.source_type &&
            relation == other.relation && target_type == other.target_type;
   }
 };
+
+/// The one hash of an AbstractActionKey, over all four fields; ActionIndex
+/// and serving's PatternIndex key their tables with it.
+struct AbstractActionKeyHash {
+  size_t operator()(const AbstractActionKey& k) const;
+};
+
+/// Calls fn(source_type, target_type) for every abstraction of an edit
+/// between entities of most-specific types `subject_type` and `object_type`:
+/// each (ancestor-or-self of the subject's type x ancestor-or-self of the
+/// object's type) pair at most `max_abstraction_lift` levels up (§3: "the
+/// set of possible abstractions can be computed by traversing the type
+/// hierarchy"). Source levels form the outer loop; both run most-specific
+/// first. An invalid type has no abstraction. This one walk decides which
+/// keys an edit is filed under, both in ActionIndex and in serving's
+/// PatternIndex, so the two always agree.
+template <typename Fn>
+void ForEachAbstraction(const TypeTaxonomy& taxonomy, TypeId subject_type,
+                        TypeId object_type, int max_abstraction_lift, Fn&& fn) {
+  TypeId src = subject_type;
+  for (int i = 0; i <= max_abstraction_lift && taxonomy.IsValid(src);
+       ++i, src = taxonomy.Parent(src)) {
+    TypeId dst = object_type;
+    for (int j = 0; j <= max_abstraction_lift && taxonomy.IsValid(dst);
+         ++j, dst = taxonomy.Parent(dst)) {
+      fn(src, dst);
+    }
+  }
+}
 
 /// One abstract action together with its realization relation for a window:
 /// a three-column table (u, v, t) of the concrete (source, target) entity
@@ -54,8 +79,17 @@ struct AbstractActionEntry {
 /// The index is *incremental*: AddEntities ingests the reduced revision logs
 /// of a set of entities (skipping ones already ingested), enumerating every
 /// abstraction of each action up to `max_abstraction_lift` taxonomy levels
-/// above the endpoint entities' most-specific types. This incrementality is
-/// exactly what distinguishes PM from the PM−inc full-graph baseline.
+/// above the endpoint entities' most-specific types (ForEachAbstraction).
+/// This incrementality is exactly what distinguishes PM from the PM−inc
+/// full-graph baseline.
+///
+/// Identity. Entries live in one append-only vector: an entry's position is
+/// its id, assigned when its key first receives a row, and ids never change.
+/// Ingestion only appends entries and appends rows to existing ones, so an
+/// id (and Find's answer for a key) survives any later ingestion; a pointer
+/// or reference into entries() does not, since the vector may reallocate.
+/// Id order is ingestion history, so nothing order-visible may follow it:
+/// the miner enumerates entries in an order of their keys (PatternMiner).
 ///
 /// Superset invariant. Once AddEntitiesOfType(T) has run, the entry of every
 /// key whose source type is T holds rows from exactly the entities whose type
@@ -73,16 +107,12 @@ struct AbstractActionEntry {
 /// or span containment and never depend on row order.
 class ActionIndex {
  public:
+  /// Position of an entry in entries().
+  using EntryId = uint32_t;
+
   /// `registry` and `store` must outlive the index.
   ActionIndex(const EntityRegistry* registry, const RevisionStore* store,
               const TimeWindow& window, int max_abstraction_lift);
-
-  // The lookup table points into entries_; moves keep those nodes, copies
-  // would not.
-  ActionIndex(const ActionIndex&) = delete;
-  ActionIndex& operator=(const ActionIndex&) = delete;
-  ActionIndex(ActionIndex&&) = default;
-  ActionIndex& operator=(ActionIndex&&) = default;
 
   /// Ingests the window's reduced actions of every not-yet-ingested entity in
   /// `entities`. Returns the number of entities actually ingested.
@@ -101,13 +131,10 @@ class ActionIndex {
   const TimeWindow& window() const { return window_; }
   int max_abstraction_lift() const { return max_abstraction_lift_; }
 
-  /// All abstract-action entries, keyed by AbstractActionKey::Encode(). The
-  /// key order fixes the miner's candidate enumeration order.
-  const std::map<std::string, AbstractActionEntry>& entries() const {
-    return entries_;
-  }
+  /// All abstract-action entries, by id (see "Identity" above).
+  const std::vector<AbstractActionEntry>& entries() const { return entries_; }
 
-  /// The entry of `key`, or null; no key is encoded.
+  /// The entry of `key`, or null. Valid until the next ingestion.
   const AbstractActionEntry* Find(const AbstractActionKey& key) const;
 
   /// Cumulative ingestion counters.
@@ -115,13 +142,7 @@ class ActionIndex {
   size_t num_actions_ingested() const { return num_actions_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const AbstractActionKey& k) const;
-  };
-
   void IngestAction(const Action& action);
-  /// The entry of `key`, created (and only then encoded) if absent.
-  AbstractActionEntry& EntryFor(const AbstractActionKey& key);
 
   const EntityRegistry* registry_;
   const RevisionStore* store_;
@@ -132,9 +153,9 @@ class ActionIndex {
   /// Types ingested through AddEntitiesOfType.
   std::unordered_set<TypeId> ingested_types_;
   size_t num_actions_ = 0;
-  std::map<std::string, AbstractActionEntry> entries_;
-  /// Every entry of entries_ by its key (map nodes never move).
-  std::unordered_map<AbstractActionKey, AbstractActionEntry*, KeyHash> lookup_;
+  std::vector<AbstractActionEntry> entries_;
+  /// The id of every entry of entries_ by its key.
+  std::unordered_map<AbstractActionKey, EntryId, AbstractActionKeyHash> ids_;
 };
 
 /// Filters a (u, v, t) action-realization table down to rows whose

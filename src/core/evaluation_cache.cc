@@ -12,8 +12,8 @@ namespace {
 
 constexpr size_t kInitialSlots = 16;
 
-/// Fibonacci hashing: the top bits of value * 2^64/phi. Spreads hashes whose
-/// low bits are poorly mixed (HashCombine outputs) over the whole table.
+/// Fibonacci hashing: the top bits of value * 2^64/phi. Spreads values whose
+/// bits are poorly mixed (id pairs, HashCombine outputs) over the whole table.
 inline size_t FibonacciSlot(uint64_t value, int shift) {
   return static_cast<size_t>((value * 0x9e3779b97f4a7c15ULL) >> shift);
 }

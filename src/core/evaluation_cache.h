@@ -12,9 +12,10 @@
 
 namespace wiclean {
 
-/// A set of 64-bit hashes in one flat array: open addressing with linear
-/// probing, slot value 0 meaning empty. The value 0 itself is kept in a
-/// separate flag, so every 64-bit value is a member like any other.
+/// A hash set of 64-bit values (the miner's exact (pattern, action) pairs) in
+/// one flat array: open addressing with linear probing, slot value 0 meaning
+/// empty. The value 0 itself is kept in a separate flag, so every 64-bit
+/// value is a member like any other.
 class PairHashSet {
  public:
   /// Adds `value`; false if it was already a member.
@@ -76,15 +77,15 @@ class CodeTable {
 
 /// Upper bounds on the frequency of pattern extensions, all measured at one
 /// index state, for the miner's Apriori pruning. An extension is keyed by
-/// (base cache id, action slot, glue source, glue target), where the action
-/// slot is the action's position in the index's entry order. Only ingestion
-/// changes that order, so SyncTo forgets every bound when the index state
-/// moves. Open addressing with linear probing over one flat slot array.
+/// (base cache id, action entry id, glue source, glue target). Ingestion
+/// grows the action tables a bound was measured on, so SyncTo forgets every
+/// bound when the index state moves. Open addressing with linear probing
+/// over one flat slot array.
 class ExtensionBounds {
  public:
   struct Key {
     uint32_t base = 0;  // cache id of the extended pattern
-    uint32_t action = 0;
+    uint32_t action = 0;  // ActionIndex entry id of the glued action
     int32_t glue_source = 0;
     int32_t glue_target = -1;  // -1 = fresh target variable
   };

@@ -95,6 +95,23 @@ Status CheckContextSeedType(const MiningContext& context, TypeId seed_type,
                                  "', not '" + taxonomy.Name(seed_type) + "'");
 }
 
+/// The miner's enumeration order of abstract actions: by op, source type id,
+/// relation name (Relation's <) and target type id. A function of the keys
+/// alone — not of entry ids, relation ids, thread count, cache floor or
+/// ingestion history — so every mine of the same entry set enumerates alike.
+bool EnumeratesBefore(const AbstractActionKey& a, const AbstractActionKey& b) {
+  if (a.op != b.op) return a.op < b.op;
+  if (a.source_type != b.source_type) return a.source_type < b.source_type;
+  if (a.relation != b.relation) return a.relation < b.relation;
+  return a.target_type < b.target_type;
+}
+
+/// The tested[w] member of (pattern cache id, action entry id); a singleton
+/// scan uses cache id EvaluationCache::kAbsent, which no pattern has.
+uint64_t TestedPair(EvaluationCache::Id pattern, ActionIndex::EntryId action) {
+  return uint64_t{pattern} << 32 | action;
+}
+
 }  // namespace
 
 /// All mining logic for one (seed type, window) pair. Owns nothing; mutates
@@ -147,8 +164,8 @@ class PatternMiner::Impl {
     // `seeded` is in cache-id order, the serial commit order of the earlier
     // runs: the same at any thread count, at any cache floor (pruning skips
     // only candidates below the floor, and no seeded state is below it) and
-    // for any relation-interning order (enumeration follows the index's
-    // name-ordered entries). DESIGN.md "Canonical-code contract".
+    // for any relation-interning order (enumeration follows EnumeratesBefore,
+    // which compares relation names). DESIGN.md "Canonical-code contract".
     for (Id id : seeded) {
       WICLEAN_RETURN_IF_ERROR(MaybeAdmit(id, options_.frequency_threshold,
                                          &frequent_, /*mark_frequent=*/true));
@@ -263,7 +280,7 @@ class PatternMiner::Impl {
   /// candidate of that shape shares one hash table.
   struct ActionSlot {
     const AbstractActionEntry* entry = nullptr;
-    uint64_t key_hash = 0;  // Fnv1a64 of the entry's encoded key
+    ActionIndex::EntryId id = 0;  // the entry's id in the index
     /// The frequency of the entry's singleton pattern if cached, else
     /// infinity; looked up the first time a candidate glues the entry at its
     /// source variable.
@@ -314,24 +331,28 @@ class PatternMiner::Impl {
     ExtensionBounds& bounds = ctx_->bounds;
     bounds.SyncTo(ctx_->index.num_actions_ingested(),
                   static_cast<uint32_t>(ctx_->evaluated.size()));
-    if (mark_frequent) {
-      WICLEAN_RETURN_IF_ERROR(ScanSingletons(admission, admitted, tested));
+    // Snapshot the abstract actions in enumeration order (EnumeratesBefore):
+    // slot position is rank, and each slot carries its entry id. The index
+    // cannot grow during expansion (ingest happens between ExpandAll rounds),
+    // so the snapshot's entry pointers — and the action sides prepared from
+    // them — stay valid for this call only.
+    const std::vector<AbstractActionEntry>& entries = ctx_->index.entries();
+    std::vector<ActionSlot> actions(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      actions[i].entry = &entries[i];
+      actions[i].id = static_cast<ActionIndex::EntryId>(i);
     }
-    // Snapshot the abstract actions with their key hashes computed once: the
-    // pair-tested check below runs for every (pattern, action) combination,
-    // and re-hashing both strings each time dominated this loop. Pattern-code
-    // hashes are stored with the cache entries. The index cannot grow during
-    // expansion (ingest happens between ExpandAll rounds), so the snapshot —
-    // and the action sides prepared from it — stay valid for this call only.
-    std::vector<ActionSlot> actions(ctx_->index.entries().size());
+    std::sort(actions.begin(), actions.end(),
+              [](const ActionSlot& a, const ActionSlot& b) {
+                return EnumeratesBefore(a.entry->key, b.entry->key);
+              });
     std::unordered_map<TypeId, std::vector<size_t>> actions_by_source;
-    {
-      size_t ai = 0;
-      for (const auto& [action_key, entry] : ctx_->index.entries()) {
-        actions[ai].entry = &entry;
-        actions[ai].key_hash = Fnv1a64(action_key);
-        actions_by_source[entry.key.source_type].push_back(ai++);
-      }
+    for (size_t ai = 0; ai < actions.size(); ++ai) {
+      actions_by_source[actions[ai].entry->key.source_type].push_back(ai);
+    }
+    if (mark_frequent) {
+      WICLEAN_RETURN_IF_ERROR(
+          ScanSingletons(admission, actions, admitted, tested));
     }
     const bool hash_join = options_.join_engine == JoinEngineKind::kHashJoin;
     std::vector<size_t> pattern_actions;
@@ -364,17 +385,15 @@ class PatternMiner::Impl {
         std::sort(pattern_actions.begin(), pattern_actions.end());
         const bool has_seed_var = HasSeedVar(p);
         const size_t first = candidates.size();
-        const uint64_t pattern_hash = ctx_->evaluated.hash(id);
         SetCodeBase(base);
         for (size_t ai : pattern_actions) {
-          uint64_t pair_key = HashCombine(pattern_hash, actions[ai].key_hash);
-          if (!tested->Insert(pair_key)) continue;
+          if (!tested->Insert(TestedPair(id, actions[ai].id))) continue;
           const AbstractActionEntry& entry = *actions[ai].entry;
           pair_extensions.clear();
           CollectPair(base, id, has_seed_var, ai, entry, &pair_extensions);
           for (const ExtensionCandidate& c : pair_extensions) {
-            const ExtensionBounds::Key key{id, static_cast<uint32_t>(ai),
-                                           c.glue_source, c.glue_target};
+            const ExtensionBounds::Key key{id, actions[ai].id, c.glue_source,
+                                           c.glue_target};
             if (std::optional<double> bound = PruneBound(c, &actions[ai])) {
               ++stats_->candidates_pruned;
               bounds.Record(key, *bound);
@@ -478,8 +497,7 @@ class PatternMiner::Impl {
       return std::nullopt;
     }
     const double* sibling = ctx_->bounds.Find(
-        {base.parent, static_cast<uint32_t>(c.action), c.glue_source,
-         c.glue_target});
+        {base.parent, slot->id, c.glue_source, c.glue_target});
     if (sibling != nullptr && *sibling < floor) return *sibling;
     return std::nullopt;
   }
@@ -575,10 +593,12 @@ class PatternMiner::Impl {
 
   /// Evaluates (or fetches from cache) all singleton patterns whose source
   /// variable type is comparable to the seed type (Algorithm 1, line 2, over
-  /// every abstraction level).
-  Status ScanSingletons(double admission, Worklist* admitted,
-                        PairHashSet* tested) {
-    for (const auto& [action_key, entry] : ctx_->index.entries()) {
+  /// every abstraction level), in the snapshot's enumeration order.
+  Status ScanSingletons(double admission,
+                        const std::vector<ActionSlot>& actions,
+                        Worklist* admitted, PairHashSet* tested) {
+    for (const ActionSlot& slot : actions) {
+      const AbstractActionEntry& entry = *slot.entry;
       if (!taxonomy_->Comparable(entry.key.source_type, seed_type_)) continue;
       // Seed-focus constraint also applies to singletons whose target would
       // be a second seed-comparable variable.
@@ -586,9 +606,9 @@ class PatternMiner::Impl {
           taxonomy_->Comparable(entry.key.target_type, seed_type_)) {
         continue;
       }
-      uint64_t singleton_marker =
-          HashCombine(Fnv1a64("\x1e singleton"), Fnv1a64(action_key));
-      if (!tested->Insert(singleton_marker)) continue;
+      if (!tested->Insert(TestedPair(EvaluationCache::kAbsent, slot.id))) {
+        continue;
+      }
 
       SingletonCode(entry);
       const uint64_t hash = HashWords(code_);
@@ -1117,77 +1137,27 @@ PatternMiner::EvaluateRealizations(TypeId seed_type, const Pattern& pattern,
       acc = rel::Table(acc.num_columns());
       break;
     }
-    bool fresh = var_col[a.target_var] < 0;
-    if (options_.join_engine == JoinEngineKind::kHashJoin) {
-      // Fused join + span recompute; no span prune or dedup here — fixed
-      // patterns keep every realization so the window search sees all spans.
-      RealizationJoinSpec rspec;
-      rspec.num_left_vars = bound_vars;
-      rspec.glue_source_col = static_cast<size_t>(var_col[a.source_var]);
-      rspec.glue_target_col = fresh ? -1 : var_col[a.target_var];
-      if (fresh) {
-        for (size_t k = 0; k < pattern.num_vars(); ++k) {
-          if (var_col[k] < 0 || static_cast<int>(k) == a.target_var) continue;
-          if (taxonomy.Comparable(pattern.var_type(static_cast<int>(k)),
-                                  pattern.var_type(a.target_var))) {
-            rspec.distinct_from_target.push_back(
-                static_cast<size_t>(var_col[k]));
-          }
-        }
-      }
-      WICLEAN_ASSIGN_OR_RETURN(rel::Table next,
-                               JoinRealizations(acc, *ra, rspec));
-      if (fresh) {
-        var_col[a.target_var] = static_cast<int>(bound_vars);
-        ++bound_vars;
-      }
-      acc = std::move(next);
-      continue;
-    }
-
-    // PM−join ablation: materialized nested-loop join + row-at-a-time span
-    // recompute.
-    rel::JoinSpec spec;
-    spec.equal_cols.push_back({static_cast<size_t>(var_col[a.source_var]), 0});
-    if (!fresh) {
-      spec.equal_cols.push_back(
-          {static_cast<size_t>(var_col[a.target_var]), 1});
-    } else {
+    // Fused join + span recompute; no span prune or dedup here — fixed
+    // patterns keep every realization so the window search sees all spans.
+    const bool fresh = var_col[a.target_var] < 0;
+    RealizationJoinSpec rspec;
+    rspec.num_left_vars = bound_vars;
+    rspec.glue_source_col = static_cast<size_t>(var_col[a.source_var]);
+    rspec.glue_target_col = fresh ? -1 : var_col[a.target_var];
+    if (fresh) {
       for (size_t k = 0; k < pattern.num_vars(); ++k) {
         if (var_col[k] < 0 || static_cast<int>(k) == a.target_var) continue;
         if (taxonomy.Comparable(pattern.var_type(static_cast<int>(k)),
                                 pattern.var_type(a.target_var))) {
-          spec.not_equal_cols.push_back(
-              {static_cast<size_t>(var_col[k]), 1});
+          rspec.distinct_from_target.push_back(static_cast<size_t>(var_col[k]));
         }
       }
     }
-    Result<rel::Table> joined = rel::NestedLoopJoin(acc, *ra, spec);
-    WICLEAN_RETURN_IF_ERROR(joined.status());
-
-    const size_t lhs_width = acc.num_columns();     // bound_vars + 2
-    const size_t span_col = bound_vars;             // tmin position in acc
+    WICLEAN_ASSIGN_OR_RETURN(acc, JoinRealizations(acc, *ra, rspec));
     if (fresh) {
       var_col[a.target_var] = static_cast<int>(bound_vars);
       ++bound_vars;
     }
-    rel::Table next(bound_vars + 2);
-    std::vector<int64_t> row(bound_vars + 2);
-    for (size_t r = 0; r < joined->num_rows(); ++r) {
-      for (size_t c = 0; c < span_col; ++c) {
-        row[c] = joined->column(c).Int64At(r);
-      }
-      if (fresh) {
-        row[bound_vars - 1] = joined->column(lhs_width + 1).Int64At(r);  // v
-      }
-      int64_t t = joined->column(lhs_width + 2).Int64At(r);
-      row[bound_vars] =
-          std::min(joined->column(span_col).Int64At(r), t);      // tmin
-      row[bound_vars + 1] =
-          std::max(joined->column(span_col + 1).Int64At(r), t);  // tmax
-      next.AppendInt64Row(row);
-    }
-    acc = std::move(next);
   }
 
   std::vector<RealizationSpan> spans;

@@ -15,8 +15,9 @@
 
 namespace wiclean {
 
-/// How pattern realizations and frequencies are computed — the §6.2 ablation
-/// axis "PM vs PM−join".
+/// How mining joins a candidate's realizations — the §6.2 ablation axis "PM
+/// vs PM−join" that Fig 4a–c time through MineWindow. Fixed-pattern probes
+/// (EvaluateRealizations, EvaluateFrequency) always use the fused join.
 enum class JoinEngineKind {
   kHashJoin,    // PM: relational hash equi-join ("optimized SQL computation")
   kNestedLoop,  // PM−join: conventional main-memory nested loop
@@ -46,6 +47,7 @@ struct MinerOptions {
   /// Minimum pattern frequency (Definition 3.2) for admission.
   double frequency_threshold = 0.7;
 
+  /// Mining's join only (see JoinEngineKind).
   JoinEngineKind join_engine = JoinEngineKind::kHashJoin;
   GraphStrategy graph_strategy = GraphStrategy::kIncremental;
 
@@ -197,10 +199,11 @@ class MiningContext {
   /// Ids follow the serial commit order, the same at any thread count; a
   /// reused context seeds its frequent set in id order.
   EvaluationCache evaluated;
-  /// Hashes of (pattern code, action key) pairs already expanded — tested[w]
-  /// in §4.1. 64-bit hashes keep this set compact at wide-window rounds.
-  /// Pairs that can yield no candidate (no variable of the action's source
-  /// type, or a pattern at max_pattern_actions) are never entered.
+  /// The (pattern, abstract action) pairs already expanded — tested[w] in
+  /// §4.1 — each exactly, as cache id << 32 | action entry id; a singleton
+  /// scan's pair has cache id EvaluationCache::kAbsent. Pairs that can yield
+  /// no candidate (no variable of the action's source type, or a pattern at
+  /// max_pattern_actions) are never entered.
   PairHashSet tested;
   /// Frequency bounds of the below-floor extensions enumerated at the
   /// index's current state (evaluated, found cached or pruned), which prune

@@ -65,27 +65,6 @@ class RevisionStoreSink : public ActionSink {
   RevisionStore* store_;
 };
 
-/// Fans one batch stream out to two sinks — the seam that lets `wiclean
-/// ingest` (and any XML ingest with --action-log teeing enabled) feed a
-/// RevisionStore and an ActionLogWriter from a single pipeline pass. The
-/// primary sink receives the moved batch, so it keeps the zero-copy path;
-/// the secondary gets a copy first. Both must outlive this object.
-class TeeActionSink : public ActionSink {
- public:
-  TeeActionSink(ActionSink* primary, ActionSink* secondary)
-      : primary_(primary), secondary_(secondary) {}
-
-  [[nodiscard]] Status Append(PageActions&& batch) override {
-    PageActions copy = batch;
-    WICLEAN_RETURN_IF_ERROR(secondary_->Append(std::move(copy)));
-    return primary_->Append(std::move(batch));
-  }
-
- private:
-  ActionSink* primary_;
-  ActionSink* secondary_;
-};
-
 }  // namespace wiclean
 
 #endif  // WICLEAN_DUMP_ACTION_SINK_H_

@@ -384,14 +384,4 @@ Result<bool> DumpPageStream::Resync(ResyncInfo* info, size_t max_raw_bytes) {
   return Status::Internal("unreachable resync outcome");
 }
 
-Status DumpReader::ReadAll(std::istream* in, const PageCallback& on_page) {
-  DumpPageStream stream(in);
-  DumpPage page;
-  for (;;) {
-    WICLEAN_ASSIGN_OR_RETURN(bool more, stream.Next(&page));
-    if (!more) return Status::OK();
-    WICLEAN_RETURN_IF_ERROR(on_page(page));
-  }
-}
-
 }  // namespace wiclean

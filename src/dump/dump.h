@@ -2,7 +2,6 @@
 #define WICLEAN_DUMP_DUMP_H_
 
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -85,8 +84,8 @@ struct ResyncInfo {
 /// page 'title'") — with a description of what was expected.
 ///
 /// This is the reader half of the ingestion pipeline's PageSource stage; the
-/// pull shape (vs. the callback-based DumpReader below) is what lets a
-/// pipeline interleave reading with parallel downstream parsing.
+/// pull shape is what lets a pipeline interleave reading with parallel
+/// downstream parsing.
 class DumpPageStream {
  public:
   /// Bytes requested from the input stream per read. Memory is bounded by
@@ -131,17 +130,6 @@ class DumpPageStream {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// Callback-style dump reader retained for simple whole-stream consumers;
-/// implemented on top of DumpPageStream.
-class DumpReader {
- public:
-  using PageCallback = std::function<Status(const DumpPage&)>;
-
-  /// Reads the whole stream; invokes `on_page` for every page in order. Stops
-  /// at the first parse error or the first non-OK callback status.
-  [[nodiscard]] static Status ReadAll(std::istream* in, const PageCallback& on_page);
 };
 
 }  // namespace wiclean

@@ -23,9 +23,9 @@ struct ActionLogWriterOptions {
 };
 
 /// ActionSink that serializes the ingestion action stream to a WCAL file
-/// (log/action_log_format.h). Drop it at the end of the pipeline — alone
-/// (`wiclean ingest`) or behind a TeeActionSink next to the RevisionStore —
-/// and the expensive XML parse/diff output becomes a replayable artifact.
+/// (log/action_log_format.h). Drop it at the end of the pipeline (`wiclean
+/// ingest`) and the expensive XML parse/diff output becomes a replayable
+/// artifact.
 ///
 /// Usage: construct over an open binary ostream, check status(), let the
 /// pipeline drive Append, then call Finish() exactly once to emit the index

@@ -58,10 +58,6 @@ Status OnlineDetector::LoadPatterns(
   return Status::OK();
 }
 
-Status OnlineDetector::LoadPatterns(const PatternSnapshot& snapshot) {
-  return LoadPatterns(std::make_shared<const PatternSnapshot>(snapshot));
-}
-
 bool OnlineDetector::TypeWithinLift(TypeId concrete, TypeId general) const {
   const TypeTaxonomy& taxonomy = registry_->taxonomy();
   return taxonomy.IsA(concrete, general) &&

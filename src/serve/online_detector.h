@@ -96,11 +96,6 @@ class OnlineDetector {
   [[nodiscard]] Status LoadPatterns(
       std::shared_ptr<const PatternSnapshot> snapshot);
 
-  /// Copying convenience for one-shot callers without a registry: clones
-  /// `snapshot` into a private shared copy, so the argument may be destroyed
-  /// after the call returns.
-  [[nodiscard]] Status LoadPatterns(const PatternSnapshot& snapshot);
-
   /// Feeds one event. `sequence` is the event's rank in the canonical stream
   /// order (e.g. revision id) and breaks timestamp ties during reduction the
   /// same way log order does in the batch store; feeders that deliver

@@ -1,7 +1,5 @@
 #include "serve/pattern_index.h"
 
-#include <algorithm>
-
 namespace wiclean {
 
 PatternIndex::PatternIndex(const TypeTaxonomy* taxonomy,
@@ -22,13 +20,7 @@ Status PatternIndex::AddPattern(uint32_t pattern_id, const Pattern& pattern) {
     if (!taxonomy_->IsValid(src) || !taxonomy_->IsValid(tgt)) {
       return Status::InvalidArgument("pattern variable has invalid type");
     }
-    if (src >= (TypeId{1} << kTypeBits) || tgt >= (TypeId{1} << kTypeBits)) {
-      return Status::InvalidArgument("type id too large for index key");
-    }
-    if (a.relation.id() >= kMaxRelationId) {
-      return Status::InvalidArgument("relation id too large for index key");
-    }
-    slots_[PackKey(a.relation, src, tgt)].push_back(
+    slots_[AbstractActionKey{EditOp::kAdd, src, a.relation, tgt}].push_back(
         PatternSlot{pattern_id, static_cast<uint32_t>(i)});
     ++num_slots_;
   }
@@ -39,28 +31,18 @@ void PatternIndex::Lookup(TypeId subject_type, Relation relation,
                           TypeId object_type,
                           std::vector<PatternSlot>* out) const {
   out->clear();
-  if (!taxonomy_->IsValid(subject_type) || !taxonomy_->IsValid(object_type) ||
-      subject_type >= (TypeId{1} << kTypeBits) ||
-      object_type >= (TypeId{1} << kTypeBits) ||
-      relation.id() >= kMaxRelationId) {
-    return;
-  }
-  // Mirror ActionIndex::IngestAction: a pattern action whose variable types
-  // are among the first (lift + 1) ancestors of the concrete endpoint types
-  // would have received this edit in its batch realization table. Walking
-  // Parent() enumerates exactly the AncestorsOf prefix, most-specific first,
-  // without allocating.
-  TypeId src = subject_type;
-  for (int i = 0; i <= max_abstraction_lift_ && src != kInvalidTypeId;
-       ++i, src = taxonomy_->Parent(src)) {
-    TypeId tgt = object_type;
-    for (int j = 0; j <= max_abstraction_lift_ && tgt != kInvalidTypeId;
-         ++j, tgt = taxonomy_->Parent(tgt)) {
-      auto it = slots_.find(PackKey(relation, src, tgt));
-      if (it == slots_.end()) continue;
-      out->insert(out->end(), it->second.begin(), it->second.end());
-    }
-  }
+  // Most-specific keys first, in ForEachAbstraction's order.
+  AbstractActionKey key{EditOp::kAdd, kInvalidTypeId, relation,
+                        kInvalidTypeId};
+  ForEachAbstraction(*taxonomy_, subject_type, object_type,
+                     max_abstraction_lift_, [&](TypeId src, TypeId tgt) {
+                       key.source_type = src;
+                       key.target_type = tgt;
+                       auto it = slots_.find(key);
+                       if (it == slots_.end()) return;
+                       out->insert(out->end(), it->second.begin(),
+                                   it->second.end());
+                     });
 }
 
 }  // namespace wiclean

@@ -2,11 +2,11 @@
 #define WICLEAN_SERVE_PATTERN_INDEX_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "core/action_index.h"
 #include "core/pattern.h"
 #include "taxonomy/taxonomy.h"
 
@@ -25,18 +25,18 @@ struct PatternSlot {
 /// can realize it. The signature deliberately excludes the edit op: an add
 /// and its inverse remove must route to the same per-edge state so they can
 /// cancel during reduction (revision_store.h ReduceActions) — the op filter
-/// is applied after reduction, at window expiry. The entity types of an
-/// incoming edit are generalized up the taxonomy by at most
-/// `max_abstraction_lift` levels, mirroring core/action_index.cc's
-/// abstraction enumeration, so index dispatch finds exactly the slots whose
-/// realization tables the batch detector would have put the edit into.
+/// is applied after reduction, at window expiry. Slots are keyed by the
+/// AbstractActionKey of their action with op fixed at kAdd. An incoming edit
+/// is looked up under the keys ForEachAbstraction gives it — the walk
+/// ActionIndex files edits by — so index dispatch finds exactly the slots
+/// whose realization tables the batch detector would have put the edit into.
 class PatternIndex {
  public:
   /// `taxonomy` must outlive the index; `max_abstraction_lift` must match the
   /// lift the patterns were mined with.
   PatternIndex(const TypeTaxonomy* taxonomy, int max_abstraction_lift);
 
-  /// Registers every action of `pattern` under its (relation, source type,
+  /// Registers every action of `pattern` under its (source type, relation,
   /// target type) signature. Fails if the pattern references invalid types.
   [[nodiscard]] Status AddPattern(uint32_t pattern_id, const Pattern& pattern);
 
@@ -62,24 +62,13 @@ class PatternIndex {
   size_t num_slots() const { return num_slots_; }
 
  private:
-  /// Type ids are packed into 2x20 bits of the slot key, the relation id
-  /// into the other 24; real taxonomies have a few thousand types at most.
-  static constexpr int kTypeBits = 20;
-  static constexpr uint32_t kMaxRelationId = uint32_t{1}
-                                             << (64 - 2 * kTypeBits);
-
-  static uint64_t PackKey(Relation relation, TypeId source_type,
-                          TypeId target_type) {
-    return (static_cast<uint64_t>(relation.id()) << (2 * kTypeBits)) |
-           (static_cast<uint64_t>(source_type) << kTypeBits) |
-           static_cast<uint64_t>(target_type);
-  }
-
   const TypeTaxonomy* taxonomy_;
   int max_abstraction_lift_;
-  /// Keyed by relation id and both types, so the hot Lookup path probes the
+  /// Keyed by signature (op kAdd), so the hot Lookup path probes the
   /// (lift+1)^2 type combinations with integer keys — no string per event.
-  std::unordered_map<uint64_t, std::vector<PatternSlot>> slots_;
+  std::unordered_map<AbstractActionKey, std::vector<PatternSlot>,
+                     AbstractActionKeyHash>
+      slots_;
   size_t num_slots_ = 0;
 };
 

@@ -37,14 +37,55 @@ class ActionIndexTest : public ::testing::Test {
 };
 
 TEST_F(ActionIndexTest, KeyEncodingIsInjective) {
-  AbstractActionKey a{EditOp::kAdd, 1, "r", 2};
-  AbstractActionKey b{EditOp::kRemove, 1, "r", 2};
-  AbstractActionKey c{EditOp::kAdd, 1, "r2", 2};
-  AbstractActionKey d{EditOp::kAdd, 12, "r", 2};
-  EXPECT_NE(a.Encode(), b.Encode());
-  EXPECT_NE(a.Encode(), c.Encode());
-  EXPECT_NE(a.Encode(), d.Encode());
-  EXPECT_EQ(a.Encode(), (AbstractActionKey{EditOp::kAdd, 1, "r", 2}.Encode()));
+  // == and the one key hash each tell every field apart, including the two
+  // type fields swapped and a type id whose decimal spelling prefixes
+  // another's.
+  const AbstractActionKey a{EditOp::kAdd, 1, "r", 2};
+  const AbstractActionKey others[] = {
+      {EditOp::kRemove, 1, "r", 2}, {EditOp::kAdd, 12, "r", 2},
+      {EditOp::kAdd, 1, "r2", 2},   {EditOp::kAdd, 1, "r", 21},
+      {EditOp::kAdd, 2, "r", 1},
+  };
+  const AbstractActionKeyHash hash;
+  for (const AbstractActionKey& b : others) {
+    EXPECT_FALSE(a == b);
+    EXPECT_NE(hash(a), hash(b));
+  }
+  const AbstractActionKey same{EditOp::kAdd, 1, "r", 2};
+  EXPECT_TRUE(a == same);
+  EXPECT_EQ(hash(a), hash(same));
+}
+
+TEST_F(ActionIndexTest, EntryIdsSurviveLaterIngestion) {
+  Add(p0_, "current_club", c0_, 10);
+  Add(p1_, "current_club", c0_, 11);
+  Add(c0_, "squad", p0_, 12);
+  ActionIndex index(registry_.get(), &store_, TimeWindow{0, 100}, 1);
+  index.AddEntities({p0_});
+  const AbstractActionKey key{EditOp::kAdd, player_, "current_club", club_};
+  const AbstractActionEntry* entry = index.Find(key);
+  ASSERT_NE(entry, nullptr);
+  const size_t id = entry - index.entries().data();
+  const size_t entries_before = index.entries().size();
+  ASSERT_EQ(entry->realizations.num_rows(), 1u);
+
+  // player brings P1's row to the same entry; thing brings the club's squad
+  // edit, which files under new keys only.
+  EXPECT_EQ(index.AddEntitiesOfType(player_), 1u);
+  EXPECT_EQ(index.AddEntitiesOfType(thing_), 1u);
+  ASSERT_GT(index.entries().size(), entries_before);
+  entry = index.Find(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(static_cast<size_t>(entry - index.entries().data()), id);
+  EXPECT_EQ(entry->key, key);
+  // Rows only grow: the first ingestion's row keeps its place.
+  ASSERT_EQ(entry->realizations.num_rows(), 2u);
+  EXPECT_EQ(entry->realizations.column(0).Int64At(0), p0_);
+  EXPECT_EQ(entry->realizations.column(0).Int64At(1), p1_);
+  // Every entry sits at its id, and Find reaches it by key.
+  for (size_t i = 0; i < index.entries().size(); ++i) {
+    EXPECT_EQ(index.Find(index.entries()[i].key), &index.entries()[i]);
+  }
 }
 
 TEST_F(ActionIndexTest, AddEntitiesOfTypeIngestsEachTypeOnce) {
@@ -92,7 +133,7 @@ TEST_F(ActionIndexTest, RealizationRowsCarryTimestamps) {
   Add(p0_, "current_club", c0_, 42);
   ActionIndex index(registry_.get(), &store_, TimeWindow{0, 100}, 0);
   index.AddEntities({p0_});
-  const AbstractActionEntry& entry = index.entries().begin()->second;
+  const AbstractActionEntry& entry = index.entries().front();
   ASSERT_EQ(entry.realizations.num_rows(), 1u);
   EXPECT_EQ(entry.realizations.column(0).Int64At(0), p0_);
   EXPECT_EQ(entry.realizations.column(1).Int64At(0), c0_);
@@ -107,7 +148,7 @@ TEST_F(ActionIndexTest, IngestionIsIdempotentPerEntity) {
   EXPECT_EQ(index.AddEntities({p0_, p1_}), 1u);
   EXPECT_TRUE(index.HasEntity(p0_));
   EXPECT_EQ(index.num_entities_ingested(), 2u);
-  const AbstractActionEntry& entry = index.entries().begin()->second;
+  const AbstractActionEntry& entry = index.entries().front();
   EXPECT_EQ(entry.realizations.num_rows(), 1u);  // no duplicate rows
 }
 
@@ -126,7 +167,7 @@ TEST_F(ActionIndexTest, FilterRealizationsByBindings) {
   Add(p1_, "current_club", c0_, 11);
   ActionIndex index(registry_.get(), &store_, TimeWindow{0, 100}, 0);
   index.AddEntities({p0_, p1_});
-  const relational::Table& all = index.entries().begin()->second.realizations;
+  const relational::Table& all = index.entries().front().realizations;
   ASSERT_EQ(all.num_rows(), 2u);
 
   relational::Table only_p0 =
@@ -143,27 +184,25 @@ TEST_F(ActionIndexTest, FilterRealizationsByBindings) {
   EXPECT_EQ(none.num_rows(), 0u);
 }
 
-/// The library index must hold exactly the reference's entries — same
-/// keys in the same order, same rows in the same order — and counters, and
-/// Find must reach each entry without its encoded key.
+/// The library index must hold exactly the reference's entries — the same
+/// keys, each with the same rows in the same order — and counters, and Find
+/// must reach each entry. Entry order is the library's ingestion order and
+/// the reference's key order, so entries are matched by key.
 void ExpectSameIndex(const ActionIndex& got, const ReferenceActionIndex& want) {
   EXPECT_EQ(got.num_entities_ingested(), want.num_entities_ingested());
   EXPECT_EQ(got.num_actions_ingested(), want.num_actions_ingested());
   ASSERT_EQ(got.entries().size(), want.entries().size());
-  auto w = want.entries().begin();
-  for (const auto& [key, entry] : got.entries()) {
-    ASSERT_EQ(key, w->first);
-    EXPECT_EQ(entry.key, w->second.key) << key;
-    EXPECT_EQ(entry.key.Encode(), key);
-    const relational::Table& rows = entry.realizations;
-    const relational::Table& want_rows = w->second.realizations;
-    ASSERT_EQ(rows.num_rows(), want_rows.num_rows()) << key;
+  for (const auto& [name, want_entry] : want.entries()) {
+    const AbstractActionEntry* entry = got.Find(want_entry.key);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_EQ(entry->key, want_entry.key) << name;
+    const relational::Table& rows = entry->realizations;
+    const relational::Table& want_rows = want_entry.realizations;
+    ASSERT_EQ(rows.num_rows(), want_rows.num_rows()) << name;
     for (size_t c = 0; c < 3; ++c) {
       EXPECT_EQ(rows.column(c).int64_data(), want_rows.column(c).int64_data())
-          << key << " column " << c;
+          << name << " column " << c;
     }
-    EXPECT_EQ(got.Find(entry.key), &entry) << key;
-    ++w;
   }
 }
 

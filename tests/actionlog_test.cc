@@ -608,42 +608,6 @@ TEST(ActionLogDifferentialTest, ReplayIdenticalToDirectIngest) {
   }
 }
 
-TEST(ActionLogDifferentialTest, TeeSinkProducesStoreAndLogInOnePass) {
-  Corpus corpus = MakeCorpus(true, false, false);
-  const EntityId n = static_cast<EntityId>(corpus.world.registry->size());
-
-  RevisionStore direct;
-  {
-    std::istringstream in(corpus.xml);
-    ASSERT_TRUE(IngestDump(&in, *corpus.world.registry, &direct, {}).ok());
-  }
-
-  // One pipeline pass feeding both the store and the log through the tee.
-  RevisionStore teed;
-  std::ostringstream log_bytes;
-  {
-    std::istringstream in(corpus.xml);
-    XmlPageSource source(&in);
-    RevisionStoreSink store_sink(&teed);
-    ActionLogWriter writer(&log_bytes);
-    ASSERT_TRUE(writer.status().ok());
-    TeeActionSink tee(&store_sink, &writer);
-    Result<IngestStats> stats =
-        RunIngestPipeline(&source, *corpus.world.registry, &tee, {});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  EXPECT_EQ(StoreDigest(teed, n), StoreDigest(direct, n));
-
-  RevisionStore replayed;
-  RevisionStoreSink sink(&replayed);
-  std::string bytes = log_bytes.str();
-  Result<ActionLogReader> reader = ActionLogReader::FromBytes(bytes);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_TRUE(ReplayActionLog(*reader, &sink).ok());
-  EXPECT_EQ(StoreDigest(replayed, n), StoreDigest(direct, n));
-}
-
 // ---------------------------------------------------------------------------
 // Selective (block-seek) ingestion.
 // ---------------------------------------------------------------------------

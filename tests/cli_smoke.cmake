@@ -63,6 +63,34 @@ if(NOT json MATCHES "\"patterns\"")
   message(FATAL_ERROR "JSON report malformed")
 endif()
 
+# Mining threads never reach the output: the reports at --mine-threads 1 and
+# 4 agree byte for byte once their wall times are stripped. This checks the
+# candidate enumeration order end to end, through relative mining and the
+# report writer.
+foreach(threads 1 4)
+  execute_process(
+    COMMAND ${WICLEAN} mine
+      --dump ${WORK_DIR}/dump.xml
+      --taxonomy ${WORK_DIR}/taxonomy.tsv
+      --alignment ${WORK_DIR}/alignment.tsv
+      --seed-type soccer_player --threshold 0.8 --mine-threads ${threads}
+      --json ${WORK_DIR}/report_t${threads}.json
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "mine --mine-threads ${threads} failed: ${out}${err}")
+  endif()
+  file(READ ${WORK_DIR}/report_t${threads}.json report_t${threads})
+  string(REGEX REPLACE "\"seconds\": *[-+.0-9eE]+" "" report_t${threads}
+         "${report_t${threads}}")
+endforeach()
+if(NOT report_t1 MATCHES "\"patterns\"")
+  message(FATAL_ERROR "mine --mine-threads 1 JSON report malformed")
+endif()
+if(NOT report_t1 STREQUAL report_t4)
+  message(FATAL_ERROR
+    "mine --json differs between --mine-threads 1 and --mine-threads 4")
+endif()
+
 # A report whose write fails leaves an earlier report at --json untouched
 # and no temp file: reports are written to <path>.tmp and committed over
 # <path> only once complete. A file-size limit of a few KB (SIGXFSZ ignored,

@@ -47,6 +47,18 @@ DumpPage SamplePage() {
   return page;
 }
 
+/// Reads every page of `in` through DumpPageStream, appending each to
+/// `*pages` when given; the first parse error ends the read.
+Status ReadAll(std::istream* in, std::vector<DumpPage>* pages = nullptr) {
+  DumpPageStream stream(in);
+  DumpPage page;
+  for (;;) {
+    WICLEAN_ASSIGN_OR_RETURN(bool more, stream.Next(&page));
+    if (!more) return Status::OK();
+    if (pages != nullptr) pages->push_back(page);
+  }
+}
+
 TEST(DumpRoundTripTest, WriteThenRead) {
   std::ostringstream out;
   DumpWriter writer(&out);
@@ -57,10 +69,7 @@ TEST(DumpRoundTripTest, WriteThenRead) {
 
   std::istringstream in(out.str());
   std::vector<DumpPage> pages;
-  ASSERT_TRUE(DumpReader::ReadAll(&in, [&](const DumpPage& p) {
-                pages.push_back(p);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(ReadAll(&in, &pages).ok());
   ASSERT_EQ(pages.size(), 1u);
   EXPECT_EQ(pages[0].title, original.title);
   EXPECT_EQ(pages[0].page_id, original.page_id);
@@ -75,12 +84,9 @@ TEST(DumpRoundTripTest, EmptyDump) {
   writer.Begin();
   ASSERT_TRUE(writer.End().ok());
   std::istringstream in(out.str());
-  size_t pages = 0;
-  ASSERT_TRUE(DumpReader::ReadAll(&in, [&](const DumpPage&) {
-                ++pages;
-                return Status::OK();
-              }).ok());
-  EXPECT_EQ(pages, 0u);
+  std::vector<DumpPage> pages;
+  ASSERT_TRUE(ReadAll(&in, &pages).ok());
+  EXPECT_TRUE(pages.empty());
 }
 
 TEST(DumpReaderTest, MalformedInputsAreCorruption) {
@@ -93,32 +99,8 @@ TEST(DumpReaderTest, MalformedInputsAreCorruption) {
            "<mediawiki></mediawiki> trailing",             // trailing junk
        }) {
     std::istringstream in(bad);
-    Status s = DumpReader::ReadAll(
-        &in, [](const DumpPage&) { return Status::OK(); });
-    EXPECT_FALSE(s.ok()) << "input: " << bad;
+    EXPECT_FALSE(ReadAll(&in).ok()) << "input: " << bad;
   }
-}
-
-TEST(DumpReaderTest, CallbackErrorStopsRead) {
-  std::ostringstream out;
-  DumpWriter writer(&out);
-  writer.Begin();
-  writer.WritePage(SamplePage());
-  writer.WritePage([] {
-    DumpPage p = SamplePage();
-    p.title = "Second";
-    return p;
-  }());
-  ASSERT_TRUE(writer.End().ok());
-
-  std::istringstream in(out.str());
-  size_t seen = 0;
-  Status s = DumpReader::ReadAll(&in, [&](const DumpPage&) -> Status {
-    ++seen;
-    return Status::Internal("stop");
-  });
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(seen, 1u);
 }
 
 // ---------- truncation classification (DataLoss) ----------
@@ -139,7 +121,29 @@ std::string TwoPageDump() {
 
 Status ReadAllOf(const std::string& dump) {
   std::istringstream in(dump);
-  return DumpReader::ReadAll(&in, [](const DumpPage&) { return Status::OK(); });
+  return ReadAll(&in);
+}
+
+TEST(DumpReaderTest, EachNextParsesOnlyItsPage) {
+  // A pull consumer that stops after the first page never meets damage
+  // further on: Next yields the first page whole, and only the next call
+  // reports the truncated second one, then repeats that outcome.
+  const std::string dump = TwoPageDump();
+  const size_t second = dump.find("<page>", dump.find("</page>"));
+  ASSERT_NE(second, std::string::npos);
+
+  std::istringstream in(dump.substr(0, second + 40));
+  DumpPageStream stream(&in);
+  DumpPage page;
+  Result<bool> first = stream.Next(&page);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(*first);
+  EXPECT_EQ(page.title, SamplePage().title);
+  EXPECT_EQ(page.revisions.size(), 2u);
+  Result<bool> next = stream.Next(&page);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(stream.Next(&page).status().ToString(), next.status().ToString());
 }
 
 TEST(DumpReaderTest, TruncationIsDataLossNamingByteAndPage) {
@@ -326,10 +330,7 @@ DumpPage TitledSample(const std::string& title) {
 std::vector<DumpPage> ReadPages(const std::string& xml) {
   std::istringstream in(xml);
   std::vector<DumpPage> pages;
-  Status s = DumpReader::ReadAll(&in, [&](const DumpPage& p) {
-    pages.push_back(p);
-    return Status::OK();
-  });
+  Status s = ReadAll(&in, &pages);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return pages;
 }

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/action_index.h"
 #include "core/partial.h"
 #include "core/window_search.h"
 #include "report/report.h"
@@ -21,6 +25,7 @@
 #include "serve/online_detector.h"
 #include "serve/pattern_index.h"
 #include "serve/pattern_store.h"
+#include "synth/catalog.h"
 #include "synth/synthesizer.h"
 
 namespace wiclean {
@@ -244,6 +249,109 @@ TEST_F(PatternIndexTest, DeterministicRegistrationOrder) {
   ASSERT_EQ(slots.size(), 2u);
   EXPECT_EQ(slots[0].pattern_id, 1u);
   EXPECT_EQ(slots[1].pattern_id, 2u);
+}
+
+/// Serving routes an edit to a pattern action exactly when mining would file
+/// the edit under that action's key: on the synthetic catalog taxonomy, for
+/// every (subject type, relation, object type) edit, the keys ActionIndex
+/// files it under equal the keys of the one-action patterns PatternIndex
+/// returns for it.
+TEST(PatternIndexRoutingTest, AgreesWithActionIndexOnCatalogTaxonomy) {
+  Result<CatalogTaxonomy> catalog = BuildCatalogTaxonomy();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const TypeTaxonomy& taxonomy = *catalog->taxonomy;
+  const TypeId num_types = static_cast<TypeId>(taxonomy.num_types());
+  const Relation relations[] = {Relation("current_club"), Relation("squad")};
+
+  // One object entity per type, and one subject entity per edit, so each
+  // ActionIndex row names the one edit it came from.
+  EntityRegistry registry(&taxonomy);
+  std::vector<EntityId> objects;
+  for (TypeId t = 0; t < num_types; ++t) {
+    objects.push_back(*registry.Register("O" + std::to_string(t), t));
+  }
+  struct Edit {
+    TypeId subject_type;
+    Relation relation;
+    TypeId object_type;
+  };
+  std::vector<Edit> edits;
+  std::unordered_map<EntityId, size_t> edit_of;  // subject -> edit
+  RevisionStore store;
+  for (TypeId s = 0; s < num_types; ++s) {
+    for (Relation r : relations) {
+      for (TypeId o = 0; o < num_types; ++o) {
+        const EntityId subject = *registry.Register(
+            "S" + std::to_string(edits.size()), s);
+        store.Add(Action{EditOp::kAdd, r, subject, objects[o], 1});
+        edit_of[subject] = edits.size();
+        edits.push_back({s, r, o});
+      }
+    }
+  }
+
+  auto less = [](const AbstractActionKey& a, const AbstractActionKey& b) {
+    return std::tie(a.source_type, a.relation, a.target_type) <
+           std::tie(b.source_type, b.relation, b.target_type);
+  };
+  for (int lift : {0, 1, 2}) {
+    SCOPED_TRACE("lift " + std::to_string(lift));
+    ActionIndex actions(&registry, &store, TimeWindow{0, 10}, lift);
+    ASSERT_EQ(actions.AddEntitiesOfType(taxonomy.root()), registry.size());
+    std::vector<std::vector<AbstractActionKey>> filed(edits.size());
+    for (const AbstractActionEntry& entry : actions.entries()) {
+      const relational::Column& subjects = entry.realizations.column(0);
+      for (size_t r = 0; r < entry.realizations.num_rows(); ++r) {
+        filed[edit_of.at(subjects.Int64At(r))].push_back(entry.key);
+      }
+    }
+
+    // Every possible key as a one-action pattern; pattern id = position.
+    PatternIndex patterns(&taxonomy, lift);
+    std::vector<AbstractActionKey> pattern_keys;
+    for (TypeId s = 0; s < num_types; ++s) {
+      for (Relation r : relations) {
+        for (TypeId o = 0; o < num_types; ++o) {
+          Pattern p;
+          const int u = p.AddVar(s);
+          const int v = p.AddVar(o);
+          ASSERT_TRUE(p.AddAction(EditOp::kAdd, u, r, v).ok());
+          ASSERT_TRUE(p.SetSourceVar(u).ok());
+          ASSERT_TRUE(
+              patterns
+                  .AddPattern(static_cast<uint32_t>(pattern_keys.size()), p)
+                  .ok());
+          pattern_keys.push_back({EditOp::kAdd, s, r, o});
+        }
+      }
+    }
+
+    std::vector<PatternSlot> slots;
+    size_t routed = 0;
+    for (size_t e = 0; e < edits.size(); ++e) {
+      const Edit& edit = edits[e];
+      patterns.Lookup(edit.subject_type, edit.relation, edit.object_type,
+                      &slots);
+      std::vector<AbstractActionKey> looked_up;
+      for (const PatternSlot& slot : slots) {
+        EXPECT_EQ(slot.action_index, 0u);
+        looked_up.push_back(pattern_keys[slot.pattern_id]);
+      }
+      std::vector<AbstractActionKey> want = filed[e];
+      std::sort(want.begin(), want.end(), less);
+      std::sort(looked_up.begin(), looked_up.end(), less);
+      ASSERT_EQ(looked_up, want)
+          << taxonomy.Name(edit.subject_type) << " -"
+          << edit.relation.name() << "-> " << taxonomy.Name(edit.object_type);
+      routed += want.size();
+    }
+    // One key per edit at lift 0; lifts add the abstractions.
+    if (lift == 0) {
+      EXPECT_EQ(routed, edits.size());
+    } else {
+      EXPECT_GT(routed, edits.size());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -565,7 +673,8 @@ class OnlineDetectorEdgeTest : public ::testing::Test {
 
 TEST_F(OnlineDetectorEdgeTest, LateEventIsCountedAndDropped) {
   OnlineDetector detector(registry_.get(), OnlineDetectorOptions{});
-  ASSERT_TRUE(detector.LoadPatterns(snapshot_).ok());
+  ASSERT_TRUE(detector.LoadPatterns(
+      std::make_shared<const PatternSnapshot>(snapshot_)).ok());
   std::vector<OnlineAlert> alerts;
   // The watermark jumps past the window end: the pattern finalizes with one
   // routed edit (a partial realization).
@@ -588,7 +697,8 @@ TEST_F(OnlineDetectorEdgeTest, LateEventIsCountedAndDropped) {
 
 TEST_F(OnlineDetectorEdgeTest, CancellingEditsLeaveNoRealization) {
   OnlineDetector detector(registry_.get(), OnlineDetectorOptions{});
-  ASSERT_TRUE(detector.LoadPatterns(snapshot_).ok());
+  ASSERT_TRUE(detector.LoadPatterns(
+      std::make_shared<const PatternSnapshot>(snapshot_)).ok());
   std::vector<OnlineAlert> alerts;
   Action add = MakeAction(p0_, "current_club", c0_, 10);
   Action remove = add;
@@ -605,7 +715,8 @@ TEST_F(OnlineDetectorEdgeTest, CancellingEditsLeaveNoRealization) {
 
 TEST_F(OnlineDetectorEdgeTest, ObserveAfterFinishFails) {
   OnlineDetector detector(registry_.get(), OnlineDetectorOptions{});
-  ASSERT_TRUE(detector.LoadPatterns(snapshot_).ok());
+  ASSERT_TRUE(detector.LoadPatterns(
+      std::make_shared<const PatternSnapshot>(snapshot_)).ok());
   std::vector<OnlineAlert> alerts;
   ASSERT_TRUE(detector.FinishStream(&alerts).ok());
   EXPECT_FALSE(
@@ -635,7 +746,8 @@ TEST_F(OnlineDetectorEdgeTest, ShardPartitionCoversEveryPatternOnce) {
     options.shard_index = shard;
     options.num_shards = 2;
     OnlineDetector detector(registry_.get(), options);
-    ASSERT_TRUE(detector.LoadPatterns(snapshot_).ok());
+    ASSERT_TRUE(detector.LoadPatterns(
+      std::make_shared<const PatternSnapshot>(snapshot_)).ok());
     std::vector<OnlineAlert> alerts;
     ASSERT_TRUE(detector.FinishStream(&alerts).ok());
     for (const OnlineAlert& alert : alerts) seen.push_back(alert.pattern_id);

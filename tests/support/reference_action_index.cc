@@ -6,6 +6,24 @@ namespace wiclean {
 
 namespace rel = ::wiclean::relational;
 
+namespace {
+
+/// The entry map's key: spells the relation's name, so its order does not
+/// depend on relation ids.
+std::string EncodeKey(const AbstractActionKey& key) {
+  std::string out;
+  out += key.op == EditOp::kAdd ? '+' : '-';
+  out += ' ';
+  out += std::to_string(key.source_type);
+  out += ' ';
+  out += key.relation.name();
+  out += ' ';
+  out += std::to_string(key.target_type);
+  return out;
+}
+
+}  // namespace
+
 ReferenceActionIndex::ReferenceActionIndex(const EntityRegistry* registry,
                                            const RevisionStore* store,
                                            const TimeWindow& window,
@@ -56,7 +74,7 @@ void ReferenceActionIndex::IngestAction(const Action& action) {
     for (size_t j = 0; j < dst_count; ++j) {
       AbstractActionKey key{action.op, src_levels[i], action.relation,
                             dst_levels[j]};
-      std::string encoded = key.Encode();
+      std::string encoded = EncodeKey(key);
       auto it = entries_.find(encoded);
       if (it == entries_.end()) {
         it = entries_

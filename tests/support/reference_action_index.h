@@ -13,14 +13,15 @@
 
 namespace wiclean {
 
-/// The original ActionIndex ingest, preserved verbatim as the differential
-/// oracle for the library version: each action's abstraction levels come
-/// from two TypeTaxonomy::AncestorsOf vectors, every (source level, target
-/// level) pair encodes its AbstractActionKey to look its entry up, and each
-/// row is appended through a temporary vector (spelled out below, since a
-/// braced row now picks Table's initializer-list overload). Same contract as ActionIndex:
-/// same entries, in the same key order, with the same rows in the same order,
-/// and the same ingestion counters.
+/// The original ActionIndex ingest, preserved as the differential oracle for
+/// the library version: each action's abstraction levels come from two
+/// TypeTaxonomy::AncestorsOf vectors, every (source level, target level) pair
+/// encodes its AbstractActionKey as a string to look its entry up in a
+/// string-keyed map, and each row is appended through a temporary vector
+/// (spelled out below, since a braced row now picks Table's initializer-list
+/// overload). Same contract as ActionIndex: the same entries with the same
+/// rows in the same order, and the same ingestion counters; entries are in
+/// encoded-key order here and in ingestion order there.
 ///
 /// Test-only oracle (not part of the library): linked by action_index_test.
 class ReferenceActionIndex {
