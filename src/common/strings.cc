@@ -1,7 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
-
 namespace wiclean {
 
 std::vector<std::string> SplitString(std::string_view text, char sep) {
@@ -28,14 +26,9 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 
 std::string_view StripWhitespace(std::string_view text) {
   size_t b = 0;
-  while (b < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[b]))) {
-    ++b;
-  }
+  while (b < text.size() && IsAsciiSpace(text[b])) ++b;
   size_t e = text.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) {
-    --e;
-  }
+  while (e > b && IsAsciiSpace(text[e - 1])) --e;
   return text.substr(b, e - b);
 }
 

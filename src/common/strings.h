@@ -18,7 +18,15 @@ std::vector<std::string> SplitString(std::string_view text, char sep);
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
 
-/// Removes ASCII whitespace from both ends.
+/// The whitespace contract of every text scanner in the library: the six
+/// bytes std::isspace accepts in the "C" locale — ' ', '\t', '\n', '\v',
+/// '\f' and '\r' — tested inline, whatever locale the process runs in.
+/// Every other byte, all bytes >= 0x80 included, is not whitespace.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Removes IsAsciiSpace bytes from both ends.
 std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` begins with / ends with the given prefix/suffix.

@@ -1,7 +1,6 @@
 #include "dump/dump.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 #include <sstream>
 
@@ -207,10 +206,7 @@ class StreamCursor {
 
   void SkipWhitespace() {
     for (;;) {
-      while (pos_ < end_ &&
-             std::isspace(static_cast<unsigned char>(buffer_[pos_]))) {
-        ++pos_;
-      }
+      while (pos_ < end_ && IsAsciiSpace(buffer_[pos_])) ++pos_;
       if (pos_ < end_) return;
       if (!Refill()) return;
     }

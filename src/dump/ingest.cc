@@ -120,17 +120,16 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
     }
   };
 
-  Result<EntityId> subject = registry.FindByName(page.title);
-  if (!subject.ok() && options.strict_pages) {
+  const EntityId subject_id = registry.IdOf(page.title);
+  if (subject_id == kInvalidEntityId && options.strict_pages) {
     Status error = Status::NotFound("dump page '" + page.title +
                                     "' is not a registered entity");
     if (!degraded) return error;
     return skip_page(SkipReason::kUnknownPage, std::string(error.message()));
   }
-  if (!subject.ok()) {
+  if (subject_id == kInvalidEntityId) {
     return batch;  // known_page stays false; the page is skipped
   }
-  const EntityId subject_id = subject.value();
   batch.known_page = true;
 
   if (limits.max_revisions_per_page > 0 &&
@@ -210,12 +209,11 @@ Result<PageActions> ParsePageActions(const DumpPage& page, uint64_t sequence,
       have_timestamp = true;
     }
     auto emit = [&](EditOp op, const LinkView& link) {
-      Result<EntityId> object = registry.FindByName(link.target_title);
-      if (!object.ok()) {
+      const EntityId object_id = registry.IdOf(link.target_title);
+      if (object_id == kInvalidEntityId) {
         ++batch.unresolved_links;
         return;
       }
-      const EntityId object_id = object.value();
       Action action;
       action.op = op;
       action.subject = subject_id;

@@ -167,13 +167,14 @@ struct WorkItem {
 using WorkBatch = std::vector<WorkItem>;
 
 /// Shared state of one parallel run: the reorder buffer, the merged
-/// counters, and the first error. All of it is WC_GUARDED_BY(mu) — the
-/// -Werror=thread-safety build proves every access is locked. Merging into
-/// the sink happens under the lock, which serializes Append calls and
-/// preserves exact source order (the sink sees sequence 0, 1, 2, ... no
-/// matter which worker finished first). The reader thread accumulates its
-/// own read_seconds locally and folds it in once at the end, so the only
-/// cross-thread traffic is through mu (and the relaxed parse counter).
+/// counters, and the error of the lowest sequence slot. All of it is
+/// WC_GUARDED_BY(mu) — the -Werror=thread-safety build proves every access
+/// is locked. Merging into the sink happens under the lock, which
+/// serializes Append calls and preserves exact source order (the sink sees
+/// sequence 0, 1, 2, ... no matter which worker finished first). The reader
+/// thread accumulates its own read_seconds locally and folds it in once at
+/// the end, so the only cross-thread traffic is through mu (and the relaxed
+/// parse counter).
 /// Spent batches travel back through mu as well: a worker parks its parsed
 /// batch in `spare` in the critical section that merges it, and the reader
 /// takes one when it waits for room in the page budget.
@@ -187,7 +188,12 @@ struct MergeState {
   // Next sequence the sink expects; also the number of pages merged.
   uint64_t next_sequence WC_GUARDED_BY(mu) = 0;
   IngestStats stats WC_GUARDED_BY(mu);
-  Status first_error WC_GUARDED_BY(mu);
+  // The failure the sequential run would have met first: an error takes the
+  // sequence slot of the page (or read) that failed, and a lower slot
+  // replaces a higher one. kNoError while the run is clean.
+  static constexpr uint64_t kNoError = UINT64_MAX;
+  uint64_t error_sequence WC_GUARDED_BY(mu) = kNoError;
+  Status error WC_GUARDED_BY(mu);
   // Parsed batches whose page storage the reader may refill.
   std::vector<WorkBatch> spare WC_GUARDED_BY(mu);
   std::atomic<int64_t> parse_micros{0};
@@ -215,15 +221,21 @@ Result<IngestStats> RunParallel(PageSource* source,
       options.queue_capacity + options.num_threads * kBatch;
   MergeState state;
 
-  // Any stage reporting a failure cancels the queue: a reader blocked on a
-  // full queue or on the page budget wakes up and stops, workers' Pop calls
-  // return false and they drain. Only the first error is kept.
-  auto record_error = [&](Status status) {
+  // Errors are ordered like pages: each takes the sequence slot where it
+  // struck, and the lowest slot wins, because that is the one the
+  // sequential run stops at. Any error stops the reader (every page below a
+  // worker's slot was already read). The pages below the lowest slot still
+  // parse and merge; once they have, the error is final, and cancelling the
+  // queue wakes a blocked reader and drains the workers.
+  auto record_error = [&](uint64_t sequence, Status status) {
     {
       MutexLock lock(&state.mu);
-      if (state.first_error.ok()) state.first_error = std::move(status);
+      if (sequence < state.error_sequence) {
+        state.error_sequence = sequence;
+        state.error = std::move(status);
+      }
+      if (state.next_sequence == state.error_sequence) queue.Cancel();
     }
-    queue.Cancel();
     state.merged.NotifyAll();
   };
 
@@ -237,6 +249,7 @@ Result<IngestStats> RunParallel(PageSource* source,
         parsed.reserve(work.size());
         Timer parse_timer;
         Status failed = Status::OK();
+        uint64_t failed_sequence = 0;
         for (WorkItem& item : work) {
           if (item.resolved) {
             parsed.push_back(std::move(item.batch));
@@ -246,6 +259,7 @@ Result<IngestStats> RunParallel(PageSource* source,
               ParsePageActions(item.page, item.sequence, registry, options);
           if (!batch.ok()) {
             failed = batch.status();
+            failed_sequence = item.sequence;
             break;
           }
           parsed.push_back(std::move(batch).value());
@@ -253,37 +267,42 @@ Result<IngestStats> RunParallel(PageSource* source,
         state.parse_micros.fetch_add(
             static_cast<int64_t>(parse_timer.ElapsedSeconds() * 1e6),
             std::memory_order_relaxed);
-        if (!failed.ok()) {
-          record_error(std::move(failed));
-          return;
-        }
+        // The pages parsed before a failure still merge: they precede it.
+        if (!failed.ok()) record_error(failed_sequence, std::move(failed));
 
         MutexLock lock(&state.mu);
         state.spare.push_back(std::move(work));  // its pages, for the reader
-        state.pending.emplace(first_sequence, std::move(parsed));
-        // Flush the contiguous run now available, in sequence order. Skip
-        // batches pass through the same merge (so counters and quarantine
-        // records land in source order) but never reach the sink.
+        if (!parsed.empty()) {
+          state.pending.emplace(first_sequence, std::move(parsed));
+        }
+        // Flush the contiguous run now available, in sequence order, up to
+        // the lowest error slot. Skip batches pass through the same merge
+        // (so counters and quarantine records land in source order) but
+        // never reach the sink.
         bool merged_any = false;
-        while (!state.pending.empty() && state.first_error.ok()) {
+        while (!state.pending.empty() &&
+               state.next_sequence < state.error_sequence) {
           auto front = state.pending.begin();
           if (front->first != state.next_sequence) break;
           Timer merge_timer;
-          Status status = Status::OK();
           for (PageActions& batch : front->second) {
-            status = MergePage(std::move(batch), options, sink, &state.stats);
-            if (!status.ok()) break;
+            if (state.next_sequence == state.error_sequence) break;
+            Status status =
+                MergePage(std::move(batch), options, sink, &state.stats);
+            if (!status.ok()) {
+              // Every lower slot has merged, so this error is final.
+              state.error_sequence = state.next_sequence;
+              state.error = std::move(status);
+              break;
+            }
+            ++state.next_sequence;
           }
           state.merge_micros +=
               static_cast<int64_t>(merge_timer.ElapsedSeconds() * 1e6);
-          state.next_sequence += front->second.size();
           state.pending.erase(front);
           merged_any = true;
-          if (!status.ok()) {
-            state.first_error = std::move(status);
-            queue.Cancel();
-          }
         }
+        if (state.next_sequence == state.error_sequence) queue.Cancel();
         if (merged_any) state.merged.NotifyAll();
       }
     });
@@ -308,15 +327,15 @@ Result<IngestStats> RunParallel(PageSource* source,
     return pushed;
   };
   // Blocks until a full batch more fits in the page budget, then opens a
-  // spare batch if a worker has handed one back; false once the run has
-  // failed.
+  // spare batch if a worker has handed one back; false once any error is
+  // recorded.
   auto wait_for_budget = [&] {
     MutexLock lock(&state.mu);
-    while (state.first_error.ok() &&
+    while (state.error_sequence == MergeState::kNoError &&
            sequence + kBatch - state.next_sequence > page_budget) {
       state.merged.Wait(&state.mu);
     }
-    if (!state.first_error.ok()) return false;
+    if (state.error_sequence != MergeState::kNoError) return false;
     if (open.empty() && !state.spare.empty()) {
       open = std::move(state.spare.back());
       state.spare.pop_back();
@@ -340,7 +359,7 @@ Result<IngestStats> RunParallel(PageSource* source,
     if (more.ok() && !*more) break;
     if (!more.ok()) {
       if (!degraded) {
-        record_error(more.status());
+        record_error(sequence, more.status());
         break;
       }
       // Flush the pages read so far first: the workers start on them while
@@ -353,7 +372,7 @@ Result<IngestStats> RunParallel(PageSource* source,
                                                &at_end);
       read_seconds += resync_timer.ElapsedSeconds();
       if (!skip.ok()) {
-        record_error(skip.status());
+        record_error(sequence, skip.status());
         break;
       }
       next_item().batch = std::move(skip).value();
@@ -363,14 +382,14 @@ Result<IngestStats> RunParallel(PageSource* source,
     item.resolved = !more.ok();
     if (++filled == kBatch && !flush()) break;
   }
-  flush();  // the tail batch; a no-op once the run is cancelled
+  flush();  // the tail batch, pages below a read error included
   queue.Close();
   pool.Wait();
 
   // All workers have drained; take the lock once more to publish the result
   // (and keep the thread-safety analysis exact rather than suppressed).
   MutexLock lock(&state.mu);
-  if (!state.first_error.ok()) return state.first_error;
+  if (state.error_sequence != MergeState::kNoError) return state.error;
   state.stats.read_seconds = read_seconds;
   state.stats.parse_seconds =
       static_cast<double>(state.parse_micros.load()) / 1e6;

@@ -35,10 +35,15 @@ inline constexpr size_t kIngestHandoffPages = 8;
 /// so the output is deterministic — a RevisionStore built with 8 workers is
 /// identical to one built with 1.
 ///
-/// Error handling: the first failing stage (malformed XML in the source,
-/// Corruption from a worker, a sink error) records its status and cancels
-/// the queue, which unblocks the reader and drains every worker — no hang,
-/// no leaked tasks — and that first status is returned.
+/// Error handling: the parallel run returns the status the sequential one
+/// would. A failure (malformed XML in the source, Corruption from a worker,
+/// a sink error) takes the sequence slot of the page it struck, and the
+/// lowest slot wins, whichever stage reported first: the reader can run a
+/// page budget ahead of the workers, so a later page's read error may come
+/// in before an earlier page's parse error. Any failure stops the reader.
+/// The pages before the winning slot still parse and merge, as they would
+/// sequentially; then the queue is cancelled, which unblocks the reader and
+/// drains every worker — no hang, no leaked tasks.
 ///
 /// options.num_threads <= 1 runs all three stages synchronously on the
 /// calling thread (no queue, no pool): exactly the historical IngestDump

@@ -17,11 +17,11 @@ Result<EntityId> EntityRegistry::Register(std::string name, TypeId type) {
 }
 
 Result<EntityId> EntityRegistry::FindByName(std::string_view name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
+  const EntityId id = IdOf(name);
+  if (id == kInvalidEntityId) {
     return Status::NotFound("unknown entity '" + std::string(name) + "'");
   }
-  return it->second;
+  return id;
 }
 
 std::vector<EntityId> EntityRegistry::EntitiesOfType(TypeId t) const {

@@ -36,7 +36,15 @@ class EntityRegistry {
 
   const Entity& Get(EntityId id) const { return entities_[id]; }
 
-  /// Entity id by article title, or NotFound. Builds no temporary string.
+  /// Entity id by article title, or kInvalidEntityId. Allocates nothing, on
+  /// a hit or a miss: ingest looks up every page title and every diffed
+  /// link, and real infoboxes link many articles that are not entities.
+  EntityId IdOf(std::string_view name) const {
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? kInvalidEntityId : it->second;
+  }
+
+  /// IdOf as a Result: NotFound, naming the title, on a miss.
   [[nodiscard]] Result<EntityId> FindByName(std::string_view name) const;
 
   /// Most-specific type of `id` (kInvalidTypeId if out of range).
@@ -56,8 +64,8 @@ class EntityRegistry {
  private:
   const TypeTaxonomy* taxonomy_;
   std::vector<Entity> entities_;
-  // Transparent hash and equality: FindByName looks a string_view up
-  // directly (ingest calls it for every page title and every diffed link).
+  // Transparent hash and equality: IdOf looks a string_view up directly
+  // (ingest calls it for every page title and every diffed link).
   struct NameHash {
     using is_transparent = void;
     size_t operator()(std::string_view name) const {

@@ -1,6 +1,7 @@
 #include "wikitext/infobox.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -89,12 +90,34 @@ Status ParseInfoboxLinks(std::string_view wikitext, const ParseLimits& limits,
 
   // Find the matching "}}" at template nesting depth 0. The generator never
   // nests templates, but a parser of real dumps must not be fooled by "{{"
-  // inside attribute values.
+  // inside attribute values. The walk jumps from brace to brace: it keeps
+  // the next '{' and the next '}' at or after `pos` and searches again only
+  // for the one it has passed, so each memchr resumes past the last hit for
+  // its byte and the walk scans every byte once, whatever the input. A
+  // brace is a pair only with an equal byte behind it, so the text's last
+  // byte never starts one.
+  const char* const text = wikitext.data();
+  const size_t size = wikitext.size();
+  auto next_of = [text, size](char brace, size_t from) -> size_t {
+    const void* hit = std::memchr(text + from, brace, size - from);
+    return hit == nullptr ? size : static_cast<const char*>(hit) - text;
+  };
   size_t pos = open + kInfoboxOpen.size();
+  size_t next_open = next_of('{', pos);
+  size_t next_close = next_of('}', pos);
   int depth = 1;
   size_t body_end = std::string_view::npos;
-  while (pos + 1 < wikitext.size()) {
-    if (wikitext[pos] == '{' && wikitext[pos + 1] == '{') {
+  for (;;) {
+    if (next_open < pos) next_open = next_of('{', pos);
+    if (next_close < pos) next_close = next_of('}', pos);
+    const size_t brace = std::min(next_open, next_close);
+    if (brace + 1 >= size) break;  // no brace left that a byte follows
+    if (text[brace + 1] != text[brace]) {
+      pos = brace + 1;  // a lone brace
+      continue;
+    }
+    pos = brace + 2;
+    if (text[brace] == '{') {
       ++depth;
       if (limits.max_infobox_nesting_depth > 0 &&
           depth > limits.max_infobox_nesting_depth) {
@@ -102,16 +125,9 @@ Status ParseInfoboxLinks(std::string_view wikitext, const ParseLimits& limits,
             "infobox template nesting exceeds depth limit " +
             std::to_string(limits.max_infobox_nesting_depth));
       }
-      pos += 2;
-    } else if (wikitext[pos] == '}' && wikitext[pos + 1] == '}') {
-      --depth;
-      if (depth == 0) {
-        body_end = pos;
-        break;
-      }
-      pos += 2;
-    } else {
-      ++pos;
+    } else if (--depth == 0) {
+      body_end = brace;
+      break;
     }
   }
   if (body_end == std::string_view::npos) {
@@ -160,9 +176,10 @@ void DiffLinkSets(const std::vector<LinkView>& before,
   auto b = before.begin();
   auto a = after.begin();
   while (b != before.end() && a != after.end()) {
-    if (*b < *a) {
+    const std::strong_ordering order = *b <=> *a;
+    if (order < 0) {
       removed->push_back(*b++);
-    } else if (*a < *b) {
+    } else if (order > 0) {
       added->push_back(*a++);
     } else {
       ++b;

@@ -36,12 +36,32 @@ struct InfoboxLink {
 /// An InfoboxLink as views into the revision text it was parsed from: the
 /// allocation-free form the ingest diff works on. Valid only while that text
 /// is alive and unmodified. Ordered like InfoboxLink (relation, then target).
+///
+/// The one comparator of SortUniqueLinks and DiffLinkSets: every link of
+/// one attribute line views the same relation bytes, so two views of the
+/// same address and length skip the relation compare. Views of equal bytes
+/// at different addresses still compare equal.
 struct LinkView {
   std::string_view relation;
   std::string_view target_title;
 
-  friend bool operator==(const LinkView&, const LinkView&) = default;
-  friend auto operator<=>(const LinkView&, const LinkView&) = default;
+  friend bool operator==(const LinkView& a, const LinkView& b) {
+    return a.target_title == b.target_title &&
+           (SameBytes(a.relation, b.relation) || a.relation == b.relation);
+  }
+  friend std::strong_ordering operator<=>(const LinkView& a,
+                                          const LinkView& b) {
+    if (!SameBytes(a.relation, b.relation)) {
+      const int order = a.relation.compare(b.relation);
+      if (order != 0) return order <=> 0;
+    }
+    return a.target_title.compare(b.target_title) <=> 0;
+  }
+
+ private:
+  static bool SameBytes(std::string_view a, std::string_view b) {
+    return a.data() == b.data() && a.size() == b.size();
+  }
 };
 
 /// Parsed structured content of one page revision.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <set>
 #include <string>
@@ -91,6 +92,19 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("  x y \t\n"), "x y");
   EXPECT_EQ(StripWhitespace("   "), "");
   EXPECT_EQ(StripWhitespace(""), "");
+}
+
+TEST(StringsTest, WhitespaceIsTheCLocaleSet) {
+  // The program never calls setlocale, so std::isspace runs in the "C"
+  // locale here: the inline test must accept exactly its six bytes.
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    const bool space = std::isspace(byte) != 0;
+    EXPECT_EQ(IsAsciiSpace(c), space) << "byte " << byte;
+    const std::string padded = std::string(1, c) + "x" + std::string(1, c);
+    EXPECT_EQ(StripWhitespace(padded), space ? "x" : padded) << "byte " << byte;
+  }
+  EXPECT_EQ(StripWhitespace("\v\f\r x \xA0\t"), "x \xA0");
 }
 
 TEST(StringsTest, StartsEndsWith) {

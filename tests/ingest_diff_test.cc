@@ -2,11 +2,14 @@
 // revision parsed once into link views, diffed against the previous good
 // revision's sorted links by a linear merge) against the original
 // parse-both-texts-and-diff-two-sets loop kept in tests/support. Random
-// revision chains cover duplicate and display-text links, whitespace-padded
-// targets, reordered and renamed attributes, infobox-free revisions, and
-// corrupt, oversized, deeply nested, duplicate-id and out-of-order revisions
-// under every error policy. Actions, counters, skip decisions, error
-// statuses and quarantine records must all agree.
+// revision chains cover duplicate and display-text links, targets and
+// attributes padded with every whitespace byte (and with bytes >= 0x80,
+// which are not whitespace), reordered and renamed attributes, one attribute
+// split over two lines, lone braces and "{{{"/"}}}" runs, braces in the
+// text's last byte, infobox-free revisions, and corrupt, oversized, deeply
+// nested, duplicate-id and out-of-order revisions under every error policy.
+// Actions, counters, skip decisions, error statuses and quarantine records
+// must all agree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +36,8 @@ constexpr size_t kRevisionBytesLimit = 2000;
 enum class RevisionKind {
   kNormal,
   kNoInfobox,
+  kClosedAtEnd,       // the infobox's "}}" are the text's last two bytes
+  kEndsInBrace,       // a brace as the text's last byte
   kBrokenLink,        // an unterminated [[ after some good attributes
   kOpenInfobox,       // {{Infobox without its closing }}
   kDeepNesting,       // templates nested 5 deep inside the infobox
@@ -60,9 +65,19 @@ class IngestDiffOracleTest : public ::testing::Test {
     return Target(rng_() % kRegisteredTargets);
   }
 
-  /// One rendering of a link to `target`: plain, display text, or padded.
+  /// Whitespace padding: nothing, or a mix of the six whitespace bytes
+  /// except '\n' (which ends an attribute line).
+  std::string Pad() {
+    static constexpr const char* kPads[] = {"",   "",   " ",  "\t",
+                                            "\v", "\f", "\r", " \v\f\r\t "};
+    return kPads[rng_() % std::size(kPads)];
+  }
+
+  /// One rendering of a link to `target`: plain, display text, or padded,
+  /// also with a byte >= 0x80 (no whitespace, so it stays in the title and
+  /// leaves the link unresolved) next to the padding.
   std::string RenderLink(const std::string& target) {
-    switch (rng_() % 5) {
+    switch (rng_() % 8) {
       case 0:
         return "[[" + target + "|shown as " + std::to_string(rng_() % 9) +
                "]]";
@@ -70,6 +85,13 @@ class IngestDiffOracleTest : public ::testing::Test {
         return "[[  " + target + "\t ]]";
       case 2:
         return "[[ " + target + " | padded ]]";
+      case 3:
+        return "[[" + Pad() + target + Pad() + "]]";
+      case 4:
+        if (rng_() % 2 == 0) {
+          return "[[" + Pad() + target + "\xC2\xA0" + Pad() + "]]";
+        }
+        return "[[\xA0" + Pad() + target + "]]";
       default:
         return "[[" + target + "]]";
     }
@@ -114,28 +136,53 @@ class IngestDiffOracleTest : public ::testing::Test {
     std::shuffle(state.begin(), state.end(), rng_);
     std::string text = "Lead prose. {{Infobox player " +
                        std::to_string(rng_() % 3) + "\n";
+    auto attribute = [&](const std::string& relation) {
+      return Pad() + (rng_() % 4 == 0 ? "|" : "| ") + Pad() + relation +
+             Pad() + (rng_() % 3 == 0 ? "=" : " = ");
+    };
     for (size_t i = 0; i < state.size();) {
-      // Group a run of links sharing an attribute onto one line.
+      // Group a run of links sharing an attribute onto one line; now and
+      // then split it over two lines of that attribute, so equal relations
+      // sit at different addresses, sometimes with one link on both lines.
       size_t j = i + 1;
       while (j < state.size() && state[j].first == state[i].first) ++j;
-      text += (rng_() % 4 == 0 ? "|" : "| ") + state[i].first +
-              (rng_() % 3 == 0 ? "=" : " = ");
+      const size_t split = rng_() % 4 == 0 ? i + rng_() % (j - i + 1) : j;
+      text += attribute(state[i].first);
       for (size_t k = i; k < j; ++k) {
-        if (k > i) text += ", ";
+        if (k == split) {
+          text += Pad() + "\n" + attribute(state[i].first);
+          if (k > i && rng_() % 2 == 0) {
+            text += RenderLink(state[k - 1].second) + ", ";
+          }
+        } else if (k > i) {
+          text += ", ";
+        }
         text += RenderLink(state[k].second);
       }
-      text += "\n";
+      text += Pad() + "\n";
       i = j;
     }
     if (rng_() % 3 == 0) text += "| height = 175cm\n| bare_flag\n";
     if (rng_() % 4 == 0) text += "| note = {{small|hi}} [[  ]]\n";
     if (rng_() % 5 == 0) text += "  stray line without a pipe\n";
+    // Braces that never pair, and pairs inside brace runs.
+    if (rng_() % 4 == 0) text += "| lone = { x } y }{ [[Entity 1]] {\n}\n";
+    if (rng_() % 4 == 0) {
+      text += "| param = {{{arg|[[" + RandomTarget() + "]]}}}{{{x}}} {\n";
+    }
     switch (kind) {
       case RevisionKind::kBrokenLink:
         text += "| broken = [[" + RandomTarget() + "\n}}\n";
         return text;
       case RevisionKind::kOpenInfobox:
         return text + "| tail = [[" + RandomTarget() + "]]\n";
+      case RevisionKind::kClosedAtEnd:
+        return text + "}}";
+      case RevisionKind::kEndsInBrace: {
+        static constexpr const char* kTails[] = {"}", "{", "}}{", "}}}",
+                                                 "}}\n{"};
+        return text + kTails[rng_() % std::size(kTails)];
+      }
       case RevisionKind::kDeepNesting:
         text += "| deep = {{a {{b {{c {{d}} }} }} }}\n";
         break;
@@ -151,7 +198,9 @@ class IngestDiffOracleTest : public ::testing::Test {
 
   RevisionKind RandomKind() {
     const uint32_t roll = rng_() % 100;
-    if (roll < 52) return RevisionKind::kNormal;
+    if (roll < 46) return RevisionKind::kNormal;
+    if (roll < 49) return RevisionKind::kClosedAtEnd;
+    if (roll < 52) return RevisionKind::kEndsInBrace;
     if (roll < 60) return RevisionKind::kNoInfobox;
     if (roll < 67) return RevisionKind::kBrokenLink;
     if (roll < 71) return RevisionKind::kOpenInfobox;
@@ -188,7 +237,9 @@ class IngestDiffOracleTest : public ::testing::Test {
         rev.revision_id = static_cast<int64_t>(1 + rng_() % r);
       }
       if (kind == RevisionKind::kOutOfOrder && r > 0) rev.timestamp = 10;
-      if (kind == RevisionKind::kNormal) state = std::move(next);
+      if (kind == RevisionKind::kNormal || kind == RevisionKind::kClosedAtEnd) {
+        state = std::move(next);
+      }
       page.revisions.push_back(std::move(rev));
     }
     return page;
@@ -238,6 +289,7 @@ void ExpectSameBatch(const PageActions& got, const PageActions& want) {
 TEST_F(IngestDiffOracleTest, RandomRevisionChainsMatchReferenceDiff) {
   SkipCounts skips_seen{};
   size_t actions_seen = 0;
+  size_t unresolved_seen = 0;
   size_t errors_seen = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     const DumpPage page = RandomPage();
@@ -261,12 +313,14 @@ TEST_F(IngestDiffOracleTest, RandomRevisionChainsMatchReferenceDiff) {
     ExpectSameBatch(*got, *want);
     if (HasFailure()) return;
     actions_seen += got->actions.size();
+    unresolved_seen += got->unresolved_links;
     for (size_t i = 0; i < kNumSkipReasons; ++i) {
       skips_seen[i] += got->skipped_by_reason[i];
     }
   }
   // The generator must actually reach every revision-level fault.
   EXPECT_GT(actions_seen, 1000u);
+  EXPECT_GT(unresolved_seen, 100u);  // "Ghost" and padded-with-0xA0 targets
   EXPECT_GT(errors_seen, 0u);
   for (SkipReason reason :
        {SkipReason::kDuplicateRevision, SkipReason::kOutOfOrderRevision,

@@ -210,6 +210,70 @@ TEST(IngestPipelineTest, StrictUnknownPageFailsInParallelToo) {
   EXPECT_EQ(store.num_actions(), 0u);
 }
 
+TEST(IngestPipelineTest, StrictErrorIsTheSequentialOneAtAnyWidth) {
+  // Two faults far apart: an unterminated "[[" (a worker's Corruption) and
+  // a misspelt <title> (the reader's Corruption). The reader runs a page
+  // budget ahead of the workers, so the later fault may be met first; the
+  // run must still report the fault of the lower page, as the sequential
+  // run does, after merging exactly the pages before it.
+  const Corpus corpus = MakeCorpus(40, 11);
+  auto page_start = [](const std::string& xml, size_t index) {
+    size_t pos = xml.find("<page>");
+    for (size_t i = 0; i < index; ++i) pos = xml.find("<page>", pos + 1);
+    return pos;
+  };
+  auto break_link = [&](std::string* xml, size_t page) {
+    const size_t infobox_end = xml->find("\n}}", page_start(*xml, page));
+    ASSERT_NE(infobox_end, std::string::npos);
+    xml->insert(infobox_end, "\n| broken = [[Nowhere");
+  };
+  auto misspell_title = [&](std::string* xml, size_t page) {
+    const size_t title = xml->find("<title>", page_start(*xml, page));
+    ASSERT_NE(title, std::string::npos);
+    xml->replace(title, 7, "<tiXle>");
+  };
+  ASSERT_NE(page_start(corpus.dump_xml, 41), std::string::npos);
+  for (bool link_first : {true, false}) {
+    SCOPED_TRACE(link_first ? "broken link on page 2, bad title on page 40"
+                            : "bad title on page 2, broken link on page 40");
+    std::string xml = corpus.dump_xml;
+    // The later page first, so the earlier page's offsets stay valid.
+    if (link_first) {
+      misspell_title(&xml, 40);
+      break_link(&xml, 2);
+    } else {
+      break_link(&xml, 40);
+      misspell_title(&xml, 2);
+    }
+    Status sequential;
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (int repeat = 0; repeat < (threads == 1 ? 1 : 10); ++repeat) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", repeat " +
+                     std::to_string(repeat));
+        std::istringstream in(xml);
+        XmlPageSource source(&in);
+        RecordingSink sink;
+        IngestOptions options;  // the default queue: a budget past page 40
+        options.num_threads = threads;
+        Result<IngestStats> result = RunIngestPipeline(
+            &source, *corpus.world.registry, &sink, options);
+        ASSERT_FALSE(result.ok());
+        if (threads == 1) {
+          sequential = result.status();
+          EXPECT_EQ(sequential.code(), StatusCode::kCorruption);
+          EXPECT_NE(sequential.message().find(link_first ? "wikilink"
+                                                         : "<title>"),
+                    std::string::npos)
+              << sequential.ToString();
+        }
+        EXPECT_EQ(result.status().code(), sequential.code());
+        EXPECT_EQ(result.status().message(), sequential.message());
+        EXPECT_EQ(sink.sequences(), (std::vector<uint64_t>{0, 1}));
+      }
+    }
+  }
+}
+
 TEST(IngestPipelineTest, StageTimingsArePopulated) {
   Corpus corpus = MakeCorpus(30, 3);
   for (size_t threads : {1u, 4u}) {
